@@ -6,12 +6,11 @@ convergence verdicts, discrete change-of-variable sums along partition
 sequences, and Monte Carlo checks of backward-equation candidates.
 """
 
-from ._kernels import HAS_NUMBA
 from .errors import ConfigError, DomainError, FlowIterationError, \
     GridMismatchError, IllConditionedError, NonDifferentiableError, \
     NumericalError
-from .paths import CADLAG, LINEAR, BumpedPath, GridPath, PathBase, \
-    SplicedPath, StoppedPath, bump, concat, constant_path, dist_stopped, \
+from .paths import CADLAG, LINEAR, GridPath, PathBase, SplicedPath, \
+    StoppedPath, bump, concat, constant_path, dist_stopped, \
     path_from_csv, path_to_csv, ramp_path, stop
 from .functionals import CATALOG, DirectionField, Functional, \
     FunctionalWithDerivatives, MatrixFunctional, ProbeReport, \
@@ -41,38 +40,3 @@ from .fk import MCEstimate, MartingaleReport, SDESpec, benchmark, \
 from . import rng
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "HAS_NUMBA", "__version__",
-    "ConfigError", "DomainError", "FlowIterationError", "GridMismatchError",
-    "IllConditionedError", "NonDifferentiableError", "NumericalError",
-    "CADLAG", "LINEAR", "BumpedPath", "GridPath", "PathBase", "SplicedPath",
-    "StoppedPath", "bump", "concat", "constant_path", "dist_stopped",
-    "path_from_csv", "path_to_csv", "ramp_path", "stop",
-    "CATALOG", "DirectionField", "Functional", "FunctionalWithDerivatives",
-    "MatrixFunctional", "ProbeReport", "VectorFunctional", "builtin",
-    "check_hessian_symmetry", "constant_direction", "constant_functional",
-    "constant_matrix_field", "eval_direction", "eval_functional",
-    "exp_eval_functional", "integral_functional", "probe_boundedness",
-    "probe_lipschitz", "probe_non_anticipative", "product_functional",
-    "running_avg_direction", "running_avg_functional",
-    "running_max_functional", "square_functional", "zero_direction",
-    "FlowSolution", "euler_flow", "solve_flow",
-    "CONVERGED", "DerivativeReport", "GradientRecovery",
-    "HorizontalAverage", "INCONCLUSIVE", "OSCILLATING", "QuotientLadder",
-    "RelationReport", "SPACE_LADDER", "d_gamma", "d_horizontal", "d_space",
-    "horizontal_from_gamma", "judge", "numerical_derivatives",
-    "recover_gradient", "relation_residual", "require_converged",
-    "ALPHA_TOL", "DirectionCheck", "ExpansionCheck", "GUARD", "PHI_TOL",
-    "RampBattery", "T_FLOOR", "check_direction", "constraint_direction",
-    "counterexample_functional", "expansion_check", "expansion_rate",
-    "gamma_star", "mean_functional", "path_mean", "ramp_battery", "sin_log",
-    "sin_log_prime", "surface_functional", "surface_value",
-    "ItoDecomposition", "PartitionSequence", "QVMatrixPath",
-    "StratonovichResult", "brownian_path", "dyadic_subsample",
-    "ito_residual", "midpoint_sum", "partition_integral", "polygonal",
-    "quadratic_covariation", "snap_partition", "stratonovich_integral",
-    "MCEstimate", "MartingaleReport", "SDESpec", "benchmark", "estimate_f",
-    "fk_residual", "martingale_check", "simulate_sde",
-    "rng",
-]

@@ -1,41 +1,16 @@
-"""Hot array kernels with a numba fast path and a pure-numpy fallback.
+"""Prefix-sum kernels over time grids.
 
-Every kernel exists twice: ``<name>_np`` (vectorized numpy, the reference) and
-a numba ``@njit`` version compiled from the same loop order.  The public names
-point at one or the other depending on availability and the environment flag
-
-    PATHCALC_NO_NUMBA=1   ->  force the numpy fallback
-
-Accumulation order is sequential in every kernel (numpy versions use cumsum,
-which accumulates in the same order as the loops), so both paths produce
-bit-identical results and either may serve a reproducibility contract.
+Every kernel accumulates sequentially along time (numpy's cumsum adds in
+order), so a prefix row depends only on the rows before it and each result
+is reproducible bit for bit.  numpy sums over a trailing axis are pairwise,
+not sequential, so the kernels that reduce over the d components add them
+one at a time instead.
 """
-
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("PATHCALC_NO_NUMBA", "").strip() not in ("", "0")
 
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by PATHCALC_NO_NUMBA")
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # decorator that returns the function unchanged
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-        return wrap
-
-
-def trapezoid_prefix_np(t, v):
+def trapezoid_prefix(t, v):
     """Cumulative trapezoid integral of samples v over times t.
 
     t: (n,), v: (n, d).  Returns (n, d) with row j = integral over [t0, tj].
@@ -48,18 +23,7 @@ def trapezoid_prefix_np(t, v):
     return out
 
 
-@njit(cache=True)
-def _trapezoid_prefix_nb(t, v):
-    n, d = v.shape
-    out = np.zeros((n, d))
-    for j in range(1, n):
-        dt = t[j] - t[j - 1]
-        for k in range(d):
-            out[j, k] = out[j - 1, k] + 0.5 * (v[j - 1, k] + v[j, k]) * dt
-    return out
-
-
-def left_prefix_np(t, v):
+def left_prefix(t, v):
     """Cumulative left-rectangle integral; exact for cadlag step paths."""
     out = np.zeros_like(v)
     if len(t) > 1:
@@ -68,18 +32,7 @@ def left_prefix_np(t, v):
     return out
 
 
-@njit(cache=True)
-def _left_prefix_nb(t, v):
-    n, d = v.shape
-    out = np.zeros((n, d))
-    for j in range(1, n):
-        dt = t[j] - t[j - 1]
-        for k in range(d):
-            out[j, k] = out[j - 1, k] + v[j - 1, k] * dt
-    return out
-
-
-def outer_increment_prefix_np(dx):
+def outer_increment_prefix(dx):
     """Running sums of increment outer products.
 
     dx: (n, d) increments.  Returns (n+1, d, d); row i is sum over the first
@@ -93,18 +46,7 @@ def outer_increment_prefix_np(dx):
     return out
 
 
-@njit(cache=True)
-def _outer_increment_prefix_nb(dx):
-    n, d = dx.shape
-    out = np.zeros((n + 1, d, d))
-    for i in range(n):
-        for a in range(d):
-            for b in range(d):
-                out[i + 1, a, b] = out[i, a, b] + dx[i, a] * dx[i, b]
-    return out
-
-
-def dot_increment_prefix_np(g, dx):
+def dot_increment_prefix(g, dx):
     """Running sums of <g_i, dx_i>.
 
     g, dx: (n, d).  Returns (n+1,); row i sums the first i terms.
@@ -119,19 +61,7 @@ def dot_increment_prefix_np(g, dx):
     return out
 
 
-@njit(cache=True)
-def _dot_increment_prefix_nb(g, dx):
-    n, d = g.shape
-    out = np.zeros(n + 1)
-    for i in range(n):
-        s = g[i, 0] * dx[i, 0]
-        for k in range(1, d):
-            s = s + g[i, k] * dx[i, k]
-        out[i + 1] = out[i] + s
-    return out
-
-
-def quad_form_prefix_np(h, dx):
+def quad_form_prefix(h, dx):
     """Running sums of dx_i^T h_i dx_i for per-step matrices h.
 
     h: (n, d, d), dx: (n, d).  Returns (n+1,).
@@ -145,41 +75,3 @@ def quad_form_prefix_np(h, dx):
                 terms = terms + h[:, a, b] * dx[:, a] * dx[:, b]
         np.cumsum(terms, out=out[1:])
     return out
-
-
-@njit(cache=True)
-def _quad_form_prefix_nb(h, dx):
-    n, d = dx.shape
-    out = np.zeros(n + 1)
-    for i in range(n):
-        s = 0.0
-        for a in range(d):
-            for b in range(d):
-                s = s + h[i, a, b] * dx[i, a] * dx[i, b]
-        out[i + 1] = out[i] + s
-    return out
-
-
-# numpy sums over axis -1 are pairwise, not sequential, so the vectorized
-# variants above accumulate the d terms explicitly to match the loops.
-
-if HAS_NUMBA:
-    trapezoid_prefix = _trapezoid_prefix_nb
-    left_prefix = _left_prefix_nb
-    outer_increment_prefix = _outer_increment_prefix_nb
-    dot_increment_prefix = _dot_increment_prefix_nb
-    quad_form_prefix = _quad_form_prefix_nb
-else:
-    trapezoid_prefix = trapezoid_prefix_np
-    left_prefix = left_prefix_np
-    outer_increment_prefix = outer_increment_prefix_np
-    dot_increment_prefix = dot_increment_prefix_np
-    quad_form_prefix = quad_form_prefix_np
-
-KERNEL_PAIRS = {
-    "trapezoid_prefix": (trapezoid_prefix_np, _trapezoid_prefix_nb),
-    "left_prefix": (left_prefix_np, _left_prefix_nb),
-    "outer_increment_prefix": (outer_increment_prefix_np, _outer_increment_prefix_nb),
-    "dot_increment_prefix": (dot_increment_prefix_np, _dot_increment_prefix_nb),
-    "quad_form_prefix": (quad_form_prefix_np, _quad_form_prefix_nb),
-}

@@ -79,14 +79,6 @@ class DerivativeReport:
     def converged(self):
         return self.verdict == CONVERGED
 
-    def write_csv(self, fh):
-        """Ladder rows (eta,quotient) followed by a one-line summary."""
-        fh.write("eta,quotient\n")
-        for e, q in zip(self.etas, self.quotients):
-            fh.write(f"{e!r},{q!r}\n")
-        fh.write("verdict,estimate,spread_tail\n")
-        fh.write(f"{self.verdict},{self.estimate!r},{self.spread_tail!r}\n")
-
 
 def judge(etas, quotients, ratio, label=""):
     """Classify a quotient ladder; see the module docstring."""
@@ -209,12 +201,12 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     base = F.eval(t, xt) if scheme == "forward" else None
     for k, h in enumerate(hs):
         e[i] = h
-        up = F.eval(t, bump(x, t, e))
+        up = F.eval(t, bump(xt, t, e))
         if scheme == "forward":
             quotients[k] = (up - base) / h
         else:
             e[i] = -h
-            down = F.eval(t, bump(x, t, e))
+            down = F.eval(t, bump(xt, t, e))
             quotients[k] = (up - down) / (2.0 * h)
         e[i] = 0.0
     label = f"d_space[{F.label};{i};{scheme}]@{t:g}"
@@ -377,14 +369,14 @@ def numerical_derivatives(F, dim=1, time_ladder=None, space_ladder=None,
                 ei[i] = h
                 ej[j] = h
                 if i == j:
-                    up = F.eval(t, bump(x, t, ei))
-                    dn = F.eval(t, bump(x, t, -ei))
+                    up = F.eval(t, bump(xt, t, ei))
+                    dn = F.eval(t, bump(xt, t, -ei))
                     qs[k] = (up - 2.0 * f0 + dn) / (h * h)
                 else:
-                    pp = F.eval(t, bump(x, t, ei + ej))
-                    pm = F.eval(t, bump(x, t, ei - ej))
-                    mp = F.eval(t, bump(x, t, ej - ei))
-                    mm = F.eval(t, bump(x, t, -ei - ej))
+                    pp = F.eval(t, bump(xt, t, ei + ej))
+                    pm = F.eval(t, bump(xt, t, ei - ej))
+                    mp = F.eval(t, bump(xt, t, ej - ei))
+                    mm = F.eval(t, bump(xt, t, -ei - ej))
                     qs[k] = (pp - pm - mp + mm) / (4.0 * h * h)
             rep = judge(hs, qs, hl.ratio, f"d2_space[{i},{j}]")
             return require_converged(rep, f"d2_space[{i},{j}]").estimate

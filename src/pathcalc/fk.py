@@ -18,11 +18,10 @@ import numpy as np
 from . import rng
 from ._kernels import left_prefix
 from .errors import ConfigError, DomainError
-from .flow import _LiveSplice
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
     constant_functional, constant_matrix_field, square_functional
-from .paths import LINEAR, SplicedPath, constant_path, stop
+from .paths import LINEAR, SplicedPath, constant_path, splice_view, stop
 
 
 @dataclass
@@ -83,9 +82,9 @@ def _simulate_on_grid(spec, grid, x, seed, index):
         inc = dt[:, None] * a[None, :] + dw @ sig.T
         values[1:] = start[None, :] + np.cumsum(inc, axis=0)
     else:
-        live = _LiveSplice(x, grid[0], grid, values)
+        live = splice_view(x, grid[0], grid, values, LINEAR)
         for j in range(n):
-            live.filled = j + 1
+            live.seg.fill(j + 1)
             a = spec.drift.eval(grid[j], live)
             sig = spec.sigma.eval(grid[j], live)
             values[j + 1] = values[j] + (dt[j] * a + sig @ dw[j])

@@ -16,105 +16,9 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigError, DomainError, FlowIterationError
 from .functionals import DirectionField
-from .paths import LINEAR, PathBase, SplicedPath, stop
+from .paths import CADLAG, LINEAR, PathBase, SplicedPath, splice_view, stop
 
 _DIVERGENCE_CAP = 1e12
-
-
-class _LiveSplice(PathBase):
-    """Internal path view over a partially filled extension buffer.
-
-    Shares (not copies) the solver's arrays; ``filled`` marks how many
-    segment nodes are currently defined.  Callers must only evaluate at
-    times covered by the filled prefix.  No validation, no caching.
-    """
-
-    def __init__(self, left, switch, seg_times, seg_values):
-        self.left = left
-        self.switch = switch
-        self.seg_times = seg_times
-        self.seg_values = seg_values
-        self.filled = 1
-        self.dim = left.dim
-        self.horizon = left.horizon
-
-    def knots(self):
-        t = self.left.knots()
-        return np.concatenate([t[t < self.switch],
-                               self.seg_times[:self.filled]])
-
-    def _seg(self):
-        return self.seg_times[:self.filled], self.seg_values[:self.filled]
-
-    def _eval(self, ts):
-        out = np.empty((len(ts), self.dim))
-        before = ts < self.switch
-        if np.any(before):
-            out[before] = self.left._eval(ts[before])
-        after = ~before
-        if np.any(after):
-            st, sv = self._seg()
-            u = ts[after]
-            idx = np.minimum(np.searchsorted(st, u, side="right") - 1,
-                             len(st) - 1)
-            vals = sv[idx].copy()
-            between = (st[idx] != u) & (idx < len(st) - 1)
-            if np.any(between):
-                j = idx[between]
-                frac = ((u[between] - st[j]) / (st[j + 1] - st[j]))[:, None]
-                vals[between] = sv[j] + frac * (sv[j + 1] - sv[j])
-            out[after] = vals
-        return out
-
-    def _eval_left(self, ts):
-        out = np.empty((len(ts), self.dim))
-        before = ts <= self.switch
-        if np.any(before):
-            out[before] = self.left._eval_left(ts[before])
-        after = ~before
-        if np.any(after):
-            out[after] = self._eval(ts[after])  # extension is continuous
-        return out
-
-    def _integral_prefix(self, ts):
-        out = np.empty((len(ts), self.dim))
-        before = ts <= self.switch
-        if np.any(before):
-            out[before] = self.left._integral_prefix(ts[before])
-        after = ~before
-        if np.any(after):
-            st, sv = self._seg()
-            u = ts[after]
-            head = self.left._integral_prefix(np.array([self.switch]))[0]
-            hi = int(np.searchsorted(st, u.max(), side="right"))
-            pref = _kernels.trapezoid_prefix(st[:hi], sv[:hi])
-            idx = np.minimum(np.searchsorted(st, u, side="right") - 1, hi - 1)
-            part = pref[idx] + (u - st[idx])[:, None] * 0.5 * (
-                sv[idx] + self._eval(u))
-            out[after] = head + part
-        return out
-
-    def _running_max_prefix(self, ts):
-        out = np.empty((len(ts), self.dim))
-        before = ts < self.switch
-        if np.any(before):
-            out[before] = self.left._running_max_prefix(ts[before])
-        after = ~before
-        if np.any(after):
-            st, sv = self._seg()
-            u = ts[after]
-            head = self.left._sup_before(self.switch) if self.switch > 0 \
-                else np.full(self.dim, -np.inf)
-            rm = np.maximum.accumulate(sv, axis=0)
-            idx = np.minimum(np.searchsorted(st, u, side="right") - 1,
-                             len(st) - 1)
-            out[after] = np.maximum(head, np.maximum(rm[idx], self._eval(u)))
-        return out
-
-    def _sup_before(self, u):
-        if u <= self.switch:
-            return self.left._sup_before(u)
-        return self._running_max_prefix(np.array([u]))[0]
 
 
 @dataclass
@@ -141,14 +45,16 @@ class FlowSolution:
         if ts.size and (ts.min() < self.start or ts.max() > self.until):
             raise DomainError("residual times must lie in [start, until]")
         g = self.direction.eval_many(self.grid, self.path)
-        idx = np.searchsorted(self.grid, ts, side="right") - 1
-        if self.quadrature == "trapezoid":
-            pref = _kernels.trapezoid_prefix(self.grid, g)
-            part = pref[idx] + (ts - self.grid[idx])[:, None] * 0.5 * (
-                g[idx] + self.direction.eval_many(ts, self.path))
+        # the field on the solver grid as a segment from start: its node
+        # prefix is the quadrature's, and left rectangles are its integral
+        mode = LINEAR if self.quadrature == "trapezoid" else CADLAG
+        quad = splice_view(self.path, self.start, self.grid, g, mode).seg
+        if mode == CADLAG:
+            part = quad.integral(ts)
         else:
-            pref = _kernels.left_prefix(self.grid, g)
-            part = pref[idx] + (ts - self.grid[idx])[:, None] * g[idx]
+            idx = quad.locate(ts)
+            part = quad.node_prefix()[idx] + (ts - self.grid[idx])[:, None] \
+                * 0.5 * (g[idx] + self.direction.eval_many(ts, self.path))
         gap = self.path.eval(ts) - (self.values[0] + part)
         return np.abs(gap).max(axis=1)
 
@@ -198,6 +104,14 @@ def _window_runs(grid, cap):
     return runs
 
 
+def _flow_path(w, s, grid, values):
+    # a field that vanished along the whole extension gives the stopped
+    # path itself, so downstream identities are exact
+    if np.all(values == values[0]):
+        return stop(w, s)
+    return SplicedPath(w, s, grid, values, seg_mode=LINEAR)
+
+
 def solve_flow(w, s, gamma, until=None, substep=None, window=None,
                picard_tol=1e-10, max_iters=100, grid=None,
                initial_guess="constant"):
@@ -241,7 +155,7 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
     n = len(grid)
     values = np.empty((n, w.dim))
     values[0] = w.eval(s)
-    live = _LiveSplice(w, s, grid, values)
+    live = splice_view(w, s, grid, values, LINEAR)
     iterations = []
 
     for i0, i1 in runs:
@@ -249,12 +163,12 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
         v0 = values[i0].copy()
         if initial_guess == "euler":
             for j in range(i0, i1):
-                live.filled = j + 1
+                live.seg.fill(j + 1)
                 gj = gamma.eval(grid[j], live)
                 values[j + 1] = values[j] + (grid[j + 1] - grid[j]) * gj
         else:
             values[i0 + 1:i1 + 1] = v0
-        live.filled = i1 + 1
+        live.seg.fill(i1 + 1)
         done = False
         for it in range(1, max_iters + 1):
             g = gamma.eval_many(ts, live)
@@ -277,14 +191,8 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
                 f"constant {K:g} honest?",
                 last_iterate=partial, sup_change=delta)
 
-    if np.all(values == values[0]):
-        # the field vanished along the whole extension: the flow is the
-        # stopped path, returned as such so downstream identities are exact
-        path = stop(w, s)
-    else:
-        path = SplicedPath(w, s, grid, values, seg_mode=LINEAR)
-    return FlowSolution(path, s, until, gamma, mesh, picard_tol, grid,
-                        values, iterations)
+    return FlowSolution(_flow_path(w, s, grid, values), s, until, gamma,
+                        mesh, picard_tol, grid, values, iterations)
 
 
 def euler_flow(w, s, gamma, until=None, substep=None, grid=None):
@@ -306,14 +214,10 @@ def euler_flow(w, s, gamma, until=None, substep=None, grid=None):
     n = len(grid)
     values = np.empty((n, w.dim))
     values[0] = w.eval(s)
-    live = _LiveSplice(w, s, grid, values)
+    live = splice_view(w, s, grid, values, LINEAR)
     for j in range(n - 1):
-        live.filled = j + 1
+        live.seg.fill(j + 1)
         gj = gamma.eval(grid[j], live)
         values[j + 1] = values[j] + (grid[j + 1] - grid[j]) * gj
-    if np.all(values == values[0]):
-        path = stop(w, s)
-    else:
-        path = SplicedPath(w, s, grid, values, seg_mode=LINEAR)
-    return FlowSolution(path, s, until, gamma, mesh, 0.0, grid, values, [1],
-                        quadrature="left")
+    return FlowSolution(_flow_path(w, s, grid, values), s, until, gamma,
+                        mesh, 0.0, grid, values, [1], quadrature="left")

@@ -7,7 +7,8 @@ concatenation return view objects that delegate to their base path, so values
 before the surgery point are bit-identical to the original and quantities such
 as prefix integrals stay exact under the declared mode.  That exactness is a
 contract, not an optimization: several downstream checks assert identities to
-machine precision.
+machine precision.  All grid data, whether a whole path or the part after a
+splice, is read through one segment type.
 """
 
 import csv
@@ -29,19 +30,34 @@ def _as_times(ts):
     return np.atleast_1d(arr), scalar
 
 
+def _piecewise(ts, cut, inclusive, head, tail, dim):
+    """head(ts) before cut (and at it when inclusive), tail(ts) after."""
+    out = np.empty((len(ts), dim))
+    before = ts <= cut if inclusive else ts < cut
+    if np.any(before):
+        out[before] = head(ts[before])
+    after = ~before
+    if np.any(after):
+        out[after] = tail(ts[after])
+    return out
+
+
 class PathBase:
     """Interface shared by all path types.
 
-    Subclasses provide ``dim``, ``horizon`` and the vectorized primitives
-    ``_eval``, ``_eval_left``, ``_integral_prefix``, ``_running_max_prefix``
-    and ``_sup_before`` over validated, in-domain time arrays.
+    Subclasses provide ``dim``, ``horizon``, ``interp_mode`` and the
+    vectorized primitives ``_eval``, ``_eval_left``, ``_integral_prefix``,
+    ``_running_max_prefix`` and ``_sup_before`` over validated, in-domain
+    time arrays.
     """
 
     dim = None
     horizon = None
+    interp_mode = None
 
     def _check(self, ts):
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.horizon):
+        # negated so that NaN, which fails every comparison, is rejected too
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= self.horizon):
             raise DomainError(
                 f"time outside [0, {self.horizon}]: range "
                 f"[{ts.min()}, {ts.max()}]")
@@ -80,6 +96,118 @@ class PathBase:
         raise NotImplementedError
 
 
+class _Segment:
+    """Grid data in one interpolation mode: the one place where grid values
+    are looked up, interpolated, integrated and maximised.
+
+    times (n,) increase strictly and values are (n, d).  Every query takes
+    times at or after times[0]; after times[-1] the segment holds its last
+    value.  The node prefix integral and running maximum are built on first
+    use and cached.
+    """
+
+    def __init__(self, times, values, mode):
+        self.times = times
+        self.values = values
+        self.mode = mode
+        self._prefix = None
+        self._runmax = None
+
+    def locate(self, ts):
+        """Index of the last node at or before each time."""
+        return np.searchsorted(self.times, ts, side="right") - 1
+
+    def eval(self, ts):
+        if self.mode == CADLAG:
+            return self.values[self.locate(ts)]
+        ts = np.minimum(ts, self.times[-1])
+        idx = self.locate(ts)
+        out = self.values[idx]
+        between = self.times[idx] != ts
+        if np.any(between):
+            j = idx[between]
+            t0 = self.times[j]
+            t1 = self.times[j + 1]
+            frac = ((ts[between] - t0) / (t1 - t0))[:, None]
+            out[between] = self.values[j] + frac * (self.values[j + 1] -
+                                                    self.values[j])
+        return out
+
+    def eval_left(self, ts):
+        """Left limits; at times[0] the left limit is the value there."""
+        if self.mode == LINEAR:
+            return self.eval(ts)
+        idx = np.searchsorted(self.times, ts, side="left") - 1
+        return self.values[np.maximum(idx, 0)]
+
+    def integral(self, ts):
+        """Integral from times[0] to each time, for times up to times[-1]."""
+        idx = self.locate(ts)
+        out = self.node_prefix()[idx]
+        rem = (ts - self.times[idx])[:, None]
+        if self.mode == LINEAR:
+            # trapezoid over the partial segment [t_idx, u]
+            out += rem * 0.5 * (self.values[idx] + self.eval(ts))
+        else:
+            out += rem * self.values[idx]
+        return out
+
+    def running_max(self, ts):
+        """Componentwise maximum over [times[0], u] for each u in ts."""
+        idx = self.locate(ts)
+        out = self.node_runmax()[idx]
+        if self.mode == LINEAR:
+            np.maximum(out, self.eval(ts), out=out)
+        return out
+
+    def sup_before(self, u):
+        """Componentwise sup over [times[0], u) for a scalar u > times[0]."""
+        if self.mode == LINEAR:
+            return self.running_max(np.array([u]))[0]
+        idx = max(np.searchsorted(self.times, u, side="left") - 1, 0)
+        return self.node_runmax()[idx].copy()
+
+    def node_prefix(self):
+        """Integral from times[0] to each node under the segment's mode."""
+        if self._prefix is None:
+            self._prefix = self._build_prefix()
+            self._prefix.setflags(write=False)
+        return self._prefix
+
+    def node_runmax(self):
+        """Running maximum of the node values."""
+        if self._runmax is None:
+            self._runmax = self._build_runmax()
+            self._runmax.setflags(write=False)
+        return self._runmax
+
+    def _build_prefix(self):
+        if self.mode == LINEAR:
+            return _kernels.trapezoid_prefix(self.times, self.values)
+        return _kernels.left_prefix(self.times, self.values)
+
+    def _build_runmax(self):
+        return np.maximum.accumulate(self.values, axis=0)
+
+
+class _LiveSegment(_Segment):
+    """Segment over the filled leading nodes of arrays that their owner
+    keeps writing.  Nothing is cached: a Picard sweep rewrites values while
+    the filled count stays the same."""
+
+    def __init__(self, times, values, mode):
+        super().__init__(times, values, mode)
+        self._buffers = (times, values)
+
+    def fill(self, n):
+        """Make the first n nodes the defined ones."""
+        self.times = self._buffers[0][:n]
+        self.values = self._buffers[1][:n]
+
+    node_prefix = _Segment._build_prefix
+    node_runmax = _Segment._build_runmax
+
+
 class GridPath(PathBase):
     """Concrete path: strictly increasing times from 0 to T and values.
 
@@ -113,96 +241,39 @@ class GridPath(PathBase):
         self.interp_mode = interp_mode
         self.dim = values.shape[1]
         self.horizon = float(times[-1])
-        self._prefix = None
-        self._runmax = None
+        # a grid path is a single segment: its primitives are the segment's
+        seg = _Segment(self.times, self.values, interp_mode)
+        self._eval = seg.eval
+        self._eval_left = seg.eval_left
+        self._integral_prefix = seg.integral
+        self._running_max_prefix = seg.running_max
+        self._sup_before = seg.sup_before
 
     def knots(self):
         return self.times
-
-    def _locate(self, ts):
-        # index of the largest grid time <= u; valid since ts >= times[0]
-        return np.searchsorted(self.times, ts, side="right") - 1
-
-    def _eval(self, ts):
-        idx = self._locate(ts)
-        out = self.values[idx].copy()
-        if self.interp_mode == LINEAR:
-            between = self.times[idx] != ts
-            if np.any(between):
-                j = idx[between]
-                t0 = self.times[j]
-                t1 = self.times[j + 1]
-                frac = ((ts[between] - t0) / (t1 - t0))[:, None]
-                out[between] = self.values[j] + frac * (self.values[j + 1] -
-                                                        self.values[j])
-        return out
-
-    def _eval_left(self, ts):
-        if self.interp_mode == LINEAR:
-            return self._eval(ts)
-        idx = np.searchsorted(self.times, ts, side="left") - 1
-        idx = np.maximum(idx, 0)  # left limit at 0 is the value at 0
-        return self.values[idx].copy()
-
-    def _node_prefix(self):
-        if self._prefix is None:
-            if self.interp_mode == LINEAR:
-                self._prefix = _kernels.trapezoid_prefix(self.times, self.values)
-            else:
-                self._prefix = _kernels.left_prefix(self.times, self.values)
-            self._prefix.setflags(write=False)
-        return self._prefix
-
-    def _integral_prefix(self, ts):
-        pref = self._node_prefix()
-        idx = self._locate(ts)
-        out = pref[idx].copy()
-        rem = (ts - self.times[idx])[:, None]
-        if self.interp_mode == LINEAR:
-            # trapezoid over the partial segment [t_idx, u]
-            out += rem * 0.5 * (self.values[idx] + self._eval(ts))
-        else:
-            out += rem * self.values[idx]
-        return out
-
-    def _node_runmax(self):
-        if self._runmax is None:
-            self._runmax = np.maximum.accumulate(self.values, axis=0)
-            self._runmax.setflags(write=False)
-        return self._runmax
-
-    def _running_max_prefix(self, ts):
-        rm = self._node_runmax()
-        idx = self._locate(ts)
-        out = rm[idx].copy()
-        if self.interp_mode == LINEAR:
-            np.maximum(out, self._eval(ts), out=out)
-        return out
-
-    def _sup_before(self, u):
-        # componentwise sup over [0, u); u > 0 required
-        if self.interp_mode == LINEAR:
-            return self._running_max_prefix(np.array([u]))[0]
-        idx = np.searchsorted(self.times, u, side="left") - 1
-        idx = max(idx, 0)
-        return self._node_runmax()[idx].copy()
 
 
 class StoppedPath(PathBase):
     """View of ``base`` frozen at ``stop_time``.
 
-    eval(s) = base(s) for s < stop_time and base(stop_time) afterwards.
+    eval(s) = base(s) for s < stop_time and ``value_at_stop`` afterwards:
+    base(stop_time) for a stop, base(stop_time) + h for a vertical bump.
+    Values strictly before the stop time are bit-identical to the base, and
+    so is the prefix integral up to it (a bump carries no measure there).
     """
 
-    def __init__(self, base, stop_time):
+    def __init__(self, base, stop_time, value_at_stop=None):
         stop_time = float(stop_time)
         if not 0.0 <= stop_time <= base.horizon:
             raise DomainError(f"stop time {stop_time} outside [0, {base.horizon}]")
         self.base = base
         self.stop_time = stop_time
-        self.value_at_stop = base.eval(stop_time)
+        if value_at_stop is None:
+            value_at_stop = base.eval(stop_time)
+        self.value_at_stop = value_at_stop
         self.dim = base.dim
         self.horizon = base.horizon
+        self.interp_mode = base.interp_mode
 
     def knots(self):
         t = self.base.knots()
@@ -210,34 +281,31 @@ class StoppedPath(PathBase):
         tail = [self.stop_time] if self.stop_time < self.horizon else []
         return np.concatenate([kept, tail, [self.horizon]])
 
+    def _held(self, ts):
+        return self.value_at_stop
+
     def _eval(self, ts):
-        out = np.broadcast_to(self.value_at_stop, (len(ts), self.dim)).copy()
-        before = ts < self.stop_time
-        if np.any(before):
-            out[before] = self.base._eval(ts[before])
-        return out
+        return _piecewise(ts, self.stop_time, False, self.base._eval,
+                          self._held, self.dim)
 
     def _eval_left(self, ts):
-        out = np.broadcast_to(self.value_at_stop, (len(ts), self.dim)).copy()
-        before = ts <= self.stop_time
-        if np.any(before):
-            out[before] = self.base._eval_left(ts[before])
-        return out
+        return _piecewise(ts, self.stop_time, True, self.base._eval_left,
+                          self._held, self.dim)
 
     def _integral_prefix(self, ts):
-        out = np.empty((len(ts), self.dim))
-        before = ts <= self.stop_time
-        if np.any(before):
-            out[before] = self.base._integral_prefix(ts[before])
-        after = ~before
-        if np.any(after):
-            base_part = self.base._integral_prefix(np.array([self.stop_time]))[0]
-            out[after] = base_part + (ts[after] - self.stop_time)[:, None] \
-                * self.value_at_stop
-        return out
+        def after(u):
+            at_stop = self.base._integral_prefix(np.array([self.stop_time]))[0]
+            return at_stop + (u - self.stop_time)[:, None] * self.value_at_stop
+        return _piecewise(ts, self.stop_time, True, self.base._integral_prefix,
+                          after, self.dim)
 
     def _running_max_prefix(self, ts):
-        return self.base._running_max_prefix(np.minimum(ts, self.stop_time))
+        out = self.base._running_max_prefix(np.minimum(ts, self.stop_time))
+        hit = ts >= self.stop_time
+        if np.any(hit):
+            # a no-op for a plain stop, whose held value is already counted
+            out[hit] = np.maximum(out[hit], self.value_at_stop)
+        return out
 
     def _sup_before(self, u):
         if u > self.stop_time:
@@ -245,76 +313,13 @@ class StoppedPath(PathBase):
         return self.base._sup_before(u)
 
 
-class BumpedPath(PathBase):
-    """Stopped path with a vertical bump h added from the stop time onward.
-
-    Values strictly before the stop time are bit-identical to the base; the
-    prefix integral up to the stop time is unchanged (the bump carries no
-    measure there).
-    """
-
-    def __init__(self, stopped, bump):
-        if not isinstance(stopped, StoppedPath):
-            raise DomainError("BumpedPath requires a StoppedPath base")
-        bump = np.asarray(bump, dtype=float).reshape(-1)
-        if bump.shape != (stopped.dim,):
-            raise DomainError(f"bump must have shape ({stopped.dim},)")
-        self.base = stopped
-        self.bump = bump.copy()
-        self.bump.setflags(write=False)
-        self.stop_time = stopped.stop_time
-        self.bumped_value = stopped.value_at_stop + bump
-        self.dim = stopped.dim
-        self.horizon = stopped.horizon
-
-    def knots(self):
-        return self.base.knots()
-
-    def _eval(self, ts):
-        out = np.broadcast_to(self.bumped_value, (len(ts), self.dim)).copy()
-        before = ts < self.stop_time
-        if np.any(before):
-            out[before] = self.base._eval(ts[before])
-        return out
-
-    def _eval_left(self, ts):
-        out = np.broadcast_to(self.bumped_value, (len(ts), self.dim)).copy()
-        before = ts <= self.stop_time
-        if np.any(before):
-            out[before] = self.base._eval_left(ts[before])
-        return out
-
-    def _integral_prefix(self, ts):
-        out = np.empty((len(ts), self.dim))
-        before = ts <= self.stop_time
-        if np.any(before):
-            out[before] = self.base._integral_prefix(ts[before])
-        after = ~before
-        if np.any(after):
-            at_stop = self.base._integral_prefix(np.array([self.stop_time]))[0]
-            out[after] = at_stop + (ts[after] - self.stop_time)[:, None] \
-                * self.bumped_value
-        return out
-
-    def _running_max_prefix(self, ts):
-        out = self.base._running_max_prefix(np.minimum(ts, self.stop_time))
-        hit = ts >= self.stop_time
-        if np.any(hit):
-            out[hit] = np.maximum(out[hit], self.bumped_value)
-        return out
-
-    def _sup_before(self, u):
-        if u > self.stop_time:
-            return np.maximum(self.base._sup_before(u), self.bumped_value)
-        return self.base._sup_before(u)
-
-
 class SplicedPath(PathBase):
     """``left`` on [0, s), then an explicit grid segment from s onward.
 
-    The right segment runs on [s, seg_end] with its own interpolation mode and
-    is held constant on (seg_end, T].  A jump at s is permitted.  This is the
-    return type of concatenation and of flow solutions (history + extension).
+    The segment runs from s to its last time e in its own interpolation
+    mode, which is the path's ``interp_mode``, and is held constant on
+    (e, T].  A jump at s is permitted.  This is the return type of
+    concatenation and of flow solutions (history + extension).
     """
 
     def __init__(self, left, switch, seg_times, seg_values, seg_mode=LINEAR):
@@ -335,145 +340,81 @@ class SplicedPath(PathBase):
             raise DomainError("segment values shape mismatch")
         if seg_mode not in _MODES:
             raise DomainError(f"unknown interp_mode {seg_mode!r}")
+        seg_times = seg_times.copy()
+        seg_values = seg_values.copy()
+        seg_times.setflags(write=False)
+        seg_values.setflags(write=False)
+        self._join(left, switch, _Segment(seg_times, seg_values, seg_mode))
+
+    def _join(self, left, switch, seg):
         self.left = left
         self.switch = switch
-        self.seg_times = seg_times.copy()
-        self.seg_values = seg_values.copy()
-        self.seg_times.setflags(write=False)
-        self.seg_values.setflags(write=False)
-        self.seg_mode = seg_mode
-        self.seg_end = float(seg_times[-1])
+        self.seg = seg
+        self.interp_mode = seg.mode
         self.dim = left.dim
         self.horizon = left.horizon
-        self._seg_prefix = None
+        return self
 
     def knots(self):
         t = self.left.knots()
-        parts = [t[t < self.switch], self.seg_times]
-        if self.seg_end < self.horizon:
+        parts = [t[t < self.switch], self.seg.times]
+        if self.seg.times[-1] < self.horizon:
             parts.append([self.horizon])
         return np.concatenate(parts)
 
-    def _seg_eval(self, ts, left_limit=False):
-        # ts within [switch, horizon]; frozen at the last segment value
-        out = np.broadcast_to(self.seg_values[-1], (len(ts), self.dim)).copy()
-        inside = ts <= self.seg_end
-        if np.any(inside):
-            u = ts[inside]
-            if left_limit and self.seg_mode == CADLAG:
-                idx = np.searchsorted(self.seg_times, u, side="left") - 1
-                idx = np.maximum(idx, 0)
-                out[inside] = self.seg_values[idx]
-            else:
-                idx = np.searchsorted(self.seg_times, u, side="right") - 1
-                vals = self.seg_values[idx].copy()
-                if self.seg_mode == LINEAR:
-                    between = self.seg_times[idx] != u
-                    if np.any(between):
-                        j = idx[between]
-                        t0 = self.seg_times[j]
-                        t1 = self.seg_times[j + 1]
-                        frac = ((u[between] - t0) / (t1 - t0))[:, None]
-                        vals[between] = self.seg_values[j] + frac * (
-                            self.seg_values[j + 1] - self.seg_values[j])
-                out[inside] = vals
-        return out
+    def _head_sup(self):
+        # sup of the left path over [0, switch)
+        if self.switch > 0:
+            return self.left._sup_before(self.switch)
+        return np.full(self.dim, -np.inf)
 
     def _eval(self, ts):
-        out = np.empty((len(ts), self.dim))
-        before = ts < self.switch
-        if np.any(before):
-            out[before] = self.left._eval(ts[before])
-        after = ~before
-        if np.any(after):
-            out[after] = self._seg_eval(ts[after])
-        return out
+        return _piecewise(ts, self.switch, False, self.left._eval,
+                          self.seg.eval, self.dim)
 
     def _eval_left(self, ts):
-        out = np.empty((len(ts), self.dim))
-        before = ts <= self.switch
-        if np.any(before):
-            out[before] = self.left._eval_left(ts[before])
-        after = ~before
-        if np.any(after):
-            out[after] = self._seg_eval(ts[after], left_limit=True)
-        return out
-
-    def _seg_node_prefix(self):
-        # integral of the segment from switch to each segment node
-        if self._seg_prefix is None:
-            if self.seg_mode == LINEAR:
-                self._seg_prefix = _kernels.trapezoid_prefix(
-                    self.seg_times, self.seg_values)
-            else:
-                self._seg_prefix = _kernels.left_prefix(
-                    self.seg_times, self.seg_values)
-            self._seg_prefix.setflags(write=False)
-        return self._seg_prefix
+        return _piecewise(ts, self.switch, True, self.left._eval_left,
+                          self.seg.eval_left, self.dim)
 
     def _integral_prefix(self, ts):
-        out = np.empty((len(ts), self.dim))
-        before = ts <= self.switch
-        if np.any(before):
-            out[before] = self.left._integral_prefix(ts[before])
-        after = ~before
-        if np.any(after):
-            u = ts[after]
+        def after(u):
             head = self.left._integral_prefix(np.array([self.switch]))[0]
-            pref = self._seg_node_prefix()
-            inner = np.minimum(u, self.seg_end)
-            idx = np.searchsorted(self.seg_times, inner, side="right") - 1
-            part = pref[idx].copy()
-            rem = (inner - self.seg_times[idx])[:, None]
-            if self.seg_mode == LINEAR:
-                part += rem * 0.5 * (self.seg_values[idx] + self._seg_eval(inner))
-            else:
-                part += rem * self.seg_values[idx]
-            tail = np.clip(u - self.seg_end, 0.0, None)[:, None] \
-                * self.seg_values[-1]
-            out[after] = head + part + tail
-        return out
+            end = self.seg.times[-1]
+            held = np.clip(u - end, 0.0, None)[:, None] * self.seg.values[-1]
+            return head + self.seg.integral(np.minimum(u, end)) + held
+        return _piecewise(ts, self.switch, True, self.left._integral_prefix,
+                          after, self.dim)
 
     def _running_max_prefix(self, ts):
-        out = np.empty((len(ts), self.dim))
-        before = ts < self.switch
-        if np.any(before):
-            out[before] = self.left._running_max_prefix(ts[before])
-        after = ~before
-        if np.any(after):
-            u = ts[after]
-            head = self.left._sup_before(self.switch) if self.switch > 0 \
-                else np.full(self.dim, -np.inf)
-            seg_rm = np.maximum.accumulate(self.seg_values, axis=0)
-            inner = np.minimum(u, self.seg_end)
-            idx = np.searchsorted(self.seg_times, inner, side="right") - 1
-            part = seg_rm[idx].copy()
-            if self.seg_mode == LINEAR:
-                np.maximum(part, self._seg_eval(inner), out=part)
-            out[after] = np.maximum(head, part)
-        return out
+        def after(u):
+            return np.maximum(self._head_sup(), self.seg.running_max(u))
+        return _piecewise(ts, self.switch, False,
+                          self.left._running_max_prefix, after, self.dim)
 
     def _sup_before(self, u):
         if u <= self.switch:
             return self.left._sup_before(u)
-        prev = self._running_max_prefix(np.array([u]))[0]
-        if self.seg_mode == CADLAG and u <= self.seg_end:
-            # drop the value taken exactly at u; cadlag sup over [0, u)
-            idx = np.searchsorted(self.seg_times, u, side="left") - 1
-            head = self.left._sup_before(self.switch) if self.switch > 0 \
-                else np.full(self.dim, -np.inf)
-            if idx >= 0:
-                seg_rm = np.maximum.accumulate(self.seg_values, axis=0)
-                head = np.maximum(head, seg_rm[idx])
-            return head
-        return prev
+        return np.maximum(self._head_sup(), self.seg.sup_before(u))
+
+
+def splice_view(left, switch, times, values, mode):
+    """SplicedPath view over arrays that the caller owns and keeps writing.
+
+    Unlike the SplicedPath constructor this validates and copies nothing.
+    All nodes are defined at first; after ``view.seg.fill(n)`` only the
+    first n are, and the view equals the SplicedPath built from those n
+    nodes, holding the last one afterwards.  Nothing is cached, so values
+    already filled may be rewritten between queries.
+    """
+    view = SplicedPath.__new__(SplicedPath)
+    return view._join(left, float(switch), _LiveSegment(times, values, mode))
 
 
 def stop(x, t):
     """Path frozen at t: x on [0, t), constant x(t) afterwards.
 
-    Stopping is idempotent: re-stopping at a later time returns the same
-    object, and stop(x, T) is x itself.
+    Stopping is idempotent: re-stopping a stopped or bumped path at or after
+    its stop time returns the same object, and stop(x, T) is x itself.
     """
     t = float(t)
     if not 0.0 <= t <= x.horizon:
@@ -488,13 +429,20 @@ def stop(x, t):
 
 
 def bump(x, t, h):
-    """Vertical bump: stop x at t, then add h from t onward."""
-    stopped = stop(x, t)
-    if not isinstance(stopped, StoppedPath) or stopped.stop_time != float(t):
-        # stop() may hand back a path already frozen earlier; the bump must
-        # still start at t, not at the old freeze point
-        stopped = StoppedPath(stopped, t)
-    return BumpedPath(stopped, h)
+    """Vertical bump: x on [0, t), then x(t) + h from t onward.
+
+    x may already be stopped at t, as in a derivative study that stops once
+    and bumps on every rung; the bump then reuses the stopped value.
+    """
+    h = np.asarray(h, dtype=float).reshape(-1)
+    if h.shape != (x.dim,):
+        raise DomainError(f"bump must have shape ({x.dim},)")
+    xt = stop(x, t)
+    if not isinstance(xt, StoppedPath) or xt.stop_time != float(t):
+        # stop() may hand back a path already frozen earlier, or x itself at
+        # the horizon; the bump must still start at t
+        xt = StoppedPath(xt, t)
+    return StoppedPath(xt.base, xt.stop_time, xt.value_at_stop + h)
 
 
 def concat(a, s, b):
@@ -522,8 +470,7 @@ def concat(a, s, b):
     keep = np.concatenate([[True], np.diff(seg_times) > 0])
     seg_times = seg_times[keep]
     seg_values = b.eval(seg_rel[keep])
-    mode = getattr(b, "interp_mode", getattr(b, "seg_mode", LINEAR))
-    return SplicedPath(a, s, seg_times, seg_values, seg_mode=mode)
+    return SplicedPath(a, s, seg_times, seg_values, seg_mode=b.interp_mode)
 
 
 def dist_stopped(x, t, y, s):
@@ -568,13 +515,12 @@ def path_to_csv(path, dest):
     Floats are written with repr so the round trip is byte stable.  The
     interpolation mode is recorded in a leading comment line.
     """
-    mode = getattr(path, "interp_mode", getattr(path, "seg_mode", LINEAR))
     grid = np.asarray(path.knots())
     vals = path.eval(grid)
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open(dest, "w", newline="") if own else dest
     try:
-        fh.write(f"# interp_mode = {mode}\n")
+        fh.write(f"# interp_mode = {path.interp_mode}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t"] + [f"v{i + 1}" for i in range(path.dim)])
         for u, row in zip(grid, vals):

@@ -11,8 +11,11 @@ from pathcalc import (
     IllConditionedError,
     NonDifferentiableError,
     OSCILLATING,
+    GridPath,
     QuotientLadder,
+    SPACE_LADDER,
     brownian_path,
+    bump,
     builtin,
     constant_direction,
     d_gamma,
@@ -27,6 +30,7 @@ from pathcalc import (
     relation_residual,
     require_converged,
     running_avg_direction,
+    stop,
     zero_direction,
 )
 from pathcalc.deriv import ladder_flow_grid
@@ -278,3 +282,37 @@ def test_numerical_derivatives_cross_term():
 def test_numerical_derivatives_refuses_running_max():
     with pytest.raises(DomainError):
         numerical_derivatives(builtin("running_max"))
+
+
+def _per_rung_bump_quotients(F, i, t, x, scheme):
+    # the spatial ladder with x bumped afresh on every rung
+    e = np.zeros(x.dim)
+    base = F.eval(t, stop(x, t))
+    quotients = []
+    for h in SPACE_LADDER.steps():
+        e[i] = h
+        up = F.eval(t, bump(x, t, e))
+        if scheme == "forward":
+            quotients.append((up - base) / h)
+        else:
+            e[i] = -h
+            quotients.append((up - F.eval(t, bump(x, t, e))) / (2.0 * h))
+    return np.array(quotients)
+
+
+@pytest.mark.parametrize("where", ["inside", "stopped_earlier", "horizon"])
+@pytest.mark.parametrize("scheme", ["central", "forward"])
+def test_d_space_equals_per_rung_bumps_bitwise(where, scheme):
+    gen = np.random.default_rng(11)
+    times = np.concatenate([[0.0], np.sort(gen.uniform(0.0, 1.0, 30)), [1.0]])
+    x = GridPath(times, gen.normal(size=(32, 2)))
+    t = {"inside": 0.4, "stopped_earlier": 0.7, "horizon": 1.0}[where]
+    if where == "stopped_earlier":
+        x = stop(x, 0.3)
+    for name in ("product", "integral", "running_max", "square"):
+        F = builtin(name, axis=1, dim=2) if name != "product" \
+            else builtin(name)
+        for i in range(2):
+            got = d_space(F, i, t, x, scheme=scheme).quotients
+            want = _per_rung_bump_quotients(F, i, t, x, scheme)
+            assert got.tobytes() == want.tobytes(), (name, i)

@@ -1,0 +1,28 @@
+"""Modules of the package share only public names."""
+
+import ast
+from pathlib import Path
+
+import pathcalc
+
+PACKAGE = Path(pathcalc.__file__).parent
+
+
+def test_no_module_imports_another_modules_private_names():
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module or ""
+            if not node.level and source.split(".")[0] != "pathcalc":
+                continue
+            from_package = source in ("", "pathcalc")
+            for alias in node.names:
+                # a private module such as _kernels may be imported whole
+                if alias.name.startswith("_") \
+                        and not (from_package and alias.name in modules):
+                    bad.append(f"{path.name}: from {'.' * node.level}"
+                               f"{source} import {alias.name}")
+    assert not bad

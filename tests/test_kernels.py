@@ -1,91 +1,119 @@
-"""The compiled kernels must be bit-identical to their numpy twins."""
-
-import os
-import subprocess
-import sys
+"""The numpy prefix kernels must equal plain sequential loops bit for bit."""
 
 import numpy as np
 import pytest
 
-from pathcalc._kernels import HAS_NUMBA, KERNEL_PAIRS
+from pathcalc import _kernels
+
+# ---------------------------------------------------------------------------
+# sequential oracles: one addition at a time, in time order
 
 
-def _sample_inputs(name, rng):
-    n, d = 403, 3
+def _trapezoid_prefix_loop(t, v):
+    n, d = v.shape
+    out = np.zeros((n, d))
+    for j in range(1, n):
+        dt = t[j] - t[j - 1]
+        for k in range(d):
+            out[j, k] = out[j - 1, k] + 0.5 * (v[j - 1, k] + v[j, k]) * dt
+    return out
+
+
+def _left_prefix_loop(t, v):
+    n, d = v.shape
+    out = np.zeros((n, d))
+    for j in range(1, n):
+        dt = t[j] - t[j - 1]
+        for k in range(d):
+            out[j, k] = out[j - 1, k] + v[j - 1, k] * dt
+    return out
+
+
+def _outer_increment_prefix_loop(dx):
+    n, d = dx.shape
+    out = np.zeros((n + 1, d, d))
+    for i in range(n):
+        for a in range(d):
+            for b in range(d):
+                out[i + 1, a, b] = out[i, a, b] + dx[i, a] * dx[i, b]
+    return out
+
+
+def _dot_increment_prefix_loop(g, dx):
+    n, d = g.shape
+    out = np.zeros(n + 1)
+    for i in range(n):
+        s = g[i, 0] * dx[i, 0]
+        for k in range(1, d):
+            s = s + g[i, k] * dx[i, k]
+        out[i + 1] = out[i] + s
+    return out
+
+
+def _quad_form_prefix_loop(h, dx):
+    n, d = dx.shape
+    out = np.zeros(n + 1)
+    for i in range(n):
+        s = 0.0
+        for a in range(d):
+            for b in range(d):
+                s = s + h[i, a, b] * dx[i, a] * dx[i, b]
+        out[i + 1] = out[i] + s
+    return out
+
+
+ORACLES = {
+    "trapezoid_prefix": _trapezoid_prefix_loop,
+    "left_prefix": _left_prefix_loop,
+    "outer_increment_prefix": _outer_increment_prefix_loop,
+    "dot_increment_prefix": _dot_increment_prefix_loop,
+    "quad_form_prefix": _quad_form_prefix_loop,
+}
+
+
+def _sample_inputs(name, rng, n=403, d=3):
     t = np.sort(rng.uniform(0.0, 2.0, n))
-    t[0] = 0.0
+    t[:1] = 0.0
     v = rng.normal(size=(n, d))
     if name in ("trapezoid_prefix", "left_prefix"):
         return (t, v)
-    dx = np.diff(v, axis=0)
+    dx = rng.normal(size=(n, d))
     if name == "outer_increment_prefix":
         return (dx,)
     if name == "dot_increment_prefix":
-        g = rng.normal(size=(n - 1, d))
-        return (g, dx)
+        return (rng.normal(size=(n, d)), dx)
     if name == "quad_form_prefix":
-        h = rng.normal(size=(n - 1, d, d))
-        h = h + np.swapaxes(h, 1, 2)
-        return (h, dx)
+        h = rng.normal(size=(n, d, d))
+        return (h + np.swapaxes(h, 1, 2), dx)
     raise AssertionError(name)
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_PAIRS))
+def _assert_matches_oracle(name, args):
+    a = getattr(_kernels, name)(*args)
+    b = ORACLES[name](*args)
+    assert a.shape == b.shape
+    # same accumulation order, so equality is exact, not approximate
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
 def test_numba_matches_numpy_bitwise(name, rng):
-    np_fn, nb_fn = KERNEL_PAIRS[name]
+    # the numpy kernel against its sequential loop on random inputs
     for _ in range(5):
-        args = _sample_inputs(name, rng)
-        a = np_fn(*args)
-        b = nb_fn(*args)
-        assert a.shape == b.shape
-        # same accumulation order, so equality is exact, not approximate
-        assert np.array_equal(a, b)
+        _assert_matches_oracle(name, _sample_inputs(name, rng))
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_PAIRS))
-def test_kernels_empty_and_single(name):
-    t = np.array([0.0, 1.0])
-    v = np.array([[2.0], [3.0]])
-    np_fn, nb_fn = KERNEL_PAIRS[name]
-    args = {
-        "trapezoid_prefix": (t, v),
-        "left_prefix": (t, v),
-        "outer_increment_prefix": (np.diff(v, axis=0),),
-        "dot_increment_prefix": (np.ones((1, 1)), np.diff(v, axis=0)),
-        "quad_form_prefix": (np.ones((1, 1, 1)), np.diff(v, axis=0)),
-    }[name]
-    assert np.array_equal(np_fn(*args), nb_fn(*args))
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_kernels_empty_and_single(name, rng):
+    for n in (0, 1, 2):
+        for d in (1, 3):
+            _assert_matches_oracle(name, _sample_inputs(name, rng, n, d))
 
 
 def test_trapezoid_prefix_known_value():
     t = np.array([0.0, 0.5, 1.0])
     v = np.array([[0.0], [0.5], [1.0]])
-    np_fn, _ = KERNEL_PAIRS["trapezoid_prefix"]
-    out = np_fn(t, v)
+    out = _kernels.trapezoid_prefix(t, v)
     assert out[0, 0] == 0.0
     assert out[1, 0] == 0.125
     assert out[2, 0] == 0.5
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "import pathcalc._kernels as k; import numpy as np;"
-        "t = np.linspace(0.0, 1.0, 9); v = t[:, None]**2;"
-        "a = k.trapezoid_prefix_np(t, v);"
-        "b = k.KERNEL_PAIRS['trapezoid_prefix'][1](t, v);"
-        "assert not k.HAS_NUMBA;"
-        "assert np.array_equal(a, b)"
-    )
-    env = dict(os.environ, PATHCALC_NO_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_numba_available_unless_disabled():
-    if os.environ.get("PATHCALC_NO_NUMBA"):
-        assert not HAS_NUMBA
-    else:
-        # environment ships numba; the fallback is still exercised above
-        assert isinstance(HAS_NUMBA, bool)

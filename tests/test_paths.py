@@ -11,6 +11,7 @@ from pathcalc import (
     LINEAR,
     DomainError,
     GridPath,
+    SplicedPath,
     StoppedPath,
     bump,
     concat,
@@ -21,6 +22,7 @@ from pathcalc import (
     ramp_path,
     stop,
 )
+from pathcalc.paths import splice_view
 
 # dyadic rationals keep +/- and interpolation at shared knots exact, so the
 # metric identities below can be asserted with tolerance zero
@@ -338,3 +340,90 @@ def test_csv_mode_override_and_empty():
     assert p.interp_mode == LINEAR
     with pytest.raises(DomainError):
         path_from_csv(io.StringIO("t,v1\n"))
+
+
+# ---------------------------------------------------------------------------
+# views keep the interpolation mode of what they view
+
+
+def _cadlag_steps():
+    return GridPath([0.0, 0.5, 1.0], [[0.0], [1.0], [2.0]], CADLAG)
+
+
+def test_concat_of_stopped_cadlag_view_holds():
+    tail = stop(_cadlag_steps(), 0.75)
+    assert tail.interp_mode == CADLAG
+    c = concat(constant_path(0.0), 0.25, tail)
+    assert c.interp_mode == CADLAG
+    # the tail is 0 on [0, 0.5), so the spliced path is 0 on [0.25, 0.75)
+    assert c.eval(0.5)[0] == 0.0
+
+
+def test_csv_of_stopped_cadlag_view_keeps_mode():
+    buf = io.StringIO()
+    path_to_csv(stop(_cadlag_steps(), 0.75), buf)
+    assert buf.getvalue().splitlines()[0] == "# interp_mode = cadlag_hold"
+    buf.seek(0)
+    assert path_from_csv(buf).eval(0.25)[0] == 0.0
+
+
+def test_csv_of_bumped_cadlag_view_round_trips():
+    b = bump(_cadlag_steps(), 0.75, [1.0])
+    buf = io.StringIO()
+    path_to_csv(b, buf)
+    buf.seek(0)
+    q = path_from_csv(buf)
+    assert q.eval(0.6)[0] == 1.0
+    ts = np.linspace(0.0, 1.0, 41)
+    assert np.array_equal(q.eval(ts), b.eval(ts))
+    assert np.array_equal(q.eval_left(ts), b.eval_left(ts))
+
+
+def test_nan_time_is_a_domain_error():
+    with pytest.raises(DomainError):
+        ramp_path(1.0).eval(np.nan)
+    with pytest.raises(DomainError):
+        stop(ramp_path(1.0), 0.5).integral_prefix([0.25, np.nan])
+
+
+# ---------------------------------------------------------------------------
+# the live view a solver fills in place
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_grid_paths(count=1, dim=2), st.data())
+def test_live_view_equals_frozen_splice(paths, data):
+    (left,) = paths
+    mode = data.draw(st.sampled_from([LINEAR, CADLAG]))
+    switch = float(left.times[data.draw(st.integers(0, len(left.times) - 2))])
+    n = data.draw(st.integers(1, 8))
+    gaps = data.draw(st.lists(st.integers(1, 8), min_size=n - 1,
+                              max_size=n - 1))
+    times = switch + np.concatenate([[0.0], np.cumsum(gaps, dtype=float)]) \
+        * (left.horizon - switch) / (8.0 * n)
+    values = np.array(data.draw(st.lists(
+        st.floats(-8.0, 8.0, allow_nan=False), min_size=2 * n,
+        max_size=2 * n))).reshape(n, 2)
+    for filled in range(1, n + 1):
+        frozen = SplicedPath(left, switch, times[:filled], values[:filled],
+                             seg_mode=mode)
+        # nodes past the filled ones are NaN: reading one would show
+        buffer = values.copy()
+        buffer[filled:] = np.nan
+        live = splice_view(left, switch, times, buffer, mode)
+        live.seg.fill(filled)
+        end = times[filled - 1]
+        ts = np.concatenate([left.times[left.times <= end], times[:filled],
+                             np.linspace(0.0, end, 9)])
+        for name in ("eval", "eval_left", "integral_prefix",
+                     "running_max_prefix"):
+            want = getattr(frozen, name)(ts)
+            assert getattr(live, name)(ts).tobytes() == want.tobytes(), name
+        # nothing is cached: rewriting filled values shows on the next query
+        buffer[:filled] *= -0.5
+        frozen = SplicedPath(left, switch, times[:filled], buffer[:filled],
+                             seg_mode=mode)
+        assert live.integral_prefix(ts).tobytes() \
+            == frozen.integral_prefix(ts).tobytes()
+        assert live.running_max_prefix(ts).tobytes() \
+            == frozen.running_max_prefix(ts).tobytes()
