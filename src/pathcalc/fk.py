@@ -7,8 +7,11 @@ of a candidate value functional; `martingale_check` tests the discounted
 candidate along simulated paths, which catches wrong candidates without
 knowing the true value.
 
-Each sample path draws from its own counter-based substream, so path i is
-identical whether paths are generated singly or in bulk.
+Paths are simulated in blocks, each block one array of paths, and the
+estimators read each row through a view without copying it.  Path i still
+draws only from its own counter-based substream, so it depends only on
+(seed, i) and is identical, bit for bit, whether it is simulated alone by
+`simulate_sde` or in a block.
 """
 
 from dataclasses import dataclass
@@ -66,29 +69,54 @@ def _check_history(spec, t, x):
         raise DomainError(f"time {t} outside [0, {spec.horizon}]")
 
 
-def _simulate_on_grid(spec, grid, x, seed, index):
-    """One Euler-Maruyama path on an explicit grid; exact history before
-    grid[0].  Constant coefficients take a vectorized route; otherwise the
-    coefficients see the live prefix step by step."""
+# grid nodes held by one simulated block, summed over its paths: 252 paths
+# of 64 steps.  Enough paths to spread the per-block work, and a bound on
+# the block's memory however long the grid is.
+_BLOCK_NODES = 2 ** 14
+
+
+def _simulate_block(spec, grid, x, seed, first, count):
+    """Euler-Maruyama paths first .. first+count-1 on an explicit grid, as a
+    read-only (count, n+1, d) array of the values at the grid times.
+
+    Row r depends only on (seed, first + r), so it is the same bit for bit
+    in whatever block it is simulated.  Constant coefficients take one
+    cumulative sum along time, which adds in order; otherwise each row's
+    coefficients see its live prefix step by step.
+    """
     n = len(grid) - 1
     dt = np.diff(grid)
-    dw = rng.normals(seed, index, (n, spec.noise_dim)) * np.sqrt(dt)[:, None]
+    dw = rng.normal_block(seed, first, count, (n, spec.noise_dim)) \
+        * np.sqrt(dt)[:, None]
     start = x.eval(grid[0])
-    values = np.empty((n + 1, spec.dim))
-    values[0] = start
+    values = np.empty((count, n + 1, spec.dim))
+    values[:, 0] = start
     if spec.has_constant_coeffs:
         a = spec.drift.constant_value
         sig = spec.sigma.constant_value
         inc = dt[:, None] * a[None, :] + dw @ sig.T
-        values[1:] = start[None, :] + np.cumsum(inc, axis=0)
+        values[:, 1:] = start + np.cumsum(inc, axis=1)
     else:
-        live = splice_view(x, grid[0], grid, values, LINEAR)
-        for j in range(n):
-            live.seg.fill(j + 1)
-            a = spec.drift.eval(grid[j], live)
-            sig = spec.sigma.eval(grid[j], live)
-            values[j + 1] = values[j] + (dt[j] * a + sig @ dw[j])
-    return SplicedPath(x, float(grid[0]), grid, values, LINEAR)
+        for row, row_dw in zip(values, dw):
+            live = splice_view(x, grid[0], grid, row, LINEAR)
+            for j in range(n):
+                live.seg.fill(j + 1)
+                a = spec.drift.eval(grid[j], live)
+                sig = spec.sigma.eval(grid[j], live)
+                row[j + 1] = row[j] + (dt[j] * a + sig @ row_dw[j])
+    values.setflags(write=False)
+    return values
+
+
+def _sample_paths(spec, grid, x, seed, n_paths):
+    """Paths 0 .. n_paths-1 in order, each x before grid[0] and a view of
+    one row of a simulated block after it."""
+    size = max(1, _BLOCK_NODES // len(grid))
+    for first in range(0, n_paths, size):
+        block = _simulate_block(spec, grid, x, seed, first,
+                                min(size, n_paths - first))
+        for row in block:
+            yield splice_view(x, grid[0], grid, row, LINEAR)
 
 
 def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
@@ -110,7 +138,8 @@ def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
         if grid[0] != t or grid[-1] != spec.horizon \
                 or not np.all(np.diff(grid) > 0):
             raise ConfigError("grid must increase from t to the horizon")
-    return _simulate_on_grid(spec, grid, x, seed, index)
+    values = _simulate_block(spec, grid, x, seed, index, 1)[0]
+    return SplicedPath(x, float(grid[0]), grid, values, LINEAR)
 
 
 @dataclass
@@ -134,6 +163,8 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     _check_history(spec, t, x)
     if n_paths < 1:
         raise ConfigError("n_paths must be at least 1")
+    if n_steps < 1:
+        raise ConfigError("n_steps must be at least 1")
     if t == spec.horizon:
         return MCEstimate(spec.payoff.eval(t, x), 0.0, 0)
     grid = np.linspace(t, spec.horizon, int(n_steps) + 1)
@@ -141,8 +172,7 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     if const_rate is not None:
         disc = float(np.exp(-const_rate * (spec.horizon - t)))
     ys = np.empty(n_paths)
-    for i in range(n_paths):
-        p = _simulate_on_grid(spec, grid, x, seed, i)
+    for i, p in enumerate(_sample_paths(spec, grid, x, seed, n_paths)):
         if const_rate is None:
             rv = spec.rate.eval_many(grid, p)
             disc = float(np.exp(-left_prefix(grid, rv[:, None])[-1, 0]))
@@ -222,12 +252,15 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
         raise DomainError("t_grid exceeds the horizon")
     if n_paths < 2:
         raise ConfigError("martingale check needs n_paths >= 2")
-    m = len(t_grid)
-    H = np.empty((n_paths, m))
-    for i in range(n_paths):
-        p = _simulate_on_grid(spec, t_grid, x0, seed, i)
-        rv = spec.rate.eval_many(t_grid, p)
-        disc = np.exp(-left_prefix(t_grid, rv[:, None])[:, 0])
+    const_rate = spec.rate.constant_value
+    if const_rate is not None:
+        rv = np.full((len(t_grid), 1), float(const_rate))
+        disc = np.exp(-left_prefix(t_grid, rv)[:, 0])
+    H = np.empty((n_paths, len(t_grid)))
+    for i, p in enumerate(_sample_paths(spec, t_grid, x0, seed, n_paths)):
+        if const_rate is None:
+            rv = spec.rate.eval_many(t_grid, p)
+            disc = np.exp(-left_prefix(t_grid, rv[:, None])[:, 0])
         H[i] = disc * f.eval_many(t_grid, p)
     D = np.diff(H, axis=1)
     means = D.mean(axis=0)

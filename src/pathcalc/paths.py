@@ -513,10 +513,15 @@ def path_to_csv(path, dest):
     """Write a path as CSV: header t,v1,...,vd, one row per knot.
 
     Floats are written with repr so the round trip is byte stable.  The
-    interpolation mode is recorded in a leading comment line.
+    interpolation mode is recorded in a leading comment line.  One row per
+    knot cannot carry a jump of a linear path, so such a path is rejected.
     """
     grid = np.asarray(path.knots())
     vals = path.eval(grid)
+    if path.interp_mode == LINEAR \
+            and not np.array_equal(path.eval_left(grid), vals):
+        raise DomainError("a linear path with a jump cannot be written "
+                          "one row per knot")
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
     fh = open(dest, "w", newline="") if own else dest
     try:

@@ -7,22 +7,35 @@ before substream 3 yields the same numbers as the reverse order.
 
 Normal variates come from the inverse CDF applied to midpoint-shifted 53-bit
 uniforms, so a normal stream is a deterministic function of (seed, substream,
-position) alone.
+position) alone.  ``normal_block`` draws many consecutive substreams into one
+array by resetting a single generator's counter per row; row ``r`` equals
+substream ``first + r`` bit for bit, so simulating paths in blocks changes
+no draw.
 """
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
+from .errors import ConfigError
+
 # half of the 53-bit uniform lattice spacing; keeps uniforms strictly in (0,1)
 _HALF_ULP = 2.0 ** -54
+_WORD = 2 ** 64
+
+
+def _key(seed):
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 128:
+        raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
+    return seed
 
 
 def substream(seed, index):
     """Generator for substream ``index`` of the family keyed by ``seed``."""
     if index < 0:
-        raise ValueError("substream index must be nonnegative")
-    return Generator(Philox(key=int(seed), counter=int(index) << 128))
+        raise ConfigError("substream index must be nonnegative")
+    return Generator(Philox(key=_key(seed), counter=int(index) << 128))
 
 
 def uniforms(seed, index, n):
@@ -31,9 +44,32 @@ def uniforms(seed, index, n):
     return g.random(int(n)) + _HALF_ULP
 
 
+def normal_block(seed, first, count, shape):
+    """Standard normals of substreams first .. first+count-1, one per row.
+
+    Returns a (count, *shape) array whose row r equals
+    ``normals(seed, first + r, shape)`` bit for bit.
+    """
+    shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
+    first, count = int(first), int(count)
+    if first < 0 or first + count > 2 ** 128:
+        raise ConfigError("substream indices must lie in [0, 2**128)")
+    bitgen = Philox(key=_key(seed))
+    gen = Generator(bitgen)
+    state = bitgen.state
+    u = np.empty((count, int(np.prod(shape))))
+    for r, row in enumerate(u):
+        # the state a fresh Philox(key=seed, counter=i << 128) starts in
+        i = first + r
+        state["state"]["counter"] = np.array([0, 0, i % _WORD, i // _WORD],
+                                             dtype=np.uint64)
+        state["buffer_pos"] = 4
+        bitgen.state = state
+        gen.random(out=row)
+    u += _HALF_ULP
+    return ndtri(u).reshape((count,) + shape)
+
+
 def normals(seed, index, shape):
     """Standard normal draws of the given shape via the inverse CDF."""
-    shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
-    n = int(np.prod(shape)) if shape else 1
-    z = ndtri(uniforms(seed, index, n))
-    return z.reshape(shape)
+    return normal_block(seed, index, 1, shape)[0]

@@ -278,3 +278,17 @@ def test_stratonovich_artifact_schema(tmp_path):
     for ln in lines[head + 1:]:
         level, mesh, ito_v, cov, val = ln.split(",")
         assert float(val) == float(ito_v) + 0.5 * float(cov)
+
+
+@pytest.mark.parametrize("argv", [
+    ["feynman-kac", "--n-paths", "8", "--seed", "-1"],
+    ["feynman-kac", "--n-paths", "8", "--n-steps", "0"],
+    ["qv", "--n-exp", "8", "--level-max", "6", "--index", "-1"],
+], ids=["fk_seed", "fk_n_steps", "qv_index"])
+def test_bad_monte_carlo_input_is_one_line(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config-error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

@@ -240,3 +240,105 @@ def test_martingale_validation():
         martingale_check(spec, f, np.array([0.5]), 1.0)
     with pytest.raises(DomainError):
         martingale_check(spec, f, np.array([0.5, 1.5]), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# block simulation: every row is the one-path result, bit for bit
+
+
+def _three_noise_spec():
+    sig = [[1.0, 0.3, -0.2], [0.1, 0.7, 0.4]]
+    return SDESpec(constant_direction([0.1, -0.2]), constant_matrix_field(sig),
+                   constant_functional(0.0), builtin("eval"))
+
+
+def _path_dependent_spec():
+    from pathcalc.functionals import MatrixFunctional, VectorFunctional
+    return SDESpec(
+        VectorFunctional(lambda t, x: -x.integral_prefix(t) / max(t, 0.1), 1),
+        MatrixFunctional(lambda t, x: np.array(
+            [[1.0, 0.2 * x.running_max_prefix(t)[0]]]), (1, 2)),
+        constant_functional(0.0), builtin("eval"))
+
+
+@pytest.mark.parametrize("make_spec, x0", [
+    (lambda: benchmark("drifted_linear")[0], constant_path(0.5)),
+    (_three_noise_spec, constant_path([0.5, -1.0])),
+    (_path_dependent_spec, brownian_path(4, 0, n_exp=6)),
+])
+def test_simulate_sde_equals_its_row_of_a_block(make_spec, x0):
+    from pathcalc.fk import _simulate_block
+    spec = make_spec()
+    grid = np.linspace(0.25, 1.0, 13)
+    block = _simulate_block(spec, grid, x0, 6, 3, 5)
+    assert block.shape == (5, 13, spec.dim)
+    assert not block.flags.writeable
+    for r in range(5):
+        p = simulate_sde(spec, 0.25, x0, n_steps=12, seed=6, index=3 + r)
+        assert np.array_equal(p.seg.values, block[r])
+        assert np.array_equal(p.eval(grid), block[r])
+
+
+# (benchmark, t, value hex, stderr hex) at 600 paths, which span three blocks
+PINNED = [
+    ("gauss_square", "0x1.3c21f1a466331p+0", "0x1.022c15d7b2c4cp-4"),
+    ("drifted_linear", "0x1.143094b42c50cp+0", "0x1.1fd45e5f234b4p-5"),
+    ("discount_const", "0x1.a876812c0877ep-1", "0x1.4eb74ec8cc556p-57"),
+]
+
+
+@pytest.mark.parametrize("name, value, stderr", PINNED)
+def test_closed_form_estimates_are_pinned_bitwise(name, value, stderr):
+    spec, _ = benchmark(name)
+    est = estimate_f(spec, 0.25, constant_path(0.7), n_paths=600, n_steps=64,
+                     seed=3)
+    assert (est.value.hex(), est.stderr.hex()) == (value, stderr)
+
+
+def test_path_dependent_rate_estimate_is_pinned_bitwise():
+    # the discount is integrated along each path, row by row
+    spec = SDESpec(constant_direction([0.2]), constant_matrix_field([[0.8]]),
+                   Functional(lambda t, x: 0.1 + 0.05 * x.eval(t)[0],
+                              fn_many=lambda ts, x:
+                              0.1 + 0.05 * x.eval(ts)[:, 0]),
+                   builtin("eval"))
+    est = estimate_f(spec, 0.4, constant_path(0.3), n_paths=600, n_steps=5,
+                     seed=11)
+    assert est.value.hex() == "0x1.8ff961f307c9ap-2"
+    assert est.stderr.hex() == "0x1.8266c85c7ba78p-6"
+
+
+def test_martingale_check_equals_the_one_path_route():
+    # a constant rate, so the discount is computed once for all paths
+    noise, f = benchmark("gauss_square")
+    spec = SDESpec(noise.drift, noise.sigma, constant_functional(0.25),
+                   noise.payoff)
+    t_grid = np.linspace(0.0, 1.0, 5)
+    x0 = constant_path(0.4)
+    rep = martingale_check(spec, f, t_grid, x0, n_paths=300, seed=9)
+    disc = np.exp(-0.25 * np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+    H = np.array([disc * f.eval_many(t_grid, simulate_sde(
+        spec, 0.0, x0, seed=9, index=i, grid=t_grid)) for i in range(300)])
+    D = np.diff(H, axis=1)
+    assert np.array_equal(rep.means, D.mean(axis=0))
+    assert np.array_equal(rep.stderrs, D.std(axis=0, ddof=1) / np.sqrt(300))
+
+
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_estimate_rejects_fewer_than_one_step(n_steps):
+    spec, _ = benchmark("gauss_square")
+    with pytest.raises(ConfigError):
+        estimate_f(spec, 0.5, constant_path(1.0), n_paths=4, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("block_nodes", [1, 40])
+def test_estimates_do_not_depend_on_the_block_size(block_nodes, monkeypatch):
+    from pathcalc import fk
+    cases = [(benchmark("gauss_square")[0], constant_path(0.7)),
+             (_path_dependent_spec(), brownian_path(4, 0, n_exp=6))]
+    before = [estimate_f(spec, 0.5, x, n_paths=30, n_steps=8, seed=2)
+              for spec, x in cases]
+    monkeypatch.setattr(fk, "_BLOCK_NODES", block_nodes)
+    after = [estimate_f(spec, 0.5, x, n_paths=30, n_steps=8, seed=2)
+             for spec, x in cases]
+    assert before == after

@@ -427,3 +427,14 @@ def test_live_view_equals_frozen_splice(paths, data):
             == frozen.integral_prefix(ts).tobytes()
         assert live.running_max_prefix(ts).tobytes() \
             == frozen.running_max_prefix(ts).tobytes()
+
+
+@pytest.mark.parametrize("path", [
+    bump(ramp_path(1.0, n=3), 0.75, [1.0]),
+    concat(constant_path(0.0), 0.5, constant_path(1.0)),
+], ids=["bumped_ramp", "concat_with_jump"])
+def test_csv_rejects_a_linear_path_with_a_jump(path):
+    # one row per knot would read back as a ramp across the jump
+    assert path.interp_mode == LINEAR
+    with pytest.raises(DomainError):
+        path_to_csv(path, io.StringIO())

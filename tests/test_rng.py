@@ -1,8 +1,11 @@
 """Substream independence and reproducibility of the counter-based generator."""
 
 import numpy as np
+import pytest
+from scipy.special import ndtri
 
-from pathcalc.rng import normals, substream, uniforms
+from pathcalc import ConfigError
+from pathcalc.rng import normal_block, normals, substream, uniforms
 
 
 def test_substream_reproducible():
@@ -43,3 +46,33 @@ def test_normals_shape_and_moments():
     assert z.shape == (200, 50)
     assert abs(z.mean()) < 0.05
     assert abs(z.std() - 1.0) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# block draws: one row per substream, bit for bit
+
+
+@pytest.mark.parametrize("index", [0, 5, 2 ** 32 + 1, 2 ** 64 - 1, 2 ** 64 + 5])
+def test_normal_block_rows_equal_substreams(index):
+    # the block straddles index, so 2**64 - 1 also crosses a counter word
+    first = max(index - 1, 0)
+    block = normal_block(9, first, 3, (7, 2))
+    assert block.shape == (3, 7, 2)
+    for r in range(3):
+        u = substream(9, first + r).random(14) + 2.0 ** -54
+        assert np.array_equal(block[r], ndtri(u).reshape(7, 2))
+    assert np.array_equal(normals(9, index, (7, 2)), block[index - first])
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: substream(-1, 0),
+    lambda: normals(-1, 0, (4,)),
+    lambda: normal_block(-1, 0, 2, (4,)),
+    lambda: normal_block(2 ** 128, 0, 2, (4,)),
+    lambda: substream(1, -1),
+    lambda: normal_block(1, -1, 2, (4,)),
+    lambda: normal_block(1, 2 ** 128 - 1, 2, (4,)),
+])
+def test_out_of_range_seed_or_index_is_a_config_error(draw):
+    with pytest.raises(ConfigError):
+        draw()
