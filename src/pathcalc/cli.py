@@ -236,6 +236,13 @@ def _floats(text):
         raise ConfigError(f"cannot parse float list {text!r}")
 
 
+def _number(kind, text, spec):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse {text!r} in spec {spec!r}")
+
+
 def parse_path(spec, cfg):
     kind, _, rest = spec.partition(":")
     horizon = cfg.get("horizon", 1.0)
@@ -246,7 +253,7 @@ def parse_path(spec, cfg):
         slopes = _floats(rest or "1.0")
         return ramp_path(slopes, horizon=horizon, n=cfg.get("nodes", 1025))
     if kind == "brownian":
-        index = int(rest) if rest else 0
+        index = _number(int, rest, spec) if rest else 0
         return ito.brownian_path(cfg.get("seed", 0), index,
                                  n_exp=cfg.get("n_exp", 16), horizon=horizon)
     if kind == "csv":
@@ -268,10 +275,10 @@ def parse_direction(spec, dim):
         return running_avg_direction(dim)
     if kind == "constraint":
         return pathology.constraint_direction(
-            float(rest) if rest else pathology.T_FLOOR)
+            _number(float, rest, spec) if rest else pathology.T_FLOOR)
     if kind == "gamma_star":
         return pathology.gamma_star(
-            float(rest) if rest else pathology.T_FLOOR)
+            _number(float, rest, spec) if rest else pathology.T_FLOOR)
     raise ConfigError(f"unknown direction spec {spec!r}")
 
 
@@ -279,7 +286,7 @@ def parse_functional(spec, dim):
     name, _, rest = spec.partition(":")
     if name == "counterexample":
         return pathology.counterexample_functional()
-    axis = int(rest) if rest else 0
+    axis = _number(int, rest, spec) if rest else 0
     return builtin(name, axis=axis, dim=dim)
 
 
@@ -496,6 +503,8 @@ def run_stratonovich(cfg):
 
 
 def run_feynman_kac(cfg):
+    if cfg["n_paths"] < 2:
+        raise ConfigError("n_paths must be at least 2 to give a stderr")
     spec, f = fk.benchmark(cfg["benchmark"], horizon=cfg["horizon"])
     x0 = parse_path(cfg["x0"], cfg)
     rows = []

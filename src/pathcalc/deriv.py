@@ -121,14 +121,12 @@ def ladder_flow_grid(t, etas, refine=8):
     solve is sharp near t where the small quotients live.
     """
     pts = np.sort(t + np.asarray(etas, dtype=float))
-    parts = [np.array([t])]
-    lo = t
-    for p in pts:
-        seg = np.linspace(lo, p, refine + 1)[1:]
-        seg[-1] = p  # pin the ladder point bit-exactly
-        parts.append(seg)
-        lo = p
-    grid = np.concatenate(parts)
+    lo = np.concatenate([[t], pts[:-1]])[:, None]
+    # numpy's linspace(lo, p, refine + 1)[1:], all gaps at once
+    k = np.arange(1, refine + 1, dtype=float)
+    pieces = k * ((pts[:, None] - lo) / refine) + lo
+    pieces[:, -1] = pts  # pin the ladder points bit-exactly
+    grid = np.concatenate([[t], pieces.ravel()])
     if not np.all(np.diff(grid) > 0):
         raise ConfigError("ladder grid degenerate; eta steps too close")
     return grid

@@ -156,8 +156,9 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     """Monte Carlo value of the discounted payoff started from (t, x).
 
     At t == horizon no simulation happens and the payoff is returned with
-    zero error.  The rate is integrated with left rectangles on the
-    simulation grid.
+    zero error.  One path gives a value but no error bar: its stderr is NaN,
+    so ``within`` is False.  The rate is integrated with left rectangles on
+    the simulation grid.
     """
     t = float(t)
     _check_history(spec, t, x)
@@ -178,7 +179,8 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
             disc = float(np.exp(-left_prefix(grid, rv[:, None])[-1, 0]))
         ys[i] = disc * spec.payoff.eval(spec.horizon, p)
     value = float(ys.mean())
-    stderr = float(ys.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    stderr = float(ys.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 \
+        else np.nan
     return MCEstimate(value, stderr, n_paths)
 
 

@@ -77,7 +77,7 @@ def _make_grid(s, until, substep, grid):
     span = until - s
     if substep is None:
         substep = span / 1024.0
-    if substep <= 0:
+    if not substep > 0:  # negated so that NaN is rejected too
         raise ConfigError("substep must be positive")
     n = max(1, int(np.ceil(span / substep - 1e-12)))
     grid = s + span * np.arange(n + 1) / n

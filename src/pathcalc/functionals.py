@@ -10,7 +10,7 @@ standard examples with coded coinvariant derivatives where they exist.
 import numpy as np
 
 from . import rng
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .paths import CADLAG, LINEAR, GridPath, stop
 
 
@@ -312,6 +312,8 @@ def builtin(name, axis=0, dim=1):
     if name not in CATALOG:
         raise DomainError(f"unknown functional {name!r}; "
                           f"choices: {sorted(CATALOG) + ['product']}")
+    if not 0 <= axis < dim:
+        raise DomainError(f"axis {axis} outside dimension {dim}")
     return CATALOG[name](axis=axis, dim=dim)
 
 
@@ -385,6 +387,15 @@ class ProbeReport:
                 f"samples={self.samples}>")
 
 
+def _check_probe(samples, dim):
+    # a probe over no samples, or over paths with no coordinate, would
+    # report a pass it never tested
+    if samples < 1:
+        raise ConfigError("samples must be at least 1")
+    if dim < 1:
+        raise ConfigError("dim must be at least 1")
+
+
 def _random_path(gen, dim, horizon, mode, n_lo=6, n_hi=40, box=None):
     n = int(gen.integers(n_lo, n_hi))
     inner = np.sort(gen.random(n)) * horizon
@@ -426,6 +437,7 @@ def probe_non_anticipative(F, dim=1, samples=200, seed=0, horizon=1.0):
     the randomized path share all data on [0, t], so a genuinely
     non-anticipative functional computes bit-identical results.
     """
+    _check_probe(samples, dim)
     gen = rng.substream(seed, 0)
     worst = 0.0
     failures = []
@@ -449,6 +461,9 @@ def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0,
     values: reports the max of |F(s, x)| over random paths confined to
     [-box_radius, box_radius]^d, with s running over grid times up to and
     including the horizon.  A non-finite value fails the probe."""
+    _check_probe(samples, dim)
+    if not 0.0 < box_radius < np.inf:
+        raise ConfigError("box_radius must be positive and finite")
     gen = rng.substream(seed, 1)
     worst = 0.0
     where = None
@@ -473,7 +488,8 @@ def probe_lipschitz(field, samples=200, seed=0, horizon=1.0, dim=None):
 
     Samples stopped-path pairs sharing a grid and compares the field gap to
     the sup gap of the stopped paths."""
-    d = dim or field.dim_out
+    d = field.dim_out if dim is None else dim
+    _check_probe(samples, d)
     gen = rng.substream(seed, 2)
     worst = 0.0
     for _ in range(samples):
@@ -499,6 +515,7 @@ def check_hessian_symmetry(F, samples=50, seed=0, dim=1, horizon=1.0,
     """Verify coded second derivatives are symmetric at random points."""
     if F.hess is None:
         raise DomainError(f"{F.label}: second derivative absent")
+    _check_probe(samples, dim)
     gen = rng.substream(seed, 3)
     worst = 0.0
     for _ in range(samples):

@@ -103,7 +103,7 @@ def constraint_direction(t_floor=T_FLOOR):
     contraction window for no benefit.
     """
     tf = float(t_floor)
-    if tf <= 0:
+    if not tf > 0:
         raise DomainError("t_floor must be positive")
 
     def many(ts, x):
@@ -126,7 +126,7 @@ def gamma_star(t_floor=T_FLOOR):
     Lipschitz constant 4 / t_floor.
     """
     tf = float(t_floor)
-    if tf <= 0:
+    if not tf > 0:
         raise DomainError("t_floor must be positive")
 
     def many(ts, x):

@@ -26,19 +26,27 @@ _MODES = (CADLAG, LINEAR)
 
 def _as_times(ts):
     arr = np.asarray(ts, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
+    if arr.ndim == 0:
+        return arr.reshape(1), True
+    return arr, False
 
 
 def _piecewise(ts, cut, inclusive, head, tail, dim):
-    """head(ts) before cut (and at it when inclusive), tail(ts) after."""
-    out = np.empty((len(ts), dim))
+    """head(ts) before cut (and at it when inclusive), tail(ts) after.
+
+    head returns a fresh (m, d) array; tail may broadcast to one.  A query
+    wholly on one side of the cut makes one call and builds no mask.
+    """
     before = ts <= cut if inclusive else ts < cut
-    if np.any(before):
-        out[before] = head(ts[before])
+    if before.all():
+        return head(ts)
+    out = np.empty((len(ts), dim))
+    if not before.any():
+        out[:] = tail(ts)
+        return out
+    out[before] = head(ts[before])
     after = ~before
-    if np.any(after):
-        out[after] = tail(ts[after])
+    out[after] = tail(ts[after])
     return out
 
 
@@ -56,11 +64,16 @@ class PathBase:
     interp_mode = None
 
     def _check(self, ts):
+        if ts.size == 1:
+            lo = hi = ts.item()
+        elif ts.size:
+            lo, hi = ts.min(), ts.max()
+        else:
+            return ts
         # negated so that NaN, which fails every comparison, is rejected too
-        if ts.size and not (ts.min() >= 0.0 and ts.max() <= self.horizon):
+        if not (lo >= 0.0 and hi <= self.horizon):
             raise DomainError(
-                f"time outside [0, {self.horizon}]: range "
-                f"[{ts.min()}, {ts.max()}]")
+                f"time outside [0, {self.horizon}]: range [{lo}, {hi}]")
         return ts
 
     def eval(self, ts):
@@ -115,7 +128,7 @@ class _Segment:
 
     def locate(self, ts):
         """Index of the last node at or before each time."""
-        return np.searchsorted(self.times, ts, side="right") - 1
+        return self.times.searchsorted(ts, side="right") - 1
 
     def eval(self, ts):
         if self.mode == CADLAG:
@@ -124,7 +137,7 @@ class _Segment:
         idx = self.locate(ts)
         out = self.values[idx]
         between = self.times[idx] != ts
-        if np.any(between):
+        if between.any():
             j = idx[between]
             t0 = self.times[j]
             t1 = self.times[j + 1]
@@ -137,7 +150,7 @@ class _Segment:
         """Left limits; at times[0] the left limit is the value there."""
         if self.mode == LINEAR:
             return self.eval(ts)
-        idx = np.searchsorted(self.times, ts, side="left") - 1
+        idx = self.times.searchsorted(ts, side="left") - 1
         return self.values[np.maximum(idx, 0)]
 
     def integral(self, ts):
@@ -164,7 +177,7 @@ class _Segment:
         """Componentwise sup over [times[0], u) for a scalar u > times[0]."""
         if self.mode == LINEAR:
             return self.running_max(np.array([u]))[0]
-        idx = max(np.searchsorted(self.times, u, side="left") - 1, 0)
+        idx = max(self.times.searchsorted(u, side="left") - 1, 0)
         return self.node_runmax()[idx].copy()
 
     def node_prefix(self):
@@ -260,6 +273,8 @@ class StoppedPath(PathBase):
     base(stop_time) for a stop, base(stop_time) + h for a vertical bump.
     Values strictly before the stop time are bit-identical to the base, and
     so is the prefix integral up to it (a bump carries no measure there).
+    The base must not change under the view: the held value and the base's
+    integral up to the stop time are taken from it once.
     """
 
     def __init__(self, base, stop_time, value_at_stop=None):
@@ -274,6 +289,7 @@ class StoppedPath(PathBase):
         self.dim = base.dim
         self.horizon = base.horizon
         self.interp_mode = base.interp_mode
+        self._at_stop = None
 
     def knots(self):
         t = self.base.knots()
@@ -292,17 +308,23 @@ class StoppedPath(PathBase):
         return _piecewise(ts, self.stop_time, True, self.base._eval_left,
                           self._held, self.dim)
 
+    def _integral_at_stop(self):
+        if self._at_stop is None:
+            self._at_stop = self.base._integral_prefix(
+                np.array([self.stop_time]))[0]
+        return self._at_stop
+
     def _integral_prefix(self, ts):
         def after(u):
-            at_stop = self.base._integral_prefix(np.array([self.stop_time]))[0]
-            return at_stop + (u - self.stop_time)[:, None] * self.value_at_stop
+            return self._integral_at_stop() \
+                + (u - self.stop_time)[:, None] * self.value_at_stop
         return _piecewise(ts, self.stop_time, True, self.base._integral_prefix,
                           after, self.dim)
 
     def _running_max_prefix(self, ts):
         out = self.base._running_max_prefix(np.minimum(ts, self.stop_time))
         hit = ts >= self.stop_time
-        if np.any(hit):
+        if hit.any():
             # a no-op for a plain stop, whose held value is already counted
             out[hit] = np.maximum(out[hit], self.value_at_stop)
         return out
@@ -350,6 +372,7 @@ class SplicedPath(PathBase):
         self.left = left
         self.switch = switch
         self.seg = seg
+        self._at_switch = None
         self.interp_mode = seg.mode
         self.dim = left.dim
         self.horizon = left.horizon
@@ -376,9 +399,17 @@ class SplicedPath(PathBase):
         return _piecewise(ts, self.switch, True, self.left._eval_left,
                           self.seg.eval_left, self.dim)
 
+    def _head_integral(self):
+        # integral of the left path over [0, switch]; only the segment of a
+        # splice_view is ever rewritten, so this holds for the view's life
+        if self._at_switch is None:
+            self._at_switch = self.left._integral_prefix(
+                np.array([self.switch]))[0]
+        return self._at_switch
+
     def _integral_prefix(self, ts):
         def after(u):
-            head = self.left._integral_prefix(np.array([self.switch]))[0]
+            head = self._head_integral()
             end = self.seg.times[-1]
             held = np.clip(u - end, 0.0, None)[:, None] * self.seg.values[-1]
             return head + self.seg.integral(np.minimum(u, end)) + held
@@ -403,8 +434,9 @@ def splice_view(left, switch, times, values, mode):
     Unlike the SplicedPath constructor this validates and copies nothing.
     All nodes are defined at first; after ``view.seg.fill(n)`` only the
     first n are, and the view equals the SplicedPath built from those n
-    nodes, holding the last one afterwards.  Nothing is cached, so values
-    already filled may be rewritten between queries.
+    nodes, holding the last one afterwards.  Nothing read from the segment
+    is cached, so values already filled may be rewritten between queries;
+    the left path must stay unchanged.
     """
     view = SplicedPath.__new__(SplicedPath)
     return view._join(left, float(switch), _LiveSegment(times, values, mode))

@@ -284,7 +284,9 @@ def test_stratonovich_artifact_schema(tmp_path):
     ["feynman-kac", "--n-paths", "8", "--seed", "-1"],
     ["feynman-kac", "--n-paths", "8", "--n-steps", "0"],
     ["qv", "--n-exp", "8", "--level-max", "6", "--index", "-1"],
-], ids=["fk_seed", "fk_n_steps", "qv_index"])
+    ["feynman-kac", "--n-paths", "1"],
+    ["feynman-kac", "--n-paths", "0"],
+], ids=["fk_seed", "fk_n_steps", "qv_index", "fk_one_path", "fk_no_path"])
 def test_bad_monte_carlo_input_is_one_line(argv, capsys):
     rc = main(argv)
     err = capsys.readouterr().err
@@ -292,3 +294,26 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
     assert err.startswith("config-error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["deriv", "--functional", "eval:abc"],
+    ["deriv", "--functional", "eval:5"],
+    ["flow", "--path", "brownian:x"],
+    ["flow", "--direction", "constraint:abc"],
+    ["flow", "--direction", "gamma_star:nan"],
+    ["flow", "--substep", "nan"],
+    ["probe", "--samples", "0"],
+    ["probe", "--dim", "0"],
+    ["probe", "--box", "-1", "--samples", "4"],
+], ids=["functional_axis_text", "functional_axis_range", "path_index_text",
+        "direction_floor_text", "direction_floor_nan", "substep_nan",
+        "probe_no_samples", "probe_no_dim", "probe_negative_box"])
+def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config-error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

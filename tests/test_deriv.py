@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
     CONVERGED,
@@ -116,6 +117,33 @@ def test_ladder_flow_grid_pins_ladder_points():
     assert np.all(np.diff(grid) > 0)
     for e in etas:
         assert 0.5 + e in grid
+
+
+def _linspace_ladder_grid(t, etas, refine):
+    # one np.linspace per gap, each ladder point pinned
+    pts = np.sort(t + np.asarray(etas, dtype=float))
+    parts = [np.array([t])]
+    lo = t
+    for p in pts:
+        seg = np.linspace(lo, p, refine + 1)[1:]
+        seg[-1] = p
+        parts.append(seg)
+        lo = p
+    return np.concatenate(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(1e-6, 1.0), st.floats(0.05, 0.95),
+       st.integers(1, 30), st.integers(1, 20))
+def test_ladder_flow_grid_equals_linspace_per_gap(t, eta0, ratio, count,
+                                                  refine):
+    etas = eta0 * ratio ** np.arange(count)
+    want = _linspace_ladder_grid(t, etas, refine)
+    if not np.all(np.diff(want) > 0):
+        with pytest.raises(ConfigError):
+            ladder_flow_grid(t, etas, refine)
+        return
+    assert ladder_flow_grid(t, etas, refine).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,20 @@ def test_estimate_argument_validation():
         estimate_f(spec, 0.5, constant_path(1.0), n_paths=0)
 
 
+def test_one_path_estimate_has_no_error_bar():
+    spec, f = benchmark("gauss_square")
+    x0 = constant_path(1.0)
+    est = estimate_f(spec, 0.5, x0, n_paths=1, n_steps=16, seed=0)
+    # the value is the first path's, as in any larger estimate
+    two = estimate_f(spec, 0.5, x0, n_paths=2, n_steps=16, seed=0)
+    assert np.isfinite(est.value)
+    assert np.isnan(est.stderr)
+    assert est.n_paths == 1
+    assert not est.within(est.value)
+    assert not est.within(f.eval(0.5, x0))
+    assert np.isfinite(two.stderr)
+
+
 # ---------------------------------------------------------------------------
 # backward-equation residuals
 

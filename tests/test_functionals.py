@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pathcalc import (
+    ConfigError,
     DomainError,
     Functional,
     FunctionalWithDerivatives,
@@ -64,6 +65,12 @@ def test_eval_many_matches_pointwise_loop(ramp):
         many = F.eval_many(ts, ramp)
         loop = np.array([F.eval(t, ramp) for t in ts])
         assert np.array_equal(many, loop), name
+
+
+@pytest.mark.parametrize("axis, dim", [(1, 1), (2, 2), (-1, 1), (0, 0)])
+def test_builtin_rejects_an_axis_outside_the_dimension(axis, dim):
+    with pytest.raises(DomainError):
+        builtin("eval", axis=axis, dim=dim)
 
 
 def test_builtin_unknown_name():
@@ -163,3 +170,22 @@ def test_hessian_symmetry_pass_and_fail():
         hess=[[constant_functional(0.0), constant_functional(1.0)],
               [constant_functional(0.0), constant_functional(0.0)]])
     assert not check_hessian_symmetry(lopsided, dim=2).passed
+
+
+@pytest.mark.parametrize("probe", [
+    lambda **kw: probe_non_anticipative(builtin("eval"), **kw),
+    lambda **kw: probe_boundedness(builtin("eval"), 1.0, **kw),
+    lambda **kw: probe_lipschitz(eval_direction(1), **kw),
+    lambda **kw: check_hessian_symmetry(builtin("square"), **kw),
+], ids=["non_anticipative", "boundedness", "lipschitz", "hessian_symmetry"])
+@pytest.mark.parametrize("kw", [{"samples": 0}, {"samples": -3}, {"dim": 0}],
+                         ids=["no_samples", "negative_samples", "no_dim"])
+def test_probes_reject_degenerate_configurations(probe, kw):
+    with pytest.raises(ConfigError):
+        probe(**kw)
+
+
+@pytest.mark.parametrize("box", [0.0, -1.0, np.nan, np.inf])
+def test_boundedness_rejects_a_bad_box(box):
+    with pytest.raises(ConfigError):
+        probe_boundedness(builtin("eval"), box, samples=4)

@@ -438,3 +438,122 @@ def test_csv_rejects_a_linear_path_with_a_jump(path):
     assert path.interp_mode == LINEAR
     with pytest.raises(DomainError):
         path_to_csv(path, io.StringIO())
+
+
+# ---------------------------------------------------------------------------
+# queries on one side of a stop or switch, mixed queries and scalars
+
+QUERIES = ("eval", "eval_left", "integral_prefix", "running_max_prefix")
+
+
+@st.composite
+def surgery_views(draw):
+    """(make, cut, probe times): make() builds a fresh stopped, bumped,
+    spliced or live spliced view of a random path whose surgery point is
+    cut, so its caches start empty."""
+    (x,) = draw(shared_grid_paths(count=1, dim=2))
+    horizon = x.horizon
+    cut = draw(st.integers(0, int(horizon * 32))) / 32.0
+    kind = draw(st.sampled_from(["stop", "bump", "splice", "view",
+                                 "bump_of_splice"]))
+    h = np.array([draw(dyadic), draw(dyadic)])
+    n = 1 if cut == horizon else draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.integers(1, 8), min_size=n - 1, max_size=n - 1))
+    times = cut + np.concatenate([[0.0], np.cumsum(gaps, dtype=float)]) \
+        * (horizon - cut) / (8.0 * n)
+    values = np.array([[draw(dyadic), draw(dyadic)] for _ in range(n)])
+    mode = draw(st.sampled_from([LINEAR, CADLAG]))
+    filled = draw(st.integers(1, n))
+    # nodes past the filled ones are NaN: reading one would show
+    buffer = values.copy()
+    buffer[filled:] = np.nan
+
+    def make():
+        if kind == "stop":
+            return stop(x, cut)
+        if kind == "bump":
+            return bump(x, cut, h)
+        if kind == "view":
+            view = splice_view(x, cut, times, buffer, mode)
+            view.seg.fill(filled)
+            return view
+        spliced = SplicedPath(x, cut, times, values, seg_mode=mode)
+        if kind == "splice":
+            return spliced
+        later = times[-1] if times[-1] > cut else cut
+        return bump(spliced, later, h)
+
+    probes = np.unique(np.concatenate([x.times, times, [cut],
+                                       np.linspace(0.0, horizon, 17)]))
+    return make, cut, probes
+
+
+@settings(max_examples=80, deadline=None)
+@given(surgery_views())
+def test_one_sided_mixed_and_scalar_queries_agree(case):
+    make, cut, probes = case
+    at = np.array([cut])
+    before = probes[probes < cut]
+    after = probes[probes > cut]
+    sets = [before, after, np.concatenate([before, at]),
+            np.concatenate([at, after]), probes, probes[:0]]
+    for name in QUERIES:
+        warm = make()
+        for ts in sets:
+            got = getattr(make(), name)(ts)
+            assert got.shape == (len(ts), warm.dim)
+            # per-time scalar and one-element queries on a view whose
+            # caches the array queries have filled
+            one = [getattr(warm, name)(np.array([t]))[0] for t in ts]
+            each = [getattr(warm, name)(float(t)) for t in ts]
+            for want in getattr(warm, name)(ts), one, each:
+                want = np.array(want).reshape(got.shape)
+                assert want.tobytes() == got.tobytes(), (name, ts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(surgery_views())
+def test_writing_into_a_result_leaves_the_next_query_unchanged(case):
+    make, cut, probes = case
+    view = make()
+    for name in QUERIES:
+        for ts in (probes[probes < cut], probes[probes >= cut], probes):
+            first = getattr(view, name)(ts)
+            keep = first.copy()
+            first[...] = 99.0
+            assert getattr(view, name)(ts).tobytes() == keep.tobytes()
+        for t in (0.0, cut, view.horizon):
+            first = getattr(view, name)(t)
+            keep = first.copy()
+            first[...] = 99.0
+            assert getattr(view, name)(t).tobytes() == keep.tobytes()
+
+
+@pytest.mark.parametrize("mode", [LINEAR, CADLAG])
+@pytest.mark.parametrize("cut", [0.0, 0.3, 0.5, 0.875])
+def test_integral_past_a_stop_grows_from_the_integral_at_it(mode, cut):
+    gen = np.random.default_rng(5)
+    times = np.concatenate([[0.0], np.sort(gen.uniform(0.0, 1.0, 12)), [1.0]])
+    x = GridPath(times, gen.normal(size=(14, 2)), mode)
+    u = np.linspace(cut, 1.0, 9)
+    for view in stop(x, cut), bump(x, cut, [0.25, -1.5]):
+        # the integral at the stop itself is the base's, with nothing cached
+        want = view.integral_prefix(cut) \
+            + (u - cut)[:, None] * view.value_at_stop
+        for _ in range(2):
+            assert view.integral_prefix(u).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+@pytest.mark.parametrize("shape", ["float", "0d", "1", "3", "1x1", "2x2"])
+@pytest.mark.parametrize("which", ["grid", "stopped", "spliced"])
+def test_bad_times_raise_for_every_shape(bad, shape, which):
+    r = ramp_path(1.0, n=17)
+    path = {"grid": r, "stopped": bump(r, 0.5, [0.25]),
+            "spliced": concat(r, 0.5, constant_path(2.0))}[which]
+    ts = {"float": bad, "0d": np.array(bad), "1": np.array([bad]),
+          "3": np.array([0.25, bad, 0.75]), "1x1": np.array([[bad]]),
+          "2x2": np.array([[0.0, 0.5], [bad, 1.0]])}[shape]
+    for name in QUERIES:
+        with pytest.raises(DomainError):
+            getattr(path, name)(ts)
