@@ -19,7 +19,7 @@ from .functionals import CATALOG, DirectionField, Functional, \
     eval_functional, exp_eval_functional, integral_functional, \
     probe_boundedness, probe_lipschitz, probe_non_anticipative, \
     product_functional, running_avg_direction, running_avg_functional, \
-    running_max_functional, square_functional, zero_direction
+    running_max_functional, running_mean, square_functional, zero_direction
 from .flow import FlowSolution, euler_flow, solve_flow
 from .deriv import CONVERGED, DerivativeReport, GradientRecovery, \
     HorizontalAverage, INCONCLUSIVE, OSCILLATING, QuotientLadder, \

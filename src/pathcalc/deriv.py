@@ -157,8 +157,8 @@ def d_gamma(F, gamma, t, x, ladder=None, refine=8, picard_tol=1e-10,
     ladder = ladder or QuotientLadder()
     t = float(t)
     etas = ladder.steps()
-    if t + etas[0] > x.horizon * (1 + 1e-12):
-        raise DomainError(f"need t + eta0 <= horizon; t={t}, eta0={etas[0]}")
+    if not (0.0 <= t and t + etas[0] <= x.horizon * (1 + 1e-12)):
+        raise DomainError(f"need 0 <= t and t + eta0 <= horizon; t={t}")
     grid = ladder_flow_grid(t, etas, refine=refine)
     grid[-1] = min(grid[-1], x.horizon)
     sol = solve_flow(x, t, gamma, until=grid[-1], grid=grid,
@@ -173,8 +173,8 @@ def d_horizontal(F, t, x, ladder=None):
     ladder = ladder or QuotientLadder()
     t = float(t)
     etas = ladder.steps()
-    if t + etas[0] > x.horizon * (1 + 1e-12):
-        raise DomainError(f"need t + eta0 <= horizon; t={t}, eta0={etas[0]}")
+    if not (0.0 <= t and t + etas[0] <= x.horizon * (1 + 1e-12)):
+        raise DomainError(f"need 0 <= t and t + eta0 <= horizon; t={t}")
     label = f"d_horizontal[{F.label}]@{t:g}"
     return _quotient_study(F, t, stop(x, t), etas, ladder.ratio, label)
 
@@ -384,6 +384,6 @@ def numerical_derivatives(F, dim=1, time_ladder=None, space_ladder=None,
     hess = [[Functional(hess_fn(i, j), label=f"num_hess[{i},{j}]")
              for j in range(d)] for i in range(d)]
     return FunctionalWithDerivatives(
-        F._fn, label=f"num_derivs[{F.label}]", fn_many=F._fn_many,
+        F.eval, label=f"num_derivs[{F.label}]", fn_many=F.eval_many,
         partial_t=Functional(pt, label="num_partial_t"),
         grad=grad, hess=hess)

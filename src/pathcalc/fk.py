@@ -283,53 +283,56 @@ def benchmark(name, horizon=1.0):
     discount_const: dX = dW, rate rho, payoff 1, f = exp(-rho (T - t)).
     """
     T = float(horizon)
-    if name == "gauss_square":
-        spec = SDESpec(constant_direction([0.0]),
+
+    def unit_noise(mu, rho, payoff):
+        return SDESpec(constant_direction([mu]),
                        constant_matrix_field([[1.0]]),
-                       constant_functional(0.0),
-                       square_functional(), horizon=T)
+                       constant_functional(rho), payoff, horizon=T)
+
+    if name == "gauss_square":
+        def value(ts, x):
+            v = x.eval(ts)[..., 0]
+            return v * v + (T - ts)
+
+        def twice(ts, x):
+            return 2.0 * x.eval(ts)[..., 0]
+
         f = FunctionalWithDerivatives(
-            lambda t, x: x.eval(t)[0] ** 2 + (T - t),
-            label="square_plus_remaining",
-            fn_many=lambda ts, x: x.eval(ts)[:, 0] ** 2 + (T - ts),
+            value, label="square_plus_remaining", fn_many=value,
             partial_t=constant_functional(-1.0),
-            grad=[Functional(lambda t, x: 2.0 * x.eval(t)[0],
-                             fn_many=lambda ts, x: 2.0 * x.eval(ts)[:, 0],
-                             label="2*eval")],
+            grad=[Functional(twice, label="2*eval", fn_many=twice)],
             hess=[[constant_functional(2.0)]])
-        return spec, f
+        return unit_noise(0.0, 0.0, square_functional()), f
     if name == "drifted_linear":
         mu = 0.5
-        spec = SDESpec(constant_direction([mu]),
-                       constant_matrix_field([[1.0]]),
-                       constant_functional(0.0),
-                       Functional(lambda t, x: x.eval(t)[0],
-                                  fn_many=lambda ts, x: x.eval(ts)[:, 0],
-                                  label="eval"), horizon=T)
+
+        def coordinate(ts, x):
+            return x.eval(ts)[..., 0]
+
+        def value(ts, x):
+            return coordinate(ts, x) + mu * (T - ts)
+
+        payoff = Functional(coordinate, label="eval", fn_many=coordinate)
         f = FunctionalWithDerivatives(
-            lambda t, x: x.eval(t)[0] + mu * (T - t),
-            label="linear_plus_drift",
-            fn_many=lambda ts, x: x.eval(ts)[:, 0] + mu * (T - ts),
+            value, label="linear_plus_drift", fn_many=value,
             partial_t=constant_functional(-mu),
             grad=[constant_functional(1.0)],
             hess=[[constant_functional(0.0)]])
-        return spec, f
+        return unit_noise(mu, 0.0, payoff), f
     if name == "discount_const":
         rho = 0.25
-        spec = SDESpec(constant_direction([0.0]),
-                       constant_matrix_field([[1.0]]),
-                       constant_functional(rho),
-                       constant_functional(1.0), horizon=T)
+
+        def value(ts, x):
+            return np.exp(-rho * (T - ts))
+
+        def rate(ts, x):
+            return rho * value(ts, x)
+
         f = FunctionalWithDerivatives(
-            lambda t, x: np.exp(-rho * (T - t)),
-            label="pure_discount",
-            fn_many=lambda ts, x: np.exp(-rho * (T - ts)),
-            partial_t=Functional(
-                lambda t, x: rho * np.exp(-rho * (T - t)),
-                fn_many=lambda ts, x: rho * np.exp(-rho * (T - ts)),
-                label="rho*discount"),
+            value, label="pure_discount", fn_many=value,
+            partial_t=Functional(rate, label="rho*discount", fn_many=rate),
             grad=[constant_functional(0.0)],
             hess=[[constant_functional(0.0)]])
-        return spec, f
+        return unit_noise(0.0, rho, constant_functional(1.0)), f
     raise DomainError(f"unknown benchmark {name!r}; choices: gauss_square, "
                       "drifted_linear, discount_const")

@@ -131,7 +131,7 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
         raise DomainError(f"until must lie in [{s}, {w.horizon}]")
     if gamma.dim_out != w.dim:
         raise DomainError("direction dimension does not match the path")
-    if picard_tol <= 0:
+    if not picard_tol > 0:  # negated so that NaN is rejected too
         raise ConfigError("picard_tol must be positive")
     if max_iters < 1:
         raise ConfigError("max_iters must be at least 1")
@@ -147,7 +147,7 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
     K = gamma.lipschitz_K
     cap = 0.5 / K if K > 0 else np.inf
     if window is not None:
-        if window <= 0:
+        if not window > 0:
             raise ConfigError("window must be positive")
         cap = min(cap, float(window))
     runs = _window_runs(grid, cap)

@@ -18,9 +18,14 @@ class Functional:
     """Real-valued non-anticipative functional.
 
     fn(t, path) -> float.  fn_many, when given, evaluates a whole sorted
-    time array against one path in a single call; the default falls back to
-    a Python loop.  constant_value marks functionals that ignore (t, x)
-    entirely, which lets downstream code pick exact fast paths.
+    time array against one path in a single call; without it eval_many
+    loops over fn.  A body that broadcasts serves both routes: write it as
+    fn(ts, x) with ``x.eval(ts)[..., a]``, so that it returns a scalar for a
+    float t and an (m,) array for an array of times, and pass it as both fn
+    and fn_many.  eval and eval_many then run the same arithmetic and agree
+    bit for bit, as every built-in does.  constant_value marks functionals
+    that ignore (t, x) entirely, which lets downstream code pick exact fast
+    paths.
     """
 
     def __init__(self, fn, label="", fn_many=None, constant_value=None):
@@ -143,8 +148,11 @@ class FunctionalWithDerivatives(Functional):
 
 def constant_functional(c, label=None):
     c = float(c)
-    return Functional(lambda t, x: c, label=label or f"const({c})",
-                      fn_many=lambda ts, x: np.full(len(ts), c),
+
+    def value(ts, x):
+        return np.full(np.shape(ts), c)
+
+    return Functional(value, label=label or f"const({c})", fn_many=value,
                       constant_value=c)
 
 
@@ -156,41 +164,56 @@ def _zeros_hess(d):
     return [[_zero() for _ in range(d)] for _ in range(d)]
 
 
+def running_mean(ts, x):
+    """Mean of x over [0, t] per time, x(0) at t = 0: (d,) for a float t,
+    (m, d) for an array.  The one running-mean body, read by the running_avg
+    functional and direction and by pathology's path_mean."""
+    ts = np.asarray(ts, dtype=float)
+    pos = ts > 0.0
+    if pos.all():
+        return x.integral_prefix(ts) / ts[..., None]
+    out = x.integral_prefix(ts) / np.where(pos, ts, 1.0)[..., None]
+    out[~pos] = x.eval(0.0)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# catalog
+# catalog: one body fn(ts, x) per functional, behind eval and eval_many
 
 
 def eval_functional(axis=0, dim=1):
     """F(t, x) = x_axis(t)."""
     d = int(dim)
     a = int(axis)
+
+    def value(ts, x):
+        return x.eval(ts)[..., a]
+
     grad = [constant_functional(1.0 if j == a else 0.0) for j in range(d)]
     return FunctionalWithDerivatives(
-        lambda t, x: x.eval(t)[a],
-        label=f"eval[{a}]",
-        fn_many=lambda ts, x: x.eval(ts)[:, a],
-        partial_t=_zero(),
-        grad=grad,
-        hess=_zeros_hess(d))
+        value, label=f"eval[{a}]", fn_many=value, partial_t=_zero(),
+        grad=grad, hess=_zeros_hess(d))
 
 
 def square_functional(axis=0, dim=1):
-    """F(t, x) = x_axis(t)^2."""
+    """F(t, x) = x_axis(t)^2, squared as v * v in both routes."""
     d = int(dim)
     a = int(axis)
-    grad = [Functional(lambda t, x: 2.0 * x.eval(t)[a],
-                       fn_many=lambda ts, x: 2.0 * x.eval(ts)[:, a],
-                       label=f"2*eval[{a}]") if j == a else _zero()
-            for j in range(d)]
+
+    def square(ts, x):
+        v = x.eval(ts)[..., a]
+        return v * v
+
+    def twice(ts, x):
+        return 2.0 * x.eval(ts)[..., a]
+
+    grad = [Functional(twice, label=f"2*eval[{a}]", fn_many=twice)
+            if j == a else _zero() for j in range(d)]
     hess = _zeros_hess(d)
     hess[a][a] = constant_functional(2.0)
     return FunctionalWithDerivatives(
-        lambda t, x: x.eval(t)[a] ** 2,
-        label=f"square[{a}]",
-        fn_many=lambda ts, x: x.eval(ts)[:, a] ** 2,
-        partial_t=_zero(),
-        grad=grad,
-        hess=hess)
+        square, label=f"square[{a}]", fn_many=square, partial_t=_zero(),
+        grad=grad, hess=hess)
 
 
 def integral_functional(axis=0, dim=1):
@@ -202,26 +225,14 @@ def integral_functional(axis=0, dim=1):
     """
     d = int(dim)
     a = int(axis)
+
+    def integral(ts, x):
+        return x.integral_prefix(ts)[..., a]
+
     return FunctionalWithDerivatives(
-        lambda t, x: x.integral_prefix(t)[a],
-        label=f"integral[{a}]",
-        fn_many=lambda ts, x: x.integral_prefix(ts)[:, a],
-        partial_t=Functional(lambda t, x: x.eval(t)[a],
-                             fn_many=lambda ts, x: x.eval(ts)[:, a],
-                             label=f"eval[{a}]"),
-        grad=[_zero() for _ in range(d)],
+        integral, label=f"integral[{a}]", fn_many=integral,
+        partial_t=eval_functional(a, d), grad=[_zero() for _ in range(d)],
         hess=_zeros_hess(d))
-
-
-def _running_avg_value(ts, x, a):
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    out = np.empty(len(ts))
-    pos = ts > 0.0
-    if np.any(pos):
-        out[pos] = x.integral_prefix(ts[pos])[:, a] / ts[pos]
-    if np.any(~pos):
-        out[~pos] = x.eval(0.0)[a]
-    return out
 
 
 def running_avg_functional(axis=0, dim=1):
@@ -229,17 +240,19 @@ def running_avg_functional(axis=0, dim=1):
     d = int(dim)
     a = int(axis)
 
-    def dt(t, x):
-        # stopped extension: d/dh [(t*avg + h*x(t)) / (t+h)] at h=0
-        if t <= 0.0:
-            return 0.0
-        return (x.eval(t)[a] - _running_avg_value(t, x, a)[0]) / t
+    def avg(ts, x):
+        return running_mean(ts, x)[..., a]
+
+    def dt(ts, x):
+        # stopped extension: d/dh [(t*avg + h*x(t)) / (t+h)] at h=0.  At
+        # t = 0 the average is x(0), so the gap is exactly 0, as is gap / 1.
+        ts = np.asarray(ts, dtype=float)
+        gap = x.eval(ts)[..., a] - avg(ts, x)
+        return gap / np.where(ts > 0.0, ts, 1.0)
 
     return FunctionalWithDerivatives(
-        lambda t, x: _running_avg_value(t, x, a)[0],
-        label=f"running_avg[{a}]",
-        fn_many=lambda ts, x: _running_avg_value(ts, x, a),
-        partial_t=Functional(dt, label=f"d_t running_avg[{a}]"),
+        avg, label=f"running_avg[{a}]", fn_many=avg,
+        partial_t=Functional(dt, label=f"d_t running_avg[{a}]", fn_many=dt),
         grad=[_zero() for _ in range(d)],
         hess=_zeros_hess(d))
 
@@ -247,13 +260,13 @@ def running_avg_functional(axis=0, dim=1):
 def running_max_functional(axis=0, dim=1):
     """F(t, x) = max of x_axis over [0, t]; no spatial derivative exists."""
     a = int(axis)
+
+    def running_max(ts, x):
+        return x.running_max_prefix(ts)[..., a]
+
     return FunctionalWithDerivatives(
-        lambda t, x: x.running_max_prefix(t)[a],
-        label=f"running_max[{a}]",
-        fn_many=lambda ts, x: x.running_max_prefix(ts)[:, a],
-        partial_t=_zero(),
-        grad=None,
-        hess=None)
+        running_max, label=f"running_max[{a}]", fn_many=running_max,
+        partial_t=_zero(), grad=None, hess=None)
 
 
 def exp_eval_functional(axis=0, dim=1):
@@ -261,37 +274,29 @@ def exp_eval_functional(axis=0, dim=1):
     d = int(dim)
     a = int(axis)
 
-    def scaled(c):
-        return Functional(lambda t, x: c * np.exp(x.eval(t)[a]),
-                          fn_many=lambda ts, x: c * np.exp(x.eval(ts)[:, a]),
-                          label=f"{c}*exp_eval[{a}]")
+    def exp_eval(ts, x):
+        return np.exp(x.eval(ts)[..., a])
 
-    grad = [scaled(1.0) if j == a else _zero() for j in range(d)]
+    itself = Functional(exp_eval, label=f"1.0*exp_eval[{a}]", fn_many=exp_eval)
+    grad = [itself if j == a else _zero() for j in range(d)]
     hess = _zeros_hess(d)
-    hess[a][a] = scaled(1.0)
+    hess[a][a] = itself
     return FunctionalWithDerivatives(
-        lambda t, x: np.exp(x.eval(t)[a]),
-        label=f"exp_eval[{a}]",
-        fn_many=lambda ts, x: np.exp(x.eval(ts)[:, a]),
-        partial_t=_zero(),
-        grad=grad,
-        hess=hess)
+        exp_eval, label=f"exp_eval[{a}]", fn_many=exp_eval,
+        partial_t=_zero(), grad=grad, hess=hess)
 
 
 def product_functional():
     """F(t, x) = x_1(t) * x_2(t) on two-dimensional paths."""
-    grad = [Functional(lambda t, x: x.eval(t)[1],
-                       fn_many=lambda ts, x: x.eval(ts)[:, 1], label="eval[1]"),
-            Functional(lambda t, x: x.eval(t)[0],
-                       fn_many=lambda ts, x: x.eval(ts)[:, 0], label="eval[0]")]
+    def product(ts, x):
+        v = x.eval(ts)
+        return v[..., 0] * v[..., 1]
+
     hess = [[_zero(), constant_functional(1.0)],
             [constant_functional(1.0), _zero()]]
     return FunctionalWithDerivatives(
-        lambda t, x: x.eval(t)[0] * x.eval(t)[1],
-        label="product",
-        fn_many=lambda ts, x: x.eval(ts)[:, 0] * x.eval(ts)[:, 1],
-        partial_t=_zero(),
-        grad=grad,
+        product, label="product", fn_many=product, partial_t=_zero(),
+        grad=[eval_functional(1, 2), eval_functional(0, 2)],
         hess=hess)
 
 
@@ -305,13 +310,17 @@ CATALOG = {
 }
 
 
-def builtin(name, axis=0, dim=1):
-    """Catalog lookup by name; 'product' is fixed at dim=2."""
+def builtin(name, axis=0, dim=None):
+    """Catalog lookup by name; dim defaults to 1, and to 2 for 'product',
+    the one dimension it is defined in."""
     if name == "product":
+        if dim not in (None, 2):
+            raise DomainError(f"product needs dimension 2, not {dim}")
         return product_functional()
     if name not in CATALOG:
         raise DomainError(f"unknown functional {name!r}; "
                           f"choices: {sorted(CATALOG) + ['product']}")
+    dim = 1 if dim is None else dim
     if not 0 <= axis < dim:
         raise DomainError(f"axis {axis} outside dimension {dim}")
     return CATALOG[name](axis=axis, dim=dim)
@@ -322,43 +331,32 @@ def builtin(name, axis=0, dim=1):
 
 
 def zero_direction(dim=1):
-    z = np.zeros(int(dim))
-    return DirectionField(lambda t, x: z, dim, 0.0, label="zero",
-                          fn_many=lambda ts, x: np.zeros((len(ts), len(z))),
-                          constant_value=z)
+    return constant_direction(np.zeros(int(dim)), label="zero")
 
 
-def constant_direction(vec):
+def constant_direction(vec, label=None):
     v = np.atleast_1d(np.asarray(vec, dtype=float))
-    return DirectionField(lambda t, x: v, len(v), 0.0,
-                          label=f"const({','.join(repr(c) for c in v)})",
-                          fn_many=lambda ts, x: np.broadcast_to(
-                              v, (len(ts), len(v))).copy(),
+
+    def value(ts, x):
+        return np.full(np.shape(ts) + v.shape, v)
+
+    label = label or f"const({','.join(repr(float(c)) for c in v)})"
+    return DirectionField(value, len(v), 0.0, label=label, fn_many=value,
                           constant_value=v)
 
 
 def eval_direction(dim=1):
     """gamma(t, x) = x(t); Lipschitz constant 1 in the sup norm."""
-    return DirectionField(lambda t, x: x.eval(t), dim, 1.0, label="eval",
-                          fn_many=lambda ts, x: x.eval(ts))
+    def value(ts, x):
+        return x.eval(ts)
+
+    return DirectionField(value, dim, 1.0, label="eval", fn_many=value)
 
 
 def running_avg_direction(dim=1):
     """gamma(t, x) = running average of x over [0, t]; Lipschitz 1."""
-    d = int(dim)
-
-    def avg_many(ts, x):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((len(ts), d))
-        pos = ts > 0.0
-        if np.any(pos):
-            out[pos] = x.integral_prefix(ts[pos]) / ts[pos, None]
-        if np.any(~pos):
-            out[~pos] = x.eval(0.0)
-        return out
-
-    return DirectionField(lambda t, x: avg_many(np.array([t]), x)[0],
-                          d, 1.0, label="running_avg", fn_many=avg_many)
+    return DirectionField(running_mean, dim, 1.0, label="running_avg",
+                          fn_many=running_mean)
 
 
 def constant_matrix_field(mat):

@@ -23,7 +23,8 @@ from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, judge, \
     ladder_flow_grid, OSCILLATING
 from .errors import DomainError
 from .flow import solve_flow
-from .functionals import DirectionField, Functional
+from .functionals import DirectionField, Functional, constant_direction, \
+    running_mean
 from .paths import ramp_path, stop
 
 GUARD = 1e-300        # |y| below this evaluates f as 0
@@ -32,25 +33,24 @@ ALPHA_TOL = 1e-6      # |alpha| below this counts as a regular direction
 T_FLOOR = 1e-3        # smallest time the 1/t direction fields accept
 
 
-def sin_log(y):
-    """f(y) = y * sin(log|y|), with f(0) = 0; bounded by |y|."""
+def _away_from_zero(f, y):
+    # f(y, log|y|) where |y| >= GUARD and 0 elsewhere; a float for a scalar
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
     ok = np.abs(y) >= GUARD
     if np.any(ok):
-        out[ok] = y[ok] * np.sin(np.log(np.abs(y[ok])))
+        out[ok] = f(y[ok], np.log(np.abs(y[ok])))
     return out if out.ndim else float(out)
+
+
+def sin_log(y):
+    """f(y) = y * sin(log|y|), with f(0) = 0; bounded by |y|."""
+    return _away_from_zero(lambda v, lv: v * np.sin(lv), y)
 
 
 def sin_log_prime(y):
     """f'(y) = sin(log|y|) + cos(log|y|) away from 0; no limit at 0."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    ok = np.abs(y) >= GUARD
-    if np.any(ok):
-        ly = np.log(np.abs(y[ok]))
-        out[ok] = np.sin(ly) + np.cos(ly)
-    return out if out.ndim else float(out)
+    return _away_from_zero(lambda v, lv: np.sin(lv) + np.cos(lv), y)
 
 
 def _require_1d(x):
@@ -58,40 +58,57 @@ def _require_1d(x):
         raise DomainError("this construction is one-dimensional")
 
 
+def _mean(ts, x):
+    _require_1d(x)
+    return running_mean(ts, x)[..., 0]
+
+
 def path_mean(ts, x):
     """mean of x over [0, t] per time; x(0) at t = 0.  Returns (m,)."""
-    _require_1d(x)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    out = np.empty(len(ts))
-    pos = ts > 0.0
-    if np.any(pos):
-        out[pos] = x.integral_prefix(ts[pos])[:, 0] / ts[pos]
-    if np.any(~pos):
-        out[~pos] = x.eval(0.0)[0]
-    return out
+    return np.atleast_1d(_mean(ts, x))
+
+
+def _gap(ts, x):
+    return x.eval(ts)[..., 0] - 2.0 * _mean(ts, x)
 
 
 def surface_value(ts, x):
     """Phi(t, x) = x(t) - 2 * mean; the surface is its zero set."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return x.eval(ts)[:, 0] - 2.0 * path_mean(ts, x)
+    return np.atleast_1d(_gap(ts, x))
 
 
 def mean_functional():
-    return Functional(lambda t, x: path_mean(t, x)[0], label="path_mean",
-                      fn_many=path_mean)
+    return Functional(_mean, label="path_mean", fn_many=_mean)
 
 
 def surface_functional():
-    return Functional(lambda t, x: surface_value(t, x)[0],
-                      label="surface_gap", fn_many=surface_value)
+    return Functional(_gap, label="surface_gap", fn_many=_gap)
 
 
 def counterexample_functional():
     """F = sin_log of the surface gap; |F(t,x)| <= 3 sup|x|."""
-    return Functional(lambda t, x: float(sin_log(surface_value(t, x)[0])),
-                      label="sinlog_gap",
-                      fn_many=lambda ts, x: sin_log(surface_value(ts, x)))
+    def value(ts, x):
+        return sin_log(_gap(ts, x))
+
+    return Functional(value, label="sinlog_gap", fn_many=value)
+
+
+def _over_time(numerator, t_floor, lipschitz, name):
+    """1-d direction field 2 * numerator(t, x) / t for t >= t_floor, with
+    Lipschitz constant lipschitz / t_floor."""
+    tf = float(t_floor)
+    if not tf > 0:
+        raise DomainError("t_floor must be positive")
+
+    def value(ts, x):
+        _require_1d(x)
+        ts = np.asarray(ts, dtype=float)
+        if (ts < tf).any():
+            raise DomainError(f"direction needs t >= {tf}")
+        return 2.0 * numerator(ts, x) / ts[..., None]
+
+    return DirectionField(value, 1, lipschitz / tf,
+                          label=f"{name}(t_floor={tf:g})", fn_many=value)
 
 
 def constraint_direction(t_floor=T_FLOOR):
@@ -102,20 +119,7 @@ def constraint_direction(t_floor=T_FLOOR):
     floor inflates the declared constant and shrinks the flow solver's
     contraction window for no benefit.
     """
-    tf = float(t_floor)
-    if not tf > 0:
-        raise DomainError("t_floor must be positive")
-
-    def many(ts, x):
-        _require_1d(x)
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if ts.min() < tf:
-            raise DomainError(f"direction needs t >= {tf}")
-        return (2.0 * path_mean(ts, x) / ts)[:, None]
-
-    return DirectionField(lambda t, x: many(t, x)[0], 1, 2.0 / tf,
-                          label=f"surface_tangent(t_floor={tf:g})",
-                          fn_many=many)
+    return _over_time(running_mean, t_floor, 2.0, "surface_tangent")
 
 
 def gamma_star(t_floor=T_FLOOR):
@@ -125,20 +129,8 @@ def gamma_star(t_floor=T_FLOOR):
     so D_{gamma*} F exists (and is 0) at every point with t >= t_floor.
     Lipschitz constant 4 / t_floor.
     """
-    tf = float(t_floor)
-    if not tf > 0:
-        raise DomainError("t_floor must be positive")
-
-    def many(ts, x):
-        _require_1d(x)
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if ts.min() < tf:
-            raise DomainError(f"direction needs t >= {tf}")
-        gap = x.eval(ts)[:, 0] - path_mean(ts, x)
-        return (2.0 * gap / ts)[:, None]
-
-    return DirectionField(lambda t, x: many(t, x)[0], 1, 4.0 / tf,
-                          label=f"gamma_star(t_floor={tf:g})", fn_many=many)
+    return _over_time(lambda ts, x: x.eval(ts) - running_mean(ts, x),
+                      t_floor, 4.0, "gamma_star")
 
 
 def expansion_rate(gamma, t, x):
@@ -292,10 +284,8 @@ def ramp_battery(t0=0.5, horizon=1.0, n=1025, t_floor=None, ladder=None,
                                  ladder=ladder)
     star_on = check_direction(gamma_star(tf), t0, ramp, ladder=ladder)
     star_off = check_direction(gamma_star(tf), t0, shifted, ladder=ladder)
-    rogue = check_direction(DirectionField(
-        lambda t, x: np.array([2.0]), 1, 0.0, label="const(2.0)",
-        fn_many=lambda ts, x: np.full((len(ts), 1), 2.0),
-        constant_value=np.array([2.0])), t0, ramp, ladder=ladder)
+    rogue = check_direction(constant_direction([2.0]), t0, ramp,
+                            ladder=ladder)
     expansion = expansion_check(t0, ramp, gamma=None, ladder=ladder)
     return RampBattery(t0, spatial, spatial_max_err, horizontal, constraint,
                        star_on, star_off, rogue, expansion)

@@ -5,12 +5,14 @@ family, and substream ``i`` starts at counter offset ``i * 2**128``.  Streams
 are therefore reproducible and order-independent: drawing from substream 5
 before substream 3 yields the same numbers as the reverse order.
 
-Normal variates come from the inverse CDF applied to midpoint-shifted 53-bit
-uniforms, so a normal stream is a deterministic function of (seed, substream,
-position) alone.  ``normal_block`` draws many consecutive substreams into one
-array by resetting a single generator's counter per row; row ``r`` equals
-substream ``first + r`` bit for bit, so simulating paths in blocks changes
-no draw.
+Normal variates come from the inverse CDF applied to 53-bit uniforms shifted
+by 2**-54, so a normal stream is a deterministic function of (seed,
+substream, position) alone.  Below 0.5 the shift lands on the lattice
+midpoint; above it the sum is a tie that rounds to even, and the top point,
+which would round to 1.0, is clamped to 1 - 2**-53.  ``normal_block`` draws
+many consecutive substreams into one array by resetting a single generator's
+counter per row; row ``r`` equals substream ``first + r`` bit for bit, so
+simulating paths in blocks changes no draw.
 """
 
 import numpy as np
@@ -19,8 +21,9 @@ from scipy.special import ndtri
 
 from .errors import ConfigError
 
-# half of the 53-bit uniform lattice spacing; keeps uniforms strictly in (0,1)
+# half of the 53-bit uniform lattice spacing, and the largest double below 1
 _HALF_ULP = 2.0 ** -54
+_TOP = 1.0 - 2.0 ** -53
 _WORD = 2 ** 64
 
 
@@ -31,6 +34,12 @@ def _key(seed):
     return seed
 
 
+def _shift(u):
+    """Lattice uniforms in [0, 1) moved into (0, 1), in place."""
+    u += _HALF_ULP
+    return np.minimum(u, _TOP, out=u)
+
+
 def substream(seed, index):
     """Generator for substream ``index`` of the family keyed by ``seed``."""
     if index < 0:
@@ -39,9 +48,8 @@ def substream(seed, index):
 
 
 def uniforms(seed, index, n):
-    """n uniforms in (0,1) from the given substream, midpoint-shifted."""
-    g = substream(seed, index)
-    return g.random(int(n)) + _HALF_ULP
+    """n uniforms in (0,1) from the given substream, shifted off 0."""
+    return _shift(substream(seed, index).random(int(n)))
 
 
 def normal_block(seed, first, count, shape):
@@ -66,8 +74,7 @@ def normal_block(seed, first, count, shape):
         state["buffer_pos"] = 4
         bitgen.state = state
         gen.random(out=row)
-    u += _HALF_ULP
-    return ndtri(u).reshape((count,) + shape)
+    return ndtri(_shift(u)).reshape((count,) + shape)
 
 
 def normals(seed, index, shape):

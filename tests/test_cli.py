@@ -306,9 +306,11 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
     ["probe", "--samples", "0"],
     ["probe", "--dim", "0"],
     ["probe", "--box", "-1", "--samples", "4"],
+    ["deriv", "--functional", "product"],
 ], ids=["functional_axis_text", "functional_axis_range", "path_index_text",
         "direction_floor_text", "direction_floor_nan", "substep_nan",
-        "probe_no_samples", "probe_no_dim", "probe_negative_box"])
+        "probe_no_samples", "probe_no_dim", "probe_negative_box",
+        "product_on_one_dim_path"])
 def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -317,3 +319,22 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     assert captured.err.startswith("config-error:")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["flow", "--window", "nan"], "window"),
+    (["flow", "--picard-tol", "nan"], "picard_tol"),
+    (["deriv", "--t", "nan"], "t=nan"),
+    (["deriv", "--kind", "horizontal", "--t", "nan"], "t=nan"),
+    (["deriv", "--kind", "space", "--t", "nan"], "time nan"),
+    (["relation", "--times", "nan"], "t=nan"),
+], ids=["flow_window", "flow_picard_tol", "deriv_gamma_t",
+        "deriv_horizontal_t", "deriv_space_t", "relation_times"])
+def test_nan_option_is_one_line_naming_it(argv, named, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config-error:")
+    assert captured.err.count("\n") == 1
+    assert named in captured.err

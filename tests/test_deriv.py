@@ -1,5 +1,7 @@
 """Quotient-ladder derivatives: verdicts, exact cases, the decomposition."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +216,21 @@ def test_gamma_ladder_needs_room():
         d_gamma(builtin("eval"), eval_direction(1), 0.995, r)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("study", ["gamma", "horizontal", "space"])
+def test_non_finite_base_time_is_named(study, t):
+    r = ramp_path(1.0, 1.0, n=65)
+    F = builtin("eval")
+    # the study's own check, or for d_space the stop, names the value
+    with pytest.raises(DomainError, match=rf"[ =]{re.escape(str(t))}( |$)"):
+        if study == "gamma":
+            d_gamma(F, eval_direction(1), t, r)
+        elif study == "horizontal":
+            d_horizontal(F, t, r)
+        else:
+            d_space(F, 0, t, r)
+
+
 # ---------------------------------------------------------------------------
 # the derivative relation and gradient recovery
 
@@ -305,6 +322,25 @@ def test_numerical_derivatives_cross_term():
     assert abs(h[0, 1] - 1.0) <= 1e-9
     assert abs(h[1, 0] - 1.0) <= 1e-9
     assert abs(h[0, 0]) <= 1e-9
+
+
+class _PublicOnly:
+    """A functional seen only through its public methods."""
+
+    def __init__(self, F):
+        self.label = F.label
+        self.eval = F.eval
+        self.eval_many = F.eval_many
+
+
+def test_numerical_derivatives_use_public_methods_only():
+    F = builtin("square")
+    N = numerical_derivatives(_PublicOnly(F), dim=1)
+    r = ramp_path(1.0, 1.0, n=1025)
+    ts = np.linspace(0.0, 1.0, 9)
+    assert N.eval(0.5, r) == F.eval(0.5, r)
+    assert N.eval_many(ts, r).tobytes() == F.eval_many(ts, r).tobytes()
+    assert N.grad_vector(0.5, r)[0] == 1.0
 
 
 def test_numerical_derivatives_refuses_running_max():

@@ -178,6 +178,13 @@ def test_argument_validation():
         sol.residual(np.array([0.9]))
 
 
+@pytest.mark.parametrize("option", ["picard_tol", "window"])
+def test_nan_options_are_rejected(option):
+    w = constant_path(1.0)
+    with pytest.raises(ConfigError, match=option):
+        solve_flow(w, 0.0, eval_direction(1), **{option: np.nan})
+
+
 def test_euler_flow_zero_field_is_stop():
     w = constant_path(2.0)
     sol = euler_flow(w, 0.5, zero_direction(1), until=1.0, substep=0.125)

@@ -2,22 +2,37 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
+    CADLAG,
+    LINEAR,
     ConfigError,
     DomainError,
     Functional,
     FunctionalWithDerivatives,
+    GridPath,
     VectorFunctional,
+    benchmark,
     builtin,
+    bump,
     check_hessian_symmetry,
     constant_functional,
     constant_direction,
+    constant_path,
+    constraint_direction,
+    counterexample_functional,
     eval_direction,
+    gamma_star,
+    mean_functional,
     probe_boundedness,
     probe_lipschitz,
     probe_non_anticipative,
     ramp_path,
+    running_avg_direction,
+    stop,
+    surface_functional,
+    zero_direction,
 )
 from pathcalc.functionals import CATALOG, DirectionField, product_functional
 
@@ -58,19 +73,108 @@ def test_square_coded_derivatives(ramp):
     assert F.hess_matrix(0.5, ramp)[0, 0] == 2.0
 
 
-def test_eval_many_matches_pointwise_loop(ramp):
-    ts = np.linspace(0.0, 1.0, 37)
+# ---------------------------------------------------------------------------
+# one body per functional: eval at ts[k] is eval_many(ts)[k], bit for bit
+
+
+def _with_derivatives(F):
+    """F and every coded derivative hanging off it."""
+    found = [F, getattr(F, "partial_t", None)]
+    found += getattr(F, "grad", None) or []
+    found += [h for row in getattr(F, "hess", None) or [] for h in row]
+    return [G for G in found if G is not None]
+
+
+def _built_ins(dim):
+    """Every built-in functional and field that takes a dim-d path."""
+    out = []
     for name in sorted(CATALOG):
-        F = builtin(name)
-        many = F.eval_many(ts, ramp)
-        loop = np.array([F.eval(t, ramp) for t in ts])
-        assert np.array_equal(many, loop), name
+        for axis in range(dim):
+            out.extend(_with_derivatives(builtin(name, axis=axis, dim=dim)))
+    out += [zero_direction(dim), constant_direction([0.7, -0.0][:dim]),
+            eval_direction(dim), running_avg_direction(dim)]
+    if dim == 2:
+        out.extend(_with_derivatives(builtin("product", dim=2)))
+    else:
+        out += [mean_functional(), surface_functional(),
+                counterexample_functional()]
+        for name in ("gauss_square", "drifted_linear", "discount_const"):
+            spec, f = benchmark(name)
+            out.extend(_with_derivatives(f))
+            out += [spec.drift, spec.rate, spec.payoff]
+    return out
+
+
+@st.composite
+def paths_and_times(draw):
+    """A random grid path in either mode, as is or stopped or bumped at a
+    cut, with sorted query times that include 0, the cut and the horizon."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 2))
+    horizon = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    inner = np.sort(gen.uniform(0.0, horizon, draw(st.integers(0, 12))))
+    times = np.unique(np.concatenate([[0.0], inner, [horizon]]))
+    values = gen.normal(scale=draw(st.sampled_from([0.1, 1.0, 30.0])),
+                        size=(len(times), dim))
+    x = GridPath(times, values, draw(st.sampled_from([LINEAR, CADLAG])))
+    cut = float(draw(st.sampled_from([0.0, horizon, *times, *inner / 2])))
+    kind = draw(st.sampled_from(["grid", "stop", "bump"]))
+    if kind == "stop":
+        x = stop(x, cut)
+    elif kind == "bump":
+        x = bump(x, cut, gen.normal(size=dim))
+    ts = np.unique(np.concatenate(
+        [[0.0, cut, horizon], times, gen.uniform(0.0, horizon, 8)]))
+    return x, ts
+
+
+def _assert_routes_agree(F, x, ts):
+    many = F.eval_many(ts, x)
+    assert len(many) == len(ts), F.label
+    for t, row in zip(ts, many):
+        one = np.asarray(F.eval(t, x), dtype=float)
+        assert one.tobytes() == row.tobytes(), (F.label, t, one, row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths_and_times())
+def test_eval_many_matches_pointwise_loop(case):
+    x, ts = case
+    t_floor = 1e-3
+    for F in _built_ins(x.dim):
+        _assert_routes_agree(F, x, ts)
+    if x.dim == 1:
+        late = ts[ts >= t_floor]
+        for field in constraint_direction(t_floor), gamma_star(t_floor):
+            _assert_routes_agree(field, x, late)
+
+
+def test_square_routes_agree_where_pow_is_off_by_one_ulp():
+    # libm pow rounds this square up by one ulp; v * v is correctly rounded
+    p = constant_path(float.fromhex("-0x1.93d6220ea40a6p-4"))
+    F = builtin("square")
+    want = float.fromhex("0x1.3e85f12b86bd7p-7")
+    assert F.eval(0.5, p) == want
+    assert F.eval_many([0.5], p)[0] == want
 
 
 @pytest.mark.parametrize("axis, dim", [(1, 1), (2, 2), (-1, 1), (0, 0)])
 def test_builtin_rejects_an_axis_outside_the_dimension(axis, dim):
     with pytest.raises(DomainError):
         builtin("eval", axis=axis, dim=dim)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_product_needs_two_dimensions(dim):
+    with pytest.raises(DomainError):
+        builtin("product", dim=dim)
+    assert builtin("product", dim=2).label == builtin("product").label
+
+
+def test_constant_direction_label_prints_floats():
+    assert constant_direction([2.0]).label == "const(2.0)"
+    assert constant_direction([0.5, -1.0]).label == "const(0.5,-1.0)"
+    assert zero_direction(2).label == "zero"
 
 
 def test_builtin_unknown_name():

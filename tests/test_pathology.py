@@ -15,9 +15,11 @@ from pathcalc import (
     expansion_rate,
     gamma_star,
     mean_functional,
+    path_mean,
     probe_non_anticipative,
     ramp_battery,
     ramp_path,
+    running_mean,
     sin_log,
     sin_log_prime,
     surface_functional,
@@ -75,6 +77,20 @@ def test_one_dimensional_only():
     r2 = ramp_path([1.0, 1.0], 1.0, n=65)
     with pytest.raises(DomainError):
         surface_value(0.5, r2)
+    for F in mean_functional(), surface_functional():
+        with pytest.raises(DomainError):
+            F.eval(0.5, r2)
+
+
+def test_path_mean_is_the_running_mean_per_time():
+    x = ramp_path(1.0, 1.0, n=33, offset=3.0)
+    ts = np.array([0.0, 0.25, 1.0])
+    want = running_mean(ts, x)[:, 0]
+    assert path_mean(ts, x).tobytes() == want.tobytes()
+    # a float time still gives a one-element array
+    assert path_mean(0.25, x).shape == (1,)
+    assert surface_value(0.0, x).tobytes() == np.array([-3.0]).tobytes()
+    assert path_mean(0.0, x)[0] == 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +143,14 @@ def test_direction_fields_enforce_time_floor():
     assert star.lipschitz_K == 16.0
 
 
+def test_direction_fields_take_an_empty_time_array():
+    r = ramp_path(1.0, 1.0, n=65)
+    for field in constraint_direction(0.25), gamma_star(0.25):
+        assert field.eval_many(np.array([]), r).shape == (0, 1)
+        with pytest.raises(DomainError):
+            field.eval_many(np.array([0.1, 0.5]), r)
+
+
 def test_constraint_direction_value_on_ramp():
     r = ramp_path(1.0, 1.0, n=1025)
     # 2 * mean / t = 1 on the ramp
@@ -177,6 +201,7 @@ def test_battery_tangent_directions_converge_to_zero(battery):
 
 
 def test_battery_rogue_direction_oscillates(battery):
+    assert battery.rogue.report.label == "d_gamma[sinlog_gap|const(2.0)]@0.5"
     assert battery.rogue.expected == OSCILLATING
     assert battery.rogue.ok
     assert battery.rogue.alpha == 1.0

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from numpy.random import Generator
 from scipy.special import ndtri
 
+import pathcalc.rng as rng_module
 from pathcalc import ConfigError
 from pathcalc.rng import normal_block, normals, substream, uniforms
 
@@ -39,6 +41,28 @@ def test_uniforms_open_interval():
     u = uniforms(99, 0, 100000)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+class _TopOfLattice(Generator):
+    """Draws only the largest 53-bit lattice uniform, 1 - 2**-53."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        top = 1.0 - 2.0 ** -53
+        if out is None:
+            return np.full(size, top)
+        out[...] = top
+        return out
+
+
+def test_top_lattice_point_stays_below_one(monkeypatch):
+    # plus half a spacing it is a tie that rounds to 1.0, where ndtri is inf
+    monkeypatch.setattr(rng_module, "Generator", _TopOfLattice)
+    u = uniforms(5, 0, 4)
+    assert np.all(u == 1.0 - 2.0 ** -53)
+    z = normal_block(5, 0, 2, (3,))
+    assert np.all(np.isfinite(z))
+    assert np.all(z == ndtri(1.0 - 2.0 ** -53))
+    assert np.array_equal(normals(5, 1, (3,)), z[0])
 
 
 def test_normals_shape_and_moments():
