@@ -165,8 +165,14 @@ OPTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # usage errors as one config-error line; subparsers share the class
+    def error(self, message):
+        self.exit(2, f"config-error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pathcalc",
         description="functional path calculus: flows, derivative ladders, "
                     "partition sums and Monte Carlo checks")
@@ -231,9 +237,12 @@ def resolve(opts, args):
 
 def _floats(text):
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        vals = [float(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise ConfigError(f"cannot parse float list {text!r}")
+    if not vals:
+        raise ConfigError(f"empty float list {text!r}")
+    return vals
 
 
 def _number(kind, text, spec):
@@ -556,13 +565,13 @@ HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve(OPTS[args.command], args)
-        columns, rows, comments, trailer = HANDLERS[args.command](cfg)
-        write_csv(args.out, cfg, columns, rows, stamp=args.stamp,
-                  comments=comments, trailer=trailer)
+        with np.errstate(all="ignore"):  # no warning lines on stderr
+            cfg = resolve(OPTS[args.command], args)
+            columns, rows, comments, trailer = HANDLERS[args.command](cfg)
+            write_csv(args.out, cfg, columns, rows, stamp=args.stamp,
+                      comments=comments, trailer=trailer)
     except (ConfigError, DomainError) as e:
         print(f"config-error: {e}", file=sys.stderr)
         return 2

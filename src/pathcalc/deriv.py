@@ -10,8 +10,10 @@ into one of three verdicts rather than trusted blindly:
                   genuinely divergent limit, not of noise).
 * inconclusive  - neither pattern is clean.
 
-d_gamma drives the path along a flow and needs one flow solve per study:
-the solver grid is graded so every ladder point lies on it exactly.
+Every ladder runs through one of two studies: time_study, along the
+stopped path or one flow solve (study_path grades its grid so every ladder
+point lies on it), and bump_study, over vertical bumps at t.  Both reject a
+ladder whose smallest step no longer moves t or the held value.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from .errors import ConfigError, DomainError, IllConditionedError, \
     NonDifferentiableError
 from .flow import solve_flow
 from .functionals import Functional, FunctionalWithDerivatives
-from .paths import bump, stop
+from .paths import StoppedPath, stop, stop_exactly
 
 TAIL = 5                 # quotients entering the spread/estimate
 CONV_REL = 1e-4          # spread tolerance, relative to max(1, |median|)
@@ -43,12 +45,15 @@ class QuotientLadder:
     count: int = 20
 
     def __post_init__(self):
-        if not self.eta0 > 0:
-            raise ConfigError("eta0 must be positive")
+        if not 0.0 < self.eta0 < np.inf:
+            raise ConfigError("eta0 must be positive and finite")
         if not 0.0 < self.ratio < 1.0:
             raise ConfigError("ratio must lie in (0, 1)")
         if self.count < TAIL + 1:
             raise ConfigError(f"count must be at least {TAIL + 1}")
+        # a float, before steps() allocates count of them
+        if not self.eta0 * self.ratio ** (self.count - 1) > 0:
+            raise ConfigError("count too large: the last step underflows")
 
     def steps(self):
         return self.eta0 * self.ratio ** np.arange(self.count)
@@ -59,6 +64,7 @@ class QuotientLadder:
 SPACE_LADDER = QuotientLadder(eta0=2.0 ** -7)
 
 HESS_LADDER = QuotientLadder(eta0=2.0 ** -3, count=10)
+NODE_COUNT = 12          # quadrature nodes of horizontal_from_gamma
 
 
 @dataclass
@@ -132,51 +138,71 @@ def ladder_flow_grid(t, etas, refine=8):
     return grid
 
 
-def _quotient_study(F, t, path, etas, ratio, label):
-    # shared tail of d_gamma / d_horizontal: evaluate F along the given
-    # path at t + eta and divide by the realized float gap
-    t = float(t)
+def study_path(x, t, gamma, ladder, **flow_opts):
+    """The extension of x from t that a time study runs along: stop(x, t)
+    when gamma is None, otherwise gamma's flow on ladder_flow_grid."""
+    etas = ladder.steps()
+    if not (0.0 <= t < t + etas[-1]
+            and t + etas[0] <= x.horizon * (1 + 1e-12)):
+        raise DomainError("need 0 <= t < t + smallest step and t + eta0 <= "
+                          f"horizon; t={t}")
+    if gamma is None:
+        return stop(x, t)
+    grid = ladder_flow_grid(t, etas)
+    grid[-1] = min(grid[-1], x.horizon)
+    return solve_flow(x, t, gamma, until=grid[-1], grid=grid,
+                      **flow_opts).path
+
+
+def time_study(F, t, path, ladder, label):
+    """Judge (F(t + eta) - F(t)) / eta along path, an extension from t,
+    dividing by the realized float gaps; flow grid nodes carry them."""
+    etas = ladder.steps()
     base = F.eval(t, path)
     times = np.minimum(t + etas, path.horizon)   # descending in eta
-    asc = times[::-1]
-    vals = F.eval_many(asc, path)[::-1]
-    eta_eff = times - t         # realized gaps; grid nodes carry these floats
-    quotients = (vals - base) / eta_eff
-    return judge(etas, quotients, ratio, label)
+    vals = F.eval_many(times[::-1], path)[::-1]
+    return judge(etas, (vals - base) / (times - t), ladder.ratio, label)
 
 
-def d_gamma(F, gamma, t, x, ladder=None, refine=8, picard_tol=1e-10,
-            max_iters=100, window=None):
-    """Derivative of F at (t, x) along the flow driven by gamma.
+def bump_study(F, t, x, ladder, rung, label):
+    """Judge the vertical quotients of F at t, one per ladder step h.
 
-    One flow solve per study: the ladder points sit on the solver grid, and
-    intermediate values are read off the same solution.  With a direction
-    that vanishes along the extension the flow is exactly the stopped path,
-    so the study coincides with d_horizontal quotient by quotient.
+    rung = (dirs, quotient): step h evaluates F on x bumped at t by h *
+    dirs[s] for each row s, all views of one stop; quotient(vals, hs,
+    base) maps these (count, len(dirs)) values to quotients, base() being
+    F on the stopped path.
     """
+    xt = stop(x, t)
+    pin = stop_exactly(xt, t)
+    dirs, quotient = rung
+    hs = ladder.steps()
+    # every rung's held values at once, as bump() would add them
+    held = pin.value_at_stop + hs[:, None, None] * dirs
+    if np.any((held[-1] == pin.value_at_stop) & (dirs != 0)):
+        raise DomainError(f"smallest bump {hs[-1]:g} does not move x({t:g})")
+    vals = np.array([F.eval(t, StoppedPath(pin.base, pin.stop_time, v))
+                     for v in held.reshape(-1, x.dim)])
+    quotients = quotient(vals.reshape(len(hs), -1), hs, lambda: F.eval(t, xt))
+    return judge(hs, quotients, ladder.ratio, label)
+
+
+def d_gamma(F, gamma, t, x, ladder=None, **flow_opts):
+    """Derivative of F at (t, x) along the flow driven by gamma, solved
+    once per study by study_path.  A direction that vanishes along the
+    extension gives exactly the stopped path, so the study then equals
+    d_horizontal quotient by quotient."""
     ladder = ladder or QuotientLadder()
-    t = float(t)
-    etas = ladder.steps()
-    if not (0.0 <= t and t + etas[0] <= x.horizon * (1 + 1e-12)):
-        raise DomainError(f"need 0 <= t and t + eta0 <= horizon; t={t}")
-    grid = ladder_flow_grid(t, etas, refine=refine)
-    grid[-1] = min(grid[-1], x.horizon)
-    sol = solve_flow(x, t, gamma, until=grid[-1], grid=grid,
-                     picard_tol=picard_tol, max_iters=max_iters,
-                     window=window)
-    label = f"d_gamma[{F.label}|{gamma.label}]@{t:g}"
-    return _quotient_study(F, t, sol.path, etas, ladder.ratio, label)
+    path = study_path(x, t, gamma, ladder, **flow_opts)
+    label = f"d_gamma[{F.label}|{gamma.label}]@{float(t):g}"
+    return time_study(F, t, path, ladder, label)
 
 
 def d_horizontal(F, t, x, ladder=None):
     """Time derivative of F along the stopped extension of x at t."""
     ladder = ladder or QuotientLadder()
-    t = float(t)
-    etas = ladder.steps()
-    if not (0.0 <= t and t + etas[0] <= x.horizon * (1 + 1e-12)):
-        raise DomainError(f"need 0 <= t and t + eta0 <= horizon; t={t}")
-    label = f"d_horizontal[{F.label}]@{t:g}"
-    return _quotient_study(F, t, stop(x, t), etas, ladder.ratio, label)
+    path = study_path(x, t, None, ladder)
+    return time_study(F, t, path, ladder,
+                      f"d_horizontal[{F.label}]@{float(t):g}")
 
 
 def d_space(F, i, t, x, ladder=None, scheme="central"):
@@ -188,27 +214,24 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     ladder = ladder or SPACE_LADDER
     if scheme not in ("central", "forward"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    t = float(t)
     i = int(i)
     if not 0 <= i < x.dim:
         raise DomainError(f"axis {i} outside dimension {x.dim}")
-    xt = stop(x, t)
-    hs = ladder.steps()
-    e = np.zeros(x.dim)
-    quotients = np.empty(len(hs))
-    base = F.eval(t, xt) if scheme == "forward" else None
-    for k, h in enumerate(hs):
-        e[i] = h
-        up = F.eval(t, bump(xt, t, e))
-        if scheme == "forward":
-            quotients[k] = (up - base) / h
-        else:
-            e[i] = -h
-            down = F.eval(t, bump(xt, t, e))
-            quotients[k] = (up - down) / (2.0 * h)
-        e[i] = 0.0
-    label = f"d_space[{F.label};{i};{scheme}]@{t:g}"
-    return judge(hs, quotients, ladder.ratio, label)
+    e = np.zeros((2, x.dim))    # up, down
+    e[0, i], e[1, i] = 1.0, -1.0
+    if scheme == "forward":
+        rung = (e[:1], lambda v, hs, base: (v[:, 0] - base()) / hs)
+    else:
+        rung = (e, lambda v, hs, base: (v[:, 0] - v[:, 1]) / (2.0 * hs))
+    label = f"d_space[{F.label};{i};{scheme}]@{float(t):g}"
+    return bump_study(F, t, x, ladder, rung, label)
+
+
+def _space_gradient(F, t, x, ladder, where=""):
+    reports = [require_converged(d_space(F, i, t, x, ladder=ladder),
+                                 f"d_space[{i}]{where}")
+               for i in range(x.dim)]
+    return np.array([r.estimate for r in reports]), reports
 
 
 @dataclass
@@ -227,17 +250,11 @@ def relation_residual(F, gamma, t, x, ladder=None, space_ladder=None,
                       **flow_opts):
     """D_gamma F - DF - <grad F, gamma(t, x)>; all three studies must
     converge, otherwise the failing derivative is named in the error."""
-    rg = d_gamma(F, gamma, t, x, ladder=ladder, **flow_opts)
-    require_converged(rg, "d_gamma")
-    rh = d_horizontal(F, t, x, ladder=ladder)
-    require_converged(rh, "d_horizontal")
-    spaces = []
-    grad = np.empty(x.dim)
-    for i in range(x.dim):
-        rs = d_space(F, i, t, x, ladder=space_ladder)
-        require_converged(rs, f"d_space[{i}]")
-        spaces.append(rs)
-        grad[i] = rs.estimate
+    rg = require_converged(d_gamma(F, gamma, t, x, ladder=ladder,
+                                   **flow_opts), "d_gamma")
+    rh = require_converged(d_horizontal(F, t, x, ladder=ladder),
+                           "d_horizontal")
+    grad, spaces = _space_gradient(F, t, x, space_ladder)
     gvec = gamma.eval(t, stop(x, t))
     residual = rg.estimate - rh.estimate - float(grad @ gvec)
     return RelationReport(residual, rg, rh, spaces, grad, gvec)
@@ -271,15 +288,12 @@ def recover_gradient(F, fields, t, x, ladder=None, cond_max=1e8,
         raise IllConditionedError(
             f"direction system condition number {cond:g} exceeds "
             f"{cond_max:g}", cond=cond)
-    rh = d_horizontal(F, t, x, ladder=ladder)
-    require_converged(rh, "d_horizontal")
-    reports = []
-    rhs = np.empty(d)
-    for i, f in enumerate(fields):
-        rg = d_gamma(F, f, t, x, ladder=ladder, **flow_opts)
-        require_converged(rg, f"d_gamma[{f.label}]")
-        reports.append(rg)
-        rhs[i] = rg.estimate - rh.estimate
+    rh = require_converged(d_horizontal(F, t, x, ladder=ladder),
+                           "d_horizontal")
+    reports = [require_converged(d_gamma(F, f, t, x, ladder=ladder,
+                                         **flow_opts), f"d_gamma[{f.label}]")
+               for f in fields]
+    rhs = np.array([rg.estimate - rh.estimate for rg in reports])
     grad = np.linalg.solve(mat, rhs)
     return GradientRecovery(grad, mat, cond, reports, rh)
 
@@ -293,7 +307,7 @@ class HorizontalAverage:
     integrand: np.ndarray
 
 
-def horizontal_from_gamma(F, gamma, t, x, h, node_count=12, ladder=None,
+def horizontal_from_gamma(F, gamma, t, x, h, ladder=None,
                           space_ladder=None, **flow_opts):
     """(1/h) * integral over [t, t+h] of D_gamma F - <grad F, gamma>,
     all evaluated on the path stopped at t.
@@ -308,34 +322,29 @@ def horizontal_from_gamma(F, gamma, t, x, h, node_count=12, ladder=None,
     if t + h + lad.eta0 > x.horizon * (1 + 1e-12):
         raise DomainError("need t + h + eta0 <= horizon for the node studies")
     offs = np.concatenate([[0.0], np.sort(h * lad.ratio **
-                                          np.arange(node_count - 1))])
+                                          np.arange(NODE_COUNT - 1))])
     nodes = t + offs
     nodes[-1] = t + h
     xt = stop(x, t)
     integrand = np.empty(len(nodes))
     for k, s in enumerate(nodes):
-        rg = d_gamma(F, gamma, s, xt, ladder=ladder, **flow_opts)
-        require_converged(rg, f"d_gamma@node {s:g}")
-        grad = np.empty(x.dim)
-        for i in range(x.dim):
-            rs = d_space(F, i, s, xt, ladder=space_ladder)
-            require_converged(rs, f"d_space[{i}]@node {s:g}")
-            grad[i] = rs.estimate
+        rg = require_converged(d_gamma(F, gamma, s, xt, ladder=ladder,
+                                       **flow_opts), f"d_gamma@node {s:g}")
+        grad, _ = _space_gradient(F, s, xt, space_ladder, f"@node {s:g}")
         gvec = gamma.eval(s, xt)
         integrand[k] = rg.estimate - float(grad @ gvec)
     value = float(np.trapezoid(integrand, nodes) / h)
     return HorizontalAverage(value, nodes, integrand)
 
 
-def numerical_derivatives(F, dim=1, time_ladder=None, space_ladder=None,
-                          hess_ladder=None):
+def numerical_derivatives(F, dim=1, space_ladder=None):
     """Wrap F with derivatives built from quotient ladders on demand.
 
     Every evaluation runs a full study and insists on convergence, so this
     is meant for spot checks against coded derivatives, not inner loops.
-    Second derivatives use a shorter dyadic ladder: dividing by h^2 pushes
-    rounding noise up fast, so the tail must stop while h^2 is still well
-    above machine precision.
+    Second derivatives use a shorter dyadic ladder, HESS_LADDER: dividing
+    by h^2 pushes rounding noise up fast, so the tail must stop while h^2
+    is still well above machine precision.
     """
     if isinstance(F, FunctionalWithDerivatives) and F.grad is None:
         raise DomainError(f"{F.label} is marked as having no spatial "
@@ -343,7 +352,7 @@ def numerical_derivatives(F, dim=1, time_ladder=None, space_ladder=None,
     d = int(dim)
 
     def pt(t, x):
-        return require_converged(d_horizontal(F, t, x, ladder=time_ladder),
+        return require_converged(d_horizontal(F, t, x),
                                  "d_horizontal").estimate
 
     def grad_fn(i):
@@ -353,31 +362,19 @@ def numerical_derivatives(F, dim=1, time_ladder=None, space_ladder=None,
                 f"d_space[{i}]").estimate
         return g
 
-    hl = hess_ladder or HESS_LADDER
-
     def hess_fn(i, j):
         def hij(t, x):
-            xt = stop(x, t)
-            f0 = F.eval(t, xt)
-            hs = hl.steps()
-            qs = np.empty(len(hs))
-            for k, h in enumerate(hs):
-                ei = np.zeros(x.dim)
-                ej = np.zeros(x.dim)
-                ei[i] = h
-                ej[j] = h
-                if i == j:
-                    up = F.eval(t, bump(xt, t, ei))
-                    dn = F.eval(t, bump(xt, t, -ei))
-                    qs[k] = (up - 2.0 * f0 + dn) / (h * h)
-                else:
-                    pp = F.eval(t, bump(xt, t, ei + ej))
-                    pm = F.eval(t, bump(xt, t, ei - ej))
-                    mp = F.eval(t, bump(xt, t, ej - ei))
-                    mm = F.eval(t, bump(xt, t, -ei - ej))
-                    qs[k] = (pp - pm - mp + mm) / (4.0 * h * h)
-            rep = judge(hs, qs, hl.ratio, f"d2_space[{i},{j}]")
-            return require_converged(rep, f"d2_space[{i},{j}]").estimate
+            ei, ej = np.eye(x.dim)[[i, j]]
+            if i == j:      # (f(+h) - 2 f + f(-h)) / h^2
+                rung = (np.stack([ei, -ei]), lambda v, hs, base:
+                        (v[:, 0] - 2.0 * base() + v[:, 1]) / (hs * hs))
+            else:           # the four corners (+-h, +-h)
+                rung = (np.stack([ei + ej, ei - ej, ej - ei, -ei - ej]),
+                        lambda v, hs, base: (v[:, 0] - v[:, 1] - v[:, 2]
+                                             + v[:, 3]) / (4.0 * hs * hs))
+            label = f"d2_space[{i},{j}]"
+            rep = bump_study(F, t, x, HESS_LADDER, rung, label)
+            return require_converged(rep, label).estimate
         return hij
 
     grad = [Functional(grad_fn(i), label=f"num_grad[{i}]") for i in range(d)]

@@ -23,7 +23,8 @@ from ._kernels import left_prefix
 from .errors import ConfigError, DomainError
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
-    constant_functional, constant_matrix_field, square_functional
+    constant_functional, constant_matrix_field, require_derivatives, \
+    square_functional
 from .paths import LINEAR, SplicedPath, constant_path, splice_view, stop
 
 
@@ -184,13 +185,6 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     return MCEstimate(value, stderr, n_paths)
 
 
-def _require_derivatives(f):
-    for name in ("partial_t", "grad", "hess"):
-        if getattr(f, name, None) is None:
-            raise DomainError(f"{getattr(f, 'label', f)!r} lacks {name}; "
-                              "a full derivative set is required")
-
-
 def fk_residual(f, spec, t, x):
     """Backward-equation defect of a candidate value functional at (t, x):
 
@@ -198,7 +192,7 @@ def fk_residual(f, spec, t, x):
 
     evaluated on the stopped history.  Zero along solutions.
     """
-    _require_derivatives(f)
+    require_derivatives(f)
     t = float(t)
     _check_history(spec, t, x)
     xt = stop(x, t)

@@ -77,8 +77,9 @@ def _make_grid(s, until, substep, grid):
     span = until - s
     if substep is None:
         substep = span / 1024.0
-    if not substep > 0:  # negated so that NaN is rejected too
-        raise ConfigError("substep must be positive")
+    if not (substep > 0 and span / substep <= 2 ** 24):  # NaN fails too
+        raise ConfigError("substep must be positive and give at most 2**24 "
+                          f"steps, not {substep}")
     n = max(1, int(np.ceil(span / substep - 1e-12)))
     grid = s + span * np.arange(n + 1) / n
     grid[0] = s
@@ -113,8 +114,7 @@ def _flow_path(w, s, grid, values):
 
 
 def solve_flow(w, s, gamma, until=None, substep=None, window=None,
-               picard_tol=1e-10, max_iters=100, grid=None,
-               initial_guess="constant"):
+               picard_tol=1e-10, max_iters=100, grid=None):
     """Extend w past s by Picard iteration along the direction field.
 
     Returns a FlowSolution whose path equals w on [0, s] exactly, follows
@@ -135,8 +135,6 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
         raise ConfigError("picard_tol must be positive")
     if max_iters < 1:
         raise ConfigError("max_iters must be at least 1")
-    if initial_guess not in ("constant", "euler"):
-        raise ConfigError(f"unknown initial guess {initial_guess!r}")
     if s == until:
         g0 = np.array([s])
         v0 = w.eval(s)[None, :]
@@ -161,13 +159,7 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
     for i0, i1 in runs:
         ts = grid[i0:i1 + 1]
         v0 = values[i0].copy()
-        if initial_guess == "euler":
-            for j in range(i0, i1):
-                live.seg.fill(j + 1)
-                gj = gamma.eval(grid[j], live)
-                values[j + 1] = values[j] + (grid[j + 1] - grid[j]) * gj
-        else:
-            values[i0 + 1:i1 + 1] = v0
+        values[i0 + 1:i1 + 1] = v0
         live.seg.fill(i1 + 1)
         done = False
         for it in range(1, max_iters + 1):

@@ -286,6 +286,14 @@ def exp_eval_functional(axis=0, dim=1):
         partial_t=_zero(), grad=grad, hess=hess)
 
 
+def require_derivatives(f):
+    """Raise DomainError unless f carries partial_t, grad and hess."""
+    for name in ("partial_t", "grad", "hess"):
+        if getattr(f, name, None) is None:
+            raise DomainError(f"{getattr(f, 'label', f)!r} lacks {name}; "
+                              "a full derivative set is required")
+
+
 def product_functional():
     """F(t, x) = x_1(t) * x_2(t) on two-dimensional paths."""
     def product(ts, x):
@@ -314,8 +322,9 @@ def builtin(name, axis=0, dim=None):
     """Catalog lookup by name; dim defaults to 1, and to 2 for 'product',
     the one dimension it is defined in."""
     if name == "product":
-        if dim not in (None, 2):
-            raise DomainError(f"product needs dimension 2, not {dim}")
+        if dim not in (None, 2) or axis != 0:
+            raise DomainError("product needs dimension 2 and no axis, not "
+                              f"dim={dim}, axis={axis}")
         return product_functional()
     if name not in CATALOG:
         raise DomainError(f"unknown functional {name!r}; "
@@ -460,8 +469,8 @@ def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0,
     [-box_radius, box_radius]^d, with s running over grid times up to and
     including the horizon.  A non-finite value fails the probe."""
     _check_probe(samples, dim)
-    if not 0.0 < box_radius < np.inf:
-        raise ConfigError("box_radius must be positive and finite")
+    if not 0.0 < 2.0 * box_radius < np.inf:
+        raise ConfigError("box_radius must be positive, 2 * box_radius finite")
     gen = rng.substream(seed, 1)
     worst = 0.0
     where = None

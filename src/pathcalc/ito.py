@@ -19,7 +19,8 @@ import numpy as np
 from . import rng
 from ._kernels import dot_increment_prefix, outer_increment_prefix, \
     quad_form_prefix
-from .errors import DomainError, GridMismatchError
+from .errors import ConfigError, DomainError, GridMismatchError
+from .functionals import require_derivatives
 from .paths import GridPath, LINEAR
 
 __all__ = [
@@ -28,6 +29,8 @@ __all__ = [
     "ito_residual", "StratonovichResult", "stratonovich_integral",
     "midpoint_sum", "polygonal", "brownian_path", "dyadic_subsample",
 ]
+
+N_EXP_MAX = 24          # brownian_path holds at most 2**24 values
 
 
 class PartitionSequence:
@@ -195,10 +198,7 @@ def ito_residual(F, x, times):
     rectangles, the space and quadratic terms left-point coefficients, all
     summed in fixed order.
     """
-    for name in ("partial_t", "grad", "hess"):
-        if getattr(F, name, None) is None:
-            raise DomainError(f"{getattr(F, 'label', F)!r} lacks {name}; "
-                              "a full derivative set is required")
+    require_derivatives(F)
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     dtau = np.diff(tau)
@@ -264,11 +264,15 @@ def brownian_path(seed, index, n_exp=16, horizon=1.0, dim=1):
     the same no matter which other paths were drawn before it.  Dyadic
     sub-levels of the returned grid are exact subsets of its times.
     """
-    n = 2 ** int(n_exp)
+    n_exp, dim = int(n_exp), int(dim)   # checked before allocating
+    if not (0 <= n_exp <= N_EXP_MAX and 1 <= dim <= 2 ** (N_EXP_MAX - n_exp)):
+        raise ConfigError(f"need n_exp >= 0, dim >= 1 and dim * 2**n_exp <= "
+                          f"2**{N_EXP_MAX}; got n_exp={n_exp}, dim={dim}")
+    n = 2 ** n_exp
     t = np.linspace(0.0, float(horizon), n + 1)
     dt = float(horizon) / n
-    z = rng.normals(seed, index, (n, int(dim))) * np.sqrt(dt)
-    v = np.vstack([np.zeros(int(dim)), np.cumsum(z, axis=0)])
+    z = rng.normals(seed, index, (n, dim)) * np.sqrt(dt)
+    v = np.vstack([np.zeros(dim), np.cumsum(z, axis=0)])
     return GridPath(t, v, LINEAR)
 
 

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, judge, \
-    ladder_flow_grid, OSCILLATING
+from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, \
+    study_path, time_study, OSCILLATING
 from .errors import DomainError
-from .flow import solve_flow
 from .functionals import DirectionField, Functional, constant_direction, \
     running_mean
 from .paths import ramp_path, stop
@@ -166,32 +165,20 @@ class ExpansionCheck:
             abs(self.alpha_hat - self.alpha) <= 1e-3
 
 
-def expansion_check(t0, x, gamma=None, ladder=None, refine=8, **flow_opts):
+def expansion_check(t0, x, gamma=None, ladder=None, **flow_opts):
     """Ladder study of (Phi(t0+eta) - Phi(t0)) / eta against the predicted
     rate.  gamma=None means the horizontal (frozen) extension."""
     _require_1d(x)
     t0 = float(t0)
     lad = ladder or QuotientLadder()
-    etas = lad.steps()
-    if t0 + etas[0] > x.horizon * (1 + 1e-12):
-        raise DomainError("need t0 + eta0 <= horizon")
     alpha = expansion_rate(gamma, t0, x)
-    if gamma is None:
-        path = stop(x, t0)
-    else:
-        grid = ladder_flow_grid(t0, etas, refine=refine)
-        grid[-1] = min(grid[-1], x.horizon)
-        path = solve_flow(x, t0, gamma, until=grid[-1], grid=grid,
-                          **flow_opts).path
-    phi0 = surface_value(t0, path)[0]
-    times = np.minimum(t0 + etas, path.horizon)
-    vals = surface_value(times[::-1], path)[::-1]
-    rates = (vals - phi0) / (times - t0)
-    rep = judge(etas, rates, lad.ratio, label=f"gap_rate@{t0:g}")
-    err = np.abs(rates - alpha)
+    path = study_path(x, t0, gamma, lad, **flow_opts)
+    rep = time_study(surface_functional(), t0, path, lad, f"gap_rate@{t0:g}")
+    err = np.abs(rep.quotients - alpha)
     fit = err > 1e-13
     if fit.sum() >= 3:
-        slope = float(np.polyfit(np.log(etas[fit]), np.log(err[fit]), 1)[0])
+        slope = float(np.polyfit(np.log(rep.etas[fit]), np.log(err[fit]),
+                                 1)[0])
     else:
         slope = np.nan
     return ExpansionCheck(t0, alpha, rep.estimate, rep.verdict, rep, slope)

@@ -233,14 +233,16 @@ class GridPath(PathBase):
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
-        if times.ndim != 1 or values.ndim != 2:
-            raise DomainError("times must be 1-d and values (n, d)")
+        if times.ndim != 1 or values.ndim != 2 or values.shape[1] == 0:
+            raise DomainError("times must be 1-d and values (n, d), d >= 1")
         if len(times) != len(values):
             raise DomainError("times and values length mismatch")
         if len(times) < 2:
             raise DomainError("need at least the endpoints 0 and T")
         if times[0] != 0.0:
             raise DomainError("grid must start at 0")
+        if not times[-1] > 0:  # negated so that NaN is rejected too
+            raise DomainError(f"horizon must be positive, not {times[-1]}")
         if not np.all(np.diff(times) > 0):
             raise DomainError("grid times must be strictly increasing")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
@@ -469,12 +471,17 @@ def bump(x, t, h):
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.shape != (x.dim,):
         raise DomainError(f"bump must have shape ({x.dim},)")
-    xt = stop(x, t)
-    if not isinstance(xt, StoppedPath) or xt.stop_time != float(t):
-        # stop() may hand back a path already frozen earlier, or x itself at
-        # the horizon; the bump must still start at t
-        xt = StoppedPath(xt, t)
+    xt = stop_exactly(x, t)
     return StoppedPath(xt.base, xt.stop_time, xt.value_at_stop + h)
+
+
+def stop_exactly(x, t):
+    """x stopped at t as the StoppedPath every bump at t shares; stop()
+    may hand back x itself at the horizon, or a path frozen before t."""
+    xt = stop(x, t)
+    if isinstance(xt, StoppedPath) and xt.stop_time == float(t):
+        return xt
+    return StoppedPath(xt, t)
 
 
 def concat(a, s, b):
@@ -535,7 +542,7 @@ def constant_path(value, horizon=1.0, dim=None, interp_mode=LINEAR):
 def ramp_path(slope=1.0, horizon=1.0, n=1025, interp_mode=LINEAR,
               offset=0.0):
     """x(s) = offset + slope * s sampled on a uniform grid (n nodes)."""
-    t = np.linspace(0.0, float(horizon), int(n))
+    t = np.linspace(0.0, float(horizon), max(int(n), 0))  # GridPath: n >= 2
     v = np.atleast_1d(np.asarray(slope, dtype=float))[None, :] * t[:, None] \
         + np.atleast_1d(np.asarray(offset, dtype=float))[None, :]
     return GridPath(t, v, interp_mode)

@@ -4,11 +4,15 @@ Everything runs in-process through main(argv) so exit codes and artifact
 bytes are observable without spawning interpreters.
 """
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcalc import path_from_csv, path_to_csv, ramp_path
-from pathcalc.cli import main
+from pathcalc.cli import OPTS, main
 
 
 def _run(tmp_path, argv, name="out.csv"):
@@ -34,6 +38,23 @@ def test_unparseable_flag_value_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["deriv", "--t", "abc"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--samples", "abc"],
+    ["deriv", "--t", "-inf"],       # argparse reads -inf as an option
+    ["qv", "--bogus", "1"],
+    ["bogus"],
+    [],
+], ids=["bad_int", "negative_looks_like_flag", "unknown_flag",
+        "unknown_command", "no_command"])
+def test_usage_error_is_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("config-error:")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +328,24 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
     ["probe", "--dim", "0"],
     ["probe", "--box", "-1", "--samples", "4"],
     ["deriv", "--functional", "product"],
+    ["deriv", "--path", "ramp:1,1", "--functional", "product:7"],
+    ["deriv", "--kind", "space", "--functional", "square", "--count", "70"],
+    ["deriv", "--kind", "horizontal", "--count", "70"],
+    ["deriv", "--kind", "space", "--count", "1000000000"],
+    ["relation", "--times", ","],
+    ["feynman-kac", "--times", ","],
+    ["qv", "--dim", "0"],
+    ["flow", "--path", "const:,"],
+    ["flow", "--substep", "1e-300"],
+    ["probe", "--box", "1e308", "--samples", "4"],
+    ["counterexample", "--nodes", "-1"],
 ], ids=["functional_axis_text", "functional_axis_range", "path_index_text",
         "direction_floor_text", "direction_floor_nan", "substep_nan",
         "probe_no_samples", "probe_no_dim", "probe_negative_box",
-        "product_on_one_dim_path"])
+        "product_on_one_dim_path", "product_axis", "bump_below_resolution",
+        "step_below_resolution", "ladder_underflow", "relation_no_times",
+        "fk_no_times", "qv_no_dim", "path_no_values", "substep_too_fine",
+        "probe_box_overflows", "negative_nodes"])
 def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -328,8 +363,10 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     (["deriv", "--kind", "horizontal", "--t", "nan"], "t=nan"),
     (["deriv", "--kind", "space", "--t", "nan"], "time nan"),
     (["relation", "--times", "nan"], "t=nan"),
+    (["flow", "--horizon", "0"], "horizon must be positive"),
 ], ids=["flow_window", "flow_picard_tol", "deriv_gamma_t",
-        "deriv_horizontal_t", "deriv_space_t", "relation_times"])
+        "deriv_horizontal_t", "deriv_space_t", "relation_times",
+        "flow_zero_horizon"])
 def test_nan_option_is_one_line_naming_it(argv, named, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -338,3 +375,68 @@ def test_nan_option_is_one_line_naming_it(argv, named, capsys):
     assert captured.err.startswith("config-error:")
     assert captured.err.count("\n") == 1
     assert named in captured.err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over random option values
+
+_FLOATS = ["-1", "0", "0.25", "0.5", "1", "2", "nan", "inf", "-inf", "1e308",
+           "1e-300", "abc"]
+# sizes stay small; the large counts are rejected before any work
+_INTS = ["-1", "0", "1", "2", "3", "9", "abc"]
+_LARGE = {"count": ["70", "1000000000"], "n_exp": ["25", "64"]}
+_PATHS = ["const:1", "const:,", "const:1,2", "ramp:1,2", "ramp:",
+          "brownian:0", "brownian:x", "csv:", "bogus"]
+_DIRS = ["zero", "const:1", "const:,", "const:1,2", "eval", "running_avg",
+         "constraint", "constraint:0", "gamma_star:-1", "bogus"]
+_SPECS = {
+    "path": _PATHS, "x0": _PATHS, "direction": _DIRS, "integrand": _DIRS,
+    "directions": ["const:1.0", "", ";", "const:1;const:2", "bogus"],
+    "functional": ["eval", "eval:1", "square", "integral", "running_max",
+                   "running_avg", "exp_eval", "product", "product:3",
+                   "counterexample", "eval:x", "bogus"],
+    "kind": ["gamma", "horizontal", "space", "bogus"],
+    "scheme": ["central", "forward", "bogus"],
+    "method": ["picard", "euler", "bogus"],
+    "probe": ["all", "lipschitz", "boundedness", "non-anticipative", "bogus"],
+    "benchmark": ["gauss_square", "drifted_linear", "discount_const",
+                  "bogus"],
+    "times": ["0.5", ",", "0.25,0.75", "nan", "2", "-1"],
+}
+
+
+def _values(opt):
+    if opt.type is float:
+        return _FLOATS
+    if opt.type is int:
+        return _INTS + _LARGE.get(opt.name, [])
+    return _SPECS[opt.name]
+
+
+@st.composite
+def _argvs(draw):
+    """A fast command with one to three options set to random values."""
+    name = draw(st.sampled_from(sorted(FAST_ARGV)))
+    opts = [o for o in OPTS[name] if o.name != "ladders_out"]
+    argv = list(FAST_ARGV[name])
+    for o in draw(st.lists(st.sampled_from(opts), min_size=1, max_size=3,
+                           unique_by=lambda o: o.name)):
+        value = draw(st.sampled_from(_values(o)))
+        # --opt=value, so that argparse does not read -1 as a flag
+        argv.append(f"--{o.name.replace('_', '-')}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_any_option_values_keep_the_exit_code_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 2, 3, 4), argv
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

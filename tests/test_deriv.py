@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
+    CADLAG,
+    CATALOG,
     CONVERGED,
     ConfigError,
     DomainError,
     INCONCLUSIVE,
     IllConditionedError,
+    LINEAR,
     NonDifferentiableError,
     OSCILLATING,
     GridPath,
@@ -25,6 +28,8 @@ from pathcalc import (
     d_horizontal,
     d_space,
     eval_direction,
+    expansion_check,
+    gamma_star,
     horizontal_from_gamma,
     judge,
     numerical_derivatives,
@@ -33,10 +38,12 @@ from pathcalc import (
     relation_residual,
     require_converged,
     running_avg_direction,
+    solve_flow,
     stop,
+    surface_value,
     zero_direction,
 )
-from pathcalc.deriv import ladder_flow_grid
+from pathcalc.deriv import HESS_LADDER, ladder_flow_grid
 from pathcalc.pathology import counterexample_functional
 
 
@@ -100,6 +107,12 @@ def test_ladder_validation():
         QuotientLadder(ratio=1.0)
     with pytest.raises(ConfigError):
         QuotientLadder(count=3)
+    # the last step underflows to 0; rejected before any step is allocated
+    with pytest.raises(ConfigError, match="underflows"):
+        QuotientLadder(count=10 ** 9)
+    with pytest.raises(ConfigError, match="underflows"):
+        QuotientLadder(eta0=2.0 ** -7, count=1069)
+    assert QuotientLadder(eta0=2.0 ** -7, count=1068).steps()[-1] > 0
 
 
 def test_require_converged_raises_with_name():
@@ -214,6 +227,34 @@ def test_gamma_ladder_needs_room():
     r = ramp_path(1.0, 1.0, n=65)
     with pytest.raises(DomainError):
         d_gamma(builtin("eval"), eval_direction(1), 0.995, r)
+
+
+@pytest.mark.parametrize("study", ["gamma", "horizontal"])
+def test_time_ladder_below_the_resolution_at_t_is_rejected(study):
+    # 0.5 + 1e-2 * 0.5**69 == 0.5: the smallest quotient would divide by 0
+    r = ramp_path(1.0, 1.0, n=65)
+    lad = QuotientLadder(count=70)
+    with pytest.raises(DomainError, match="smallest step"):
+        if study == "gamma":
+            d_gamma(builtin("eval"), eval_direction(1), 0.5, r, ladder=lad)
+        else:
+            d_horizontal(builtin("eval"), 0.5, r, ladder=lad)
+
+
+@pytest.mark.parametrize("scheme", ["central", "forward"])
+def test_bump_below_the_resolution_of_the_held_value_is_rejected(scheme):
+    # x(0.5) + 1e-2 * 0.5**69 == x(0.5): every rung would read 0, not 1
+    r = ramp_path(1.0, 1.0, n=65)
+    lad = QuotientLadder(count=70)
+    with pytest.raises(DomainError, match="does not move"):
+        d_space(builtin("square"), 0, 0.5, r, ladder=lad, scheme=scheme)
+    # only the bumped axis counts: a held 0 on the other axis is no excuse
+    x = GridPath([0.0, 1.0], [[0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(DomainError, match="does not move"):
+        d_space(builtin("eval", axis=1, dim=2), 1, 0.5, x, ladder=lad,
+                scheme=scheme)
+    assert d_space(builtin("eval", dim=2), 0, 0.5, x, ladder=lad,
+                   scheme=scheme).estimate == 1.0
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
@@ -380,3 +421,126 @@ def test_d_space_equals_per_rung_bumps_bitwise(where, scheme):
             got = d_space(F, i, t, x, scheme=scheme).quotients
             want = _per_rung_bump_quotients(F, i, t, x, scheme)
             assert got.tobytes() == want.tobytes(), (name, i)
+
+
+# ---------------------------------------------------------------------------
+# the two studies against the hand-written ladders they replaced
+
+
+def _ref_space(F, i, t, x, scheme):
+    # d_space: stop once, bump on every rung
+    xt = stop(x, t)
+    hs = SPACE_LADDER.steps()
+    e = np.zeros(x.dim)
+    quotients = np.empty(len(hs))
+    base = F.eval(t, xt) if scheme == "forward" else None
+    for k, h in enumerate(hs):
+        e[i] = h
+        up = F.eval(t, bump(xt, t, e))
+        if scheme == "forward":
+            quotients[k] = (up - base) / h
+        else:
+            e[i] = -h
+            down = F.eval(t, bump(xt, t, e))
+            quotients[k] = (up - down) / (2.0 * h)
+        e[i] = 0.0
+    return quotients
+
+
+def _ref_hessian(F, i, j, t, x):
+    # numerical_derivatives: the diagonal and off-diagonal stencils
+    xt = stop(x, t)
+    f0 = F.eval(t, xt)
+    hs = HESS_LADDER.steps()
+    qs = np.empty(len(hs))
+    for k, h in enumerate(hs):
+        ei = np.zeros(x.dim)
+        ej = np.zeros(x.dim)
+        ei[i] = h
+        ej[j] = h
+        if i == j:
+            up = F.eval(t, bump(xt, t, ei))
+            dn = F.eval(t, bump(xt, t, -ei))
+            qs[k] = (up - 2.0 * f0 + dn) / (h * h)
+        else:
+            pp = F.eval(t, bump(xt, t, ei + ej))
+            pm = F.eval(t, bump(xt, t, ei - ej))
+            mp = F.eval(t, bump(xt, t, ej - ei))
+            mm = F.eval(t, bump(xt, t, -ei - ej))
+            qs[k] = (pp - pm - mp + mm) / (4.0 * h * h)
+    return qs
+
+
+def _ref_gap_rates(t0, x, gamma):
+    # expansion_check: the surface-gap rate ladder, frozen or along a flow
+    etas = QuotientLadder().steps()
+    if gamma is None:
+        path = stop(x, t0)
+    else:
+        grid = ladder_flow_grid(t0, etas)
+        grid[-1] = min(grid[-1], x.horizon)
+        path = solve_flow(x, t0, gamma, until=grid[-1], grid=grid).path
+    phi0 = surface_value(t0, path)[0]
+    times = np.minimum(t0 + etas, path.horizon)
+    vals = surface_value(times[::-1], path)[::-1]
+    return (vals - phi0) / (times - t0)
+
+
+@st.composite
+def _study_inputs(draw, dims=(1, 2)):
+    """A random grid path in either mode with a base time inside it."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.sampled_from(dims))
+    inner = np.sort(gen.uniform(0.0, 1.0, draw(st.integers(0, 30))))
+    times = np.unique(np.concatenate([[0.0], inner, [1.0]]))
+    values = 0.5 + np.cumsum(gen.normal(0.0, 0.25, (len(times), dim)), 0)
+    x = GridPath(times, values, draw(st.sampled_from([LINEAR, CADLAG])))
+    t = draw(st.sampled_from([float(gen.uniform(0.1, 0.9)), 1.0,
+                              *times[1:-1]]))
+    return x, t
+
+
+def _catalog(dim):
+    funcs = [CATALOG[name](axis=dim - 1, dim=dim) for name in sorted(CATALOG)]
+    return funcs + ([builtin("product")] if dim == 2 else [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_study_inputs())
+def test_bump_study_equals_the_reference_loops_bitwise(inputs):
+    x, t = inputs
+    for F in _catalog(x.dim):
+        for i in range(x.dim):
+            for scheme in ("central", "forward"):
+                got = d_space(F, i, t, x, scheme=scheme).quotients
+                want = _ref_space(F, i, t, x, scheme)
+                assert got.tobytes() == want.tobytes(), (F.label, i, scheme)
+        if F.grad is None:
+            continue
+        N = numerical_derivatives(F, dim=x.dim)
+        for i in range(x.dim):
+            for j in range(x.dim):
+                want = judge(HESS_LADDER.steps(), _ref_hessian(F, i, j, t, x),
+                             HESS_LADDER.ratio)
+                try:
+                    got = N.hess[i][j].eval(t, x)
+                except NonDifferentiableError as exc:
+                    assert not want.converged
+                    assert exc.report.quotients.tobytes() \
+                        == want.quotients.tobytes(), (F.label, i, j)
+                else:
+                    assert want.converged and got == want.estimate, \
+                        (F.label, i, j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_study_inputs(dims=(1,)),
+       st.sampled_from([None, "const", "gamma_star"]))
+def test_time_study_equals_the_reference_gap_rate_loop_bitwise(inputs, kind):
+    x, t = inputs
+    if t + QuotientLadder().eta0 > x.horizon:
+        t = 0.5
+    gamma = {None: None, "const": constant_direction([0.3]),
+             "gamma_star": gamma_star(t / 2)}[kind]
+    got = expansion_check(t, x, gamma=gamma).report.quotients
+    assert got.tobytes() == _ref_gap_rates(t, x, gamma).tobytes()

@@ -124,6 +124,16 @@ def test_start_equals_until_is_stop():
     assert len(sol.grid) == 1
 
 
+@pytest.mark.parametrize("substep", [1e-300, 2.0 ** -25])
+def test_grid_of_more_than_2_24_steps_is_rejected_before_allocating(substep):
+    w = constant_path(1.0)
+    with pytest.raises(ConfigError, match="2\\*\\*24"):
+        solve_flow(w, 0.0, eval_direction(1), substep=substep)
+    big = constant_path(1.0, horizon=1e308)
+    with pytest.raises(ConfigError, match="2\\*\\*24"):
+        solve_flow(big, 0.0, eval_direction(1), substep=1.0)
+
+
 def test_substep_must_fit_contraction_window():
     w = constant_path(1.0)
     with pytest.raises(ConfigError):
@@ -147,17 +157,6 @@ def test_max_iters_enforced():
     with pytest.raises(FlowIterationError):
         solve_flow(w, 0.0, eval_direction(1), until=1.0, substep=2.0 ** -6,
                    picard_tol=1e-15, max_iters=1)
-
-
-def test_initial_guess_modes_agree():
-    w = constant_path(1.0)
-    a = solve_flow(w, 0.0, eval_direction(1), until=1.0, substep=2.0 ** -8,
-                   initial_guess="constant")
-    b = solve_flow(w, 0.0, eval_direction(1), until=1.0, substep=2.0 ** -8,
-                   initial_guess="euler")
-    assert np.abs(a.values - b.values).max() <= 1e-9
-    with pytest.raises(ConfigError):
-        solve_flow(w, 0.0, eval_direction(1), initial_guess="magic")
 
 
 def test_argument_validation():

@@ -171,6 +171,12 @@ def test_product_needs_two_dimensions(dim):
     assert builtin("product", dim=2).label == builtin("product").label
 
 
+@pytest.mark.parametrize("axis", [1, 7, -1])
+def test_product_takes_no_axis(axis):
+    with pytest.raises(DomainError, match="no axis"):
+        builtin("product", axis=axis, dim=2)
+
+
 def test_constant_direction_label_prints_floats():
     assert constant_direction([2.0]).label == "const(2.0)"
     assert constant_direction([0.5, -1.0]).label == "const(0.5,-1.0)"
@@ -289,7 +295,7 @@ def test_probes_reject_degenerate_configurations(probe, kw):
         probe(**kw)
 
 
-@pytest.mark.parametrize("box", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("box", [0.0, -1.0, np.nan, np.inf, 1e308])
 def test_boundedness_rejects_a_bad_box(box):
     with pytest.raises(ConfigError):
         probe_boundedness(builtin("eval"), box, samples=4)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
     CADLAG,
+    ConfigError,
     DomainError,
     GridMismatchError,
     GridPath,
@@ -26,6 +27,7 @@ from pathcalc import (
     snap_partition,
     stratonovich_integral,
 )
+from pathcalc import rng
 from pathcalc.rng import substream
 
 
@@ -316,6 +318,18 @@ def test_brownian_increment_variance():
     inc = np.diff(p.values[:, 0])
     var = inc.var() * 2 ** 14
     assert abs(var - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("n_exp, dim", [(25, 1), (-1, 1), (16, 0), (16, -1),
+                                        (16, 2 ** 8 + 1)])
+def test_brownian_path_size_is_checked_before_drawing(n_exp, dim,
+                                                      monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew normals before the size check")
+
+    monkeypatch.setattr(rng, "normals", no_draw)
+    with pytest.raises(ConfigError, match="2\\*\\*24"):
+        brownian_path(0, 0, n_exp=n_exp, dim=dim)
 
 
 def test_brownian_dim_two_shape():

@@ -58,6 +58,13 @@ def test_gridpath_rejects_bad_grids():
         GridPath([0.0], [[1.0]])
     with pytest.raises(DomainError):
         GridPath([0.0, 1.0], [[0.0], [1.0]], interp_mode="cubic")
+    with pytest.raises(DomainError, match="d >= 1"):
+        GridPath([0.0, 1.0], np.empty((2, 0)))
+    for horizon in (0.0, -1.0):
+        with pytest.raises(DomainError, match="horizon must be positive"):
+            ramp_path(1.0, horizon, n=3)
+    with pytest.raises(DomainError, match="endpoints"):
+        ramp_path(1.0, 1.0, n=-1)
 
 
 def test_eval_at_nodes_is_stored_data():
