@@ -10,24 +10,32 @@ one at a time instead.
 import numpy as np
 
 
+def _steps(t, v):
+    """Time steps of t, shaped to scale v's trailing axes."""
+    return np.diff(t).reshape((-1,) + (1,) * (v.ndim - 1))
+
+
 def trapezoid_prefix(t, v):
     """Cumulative trapezoid integral of samples v over times t.
 
-    t: (n,), v: (n, d).  Returns (n, d) with row j = integral over [t0, tj].
+    t: (n,), v: (n, ...).  Returns v's shape with row j = integral over
+    [t0, tj].
     """
     out = np.zeros_like(v)
     if len(t) > 1:
-        dt = np.diff(t)[:, None]
-        seg = 0.5 * (v[:-1] + v[1:]) * dt
+        seg = 0.5 * (v[:-1] + v[1:]) * _steps(t, v)
         np.cumsum(seg, axis=0, out=out[1:])
     return out
 
 
 def left_prefix(t, v):
-    """Cumulative left-rectangle integral; exact for cadlag step paths."""
+    """Cumulative left-rectangle integral; exact for cadlag step paths.
+
+    t: (n,), v: (n, ...); the result has v's shape.
+    """
     out = np.zeros_like(v)
     if len(t) > 1:
-        seg = v[:-1] * np.diff(t)[:, None]
+        seg = v[:-1] * _steps(t, v)
         np.cumsum(seg, axis=0, out=out[1:])
     return out
 

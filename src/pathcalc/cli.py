@@ -17,8 +17,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import fk, ito, pathology
-from .deriv import QuotientLadder, SPACE_LADDER, d_gamma, d_horizontal, \
-    d_space, recover_gradient, relation_residual
+from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, \
+    recover_gradient, relation_residual
 from .errors import ConfigError, DomainError, NumericalError
 from .flow import euler_flow, solve_flow
 from .functionals import builtin, constant_direction, eval_direction, \
@@ -228,6 +228,9 @@ def resolve(opts, args):
                     f"config key {o.name}: cannot parse {conf[o.name]!r}")
         else:
             table[o.name] = o.default
+    # NaN would pass as a grid of NaN times, inf as a grid of infinite steps
+    if not np.isfinite(table.get("horizon", 1.0)):
+        raise ConfigError(f"horizon must be finite, not {table['horizon']}")
     return table
 
 

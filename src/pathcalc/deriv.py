@@ -168,9 +168,9 @@ def bump_study(F, t, x, ladder, rung, label):
     """Judge the vertical quotients of F at t, one per ladder step h.
 
     rung = (dirs, quotient): step h evaluates F on x bumped at t by h *
-    dirs[s] for each row s, all views of one stop; quotient(vals, hs,
-    base) maps these (count, len(dirs)) values to quotients, base() being
-    F on the stopped path.
+    dirs[s] for each row s, all rows of one family held at t and read in
+    one eval_family call; quotient(vals, hs, base) maps these (count,
+    len(dirs)) values to quotients, base() being F on the stopped path.
     """
     xt = stop(x, t)
     pin = stop_exactly(xt, t)
@@ -180,8 +180,8 @@ def bump_study(F, t, x, ladder, rung, label):
     held = pin.value_at_stop + hs[:, None, None] * dirs
     if np.any((held[-1] == pin.value_at_stop) & (dirs != 0)):
         raise DomainError(f"smallest bump {hs[-1]:g} does not move x({t:g})")
-    vals = np.array([F.eval(t, StoppedPath(pin.base, pin.stop_time, v))
-                     for v in held.reshape(-1, x.dim)])
+    bumps = StoppedPath(pin.base, pin.stop_time, held.reshape(-1, x.dim))
+    vals = F.eval_family(t, bumps)
     quotients = quotient(vals.reshape(len(hs), -1), hs, lambda: F.eval(t, xt))
     return judge(hs, quotients, ladder.ratio, label)
 
@@ -349,6 +349,10 @@ def numerical_derivatives(F, dim=1, space_ladder=None):
     if isinstance(F, FunctionalWithDerivatives) and F.grad is None:
         raise DomainError(f"{F.label} is marked as having no spatial "
                           "derivative")
+    if not isinstance(F, Functional):
+        # F need only offer eval and eval_many; the bump studies then
+        # evaluate it row by row
+        F = Functional(F.eval, label=F.label, fn_many=F.eval_many)
     d = int(dim)
 
     def pt(t, x):

@@ -8,10 +8,13 @@ candidate along simulated paths, which catches wrong candidates without
 knowing the true value.
 
 Paths are simulated in blocks, each block one array of paths, and the
-estimators read each row through a view without copying it.  Path i still
-draws only from its own counter-based substream, so it depends only on
-(seed, i) and is identical, bit for bit, whether it is simulated alone by
-`simulate_sde` or in a block.
+estimators read each block as a family (see ``paths``): the history before
+the first grid time, shared by every row, then the block's rows.  The
+payoff is one eval_family call per block, a rate or a candidate one call
+per grid time.  Path i still draws only from its own counter-based
+substream, so it depends only on (seed, i) and is identical, bit for bit,
+whether it is simulated alone by `simulate_sde` or in a block, and so is
+every value read from its row.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import rng
 from ._kernels import left_prefix
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
     constant_functional, constant_matrix_field, require_derivatives, \
@@ -109,15 +112,21 @@ def _simulate_block(spec, grid, x, seed, first, count):
     return values
 
 
-def _sample_paths(spec, grid, x, seed, n_paths):
-    """Paths 0 .. n_paths-1 in order, each x before grid[0] and a view of
-    one row of a simulated block after it."""
+def _sample_blocks(spec, grid, x, seed, n_paths):
+    """Paths 0 .. n_paths-1 in order, one family per simulated block: x
+    before grid[0], the block's rows after it."""
     size = max(1, _BLOCK_NODES // len(grid))
     for first in range(0, n_paths, size):
         block = _simulate_block(spec, grid, x, seed, first,
                                 min(size, n_paths - first))
-        for row in block:
-            yield splice_view(x, grid[0], grid, row, LINEAR)
+        yield SplicedPath(x, grid[0], grid, block.transpose(1, 0, 2), LINEAR)
+
+
+def _rate_integral(rate, grid, fam):
+    """Integral of the rate up to each grid time on each row of fam, as an
+    (n+1, k) array: left rectangles, each column summed in time order."""
+    rv = np.stack([rate.eval_family(s, fam) for s in grid])
+    return left_prefix(grid, rv)
 
 
 def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
@@ -159,7 +168,9 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     At t == horizon no simulation happens and the payoff is returned with
     zero error.  One path gives a value but no error bar: its stderr is NaN,
     so ``within`` is False.  The rate is integrated with left rectangles on
-    the simulation grid.
+    the simulation grid.  A value that is not finite, or a stderr of more
+    than one path that is not, raises NumericalError: an overflow is no
+    estimate.
     """
     t = float(t)
     _check_history(spec, t, x)
@@ -168,21 +179,29 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     if n_steps < 1:
         raise ConfigError("n_steps must be at least 1")
     if t == spec.horizon:
-        return MCEstimate(spec.payoff.eval(t, x), 0.0, 0)
+        return _finite(MCEstimate(spec.payoff.eval(t, x), 0.0, 0))
     grid = np.linspace(t, spec.horizon, int(n_steps) + 1)
     const_rate = spec.rate.constant_value
     if const_rate is not None:
         disc = float(np.exp(-const_rate * (spec.horizon - t)))
-    ys = np.empty(n_paths)
-    for i, p in enumerate(_sample_paths(spec, grid, x, seed, n_paths)):
+    ys = []
+    for fam in _sample_blocks(spec, grid, x, seed, n_paths):
         if const_rate is None:
-            rv = spec.rate.eval_many(grid, p)
-            disc = float(np.exp(-left_prefix(grid, rv[:, None])[-1, 0]))
-        ys[i] = disc * spec.payoff.eval(spec.horizon, p)
+            disc = np.exp(-_rate_integral(spec.rate, grid, fam)[-1])
+        ys.append(disc * spec.payoff.eval_family(spec.horizon, fam))
+    ys = np.concatenate(ys)
     value = float(ys.mean())
     stderr = float(ys.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 \
         else np.nan
-    return MCEstimate(value, stderr, n_paths)
+    return _finite(MCEstimate(value, stderr, n_paths))
+
+
+def _finite(est):
+    if not np.isfinite(est.value) \
+            or est.n_paths > 1 and not np.isfinite(est.stderr):
+        raise NumericalError(f"Monte Carlo estimate is not finite: value "
+                             f"{est.value}, stderr {est.stderr}")
+    return est
 
 
 def fk_residual(f, spec, t, x):
@@ -251,13 +270,15 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     const_rate = spec.rate.constant_value
     if const_rate is not None:
         rv = np.full((len(t_grid), 1), float(const_rate))
-        disc = np.exp(-left_prefix(t_grid, rv)[:, 0])
+        disc = np.exp(-left_prefix(t_grid, rv))
     H = np.empty((n_paths, len(t_grid)))
-    for i, p in enumerate(_sample_paths(spec, t_grid, x0, seed, n_paths)):
+    first = 0
+    for fam in _sample_blocks(spec, t_grid, x0, seed, n_paths):
         if const_rate is None:
-            rv = spec.rate.eval_many(t_grid, p)
-            disc = np.exp(-left_prefix(t_grid, rv[:, None])[:, 0])
-        H[i] = disc * f.eval_many(t_grid, p)
+            disc = np.exp(-_rate_integral(spec.rate, t_grid, fam))
+        vals = np.stack([f.eval_family(s, fam) for s in t_grid])
+        H[first:first + fam.rows] = (disc * vals).T
+        first += fam.rows
     D = np.diff(H, axis=1)
     means = D.mean(axis=0)
     stderrs = D.std(axis=0, ddof=1) / np.sqrt(n_paths)

@@ -23,9 +23,16 @@ class Functional:
     fn(ts, x) with ``x.eval(ts)[..., a]``, so that it returns a scalar for a
     float t and an (m,) array for an array of times, and pass it as both fn
     and fn_many.  eval and eval_many then run the same arithmetic and agree
-    bit for bit, as every built-in does.  constant_value marks functionals
-    that ignore (t, x) entirely, which lets downstream code pick exact fast
-    paths.
+    bit for bit, as every built-in does.
+
+    Passing the same object as fn and fn_many is also how a functional
+    declares that it broadcasts over a family (see ``paths``): eval_family
+    then calls the body once on the whole family, whose queries at one
+    time return (k, d), and reads its (k,) result, or spreads a constant's
+    0-d one.  Any other functional is evaluated row by row.  Either way row
+    r equals eval(t, family.row(r)) bit for bit.  constant_value marks
+    functionals that ignore (t, x) entirely, which lets downstream code
+    pick exact fast paths.
     """
 
     def __init__(self, fn, label="", fn_many=None, constant_value=None):
@@ -42,6 +49,16 @@ class Functional:
         if self._fn_many is not None:
             return np.asarray(self._fn_many(ts, x), dtype=float)
         return np.array([self._fn(float(t), x) for t in ts], dtype=float)
+
+    def eval_family(self, t, fam):
+        """F at one time t on each path of a family: (fam.rows,)."""
+        t = float(t)
+        if self._fn is not self._fn_many:
+            return np.array([self.eval(t, fam.row(r))
+                             for r in range(fam.rows)])
+        out = np.empty(fam.rows)
+        out[:] = self._fn(t, fam)
+        return out
 
     def __repr__(self):
         return f"<Functional {self.label or 'anonymous'}>"

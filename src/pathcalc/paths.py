@@ -9,6 +9,15 @@ as prefix integrals stay exact under the declared mode.  That exactness is a
 contract, not an optimization: several downstream checks assert identities to
 machine precision.  All grid data, whether a whole path or the part after a
 splice, is read through one segment type.
+
+A family is k paths that agree before a cut, held as one view whose data
+carries a row axis: a StoppedPath whose held value is (k, d), such as the
+rungs of a bump study, or a SplicedPath whose segment values are (n, k, d),
+such as a simulated block of paths that share the history before the
+splice.  A family is queried at one time t at once: eval, eval_left,
+integral_prefix and running_max_prefix return (k, d), row r equal bit for
+bit to the same query on ``family.row(r)``.  ``rows`` is k for a family and
+None for a single path.
 """
 
 import csv
@@ -31,22 +40,26 @@ def _as_times(ts):
     return arr, False
 
 
-def _piecewise(ts, cut, inclusive, head, tail, dim):
-    """head(ts) before cut (and at it when inclusive), tail(ts) after.
+def _piecewise(ts, cut, inclusive, head, tail, shape):
+    """head(ts) before cut (and at it when inclusive), tail(ts) after, as
+    one (m,) + shape array: shape is (d,) for a path, (k, d) for a family.
 
-    head returns a fresh (m, d) array; tail may broadcast to one.  A query
-    wholly on one side of the cut makes one call and builds no mask.
+    head returns a fresh (m, d) array, which a family's rows share; tail
+    may broadcast to (m,) + shape.  A path's query wholly on one side of
+    the cut makes one call and builds no mask.
     """
     before = ts <= cut if inclusive else ts < cut
-    if before.all():
+    if before.all() and len(shape) == 1:
         return head(ts)
-    out = np.empty((len(ts), dim))
+    out = np.empty((len(ts),) + shape)
     if not before.any():
         out[:] = tail(ts)
         return out
-    out[before] = head(ts[before])
+    shared = head(ts[before])
+    out[before] = shared if len(shape) == 1 else shared[:, None]
     after = ~before
-    out[after] = tail(ts[after])
+    if after.any():
+        out[after] = tail(ts[after])
     return out
 
 
@@ -56,12 +69,14 @@ class PathBase:
     Subclasses provide ``dim``, ``horizon``, ``interp_mode`` and the
     vectorized primitives ``_eval``, ``_eval_left``, ``_integral_prefix``,
     ``_running_max_prefix`` and ``_sup_before`` over validated, in-domain
-    time arrays.
+    time arrays.  ``rows`` is None for a path and k for a family of k paths
+    (see the module docstring), whose queries take one time.
     """
 
     dim = None
     horizon = None
     interp_mode = None
+    rows = None
 
     def _check(self, ts):
         if ts.size == 1:
@@ -113,16 +128,18 @@ class _Segment:
     """Grid data in one interpolation mode: the one place where grid values
     are looked up, interpolated, integrated and maximised.
 
-    times (n,) increase strictly and values are (n, d).  Every query takes
-    times at or after times[0]; after times[-1] the segment holds its last
-    value.  The node prefix integral and running maximum are built on first
-    use and cached.
+    times (n,) increase strictly and values are (n, d), or (n, k, d) for
+    the k rows of a family.  Every query takes times at or after times[0];
+    after times[-1] the segment holds its last value.  The node prefix
+    integral and running maximum are built on first use and cached.
     """
 
     def __init__(self, times, values, mode):
         self.times = times
         self.values = values
         self.mode = mode
+        # indexes an (m,) per-time factor to scale the values' trailing axes
+        self.by_time = (slice(None),) + (None,) * (values.ndim - 1)
         self._prefix = None
         self._runmax = None
 
@@ -141,7 +158,7 @@ class _Segment:
             j = idx[between]
             t0 = self.times[j]
             t1 = self.times[j + 1]
-            frac = ((ts[between] - t0) / (t1 - t0))[:, None]
+            frac = ((ts[between] - t0) / (t1 - t0))[self.by_time]
             out[between] = self.values[j] + frac * (self.values[j + 1] -
                                                     self.values[j])
         return out
@@ -157,7 +174,7 @@ class _Segment:
         """Integral from times[0] to each time, for times up to times[-1]."""
         idx = self.locate(ts)
         out = self.node_prefix()[idx]
-        rem = (ts - self.times[idx])[:, None]
+        rem = (ts - self.times[idx])[self.by_time]
         if self.mode == LINEAR:
             # trapezoid over the partial segment [t_idx, u]
             out += rem * 0.5 * (self.values[idx] + self.eval(ts))
@@ -239,14 +256,16 @@ class GridPath(PathBase):
             raise DomainError("times and values length mismatch")
         if len(times) < 2:
             raise DomainError("need at least the endpoints 0 and T")
+        if not np.all(np.isfinite(times)):
+            raise DomainError("grid times must be finite")
         if times[0] != 0.0:
             raise DomainError("grid must start at 0")
-        if not times[-1] > 0:  # negated so that NaN is rejected too
+        if not times[-1] > 0:
             raise DomainError(f"horizon must be positive, not {times[-1]}")
         if not np.all(np.diff(times) > 0):
             raise DomainError("grid times must be strictly increasing")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
-            raise DomainError("times and values must be finite")
+        if not np.all(np.isfinite(values)):
+            raise DomainError("values must be finite")
         if interp_mode not in _MODES:
             raise DomainError(f"unknown interp_mode {interp_mode!r}")
         self.times = times.copy()
@@ -276,7 +295,8 @@ class StoppedPath(PathBase):
     Values strictly before the stop time are bit-identical to the base, and
     so is the prefix integral up to it (a bump carries no measure there).
     The base must not change under the view: the held value and the base's
-    integral up to the stop time are taken from it once.
+    integral up to the stop time are taken from it once.  A (k, d) held
+    value makes the view a family of k paths, row r holding row r.
     """
 
     def __init__(self, base, stop_time, value_at_stop=None):
@@ -287,11 +307,25 @@ class StoppedPath(PathBase):
         self.stop_time = stop_time
         if value_at_stop is None:
             value_at_stop = base.eval(stop_time)
+        else:
+            value_at_stop = np.asarray(value_at_stop, dtype=float)
+            if value_at_stop.shape[-1:] != (base.dim,) \
+                    or value_at_stop.ndim > 2:
+                raise DomainError(f"held value must be ({base.dim},) or "
+                                  f"(k, {base.dim}), not {value_at_stop.shape}")
         self.value_at_stop = value_at_stop
+        self._shape = value_at_stop.shape
+        self._by_time = (slice(None),) + (None,) * len(self._shape)
+        if len(self._shape) == 2:
+            self.rows = self._shape[0]
         self.dim = base.dim
         self.horizon = base.horizon
         self.interp_mode = base.interp_mode
         self._at_stop = None
+
+    def row(self, r):
+        """Path r of a family: the base before the stop, held row r after."""
+        return StoppedPath(self.base, self.stop_time, self.value_at_stop[r])
 
     def knots(self):
         t = self.base.knots()
@@ -304,11 +338,11 @@ class StoppedPath(PathBase):
 
     def _eval(self, ts):
         return _piecewise(ts, self.stop_time, False, self.base._eval,
-                          self._held, self.dim)
+                          self._held, self._shape)
 
     def _eval_left(self, ts):
         return _piecewise(ts, self.stop_time, True, self.base._eval_left,
-                          self._held, self.dim)
+                          self._held, self._shape)
 
     def _integral_at_stop(self):
         if self._at_stop is None:
@@ -319,17 +353,17 @@ class StoppedPath(PathBase):
     def _integral_prefix(self, ts):
         def after(u):
             return self._integral_at_stop() \
-                + (u - self.stop_time)[:, None] * self.value_at_stop
+                + (u - self.stop_time)[self._by_time] * self.value_at_stop
         return _piecewise(ts, self.stop_time, True, self.base._integral_prefix,
-                          after, self.dim)
+                          after, self._shape)
 
     def _running_max_prefix(self, ts):
-        out = self.base._running_max_prefix(np.minimum(ts, self.stop_time))
-        hit = ts >= self.stop_time
-        if hit.any():
+        def after(u):
             # a no-op for a plain stop, whose held value is already counted
-            out[hit] = np.maximum(out[hit], self.value_at_stop)
-        return out
+            at_stop = self.base._running_max_prefix(np.array([self.stop_time]))
+            return np.maximum(at_stop[0], self.value_at_stop)
+        return _piecewise(ts, self.stop_time, False,
+                          self.base._running_max_prefix, after, self._shape)
 
     def _sup_before(self, u):
         if u > self.stop_time:
@@ -343,7 +377,9 @@ class SplicedPath(PathBase):
     The segment runs from s to its last time e in its own interpolation
     mode, which is the path's ``interp_mode``, and is held constant on
     (e, T].  A jump at s is permitted.  This is the return type of
-    concatenation and of flow solutions (history + extension).
+    concatenation and of flow solutions (history + extension).  Segment
+    values of shape (n, k, d) make the view a family of k paths that share
+    ``left`` before s, row r following values[:, r] after it.
     """
 
     def __init__(self, left, switch, seg_times, seg_values, seg_mode=LINEAR):
@@ -360,7 +396,8 @@ class SplicedPath(PathBase):
             raise DomainError("segment extends past the horizon")
         if len(seg_times) > 1 and not np.all(np.diff(seg_times) > 0):
             raise DomainError("segment times must be strictly increasing")
-        if seg_values.shape != (len(seg_times), left.dim):
+        if seg_values.ndim > 3 or seg_values.shape[0] != len(seg_times) \
+                or seg_values.shape[-1] != left.dim:
             raise DomainError("segment values shape mismatch")
         if seg_mode not in _MODES:
             raise DomainError(f"unknown interp_mode {seg_mode!r}")
@@ -375,10 +412,21 @@ class SplicedPath(PathBase):
         self.switch = switch
         self.seg = seg
         self._at_switch = None
+        self._shape = seg.values.shape[1:]
+        if len(self._shape) == 2:
+            self.rows = self._shape[0]
         self.interp_mode = seg.mode
         self.dim = left.dim
         self.horizon = left.horizon
         return self
+
+    def row(self, r):
+        """Path r of a family: left before the switch, segment row r after."""
+        if self.rows is None:
+            raise DomainError("a single path has no rows")
+        seg = _Segment(self.seg.times, self.seg.values[:, r], self.seg.mode)
+        return SplicedPath.__new__(SplicedPath)._join(self.left, self.switch,
+                                                      seg)
 
     def knots(self):
         t = self.left.knots()
@@ -395,11 +443,11 @@ class SplicedPath(PathBase):
 
     def _eval(self, ts):
         return _piecewise(ts, self.switch, False, self.left._eval,
-                          self.seg.eval, self.dim)
+                          self.seg.eval, self._shape)
 
     def _eval_left(self, ts):
         return _piecewise(ts, self.switch, True, self.left._eval_left,
-                          self.seg.eval_left, self.dim)
+                          self.seg.eval_left, self._shape)
 
     def _head_integral(self):
         # integral of the left path over [0, switch]; only the segment of a
@@ -413,16 +461,17 @@ class SplicedPath(PathBase):
         def after(u):
             head = self._head_integral()
             end = self.seg.times[-1]
-            held = np.clip(u - end, 0.0, None)[:, None] * self.seg.values[-1]
+            held = np.clip(u - end, 0.0, None)[self.seg.by_time] \
+                * self.seg.values[-1]
             return head + self.seg.integral(np.minimum(u, end)) + held
         return _piecewise(ts, self.switch, True, self.left._integral_prefix,
-                          after, self.dim)
+                          after, self._shape)
 
     def _running_max_prefix(self, ts):
         def after(u):
             return np.maximum(self._head_sup(), self.seg.running_max(u))
         return _piecewise(ts, self.switch, False,
-                          self.left._running_max_prefix, after, self.dim)
+                          self.left._running_max_prefix, after, self._shape)
 
     def _sup_before(self, u):
         if u <= self.switch:

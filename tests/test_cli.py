@@ -168,6 +168,15 @@ def test_unknown_kind_exits_two(capsys):
     assert capsys.readouterr().err.startswith("config-error:")
 
 
+def test_monte_carlo_overflow_exits_three(capsys):
+    rc = main(["feynman-kac", "--horizon", "1e308", "--n-paths", "8"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("numerical-error:")
+    assert captured.err.count("\n") == 1
+
+
 def test_ill_conditioned_directions_exit_three(capsys):
     rc = main(["recover-grad", "--path", "ramp:1.0,1.0",
                "--functional", "square", "--t", "0.5",
@@ -364,9 +373,11 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     (["deriv", "--kind", "space", "--t", "nan"], "time nan"),
     (["relation", "--times", "nan"], "t=nan"),
     (["flow", "--horizon", "0"], "horizon must be positive"),
+    (["flow", "--horizon", "nan"], "horizon must be finite"),
+    (["flow", "--horizon", "inf"], "horizon must be finite"),
 ], ids=["flow_window", "flow_picard_tol", "deriv_gamma_t",
         "deriv_horizontal_t", "deriv_space_t", "relation_times",
-        "flow_zero_horizon"])
+        "flow_zero_horizon", "flow_nan_horizon", "flow_inf_horizon"])
 def test_nan_option_is_one_line_naming_it(argv, named, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

@@ -7,6 +7,7 @@ from pathcalc import (
     ConfigError,
     DomainError,
     MCEstimate,
+    NumericalError,
     SDESpec,
     benchmark,
     brownian_path,
@@ -161,6 +162,26 @@ def test_one_path_estimate_has_no_error_bar():
     assert not est.within(est.value)
     assert not est.within(f.eval(0.5, x0))
     assert np.isfinite(two.stderr)
+
+
+def _wide_noise():
+    # the payoffs stay finite, their squared deviations overflow
+    return SDESpec(constant_direction([0.0]), constant_matrix_field([[1e160]]),
+                   constant_functional(0.0), builtin("eval"))
+
+
+@pytest.mark.parametrize("make_spec, horizon", [
+    (lambda: benchmark("gauss_square", horizon=1e308)[0], 1e308),
+    (_wide_noise, 1.0),
+], ids=["value_overflows", "stderr_overflows"])
+def test_an_overflow_is_no_estimate(make_spec, horizon):
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="not finite"):
+            estimate_f(make_spec(), 0.5, constant_path(1.0, horizon=horizon),
+                       n_paths=8)
+        # one path has no error bar to overflow
+        one = estimate_f(_wide_noise(), 0.5, constant_path(1.0), n_paths=1)
+    assert np.isfinite(one.value) and np.isnan(one.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Modules of the package share only public names."""
+"""Modules of the package share only public names and import only what
+they use."""
 
 import ast
 from pathlib import Path
@@ -25,4 +26,20 @@ def test_no_module_imports_another_modules_private_names():
                         and not (from_package and alias.name in modules):
                     bad.append(f"{path.name}: from {'.' * node.level}"
                                f"{source} import {alias.name}")
+    assert not bad
+
+
+def test_no_module_has_an_unused_import():
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":      # its imports are re-exports
+            continue
+        tree = ast.parse(path.read_text())
+        bound = [(alias.asname or alias.name).split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names]
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        bad += [f"{path.name}: {name}" for name in bound if name not in used]
     assert not bad

@@ -65,6 +65,11 @@ def test_gridpath_rejects_bad_grids():
             ramp_path(1.0, horizon, n=3)
     with pytest.raises(DomainError, match="endpoints"):
         ramp_path(1.0, 1.0, n=-1)
+    # the grids np.linspace gives for a NaN and an infinite horizon, whose
+    # first time is NaN too, are named for that, not for their start
+    for times in ([np.nan] * 3, [np.nan, np.inf, np.inf], [0.0, 0.5, np.inf]):
+        with pytest.raises(DomainError, match="must be finite"):
+            GridPath(times, np.zeros((3, 1)))
 
 
 def test_eval_at_nodes_is_stored_data():
