@@ -2,22 +2,25 @@
 
 A path is a right-continuous function of time known exactly on its grid.  Two
 interpolation modes exist: 'cadlag_hold' (piecewise constant, jumps at grid
-times) and 'linear' (continuous, piecewise linear).  Stopping, bumping and
-concatenation return view objects that delegate to their base path, so values
-before the surgery point are bit-identical to the original and quantities such
-as prefix integrals stay exact under the declared mode.  That exactness is a
-contract, not an optimization: several downstream checks assert identities to
-machine precision.  All grid data, whether a whole path or the part after a
-splice, is read through one segment type.
+times) and 'linear' (continuous, piecewise linear).  Every surgery is one
+view type, a splice: keep a path before a cut, then follow a grid segment.
+Concatenation and flow solutions follow a segment of many nodes; a stop
+holds x(t) and a vertical bump x(t) + h, each a segment of one node.  The
+view delegates to the path it keeps, so values before the surgery point are
+bit-identical to the original and quantities such as prefix integrals stay
+exact under the declared mode.  That exactness is a contract, not an
+optimization: several downstream checks assert identities to machine
+precision.  All grid data, whether a whole path or the part after a splice,
+is read through one segment type.
 
-A family is k paths that agree before a cut, held as one view whose data
-carries a row axis: a StoppedPath whose held value is (k, d), such as the
-rungs of a bump study, or a SplicedPath whose segment values are (n, k, d),
-such as a simulated block of paths that share the history before the
-splice.  A family is queried at one time t at once: eval, eval_left,
-integral_prefix and running_max_prefix return (k, d), row r equal bit for
-bit to the same query on ``family.row(r)``.  ``rows`` is k for a family and
-None for a single path.
+A family is k paths that agree before a cut: a splice whose segment values
+are (n, k, d), such as a simulated block of paths that share the history
+before the splice.  A bump family, such as the rungs of a bump study, is
+the case n = 1: a StoppedPath whose held value is (k, d).  A family is
+queried at one time t at once: eval, eval_left, integral_prefix and
+running_max_prefix return (k, d), row r equal bit for bit to the same query
+on ``family.row(r)``.  ``rows`` is k for a family and None for a single
+path.
 """
 
 import csv
@@ -45,16 +48,15 @@ def _piecewise(ts, cut, inclusive, head, tail, shape):
     one (m,) + shape array: shape is (d,) for a path, (k, d) for a family.
 
     head returns a fresh (m, d) array, which a family's rows share; tail
-    may broadcast to (m,) + shape.  A path's query wholly on one side of
-    the cut makes one call and builds no mask.
+    returns a fresh (m,) + shape array.  A query wholly after the cut, or
+    a path's query wholly before it, makes one call and builds no mask.
     """
     before = ts <= cut if inclusive else ts < cut
     if before.all() and len(shape) == 1:
         return head(ts)
-    out = np.empty((len(ts),) + shape)
     if not before.any():
-        out[:] = tail(ts)
-        return out
+        return tail(ts)
+    out = np.empty((len(ts),) + shape)
     shared = head(ts[before])
     out[before] = shared if len(shape) == 1 else shared[:, None]
     after = ~before
@@ -287,96 +289,12 @@ class GridPath(PathBase):
         return self.times
 
 
-class StoppedPath(PathBase):
-    """View of ``base`` frozen at ``stop_time``.
-
-    eval(s) = base(s) for s < stop_time and ``value_at_stop`` afterwards:
-    base(stop_time) for a stop, base(stop_time) + h for a vertical bump.
-    Values strictly before the stop time are bit-identical to the base, and
-    so is the prefix integral up to it (a bump carries no measure there).
-    The base must not change under the view: the held value and the base's
-    integral up to the stop time are taken from it once.  A (k, d) held
-    value makes the view a family of k paths, row r holding row r.
-    """
-
-    def __init__(self, base, stop_time, value_at_stop=None):
-        stop_time = float(stop_time)
-        if not 0.0 <= stop_time <= base.horizon:
-            raise DomainError(f"stop time {stop_time} outside [0, {base.horizon}]")
-        self.base = base
-        self.stop_time = stop_time
-        if value_at_stop is None:
-            value_at_stop = base.eval(stop_time)
-        else:
-            value_at_stop = np.asarray(value_at_stop, dtype=float)
-            if value_at_stop.shape[-1:] != (base.dim,) \
-                    or value_at_stop.ndim > 2:
-                raise DomainError(f"held value must be ({base.dim},) or "
-                                  f"(k, {base.dim}), not {value_at_stop.shape}")
-        self.value_at_stop = value_at_stop
-        self._shape = value_at_stop.shape
-        self._by_time = (slice(None),) + (None,) * len(self._shape)
-        if len(self._shape) == 2:
-            self.rows = self._shape[0]
-        self.dim = base.dim
-        self.horizon = base.horizon
-        self.interp_mode = base.interp_mode
-        self._at_stop = None
-
-    def row(self, r):
-        """Path r of a family: the base before the stop, held row r after."""
-        return StoppedPath(self.base, self.stop_time, self.value_at_stop[r])
-
-    def knots(self):
-        t = self.base.knots()
-        kept = t[t < self.stop_time]
-        tail = [self.stop_time] if self.stop_time < self.horizon else []
-        return np.concatenate([kept, tail, [self.horizon]])
-
-    def _held(self, ts):
-        return self.value_at_stop
-
-    def _eval(self, ts):
-        return _piecewise(ts, self.stop_time, False, self.base._eval,
-                          self._held, self._shape)
-
-    def _eval_left(self, ts):
-        return _piecewise(ts, self.stop_time, True, self.base._eval_left,
-                          self._held, self._shape)
-
-    def _integral_at_stop(self):
-        if self._at_stop is None:
-            self._at_stop = self.base._integral_prefix(
-                np.array([self.stop_time]))[0]
-        return self._at_stop
-
-    def _integral_prefix(self, ts):
-        def after(u):
-            return self._integral_at_stop() \
-                + (u - self.stop_time)[self._by_time] * self.value_at_stop
-        return _piecewise(ts, self.stop_time, True, self.base._integral_prefix,
-                          after, self._shape)
-
-    def _running_max_prefix(self, ts):
-        def after(u):
-            # a no-op for a plain stop, whose held value is already counted
-            at_stop = self.base._running_max_prefix(np.array([self.stop_time]))
-            return np.maximum(at_stop[0], self.value_at_stop)
-        return _piecewise(ts, self.stop_time, False,
-                          self.base._running_max_prefix, after, self._shape)
-
-    def _sup_before(self, u):
-        if u > self.stop_time:
-            return self._running_max_prefix(np.array([self.stop_time]))[0]
-        return self.base._sup_before(u)
-
-
 class SplicedPath(PathBase):
     """``left`` on [0, s), then an explicit grid segment from s onward.
 
     The segment runs from s to its last time e in its own interpolation
-    mode, which is the path's ``interp_mode``, and is held constant on
-    (e, T].  A jump at s is permitted.  This is the return type of
+    mode, which is the path's ``interp_mode`` (a StoppedPath keeps its
+    base's), and is held constant on (e, T].  A jump at s is permitted.  This is the return type of
     concatenation and of flow solutions (history + extension).  Segment
     values of shape (n, k, d) make the view a family of k paths that share
     ``left`` before s, row r following values[:, r] after it.
@@ -461,7 +379,7 @@ class SplicedPath(PathBase):
         def after(u):
             head = self._head_integral()
             end = self.seg.times[-1]
-            held = np.clip(u - end, 0.0, None)[self.seg.by_time] \
+            held = np.maximum(u - end, 0.0)[self.seg.by_time] \
                 * self.seg.values[-1]
             return head + self.seg.integral(np.minimum(u, end)) + held
         return _piecewise(ts, self.switch, True, self.left._integral_prefix,
@@ -491,6 +409,51 @@ def splice_view(left, switch, times, values, mode):
     """
     view = SplicedPath.__new__(SplicedPath)
     return view._join(left, float(switch), _LiveSegment(times, values, mode))
+
+
+class StoppedPath(SplicedPath):
+    """View of ``base`` frozen at ``stop_time``: a splice whose segment is
+    the one node (stop_time, value_at_stop), held to the horizon.
+
+    eval(s) = base(s) for s < stop_time and ``value_at_stop`` afterwards:
+    base(stop_time) for a stop, base(stop_time) + h for a vertical bump.
+    Values strictly before the stop time are bit-identical to the base, and
+    so is the prefix integral up to it (a bump carries no measure there).
+    The base must not change under the view: the held value and the base's
+    integral up to the stop time are taken from it once.  A (k, d) held
+    value makes the view a family of k paths, row r holding row r; a bump
+    family is a splice family with one segment node.  The view keeps the
+    base's ``interp_mode``.
+    """
+
+    def __init__(self, base, stop_time, value_at_stop=None):
+        stop_time = float(stop_time)
+        if not 0.0 <= stop_time <= base.horizon:
+            raise DomainError(f"stop time {stop_time} outside [0, {base.horizon}]")
+        if value_at_stop is None:
+            value_at_stop = base.eval(stop_time)
+        else:
+            value_at_stop = np.asarray(value_at_stop, dtype=float)
+            if value_at_stop.shape[-1:] != (base.dim,) \
+                    or value_at_stop.ndim > 2:
+                raise DomainError(f"held value must be ({base.dim},) or "
+                                  f"(k, {base.dim}), not {value_at_stop.shape}")
+            bad = value_at_stop[~np.isfinite(value_at_stop)]
+            if bad.size:
+                raise DomainError(f"held value must be finite, not {bad[0]}")
+        self.base = base
+        self.stop_time = stop_time
+        self.value_at_stop = value_at_stop
+        # one node has nothing to interpolate, so the segment holds it
+        self._join(base, stop_time, _Segment(np.array([stop_time]),
+                                             value_at_stop[None], CADLAG))
+        self.interp_mode = base.interp_mode
+
+    def row(self, r):
+        """Path r of a family: the base before the stop, held row r after."""
+        if self.rows is None:
+            raise DomainError("a single path has no rows")
+        return StoppedPath(self.base, self.stop_time, self.value_at_stop[r])
 
 
 def stop(x, t):

@@ -230,6 +230,13 @@ def test_csv_path_spec_round_trips(tmp_path):
     assert abs(float(estimate) - 0.5) <= 1e-9
 
 
+def test_deriv_of_running_max_at_zero_is_one(tmp_path):
+    lines = _lines(_run(tmp_path, ["deriv", "--kind", "space",
+                                   "--functional", "running_max",
+                                   "--t", "0"]))
+    assert lines[-1].split(",")[:2] == ["converged", "1.0"]
+
+
 def test_deriv_artifact_schema(tmp_path):
     raw = _run(tmp_path, FAST_ARGV["deriv"])
     lines = _lines(raw)
@@ -375,9 +382,12 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     (["flow", "--horizon", "0"], "horizon must be positive"),
     (["flow", "--horizon", "nan"], "horizon must be finite"),
     (["flow", "--horizon", "inf"], "horizon must be finite"),
+    (["deriv", "--kind", "space", "--path", "const:1e308", "--eta0", "1e308"],
+     "held value must be finite"),
 ], ids=["flow_window", "flow_picard_tol", "deriv_gamma_t",
         "deriv_horizontal_t", "deriv_space_t", "relation_times",
-        "flow_zero_horizon", "flow_nan_horizon", "flow_inf_horizon"])
+        "flow_zero_horizon", "flow_nan_horizon", "flow_inf_horizon",
+        "deriv_space_held_overflows"])
 def test_nan_option_is_one_line_naming_it(argv, named, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

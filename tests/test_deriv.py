@@ -188,6 +188,17 @@ def test_space_of_integral_is_zero():
     assert rep.estimate == 0.0
 
 
+@pytest.mark.parametrize("mode, t", [(LINEAR, 0.0), (CADLAG, 0.0),
+                                     (CADLAG, 0.5)])
+def test_space_of_running_max_where_the_bump_sets_the_max(mode, t):
+    # the bumped path never holds x(t) itself, so the running max at t is
+    # x(t) + h for bumps of either sign: the path stays below x(t) before t
+    rep = d_space(builtin("running_max"), 0, t,
+                  ramp_path(1.0, 1.0, n=17, interp_mode=mode))
+    assert rep.verdict == CONVERGED
+    assert rep.estimate == 1.0
+
+
 def test_space_argument_checks():
     r = ramp_path(1.0, 1.0, n=65)
     with pytest.raises(DomainError):

@@ -141,6 +141,15 @@ def test_held_value_of_the_wrong_shape_is_rejected():
         SplicedPath(x, 0.5, [0.5, 1.0], np.zeros((2, 2))).row(0)
 
 
+@pytest.mark.parametrize("view", [
+    StoppedPath(constant_path([1.0, 2.0]), 0.5),
+    SplicedPath(constant_path([1.0, 2.0]), 0.5, [0.5, 1.0], np.zeros((2, 2))),
+], ids=["stopped", "spliced"])
+def test_a_single_path_has_no_rows(view):
+    with pytest.raises(DomainError, match="a single path has no rows"):
+        view.row(0)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo blocks read as families
 

@@ -541,6 +541,31 @@ def test_writing_into_a_result_leaves_the_next_query_unchanged(case):
             assert getattr(view, name)(t).tobytes() == keep.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(surgery_views())
+def test_running_max_is_the_max_over_the_values_the_view_holds(case):
+    # the views are piecewise constant or linear between their knots, so
+    # the sup over [0, u] is attained at a knot, as a left limit at one, or
+    # at u itself
+    make, cut, probes = case
+    view = make()
+    knots = view.knots()
+    for u in probes:
+        seen = knots[knots <= u]
+        held = np.vstack([view.eval(seen), view.eval_left(seen[seen > 0]),
+                          view.eval(u)[None]])
+        assert np.array_equal(view.running_max_prefix(u), held.max(axis=0)), u
+
+
+@pytest.mark.parametrize("held", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_held_value_is_rejected(held):
+    x = ramp_path(1.0, n=17)
+    with pytest.raises(DomainError, match="held value must be finite"):
+        bump(x, 0.5, [held])
+    with pytest.raises(DomainError, match="held value must be finite"):
+        StoppedPath(x, 0.5, [[0.0], [held]])
+
+
 @pytest.mark.parametrize("mode", [LINEAR, CADLAG])
 @pytest.mark.parametrize("cut", [0.0, 0.3, 0.5, 0.875])
 def test_integral_past_a_stop_grows_from_the_integral_at_it(mode, cut):
