@@ -138,7 +138,7 @@ def ladder_flow_grid(t, etas, refine=8):
     return grid
 
 
-def study_path(x, t, gamma, ladder, **flow_opts):
+def study_path(x, t, gamma, ladder):
     """The extension of x from t that a time study runs along: stop(x, t)
     when gamma is None, otherwise gamma's flow on ladder_flow_grid."""
     etas = ladder.steps()
@@ -150,8 +150,7 @@ def study_path(x, t, gamma, ladder, **flow_opts):
         return stop(x, t)
     grid = ladder_flow_grid(t, etas)
     grid[-1] = min(grid[-1], x.horizon)
-    return solve_flow(x, t, gamma, until=grid[-1], grid=grid,
-                      **flow_opts).path
+    return solve_flow(x, t, gamma, until=grid[-1], grid=grid).path
 
 
 def time_study(F, t, path, ladder, label):
@@ -186,13 +185,13 @@ def bump_study(F, t, x, ladder, rung, label):
     return judge(hs, quotients, ladder.ratio, label)
 
 
-def d_gamma(F, gamma, t, x, ladder=None, **flow_opts):
+def d_gamma(F, gamma, t, x, ladder=None):
     """Derivative of F at (t, x) along the flow driven by gamma, solved
     once per study by study_path.  A direction that vanishes along the
     extension gives exactly the stopped path, so the study then equals
     d_horizontal quotient by quotient."""
     ladder = ladder or QuotientLadder()
-    path = study_path(x, t, gamma, ladder, **flow_opts)
+    path = study_path(x, t, gamma, ladder)
     label = f"d_gamma[{F.label}|{gamma.label}]@{float(t):g}"
     return time_study(F, t, path, ladder, label)
 
@@ -209,7 +208,11 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     """Spatial derivative of F in coordinate i via vertical bumps at t.
 
     scheme 'central' (default) or 'forward'.  The default ladder uses
-    dyadic steps so bumped values are exact in floating point.
+    dyadic steps so bumped values are exact in floating point.  A central
+    quotient converges at a kink too, to the mean of the one-sided
+    derivatives, so the central study also reads F unbumped in its family:
+    where (F(x+h) - 2 F(x) + F(x-h)) / h, which tends to F'+ - F'-,
+    extrapolates beyond conv_tol, converged becomes inconclusive.
     """
     ladder = ladder or SPACE_LADDER
     if scheme not in ("central", "forward"):
@@ -217,18 +220,27 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     i = int(i)
     if not 0 <= i < x.dim:
         raise DomainError(f"axis {i} outside dimension {x.dim}")
-    e = np.zeros((2, x.dim))    # up, down
+    e = np.zeros((3, x.dim))    # up, down, unbumped
     e[0, i], e[1, i] = 1.0, -1.0
+    label = f"d_space[{F.label};{i};{scheme}]@{float(t):g}"
     if scheme == "forward":
         rung = (e[:1], lambda v, hs, base: (v[:, 0] - base()) / hs)
-    else:
-        rung = (e, lambda v, hs, base: (v[:, 0] - v[:, 1]) / (2.0 * hs))
-    label = f"d_space[{F.label};{i};{scheme}]@{float(t):g}"
-    return bump_study(F, t, x, ladder, rung, label)
+        return bump_study(F, t, x, ladder, rung, label)
+    jump = []
+
+    def central(v, hs, base):
+        gap = (v[:, 0] - 2.0 * v[:, 2] + v[:, 1]) / hs
+        jump.append((gap[-1] - ladder.ratio * gap[-2]) / (1.0 - ladder.ratio))
+        return (v[:, 0] - v[:, 1]) / (2.0 * hs)
+
+    rep = bump_study(F, t, x, ladder, (e, central), label)
+    if rep.converged and not abs(jump[0]) <= rep.conv_tol:
+        rep.verdict, rep.estimate = INCONCLUSIVE, np.nan
+    return rep
 
 
-def _space_gradient(F, t, x, ladder, where=""):
-    reports = [require_converged(d_space(F, i, t, x, ladder=ladder),
+def _space_gradient(F, t, x, where=""):
+    reports = [require_converged(d_space(F, i, t, x),
                                  f"d_space[{i}]{where}")
                for i in range(x.dim)]
     return np.array([r.estimate for r in reports]), reports
@@ -246,15 +258,13 @@ class RelationReport:
     direction_value: np.ndarray
 
 
-def relation_residual(F, gamma, t, x, ladder=None, space_ladder=None,
-                      **flow_opts):
+def relation_residual(F, gamma, t, x, ladder=None):
     """D_gamma F - DF - <grad F, gamma(t, x)>; all three studies must
     converge, otherwise the failing derivative is named in the error."""
-    rg = require_converged(d_gamma(F, gamma, t, x, ladder=ladder,
-                                   **flow_opts), "d_gamma")
+    rg = require_converged(d_gamma(F, gamma, t, x, ladder=ladder), "d_gamma")
     rh = require_converged(d_horizontal(F, t, x, ladder=ladder),
                            "d_horizontal")
-    grad, spaces = _space_gradient(F, t, x, space_ladder)
+    grad, spaces = _space_gradient(F, t, x)
     gvec = gamma.eval(t, stop(x, t))
     residual = rg.estimate - rh.estimate - float(grad @ gvec)
     return RelationReport(residual, rg, rh, spaces, grad, gvec)
@@ -271,8 +281,7 @@ class GradientRecovery:
     horizontal_report: DerivativeReport
 
 
-def recover_gradient(F, fields, t, x, ladder=None, cond_max=1e8,
-                     **flow_opts):
+def recover_gradient(F, fields, t, x, ladder=None, cond_max=1e8):
     """Solve Gamma grad = (D_gamma_i F - DF) for the spatial gradient.
 
     fields must contain exactly dim direction fields whose values at
@@ -290,8 +299,8 @@ def recover_gradient(F, fields, t, x, ladder=None, cond_max=1e8,
             f"{cond_max:g}", cond=cond)
     rh = require_converged(d_horizontal(F, t, x, ladder=ladder),
                            "d_horizontal")
-    reports = [require_converged(d_gamma(F, f, t, x, ladder=ladder,
-                                         **flow_opts), f"d_gamma[{f.label}]")
+    reports = [require_converged(d_gamma(F, f, t, x, ladder=ladder),
+                                 f"d_gamma[{f.label}]")
                for f in fields]
     rhs = np.array([rg.estimate - rh.estimate for rg in reports])
     grad = np.linalg.solve(mat, rhs)
@@ -307,8 +316,7 @@ class HorizontalAverage:
     integrand: np.ndarray
 
 
-def horizontal_from_gamma(F, gamma, t, x, h, ladder=None,
-                          space_ladder=None, **flow_opts):
+def horizontal_from_gamma(F, gamma, t, x, h, ladder=None):
     """(1/h) * integral over [t, t+h] of D_gamma F - <grad F, gamma>,
     all evaluated on the path stopped at t.
 
@@ -328,16 +336,16 @@ def horizontal_from_gamma(F, gamma, t, x, h, ladder=None,
     xt = stop(x, t)
     integrand = np.empty(len(nodes))
     for k, s in enumerate(nodes):
-        rg = require_converged(d_gamma(F, gamma, s, xt, ladder=ladder,
-                                       **flow_opts), f"d_gamma@node {s:g}")
-        grad, _ = _space_gradient(F, s, xt, space_ladder, f"@node {s:g}")
+        rg = require_converged(d_gamma(F, gamma, s, xt, ladder=ladder),
+                               f"d_gamma@node {s:g}")
+        grad, _ = _space_gradient(F, s, xt, f"@node {s:g}")
         gvec = gamma.eval(s, xt)
         integrand[k] = rg.estimate - float(grad @ gvec)
     value = float(np.trapezoid(integrand, nodes) / h)
     return HorizontalAverage(value, nodes, integrand)
 
 
-def numerical_derivatives(F, dim=1, space_ladder=None):
+def numerical_derivatives(F, dim=1):
     """Wrap F with derivatives built from quotient ladders on demand.
 
     Every evaluation runs a full study and insists on convergence, so this
@@ -361,9 +369,8 @@ def numerical_derivatives(F, dim=1, space_ladder=None):
 
     def grad_fn(i):
         def g(t, x):
-            return require_converged(
-                d_space(F, i, t, x, ladder=space_ladder),
-                f"d_space[{i}]").estimate
+            return require_converged(d_space(F, i, t, x),
+                                     f"d_space[{i}]").estimate
         return g
 
     def hess_fn(i, j):

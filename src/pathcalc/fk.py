@@ -267,15 +267,10 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
         raise DomainError("t_grid exceeds the horizon")
     if n_paths < 2:
         raise ConfigError("martingale check needs n_paths >= 2")
-    const_rate = spec.rate.constant_value
-    if const_rate is not None:
-        rv = np.full((len(t_grid), 1), float(const_rate))
-        disc = np.exp(-left_prefix(t_grid, rv))
     H = np.empty((n_paths, len(t_grid)))
     first = 0
     for fam in _sample_blocks(spec, t_grid, x0, seed, n_paths):
-        if const_rate is None:
-            disc = np.exp(-_rate_integral(spec.rate, t_grid, fam))
+        disc = np.exp(-_rate_integral(spec.rate, t_grid, fam))
         vals = np.stack([f.eval_family(s, fam) for s in t_grid])
         H[first:first + fam.rows] = (disc * vals).T
         first += fam.rows

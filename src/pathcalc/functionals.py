@@ -1,11 +1,15 @@
 """Non-anticipative functionals of (t, path) and randomized probes.
 
-A Functional maps (t, x) to a real and may only read the path on [0, t];
+A functional maps (t, x) to a value and may only read the path on [0, t];
 that property is not enforceable statically, so `probe_non_anticipative`
-checks it by randomizing the future.  Vector and matrix variants cover flow
-directions and SDE coefficients.  The catalog at the bottom provides the
-standard examples with coded coinvariant derivatives where they exist.
+checks it by randomizing the future.  There is one type, `Functional`, and
+its values differ only in shape: a real, a (k,) vector (flow directions,
+SDE drifts) or a (d, m) matrix (SDE diffusions).  The catalog at the bottom
+provides the standard examples with coded coinvariant derivatives where
+they exist.
 """
+
+import math
 
 import numpy as np
 
@@ -15,81 +19,86 @@ from .paths import CADLAG, LINEAR, GridPath, stop
 
 
 class Functional:
-    """Real-valued non-anticipative functional.
+    """Non-anticipative map (t, path) -> value of the declared ``shape``:
+    () for a real, (k,) for a vector, (d, m) for a matrix.
 
-    fn(t, path) -> float.  fn_many, when given, evaluates a whole sorted
-    time array against one path in a single call; without it eval_many
-    loops over fn.  A body that broadcasts serves both routes: write it as
-    fn(ts, x) with ``x.eval(ts)[..., a]``, so that it returns a scalar for a
-    float t and an (m,) array for an array of times, and pass it as both fn
-    and fn_many.  eval and eval_many then run the same arithmetic and agree
-    bit for bit, as every built-in does.
+    fn(t, path) gives the value at one time.  fn_many, when given,
+    evaluates a whole sorted time array against one path in a single call;
+    without it eval_many loops over fn.  A body that broadcasts serves both
+    routes: write it as fn(ts, x) with ``x.eval(ts)[..., a]``, so that it
+    returns one value for a float t and one per time for an array, and pass
+    it as both fn and fn_many.  eval and eval_many then run the same
+    arithmetic and agree bit for bit, as every built-in does.
 
     Passing the same object as fn and fn_many is also how a functional
     declares that it broadcasts over a family (see ``paths``): eval_family
     then calls the body once on the whole family, whose queries at one
-    time return (k, d), and reads its (k,) result, or spreads a constant's
-    0-d one.  Any other functional is evaluated row by row.  Either way row
-    r equals eval(t, family.row(r)) bit for bit.  constant_value marks
-    functionals that ignore (t, x) entirely, which lets downstream code
-    pick exact fast paths.
+    time return (k, d).  Any other functional is evaluated row by row.
+    Either way row r equals eval(t, family.row(r)) bit for bit.
+    constant_value marks functionals that ignore (t, x) entirely, which
+    lets downstream code pick exact fast paths.
+
+    Each value is read in the declared shape, after a leading axis of one
+    entry per time or row for eval_many and eval_family: a real or vector
+    with that many entries is reshaped to it, a matrix must match exactly,
+    and a value of just the declared shape is spread over the times or
+    rows.  Anything else raises DomainError.
     """
+
+    shape = ()
 
     def __init__(self, fn, label="", fn_many=None, constant_value=None):
         self._fn = fn
         self._fn_many = fn_many
         self.label = label
+        if constant_value is not None and self.shape:
+            constant_value = np.asarray(constant_value, dtype=float)
         self.constant_value = constant_value
 
+    def _read(self, value, lead=()):
+        out = np.asarray(value, dtype=float)
+        want = lead + self.shape
+        if out.shape == want:
+            return out
+        if lead and out.shape == self.shape:
+            return np.broadcast_to(out, want).copy()
+        if len(self.shape) < 2 and out.size == math.prod(want):
+            return out.reshape(want)
+        raise DomainError(f"{self.label or 'anonymous'}: expected a value "
+                          f"of shape {want}, got {out.shape}")
+
     def eval(self, t, x):
-        return float(self._fn(float(t), x))
+        """The value at t: a float, or an array of the declared shape."""
+        out = self._read(self._fn(float(t), x))
+        return out if self.shape else float(out)
 
     def eval_many(self, ts, x):
+        """One value per time of a sorted array: (m,) + shape."""
         ts = np.asarray(ts, dtype=float)
         if self._fn_many is not None:
-            return np.asarray(self._fn_many(ts, x), dtype=float)
-        return np.array([self._fn(float(t), x) for t in ts], dtype=float)
+            return self._read(self._fn_many(ts, x), ts.shape)
+        vals = [self.eval(t, x) for t in ts]
+        return np.array(vals, dtype=float).reshape(ts.shape + self.shape)
 
     def eval_family(self, t, fam):
-        """F at one time t on each path of a family: (fam.rows,)."""
+        """The value at one time t on each row of a family: (rows,) + shape."""
         t = float(t)
-        if self._fn is not self._fn_many:
-            return np.array([self.eval(t, fam.row(r))
-                             for r in range(fam.rows)])
-        out = np.empty(fam.rows)
-        out[:] = self._fn(t, fam)
-        return out
+        if self._fn is self._fn_many:
+            return self._read(self._fn(t, fam), (fam.rows,))
+        return np.array([self.eval(t, fam.row(r)) for r in range(fam.rows)])
 
     def __repr__(self):
-        return f"<Functional {self.label or 'anonymous'}>"
+        return f"<{type(self).__name__} {self.label or 'anonymous'}>"
 
 
-class VectorFunctional:
+class VectorFunctional(Functional):
     """R^k-valued non-anticipative map (t, path) -> (k,)."""
 
     def __init__(self, fn, dim_out, label="", fn_many=None, constant_value=None):
-        self._fn = fn
-        self._fn_many = fn_many
         self.dim_out = int(dim_out)
-        self.label = label
-        self.constant_value = None if constant_value is None \
-            else np.asarray(constant_value, dtype=float)
-
-    def eval(self, t, x):
-        out = np.asarray(self._fn(float(t), x), dtype=float).reshape(-1)
-        if out.shape != (self.dim_out,):
-            raise DomainError(f"{self.label}: expected ({self.dim_out},) value")
-        return out
-
-    def eval_many(self, ts, x):
-        ts = np.asarray(ts, dtype=float)
-        if self._fn_many is not None:
-            out = np.asarray(self._fn_many(ts, x), dtype=float)
-            return out.reshape(len(ts), self.dim_out)
-        return np.stack([self.eval(t, x) for t in ts])
-
-    def __repr__(self):
-        return f"<VectorFunctional {self.label or 'anonymous'}>"
+        self.shape = (self.dim_out,)
+        super().__init__(fn, label=label, fn_many=fn_many,
+                         constant_value=constant_value)
 
 
 class DirectionField(VectorFunctional):
@@ -105,21 +114,12 @@ class DirectionField(VectorFunctional):
         self.lipschitz_K = float(lipschitz_K)
 
 
-class MatrixFunctional:
+class MatrixFunctional(Functional):
     """(d, m)-matrix-valued non-anticipative map; SDE diffusion shape."""
 
     def __init__(self, fn, shape, label="", constant_value=None):
-        self._fn = fn
         self.shape = (int(shape[0]), int(shape[1]))
-        self.label = label
-        self.constant_value = None if constant_value is None \
-            else np.asarray(constant_value, dtype=float)
-
-    def eval(self, t, x):
-        out = np.asarray(self._fn(float(t), x), dtype=float)
-        if out.shape != self.shape:
-            raise DomainError(f"{self.label}: expected {self.shape} matrix")
-        return out
+        super().__init__(fn, label=label, constant_value=constant_value)
 
 
 class FunctionalWithDerivatives(Functional):
@@ -157,18 +157,23 @@ class FunctionalWithDerivatives(Functional):
     def hess_many(self, ts, x):
         if self.hess is None:
             raise DomainError(f"{self.label}: second derivative absent")
-        d = len(self.hess)
-        cols = [[self.hess[i][j].eval_many(ts, x) for j in range(d)]
-                for i in range(d)]
-        return np.stack([np.stack(row, axis=1) for row in cols], axis=1)
+        return np.stack([np.stack([h.eval_many(ts, x) for h in row], axis=1)
+                         for row in self.hess], axis=1)
+
+
+def _constant(value):
+    """The one body of every constant functional: value at each time."""
+    value = np.asarray(value, dtype=float)
+
+    def body(ts, x):
+        return np.full(np.shape(ts) + value.shape, value)
+
+    return body
 
 
 def constant_functional(c, label=None):
     c = float(c)
-
-    def value(ts, x):
-        return np.full(np.shape(ts), c)
-
+    value = _constant(c)
     return Functional(value, label=label or f"const({c})", fn_many=value,
                       constant_value=c)
 
@@ -362,10 +367,7 @@ def zero_direction(dim=1):
 
 def constant_direction(vec, label=None):
     v = np.atleast_1d(np.asarray(vec, dtype=float))
-
-    def value(ts, x):
-        return np.full(np.shape(ts) + v.shape, v)
-
+    value = _constant(v)
     label = label or f"const({','.join(repr(float(c)) for c in v)})"
     return DirectionField(value, len(v), 0.0, label=label, fn_many=value,
                           constant_value=v)
@@ -387,7 +389,7 @@ def running_avg_direction(dim=1):
 
 def constant_matrix_field(mat):
     m = np.atleast_2d(np.asarray(mat, dtype=float))
-    return MatrixFunctional(lambda t, x: m, m.shape, label="const_matrix",
+    return MatrixFunctional(_constant(m), m.shape, label="const_matrix",
                             constant_value=m)
 
 
@@ -479,8 +481,7 @@ def probe_non_anticipative(F, dim=1, samples=200, seed=0, horizon=1.0):
                        samples, failures)
 
 
-def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0,
-                      grid_n=64):
+def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0):
     """Necessary-condition check that F maps box-bounded paths to bounded
     values: reports the max of |F(s, x)| over random paths confined to
     [-box_radius, box_radius]^d, with s running over grid times up to and
@@ -493,8 +494,8 @@ def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0,
     where = None
     for k in range(samples):
         mode = LINEAR if gen.random() < 0.5 else CADLAG
-        path = _random_path(gen, dim, horizon, mode, n_lo=grid_n,
-                            n_hi=grid_n + 1, box=box_radius)
+        path = _random_path(gen, dim, horizon, mode, n_lo=64, n_hi=65,
+                            box=box_radius)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = np.abs(F.eval_many(path.times, path))
         top = vals.max() if len(vals) else 0.0

@@ -6,6 +6,7 @@ bytes are observable without spawning interpreters.
 
 import contextlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from pathcalc import path_from_csv, path_to_csv, ramp_path
 from pathcalc.cli import OPTS, main
 
+DATA = Path(__file__).with_name("data")
 
 def _run(tmp_path, argv, name="out.csv"):
     out = tmp_path / name
@@ -215,6 +217,23 @@ def test_flow_artifact_is_a_loadable_path(tmp_path):
     assert np.allclose(p.eval(ts)[:, 0], ts, atol=1e-12)
 
 
+def test_flow_euler_artifact_is_a_loadable_path(tmp_path):
+    out = tmp_path / "flow.csv"
+    rc = main(["flow", "--path", "ramp:1.0", "--nodes", "65",
+               "--direction", "const:1.0", "--substep", "0.015625",
+               "--method", "euler", "--out", str(out)])
+    assert rc == 0
+    lines = _lines(out.read_bytes())
+    assert "# method = euler" in lines
+    assert "# iterations = 1" in lines
+    comments = dict(ln[2:].split(" = ") for ln in lines if ln.startswith("#"))
+    assert float(comments["sup_residual"]) <= float(comments["tol_residual"])
+    p = path_from_csv(str(out))
+    # euler is exact for a constant field: y(t) = t on the zero-started ramp
+    ts = np.linspace(0.0, 1.0, 17)
+    assert np.allclose(p.eval(ts)[:, 0], ts, atol=1e-12)
+
+
 def test_csv_path_spec_round_trips(tmp_path):
     src = tmp_path / "ramp.csv"
     path_to_csv(ramp_path(1.0, 1.0, n=129), str(src))
@@ -235,6 +254,20 @@ def test_deriv_of_running_max_at_zero_is_one(tmp_path):
                                    "--functional", "running_max",
                                    "--t", "0"]))
     assert lines[-1].split(",")[:2] == ["converged", "1.0"]
+
+
+@pytest.mark.parametrize("scheme, verdict", [("central", "inconclusive"),
+                                             ("forward", "converged")])
+def test_deriv_of_running_max_at_a_kink(tmp_path, scheme, verdict):
+    lines = _lines(_run(tmp_path, ["deriv", "--kind", "space",
+                                   "--functional", "running_max",
+                                   "--t", "0.5", "--scheme", scheme]))
+    got, estimate, _ = lines[-1].split(",")
+    assert got == verdict
+    if verdict == "converged":
+        assert abs(float(estimate) - 1.0) <= 1e-8
+    else:
+        assert estimate == "nan"
 
 
 def test_deriv_artifact_schema(tmp_path):
@@ -355,13 +388,21 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
     ["flow", "--substep", "1e-300"],
     ["probe", "--box", "1e308", "--samples", "4"],
     ["counterexample", "--nodes", "-1"],
+    ["qv", "--config", str(DATA / "no-such.cfg")],
+    ["qv", "--config", str(DATA / "unparseable.cfg")],
+    ["relation", "--times", "a,b"],
+    ["flow", "--path", "bogus:1"],
+    ["probe", "--probe", "bogus"],
+    ["flow", "--method", "bogus"],
 ], ids=["functional_axis_text", "functional_axis_range", "path_index_text",
         "direction_floor_text", "direction_floor_nan", "substep_nan",
         "probe_no_samples", "probe_no_dim", "probe_negative_box",
         "product_on_one_dim_path", "product_axis", "bump_below_resolution",
         "step_below_resolution", "ladder_underflow", "relation_no_times",
         "fk_no_times", "qv_no_dim", "path_no_values", "substep_too_fine",
-        "probe_box_overflows", "negative_nodes"])
+        "probe_box_overflows", "negative_nodes", "config_missing",
+        "config_value_unparseable", "times_not_numbers", "unknown_path",
+        "unknown_probe", "unknown_flow_method"])
 def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

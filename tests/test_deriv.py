@@ -199,6 +199,24 @@ def test_space_of_running_max_where_the_bump_sets_the_max(mode, t):
     assert rep.estimate == 1.0
 
 
+@pytest.mark.parametrize("scheme, t, verdict", [
+    ("central", 0.5, INCONCLUSIVE), ("forward", 0.5, CONVERGED),
+    ("central", 0.0, CONVERGED), ("forward", 0.0, CONVERGED)])
+def test_space_of_running_max_at_a_kink_is_not_converged(scheme, t, verdict):
+    # at t > 0 the linear ramp's max so far is x(t) itself: a bump up
+    # raises it by h, a bump down leaves it at the sup before t.  The
+    # one-sided derivatives are 1 and 0, and the central quotients sit at
+    # their mean 1/2.  At t = 0 both bumps set the max.
+    rep = d_space(builtin("running_max"), 0, t, ramp_path(1.0, 1.0, n=17),
+                  scheme=scheme)
+    assert rep.verdict == verdict
+    if verdict == CONVERGED:
+        assert abs(rep.estimate - 1.0) <= 1e-8
+    else:
+        assert np.isnan(rep.estimate)
+        assert np.all(np.abs(rep.quotients - 0.5) <= 1e-8)
+
+
 def test_space_argument_checks():
     r = ramp_path(1.0, 1.0, n=65)
     with pytest.raises(DomainError):

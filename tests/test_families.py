@@ -14,9 +14,11 @@ from pathcalc import (
     DomainError,
     Functional,
     GridPath,
+    MatrixFunctional,
     SDESpec,
     SplicedPath,
     StoppedPath,
+    VectorFunctional,
     benchmark,
     builtin,
     constant_direction,
@@ -25,8 +27,10 @@ from pathcalc import (
     constant_path,
     counterexample_functional,
     estimate_f,
+    eval_direction,
     martingale_check,
     mean_functional,
+    running_avg_direction,
     simulate_sde,
     surface_functional,
 )
@@ -119,6 +123,44 @@ def test_eval_family_equals_eval_on_each_row_bitwise(case):
             for r, path in enumerate(rows):
                 want = np.float64(F.eval(t, path)).tobytes()
                 assert got[r].tobytes() == want, (F.label, t, r)
+
+
+def _outer(ts, x):
+    v = x.eval(ts)
+    return v[..., :, None] * v[..., None, :]
+
+
+def _vector_and_matrix_functionals(dim):
+    """Vector and matrix functionals whose bodies broadcast, declared as
+    such, and the same bodies read row by row."""
+    def twice(t, x):
+        return 2.0 * x.eval(t)
+
+    broadcasting_matrix = type("Outer", (Functional,), {"shape": (dim, dim)})
+    return [
+        eval_direction(dim),
+        running_avg_direction(dim),
+        constant_direction(np.arange(1.0, dim + 1.0)),
+        VectorFunctional(twice, dim, label="twice_by_rows"),
+        broadcasting_matrix(_outer, label="outer", fn_many=_outer),
+        MatrixFunctional(_outer, (dim, dim), label="outer_by_rows"),
+        constant_matrix_field(np.ones((dim, 3))),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(families())
+def test_vector_and_matrix_eval_family_equals_eval_on_each_row_bitwise(case):
+    fam, rows, ts = case
+    for F in _vector_and_matrix_functionals(fam.dim):
+        for t in ts:
+            got = F.eval_family(t, fam)
+            assert got.shape == (fam.rows,) + F.shape, F.label
+            for r, path in enumerate(rows):
+                want = F.eval(t, fam.row(r))
+                assert want.shape == F.shape, F.label
+                assert got[r].tobytes() == want.tobytes(), (F.label, t, r)
+                assert F.eval(t, path).tobytes() == want.tobytes(), F.label
 
 
 def test_constant_functional_spreads_over_the_family():

@@ -12,6 +12,7 @@ from pathcalc import (
     constant_path,
     eval_direction,
     euler_flow,
+    ramp_path,
     running_avg_direction,
     solve_flow,
     stop,
@@ -188,3 +189,15 @@ def test_euler_flow_zero_field_is_stop():
     w = constant_path(2.0)
     sol = euler_flow(w, 0.5, zero_direction(1), until=1.0, substep=0.125)
     assert isinstance(sol.path, StoppedPath)
+
+
+def test_euler_flow_residual_uses_left_rectangles():
+    # the residual of an euler solution integrates the field with the
+    # solver's own left-point rule, so it vanishes up to rounding
+    ramp = ramp_path(1.0, 1.0, n=65)
+    sol = euler_flow(ramp, 0.25, running_avg_direction(1), substep=1e-3)
+    assert sol.quadrature == "left"
+    res = sol.residual()
+    assert res.shape == sol.grid.shape
+    assert res.max() <= sol.tol_residual
+    assert sol.residual([0.25, 0.5, 1.0]).max() <= sol.tol_residual

@@ -12,6 +12,7 @@ from pathcalc import (
     Functional,
     FunctionalWithDerivatives,
     GridPath,
+    MatrixFunctional,
     VectorFunctional,
     benchmark,
     builtin,
@@ -19,6 +20,7 @@ from pathcalc import (
     check_hessian_symmetry,
     constant_functional,
     constant_direction,
+    constant_matrix_field,
     constant_path,
     constraint_direction,
     counterexample_functional,
@@ -211,6 +213,63 @@ def test_vector_functional_shape_check():
 def test_direction_field_rejects_negative_constant():
     with pytest.raises(DomainError):
         DirectionField(lambda t, x: np.array([0.0]), 1, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# one functional type: every value is read in the declared shape
+
+
+def test_shape_is_declared_by_the_kind_of_value():
+    assert Functional(lambda t, x: 0.0).shape == ()
+    assert eval_direction(3).shape == (3,)
+    assert eval_direction(3).dim_out == 3
+    assert constant_matrix_field([[1.0, 2.0]]).shape == (1, 2)
+    for F in (eval_direction(1), constant_matrix_field([[1.0]])):
+        assert isinstance(F, Functional)
+
+
+def test_a_wrong_sized_fn_many_result_is_rejected_by_name():
+    F = Functional(lambda t, x: 1.0, label="short",
+                   fn_many=lambda ts, x: np.zeros(3))
+    with pytest.raises(DomainError,
+                       match=r"short: expected a value of shape \(2,\), "
+                             r"got \(3,\)"):
+        F.eval_many([0.1, 0.2], ramp_path(1.0, 1.0, n=5))
+
+
+def test_an_empty_time_array_gives_no_values():
+    x = ramp_path([1.0, 2.0], 1.0, n=5)
+    cases = [
+        (Functional(lambda t, x: x.eval(t)[0]), (0,)),
+        (VectorFunctional(lambda t, x: x.eval(t), 2), (0, 2)),
+        (MatrixFunctional(lambda t, x: np.outer(x.eval(t), x.eval(t)),
+                          (2, 2)), (0, 2, 2)),
+        (eval_direction(2), (0, 2)),
+    ]
+    for F, shape in cases:
+        assert F.eval_many(np.array([]), x).shape == shape, F
+
+
+def test_a_value_with_the_declared_entries_reads_in_the_declared_shape():
+    x = ramp_path(1.0, 1.0, n=5)
+    # a (1,) value is the scalar, not a bare TypeError or a DeprecationWarning
+    F = Functional(lambda t, x: x.eval(t), label="coordinate")
+    assert F.eval(0.5, x) == 0.5
+    assert type(F.eval(0.5, x)) is float
+    assert F.eval_many([0.25, 0.5], x).tolist() == [0.25, 0.5]
+    V = VectorFunctional(lambda t, x: np.array([[1.0], [2.0]]), 2)
+    assert V.eval(0.0, None).tolist() == [1.0, 2.0]
+
+
+def test_a_matrix_value_must_have_its_exact_shape():
+    M = MatrixFunctional(lambda t, x: np.array([1.0, 2.0]), (1, 2),
+                         label="flat")
+    with pytest.raises(DomainError, match=r"flat: expected a value of "
+                                          r"shape \(1, 2\), got \(2,\)"):
+        M.eval(0.0, None)
+    x = ramp_path(1.0, 1.0, n=5)
+    sig = constant_matrix_field([[0.5, 2.0]])
+    assert sig.eval_many([0.0, 1.0], x).tolist() == [[[0.5, 2.0]]] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,13 @@ def test_constant_integrand_collapses_to_left_sum():
     assert r.ito == partition_integral(G, p, times)
 
 
+def test_stratonovich_rejects_an_integrand_of_another_dimension():
+    p = brownian_path(42, 3, n_exp=6)
+    with pytest.raises(DomainError, match="2-dimensional, path is 1"):
+        stratonovich_integral(constant_direction([1.0, 2.0]), p,
+                              dyadic_subsample(p, 4, n_exp=6))
+
+
 def test_chain_rule_for_cubes():
     # int x^2 o dx = (x(1)^3 - x(0)^3) / 3 in the midpoint convention
     errs = []

@@ -232,6 +232,30 @@ def test_concat_rejects_short_tail():
         concat(a, 0.5, b)
 
 
+@pytest.mark.parametrize("s, b, match", [
+    (-0.25, constant_path(1.0), "junction"),
+    (1.5, constant_path(1.0), "junction"),
+    (0.5, constant_path([1.0, 2.0]), "dimension mismatch"),
+], ids=["junction_before_zero", "junction_past_horizon", "dimension"])
+def test_concat_rejects_a_bad_junction_or_dimension(s, b, match):
+    with pytest.raises(DomainError, match=match):
+        concat(constant_path(0.0), s, b)
+
+
+@pytest.mark.parametrize("switch, times, values, mode, match", [
+    (1.5, [1.5], [[1.0]], LINEAR, "switch time outside"),
+    (0.5, [0.25, 1.0], [[1.0], [2.0]], LINEAR, "start at the switch"),
+    (0.5, [0.5, 2.0], [[1.0], [2.0]], LINEAR, "past the horizon"),
+    (0.5, [0.5, 0.75, 0.75], [[1.0], [2.0], [3.0]], LINEAR,
+     "strictly increasing"),
+    (0.5, [0.5, 1.0], [[1.0], [2.0]], "spline", "unknown interp_mode"),
+], ids=["switch_outside", "segment_starts_elsewhere", "segment_too_long",
+        "segment_times_repeat", "unknown_mode"])
+def test_splice_rejects_a_bad_segment(switch, times, values, mode, match):
+    with pytest.raises(DomainError, match=match):
+        SplicedPath(constant_path(0.0), switch, times, values, mode)
+
+
 # ---------------------------------------------------------------------------
 # the stopped-path distance
 
