@@ -10,9 +10,9 @@ into one of three verdicts rather than trusted blindly:
                   genuinely divergent limit, not of noise).
 * inconclusive  - neither pattern is clean.
 
-Every ladder runs through one of two studies: time_study, along the
-stopped path or one flow solve (study_path grades its grid so every ladder
-point lies on it), and bump_study, over vertical bumps at t.  Both reject a
+Every time ladder is one time_study, along the stopped path or one flow
+solve whose grid holds every ladder point.  Every vertical ladder forms its
+quotients from one bump_values read of F on the bumps at t.  Both reject a
 ladder whose smallest step no longer moves t or the held value.
 """
 
@@ -138,69 +138,64 @@ def ladder_flow_grid(t, etas, refine=8):
     return grid
 
 
-def study_path(x, t, gamma, ladder):
-    """The extension of x from t that a time study runs along: stop(x, t)
-    when gamma is None, otherwise gamma's flow on ladder_flow_grid."""
+def time_study(F, t, x, gamma, ladder, label):
+    """Judge (F(t + eta) - F(t)) / eta along one extension of x from t,
+    dividing by the realized float gaps.
+
+    The extension is stop(x, t) when gamma is None, otherwise gamma's flow,
+    solved once on ladder_flow_grid so that every ladder point is a grid
+    node.  Each ladder gap is split into at least 8 pieces, and into more
+    where the largest piece would not fit the solver's contraction window
+    1/(2K) with its 1e-9 slack.
+    """
     etas = ladder.steps()
     if not (0.0 <= t < t + etas[-1]
             and t + etas[0] <= x.horizon * (1 + 1e-12)):
         raise DomainError("need 0 <= t < t + smallest step and t + eta0 <= "
                           f"horizon; t={t}")
     if gamma is None:
-        return stop(x, t)
-    grid = ladder_flow_grid(t, etas)
-    grid[-1] = min(grid[-1], x.horizon)
-    return solve_flow(x, t, gamma, until=grid[-1], grid=grid).path
-
-
-def time_study(F, t, path, ladder, label):
-    """Judge (F(t + eta) - F(t)) / eta along path, an extension from t,
-    dividing by the realized float gaps; flow grid nodes carry them."""
-    etas = ladder.steps()
+        path = stop(x, t)
+    else:
+        K = gamma.lipschitz_K
+        gap = np.diff(etas[::-1], prepend=0.0).max()
+        refine = max(8.0, np.ceil(2.0 * K * gap / (1 + 1e-9)))
+        if ladder.count * refine > 2 ** 24:
+            raise ConfigError(f"Lipschitz constant {K:g} needs more than "
+                              "2**24 flow grid steps on this ladder")
+        grid = ladder_flow_grid(t, etas, int(refine))
+        grid[-1] = min(grid[-1], x.horizon)
+        path = solve_flow(x, t, gamma, until=grid[-1], grid=grid).path
     base = F.eval(t, path)
     times = np.minimum(t + etas, path.horizon)   # descending in eta
     vals = F.eval_many(times[::-1], path)[::-1]
     return judge(etas, (vals - base) / (times - t), ladder.ratio, label)
 
 
-def bump_study(F, t, x, ladder, rung, label):
-    """Judge the vertical quotients of F at t, one per ladder step h.
-
-    rung = (dirs, quotient): step h evaluates F on x bumped at t by h *
-    dirs[s] for each row s, all rows of one family held at t and read in
-    one eval_family call; quotient(vals, hs, base) maps these (count,
-    len(dirs)) values to quotients, base() being F on the stopped path.
-    """
-    xt = stop(x, t)
-    pin = stop_exactly(xt, t)
-    dirs, quotient = rung
-    hs = ladder.steps()
-    # every rung's held values at once, as bump() would add them
+def bump_values(F, t, x, hs, dirs):
+    """F on x bumped at t by h * dirs[s], for every step h of hs and every
+    row s of dirs, as a (len(hs), len(dirs)) array.  All bumps are rows of
+    one family held at t, read in one eval_family call."""
+    pin = stop_exactly(stop(x, t), t)
+    # every step's held values at once, as bump() would add them
     held = pin.value_at_stop + hs[:, None, None] * dirs
     if np.any((held[-1] == pin.value_at_stop) & (dirs != 0)):
         raise DomainError(f"smallest bump {hs[-1]:g} does not move x({t:g})")
     bumps = StoppedPath(pin.base, pin.stop_time, held.reshape(-1, x.dim))
-    vals = F.eval_family(t, bumps)
-    quotients = quotient(vals.reshape(len(hs), -1), hs, lambda: F.eval(t, xt))
-    return judge(hs, quotients, ladder.ratio, label)
+    return F.eval_family(t, bumps).reshape(len(hs), len(dirs))
 
 
 def d_gamma(F, gamma, t, x, ladder=None):
     """Derivative of F at (t, x) along the flow driven by gamma, solved
-    once per study by study_path.  A direction that vanishes along the
-    extension gives exactly the stopped path, so the study then equals
-    d_horizontal quotient by quotient."""
-    ladder = ladder or QuotientLadder()
-    path = study_path(x, t, gamma, ladder)
-    label = f"d_gamma[{F.label}|{gamma.label}]@{float(t):g}"
-    return time_study(F, t, path, ladder, label)
+    once per study.  A direction that vanishes along the extension gives
+    exactly the stopped path, so the study then equals d_horizontal
+    quotient by quotient."""
+    return time_study(F, t, x, gamma, ladder or QuotientLadder(),
+                      f"d_gamma[{F.label}|{gamma.label}]@{float(t):g}")
 
 
 def d_horizontal(F, t, x, ladder=None):
     """Time derivative of F along the stopped extension of x at t."""
-    ladder = ladder or QuotientLadder()
-    path = study_path(x, t, None, ladder)
-    return time_study(F, t, path, ladder,
+    return time_study(F, t, x, None, ladder or QuotientLadder(),
                       f"d_horizontal[{F.label}]@{float(t):g}")
 
 
@@ -222,19 +217,17 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
         raise DomainError(f"axis {i} outside dimension {x.dim}")
     e = np.zeros((3, x.dim))    # up, down, unbumped
     e[0, i], e[1, i] = 1.0, -1.0
+    hs = ladder.steps()
     label = f"d_space[{F.label};{i};{scheme}]@{float(t):g}"
     if scheme == "forward":
-        rung = (e[:1], lambda v, hs, base: (v[:, 0] - base()) / hs)
-        return bump_study(F, t, x, ladder, rung, label)
-    jump = []
-
-    def central(v, hs, base):
-        gap = (v[:, 0] - 2.0 * v[:, 2] + v[:, 1]) / hs
-        jump.append((gap[-1] - ladder.ratio * gap[-2]) / (1.0 - ladder.ratio))
-        return (v[:, 0] - v[:, 1]) / (2.0 * hs)
-
-    rep = bump_study(F, t, x, ladder, (e, central), label)
-    if rep.converged and not abs(jump[0]) <= rep.conv_tol:
+        v = bump_values(F, t, x, hs, e[:1])
+        return judge(hs, (v[:, 0] - F.eval(t, stop(x, t))) / hs,
+                     ladder.ratio, label)
+    v = bump_values(F, t, x, hs, e)
+    rep = judge(hs, (v[:, 0] - v[:, 1]) / (2.0 * hs), ladder.ratio, label)
+    gap = (v[:, 0] - 2.0 * v[:, 2] + v[:, 1]) / hs
+    jump = (gap[-1] - ladder.ratio * gap[-2]) / (1.0 - ladder.ratio)
+    if rep.converged and not abs(jump) <= rep.conv_tol:
         rep.verdict, rep.estimate = INCONCLUSIVE, np.nan
     return rep
 
@@ -376,15 +369,17 @@ def numerical_derivatives(F, dim=1):
     def hess_fn(i, j):
         def hij(t, x):
             ei, ej = np.eye(x.dim)[[i, j]]
+            hs = HESS_LADDER.steps()
             if i == j:      # (f(+h) - 2 f + f(-h)) / h^2
-                rung = (np.stack([ei, -ei]), lambda v, hs, base:
-                        (v[:, 0] - 2.0 * base() + v[:, 1]) / (hs * hs))
+                v = bump_values(F, t, x, hs, np.stack([ei, -ei]))
+                qs = (v[:, 0] - 2.0 * F.eval(t, stop(x, t)) + v[:, 1]) \
+                    / (hs * hs)
             else:           # the four corners (+-h, +-h)
-                rung = (np.stack([ei + ej, ei - ej, ej - ei, -ei - ej]),
-                        lambda v, hs, base: (v[:, 0] - v[:, 1] - v[:, 2]
-                                             + v[:, 3]) / (4.0 * hs * hs))
+                v = bump_values(F, t, x, hs, np.stack(
+                    [ei + ej, ei - ej, ej - ei, -ei - ej]))
+                qs = (v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4.0 * hs * hs)
             label = f"d2_space[{i},{j}]"
-            rep = bump_study(F, t, x, HESS_LADDER, rung, label)
+            rep = judge(hs, qs, HESS_LADDER.ratio, label)
             return require_converged(rep, label).estimate
         return hij
 

@@ -86,7 +86,7 @@ def _simulate_block(spec, grid, x, seed, first, count):
     Row r depends only on (seed, first + r), so it is the same bit for bit
     in whatever block it is simulated.  Constant coefficients take one
     cumulative sum along time, which adds in order; otherwise each row's
-    coefficients see its live prefix step by step.
+    coefficients see its live prefix step by step, a constant one by value.
     """
     n = len(grid) - 1
     dt = np.diff(grid)
@@ -95,18 +95,17 @@ def _simulate_block(spec, grid, x, seed, first, count):
     start = x.eval(grid[0])
     values = np.empty((count, n + 1, spec.dim))
     values[:, 0] = start
+    drift, sigma = spec.drift.constant_value, spec.sigma.constant_value
     if spec.has_constant_coeffs:
-        a = spec.drift.constant_value
-        sig = spec.sigma.constant_value
-        inc = dt[:, None] * a[None, :] + dw @ sig.T
+        inc = dt[:, None] * drift[None, :] + dw @ sigma.T
         values[:, 1:] = start + np.cumsum(inc, axis=1)
     else:
         for row, row_dw in zip(values, dw):
             live = splice_view(x, grid[0], grid, row, LINEAR)
-            for j in range(n):
+            for j, s in enumerate(grid[:-1]):
                 live.seg.fill(j + 1)
-                a = spec.drift.eval(grid[j], live)
-                sig = spec.sigma.eval(grid[j], live)
+                a = spec.drift.eval(s, live) if drift is None else drift
+                sig = spec.sigma.eval(s, live) if sigma is None else sigma
                 row[j + 1] = row[j] + (dt[j] * a + sig @ row_dw[j])
     values.setflags(write=False)
     return values

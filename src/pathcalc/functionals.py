@@ -434,7 +434,7 @@ def _random_path(gen, dim, horizon, mode, n_lo=6, n_hi=40, box=None):
     return GridPath(times, values, mode)
 
 
-def _with_pinned_future(path, t, gen, box=None):
+def _with_pinned_future(path, t, gen):
     """(pinned, randomized) pair: identical on [0, t], the second with fresh
     values at every grid node strictly after t."""
     times = path.times
@@ -448,11 +448,7 @@ def _with_pinned_future(path, t, gen, box=None):
     pinned = GridPath(new_times, new_values, path.interp_mode)
     future = new_times > t
     rand_values = new_values.copy()
-    if box is None:
-        rand_values[future] = gen.normal(size=(future.sum(), path.dim))
-    else:
-        rand_values[future] = gen.uniform(-box, box,
-                                          size=(future.sum(), path.dim))
+    rand_values[future] = gen.normal(size=(future.sum(), path.dim))
     return pinned, GridPath(new_times, rand_values, path.interp_mode)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, \
-    study_path, time_study, OSCILLATING
+    time_study, OSCILLATING
 from .errors import DomainError
 from .functionals import DirectionField, Functional, constant_direction, \
     running_mean
@@ -172,8 +172,8 @@ def expansion_check(t0, x, gamma=None):
     t0 = float(t0)
     lad = QuotientLadder()
     alpha = expansion_rate(gamma, t0, x)
-    path = study_path(x, t0, gamma, lad)
-    rep = time_study(surface_functional(), t0, path, lad, f"gap_rate@{t0:g}")
+    rep = time_study(surface_functional(), t0, x, gamma, lad,
+                     f"gap_rate@{t0:g}")
     err = np.abs(rep.quotients - alpha)
     fit = err > 1e-13
     if fit.sum() >= 3:

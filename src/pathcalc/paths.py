@@ -598,7 +598,7 @@ def path_from_csv(src, interp_mode=None):
     mode = interp_mode
     rows = []
     header_seen = False
-    for line in io.StringIO(text):
+    for number, line in enumerate(io.StringIO(text), 1):
         line = line.strip()
         if not line:
             continue
@@ -610,7 +610,14 @@ def path_from_csv(src, interp_mode=None):
         if not header_seen:
             header_seen = True  # column names; structure is positional
             continue
-        rows.append([float(tok) for tok in line.split(",")])
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError:
+            raise DomainError(f"path CSV line {number}: not a number in "
+                              f"{line!r}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise DomainError(f"path CSV line {number}: {len(rows[-1])} "
+                              f"columns, not {len(rows[0])}")
     if not rows:
         raise DomainError("no data rows in path CSV")
     arr = np.asarray(rows, dtype=float)

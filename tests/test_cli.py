@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathcalc import path_from_csv, path_to_csv, ramp_path
+from pathcalc import brownian_path, path_from_csv, path_to_csv, ramp_path
 from pathcalc.cli import OPTS, main
 
 DATA = Path(__file__).with_name("data")
@@ -234,6 +234,19 @@ def test_flow_euler_artifact_is_a_loadable_path(tmp_path):
     assert np.allclose(p.eval(ts)[:, 0], ts, atol=1e-12)
 
 
+def test_flow_from_a_brownian_path_along_the_constraint_direction(tmp_path):
+    out = tmp_path / "flow.csv"
+    rc = main(["flow", "--path", "brownian:3", "--n-exp", "8",
+               "--direction", "constraint:0.25", "--start", "0.5",
+               "--out", str(out)])
+    assert rc == 0
+    lines = _lines(out.read_bytes())
+    first = lines[lines.index("t,v1") + 1].split(",")
+    # the flow starts from the Brownian path's value at --start
+    assert [float(v) for v in first] \
+        == [0.5, brownian_path(0, 3, n_exp=8).eval(0.5)[0]]
+
+
 def test_csv_path_spec_round_trips(tmp_path):
     src = tmp_path / "ramp.csv"
     path_to_csv(ramp_path(1.0, 1.0, n=129), str(src))
@@ -394,6 +407,8 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
     ["flow", "--path", "bogus:1"],
     ["probe", "--probe", "bogus"],
     ["flow", "--method", "bogus"],
+    ["deriv", "--path", "csv:" + str(DATA / "bad_cell.csv")],
+    ["deriv", "--path", "csv:" + str(DATA / "missing_column.csv")],
 ], ids=["functional_axis_text", "functional_axis_range", "path_index_text",
         "direction_floor_text", "direction_floor_nan", "substep_nan",
         "probe_no_samples", "probe_no_dim", "probe_negative_box",
@@ -402,7 +417,8 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
         "fk_no_times", "qv_no_dim", "path_no_values", "substep_too_fine",
         "probe_box_overflows", "negative_nodes", "config_missing",
         "config_value_unparseable", "times_not_numbers", "unknown_path",
-        "unknown_probe", "unknown_flow_method"])
+        "unknown_probe", "unknown_flow_method", "csv_cell_not_a_number",
+        "csv_row_missing_a_column"])
 def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

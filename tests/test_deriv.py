@@ -4,13 +4,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathcalc import (
     CADLAG,
     CATALOG,
     CONVERGED,
     ConfigError,
+    DirectionField,
     DomainError,
     INCONCLUSIVE,
     IllConditionedError,
@@ -256,6 +257,36 @@ def test_gamma_ladder_needs_room():
     r = ramp_path(1.0, 1.0, n=65)
     with pytest.raises(DomainError):
         d_gamma(builtin("eval"), eval_direction(1), 0.995, r)
+
+
+def _eval_field(K):
+    # the eval direction declared with Lipschitz constant K
+    ev = eval_direction(1)
+    return DirectionField(ev.eval, 1, K, label=f"eval(K={K:g})",
+                          fn_many=ev.eval_many)
+
+
+@pytest.mark.parametrize("K", [801.0, 1e4])
+def test_gamma_ladder_grid_fits_a_narrow_contraction_window(K):
+    # K > 800 gives a window 1/(2K) below the default grid's 0.000625 gap
+    x = ramp_path(1.0, 1.0, n=1025)
+    ref = d_gamma(builtin("square"), _eval_field(800.0), 0.5, x)
+    rep = d_gamma(builtin("square"), _eval_field(K), 0.5, x)
+    assert ref.converged and rep.converged
+    assert abs(rep.estimate - ref.estimate) <= ref.conv_tol
+
+
+def test_gamma_ladder_grid_past_the_step_cap_names_the_constant():
+    x = ramp_path(1.0, 1.0, n=65)
+    with pytest.raises(ConfigError, match="Lipschitz constant 1e\\+12"):
+        d_gamma(builtin("square"), _eval_field(1e12), 0.5, x)
+
+
+@pytest.mark.parametrize("t0", [0.005265, 0.001])
+def test_expansion_check_along_gamma_star_near_the_time_floor(t0):
+    # gamma_star(t0 / 2) declares K = 8 / t0
+    rep = expansion_check(t0, ramp_path(1.0, 1.0, n=1025), gamma_star(t0 / 2))
+    assert rep.ok
 
 
 @pytest.mark.parametrize("study", ["gamma", "horizontal"])
@@ -506,7 +537,8 @@ def _ref_gap_rates(t0, x, gamma):
     if gamma is None:
         path = stop(x, t0)
     else:
-        grid = ladder_flow_grid(t0, etas)
+        grid = ladder_flow_grid(t0, etas, max(8, int(np.ceil(
+            2.0 * gamma.lipschitz_K * (etas[0] - etas[1]) / (1 + 1e-9)))))
         grid[-1] = min(grid[-1], x.horizon)
         path = solve_flow(x, t0, gamma, until=grid[-1], grid=grid).path
     phi0 = surface_value(t0, path)[0]
@@ -565,6 +597,8 @@ def test_bump_study_equals_the_reference_loops_bitwise(inputs):
 @settings(max_examples=30, deadline=None)
 @given(_study_inputs(dims=(1,)),
        st.sampled_from([None, "const", "gamma_star"]))
+@example((GridPath([0.0, 0.005265, 1.0], [[0.5], [0.6], [0.2]]), 0.005265),
+         "gamma_star")
 def test_time_study_equals_the_reference_gap_rate_loop_bitwise(inputs, kind):
     x, t = inputs
     if t + QuotientLadder().eta0 > x.horizon:
