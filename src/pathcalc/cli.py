@@ -171,13 +171,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"config-error: {message}\n")
 
 
-def build_parser():
+def build_parser(names=tuple(OPTS)):
+    """The pathcalc parser with a subparser for each command in names."""
     p = _Parser(
         prog="pathcalc",
         description="functional path calculus: flows, derivative ladders, "
                     "partition sums and Monte Carlo checks")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, opts in OPTS.items():
+    for name in names:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None,
                         help="flat key = value file; CLI flags win")
@@ -185,7 +186,7 @@ def build_parser():
                         help="output CSV path (default: stdout)")
         sp.add_argument("--stamp", action="store_true",
                         help="add a generation timestamp comment")
-        for o in opts:
+        for o in OPTS[name]:
             sp.add_argument("--" + o.name.replace("_", "-"), dest=o.name,
                             type=o.type, default=None, help=o.help)
     return p
@@ -568,7 +569,11 @@ HANDLERS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command's own parser only; top-level help, an unknown command and
+    # an empty argv need the full one
+    names = argv[:1] if argv[:1] and argv[0] in OPTS else tuple(OPTS)
+    args = build_parser(names).parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # no warning lines on stderr
             cfg = resolve(OPTS[args.command], args)

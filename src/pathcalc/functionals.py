@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DomainError
-from .paths import CADLAG, LINEAR, GridPath, stop
+from .paths import CADLAG, LINEAR, grid_view, stop
 
 
 class Functional:
@@ -413,13 +413,19 @@ class ProbeReport:
                 f"samples={self.samples}>")
 
 
-def _check_probe(samples, dim):
+def _check_probe(samples, dim, horizon):
     # a probe over no samples, or over paths with no coordinate, would
-    # report a pass it never tested
+    # report a pass it never tested; a finite positive horizon is what
+    # makes every grid the probes generate valid by construction
     if samples < 1:
         raise ConfigError("samples must be at least 1")
     if dim < 1:
         raise ConfigError("dim must be at least 1")
+    horizon = float(horizon)
+    if not np.isfinite(horizon):
+        raise ConfigError(f"horizon must be finite, not {horizon}")
+    if not horizon > 0:
+        raise ConfigError(f"horizon must be positive, not {horizon}")
 
 
 def _random_path(gen, dim, horizon, mode, n_lo=6, n_hi=40, box=None):
@@ -431,25 +437,24 @@ def _random_path(gen, dim, horizon, mode, n_lo=6, n_hi=40, box=None):
         values = gen.normal(size=(len(times), dim))
     else:
         values = gen.uniform(-box, box, size=(len(times), dim))
-    return GridPath(times, values, mode)
+    return grid_view(times, values, mode)
 
 
 def _with_pinned_future(path, t, gen):
     """(pinned, randomized) pair: identical on [0, t], the second with fresh
     values at every grid node strictly after t."""
-    times = path.times
-    if t in times:
-        new_times = times.copy()
-        new_values = path.values.copy()
-    else:
-        k = np.searchsorted(times, t)
-        new_times = np.insert(times, k, t)
-        new_values = np.insert(path.values, k, path.eval(t), axis=0)
-    pinned = GridPath(new_times, new_values, path.interp_mode)
-    future = new_times > t
-    rand_values = new_values.copy()
+    times, values = path.times, path.values
+    k = int(times.searchsorted(t))
+    if times[k] != t:
+        # t lies strictly inside the grid, so inserting it keeps the grid
+        # rising strictly and the two views need no checks
+        times = np.concatenate([times[:k], [t], times[k:]])
+        values = np.concatenate([values[:k], path.eval(t)[None], values[k:]])
+    pinned = grid_view(times, values, path.interp_mode)
+    future = times > t
+    rand_values = values.copy()
     rand_values[future] = gen.normal(size=(future.sum(), path.dim))
-    return pinned, GridPath(new_times, rand_values, path.interp_mode)
+    return pinned, grid_view(times, rand_values, path.interp_mode)
 
 
 def probe_non_anticipative(F, dim=1, samples=200, seed=0, horizon=1.0):
@@ -459,7 +464,7 @@ def probe_non_anticipative(F, dim=1, samples=200, seed=0, horizon=1.0):
     the randomized path share all data on [0, t], so a genuinely
     non-anticipative functional computes bit-identical results.
     """
-    _check_probe(samples, dim)
+    _check_probe(samples, dim, horizon)
     gen = rng.substream(seed, 0)
     worst = 0.0
     failures = []
@@ -482,7 +487,7 @@ def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0):
     values: reports the max of |F(s, x)| over random paths confined to
     [-box_radius, box_radius]^d, with s running over grid times up to and
     including the horizon.  A non-finite value fails the probe."""
-    _check_probe(samples, dim)
+    _check_probe(samples, dim, horizon)
     if not 0.0 < 2.0 * box_radius < np.inf:
         raise ConfigError("box_radius must be positive, 2 * box_radius finite")
     gen = rng.substream(seed, 1)
@@ -510,17 +515,18 @@ def probe_lipschitz(field, samples=200, seed=0, horizon=1.0, dim=None):
     Samples stopped-path pairs sharing a grid and compares the field gap to
     the sup gap of the stopped paths."""
     d = field.dim_out if dim is None else dim
-    _check_probe(samples, d)
+    _check_probe(samples, d, horizon)
     gen = rng.substream(seed, 2)
     worst = 0.0
     for _ in range(samples):
         mode = LINEAR if gen.random() < 0.5 else CADLAG
         x = _random_path(gen, d, horizon, mode)
         values = x.values + gen.normal(scale=0.5, size=x.values.shape)
-        y = GridPath(x.times, values, mode)
+        y = grid_view(x.times, values, mode)
         t = float(gen.uniform(horizon * 0.05, horizon))
         xs, ys = stop(x, t), stop(y, t)
-        grid = np.unique(np.concatenate([xs.knots(), ys.knots()]))
+        # x and y share their times, so either's knots are the union
+        grid = xs.knots()
         gap = np.abs(xs.eval(grid) - ys.eval(grid)).max()
         if gap == 0.0:
             continue
@@ -536,7 +542,7 @@ def check_hessian_symmetry(F, samples=50, seed=0, dim=1, horizon=1.0,
     """Verify coded second derivatives are symmetric at random points."""
     if F.hess is None:
         raise DomainError(f"{F.label}: second derivative absent")
-    _check_probe(samples, dim)
+    _check_probe(samples, dim, horizon)
     gen = rng.substream(seed, 3)
     worst = 0.0
     for _ in range(samples):

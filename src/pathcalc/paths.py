@@ -13,6 +13,12 @@ optimization: several downstream checks assert identities to machine
 precision.  All grid data, whether a whole path or the part after a splice,
 is read through one segment type.
 
+GridPath checks and copies every grid it is given.  ``grid_view`` builds the
+same path over arrays without either, and is safe only for a grid valid by
+construction: times rising strictly from 0 to a finite positive horizon and
+finite (n, d) values, as the randomized probes generate them.  A grid read
+from a file, an option or any caller goes through GridPath.
+
 A family is k paths that agree before a cut: a splice whose segment values
 are (n, k, d), such as a simulated block of paths that share the history
 before the splice.  A bump family, such as the rungs of a bump study, is
@@ -270,20 +276,24 @@ class GridPath(PathBase):
             raise DomainError("values must be finite")
         if interp_mode not in _MODES:
             raise DomainError(f"unknown interp_mode {interp_mode!r}")
-        self.times = times.copy()
-        self.values = values.copy()
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
+        self._setup(times.copy(), values.copy(), interp_mode)
+
+    def _setup(self, times, values, interp_mode):
+        times.setflags(write=False)
+        values.setflags(write=False)
+        self.times = times
+        self.values = values
         self.interp_mode = interp_mode
         self.dim = values.shape[1]
         self.horizon = float(times[-1])
         # a grid path is a single segment: its primitives are the segment's
-        seg = _Segment(self.times, self.values, interp_mode)
+        seg = _Segment(times, values, interp_mode)
         self._eval = seg.eval
         self._eval_left = seg.eval_left
         self._integral_prefix = seg.integral
         self._running_max_prefix = seg.running_max
         self._sup_before = seg.sup_before
+        return self
 
     def knots(self):
         return self.times
@@ -395,6 +405,17 @@ class SplicedPath(PathBase):
         if u <= self.switch:
             return self.left._sup_before(u)
         return np.maximum(self._head_sup(), self.seg.sup_before(u))
+
+
+def grid_view(times, values, mode):
+    """GridPath over the caller's arrays, validating and copying nothing;
+    the module docstring says when that is safe.
+
+    times must be a 1-d float array rising strictly from 0 to a finite
+    T > 0 and values a finite (n, d) float array.  Both are marked
+    read-only, as the constructor marks its copies.
+    """
+    return GridPath.__new__(GridPath)._setup(times, values, mode)
 
 
 def splice_view(left, switch, times, values, mode):

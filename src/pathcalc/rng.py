@@ -12,12 +12,13 @@ midpoint; above it the sum is a tie that rounds to even, and the top point,
 which would round to 1.0, is clamped to 1 - 2**-53.  ``normal_block`` draws
 many consecutive substreams into one array by resetting a single generator's
 counter per row; row ``r`` equals substream ``first + r`` bit for bit, so
-simulating paths in blocks changes no draw.
+simulating paths in blocks changes no draw.  scipy, which supplies the
+inverse CDF, is imported on the first normal draw, so importing pathcalc
+does not load it.
 """
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import ConfigError
 
@@ -58,6 +59,7 @@ def normal_block(seed, first, count, shape):
     Returns a (count, *shape) array whose row r equals
     ``normals(seed, first + r, shape)`` bit for bit.
     """
+    from scipy.special import ndtri
     shape = tuple(np.atleast_1d(shape).astype(int)) if not np.isscalar(shape) else (int(shape),)
     first, count = int(first), int(count)
     if first < 0 or first + count > 2 ** 128:

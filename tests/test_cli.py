@@ -1,19 +1,24 @@
 """End-to-end checks of the command line front end.
 
 Everything runs in-process through main(argv) so exit codes and artifact
-bytes are observable without spawning interpreters.
+bytes are observable without spawning interpreters, except the console
+script's path, main() reading sys.argv, which only a new process runs.
 """
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pathcalc
 from pathcalc import brownian_path, path_from_csv, path_to_csv, ramp_path
-from pathcalc.cli import OPTS, main
+from pathcalc.cli import OPTS, build_parser, main
 
 DATA = Path(__file__).with_name("data")
 
@@ -34,6 +39,45 @@ def test_missing_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _help(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(OPTS))
+def test_command_help_equals_its_help_in_the_full_parser(name, capsys):
+    # main builds the named command's parser alone
+    lone = _help(main, [name, "--help"], capsys)
+    full = _help(build_parser().parse_args, [name, "--help"], capsys)
+    assert lone == full
+    assert lone.startswith(f"usage: pathcalc {name} ")
+
+
+def _console(*argv):
+    """The console script's path: main() reading sys.argv, in a new
+    process that finds this checkout's package first."""
+    env = dict(os.environ)
+    src = str(Path(pathcalc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "pathcalc.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_console_script_path_writes_the_in_process_bytes(tmp_path):
+    argv = ["probe", "--samples", "5"]
+    child = _console(*argv, "--out", str(tmp_path / "child.csv"))
+    assert child.returncode == 0, child.stderr
+    assert (tmp_path / "child.csv").read_bytes() \
+        == _run(tmp_path, argv, "parent.csv")
+    listing = _console("--help")
+    assert listing.returncode == 0, listing.stderr
+    assert "{" + ",".join(OPTS) + "}" in listing.stdout
 
 
 def test_unparseable_flag_value_exits_two():
@@ -409,6 +453,8 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
     ["flow", "--method", "bogus"],
     ["deriv", "--path", "csv:" + str(DATA / "bad_cell.csv")],
     ["deriv", "--path", "csv:" + str(DATA / "missing_column.csv")],
+    ["probe", "--horizon", "-1"],
+    ["probe", "--horizon", "0"],
 ], ids=["functional_axis_text", "functional_axis_range", "path_index_text",
         "direction_floor_text", "direction_floor_nan", "substep_nan",
         "probe_no_samples", "probe_no_dim", "probe_negative_box",
@@ -418,7 +464,8 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
         "probe_box_overflows", "negative_nodes", "config_missing",
         "config_value_unparseable", "times_not_numbers", "unknown_path",
         "unknown_probe", "unknown_flow_method", "csv_cell_not_a_number",
-        "csv_row_missing_a_column"])
+        "csv_row_missing_a_column", "probe_negative_horizon",
+        "probe_zero_horizon"])
 def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -439,12 +486,13 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     (["flow", "--horizon", "0"], "horizon must be positive"),
     (["flow", "--horizon", "nan"], "horizon must be finite"),
     (["flow", "--horizon", "inf"], "horizon must be finite"),
+    (["probe", "--horizon", "-1"], "horizon must be positive, not -1.0"),
     (["deriv", "--kind", "space", "--path", "const:1e308", "--eta0", "1e308"],
      "held value must be finite"),
 ], ids=["flow_window", "flow_picard_tol", "deriv_gamma_t",
         "deriv_horizontal_t", "deriv_space_t", "relation_times",
         "flow_zero_horizon", "flow_nan_horizon", "flow_inf_horizon",
-        "deriv_space_held_overflows"])
+        "probe_negative_horizon", "deriv_space_held_overflows"])
 def test_nan_option_is_one_line_naming_it(argv, named, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

@@ -36,7 +36,8 @@ from pathcalc import (
     surface_functional,
     zero_direction,
 )
-from pathcalc.functionals import CATALOG, DirectionField, product_functional
+from pathcalc.functionals import CATALOG, DirectionField, \
+    _random_path, _with_pinned_future, product_functional
 
 
 @pytest.fixture
@@ -347,8 +348,11 @@ def test_hessian_symmetry_pass_and_fail():
     lambda **kw: probe_lipschitz(eval_direction(1), **kw),
     lambda **kw: check_hessian_symmetry(builtin("square"), **kw),
 ], ids=["non_anticipative", "boundedness", "lipschitz", "hessian_symmetry"])
-@pytest.mark.parametrize("kw", [{"samples": 0}, {"samples": -3}, {"dim": 0}],
-                         ids=["no_samples", "negative_samples", "no_dim"])
+@pytest.mark.parametrize("kw", [
+    {"samples": 0}, {"samples": -3}, {"dim": 0}, {"horizon": -1.0},
+    {"horizon": 0.0}, {"horizon": np.nan}, {"horizon": np.inf},
+], ids=["no_samples", "negative_samples", "no_dim", "negative_horizon",
+        "zero_horizon", "nan_horizon", "inf_horizon"])
 def test_probes_reject_degenerate_configurations(probe, kw):
     with pytest.raises(ConfigError):
         probe(**kw)
@@ -358,3 +362,26 @@ def test_probes_reject_degenerate_configurations(probe, kw):
 def test_boundedness_rejects_a_bad_box(box):
     with pytest.raises(ConfigError):
         probe_boundedness(builtin("eval"), box, samples=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), dim=st.integers(1, 3),
+       mode=st.sampled_from([LINEAR, CADLAG]),
+       horizon=st.floats(0.0, 1.7e308, exclude_min=True),
+       box=st.none() | st.floats(1e-300, 8e307), on_knot=st.booleans())
+def test_probe_grids_pass_the_grid_path_checks(seed, dim, mode, horizon, box,
+                                              on_knot):
+    # the probes build these paths with grid_view, which checks nothing
+    gen = np.random.default_rng(seed)
+    path = _random_path(gen, dim, horizon, mode, box=box)
+    if on_knot:
+        t = float(path.times[gen.integers(len(path.times))])
+    else:
+        t = float(gen.uniform(0.0, horizon * 0.999))
+    for g in (path, *_with_pinned_future(path, t, gen)):
+        checked = GridPath(g.times, g.values, g.interp_mode)
+        assert checked.times.tobytes() == g.times.tobytes()
+        assert checked.values.tobytes() == g.values.tobytes()
+        assert (checked.dim, checked.horizon, checked.interp_mode) \
+            == (g.dim, g.horizon, g.interp_mode)
+        assert not (g.times.flags.writeable or g.values.flags.writeable)

@@ -2,6 +2,9 @@
 they use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pathcalc
@@ -43,3 +46,16 @@ def test_no_module_has_an_unused_import():
                 if isinstance(node, ast.Name)}
         bad += [f"{path.name}: {name}" for name in bound if name not in used]
     assert not bad
+
+
+def test_import_leaves_scipy_unloaded_until_the_first_normal_draw():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, pathcalc\n"
+            "print('scipy' in sys.modules)\n"
+            "pathcalc.rng.normals(0, 0, 2)\n"
+            "print('scipy.special' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["False", "True"]
