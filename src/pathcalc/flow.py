@@ -39,9 +39,8 @@ class FlowSolution:
     def residual(self, ts=None):
         """|Y(t) - Y(s) - integral of gamma along Y| at the given times
         (solver grid by default), using the solver's own quadrature."""
-        if ts is None:
-            ts = self.grid
-        ts = np.asarray(ts, dtype=float)
+        at_grid = ts is None
+        ts = self.grid if at_grid else np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.start or ts.max() > self.until):
             raise DomainError("residual times must lie in [start, until]")
         g = self.direction.eval_many(self.grid, self.path)
@@ -53,8 +52,9 @@ class FlowSolution:
             part = quad.integral(ts)
         else:
             idx = quad.locate(ts)
+            g_ts = g if at_grid else self.direction.eval_many(ts, self.path)
             part = quad.node_prefix()[idx] + (ts - self.grid[idx])[:, None] \
-                * 0.5 * (g[idx] + self.direction.eval_many(ts, self.path))
+                * 0.5 * (g[idx] + g_ts)
         gap = self.path.eval(ts) - (self.values[0] + part)
         return np.abs(gap).max(axis=1)
 

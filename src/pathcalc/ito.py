@@ -21,7 +21,7 @@ from ._kernels import dot_increment_prefix, outer_increment_prefix, \
     quad_form_prefix
 from .errors import ConfigError, DomainError, GridMismatchError
 from .functionals import require_derivatives
-from .paths import GridPath, LINEAR
+from .paths import GridPath, LINEAR, grid_view
 
 __all__ = [
     "PartitionSequence", "snap_partition", "QVMatrixPath",
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 N_EXP_MAX = 24          # brownian_path holds at most 2**24 values
+_TINY = np.finfo(float).tiny    # the smallest normal float
 
 
 class PartitionSequence:
@@ -96,8 +97,15 @@ def snap_partition(times, path):
     if times[0] < 0.0 or times[-1] > path.horizon * (1 + 1e-12):
         raise DomainError("partition leaves [0, horizon]")
     knots = np.asarray(path.knots())
-    pos = np.searchsorted(knots, times)
-    pos = np.clip(pos, 1, len(knots) - 1)
+    # a grid path's knots are its segment's nodes, which locate many times
+    # without a search
+    if isinstance(path, GridPath):
+        lo = path.seg.locate(times)
+    else:
+        lo = knots.searchsorted(times, side="right") - 1
+    # the knots lo at or before each time and pos after it; a time on a knot
+    # is its own nearest from either side, so pos may pass it
+    pos = np.clip(lo + 1, 1, len(knots) - 1)
     left = knots[pos - 1]
     right = knots[pos]
     idx = np.where(times - left <= right - times, pos - 1, pos)
@@ -268,12 +276,21 @@ def brownian_path(seed, index, n_exp=16, horizon=1.0, dim=1):
     if not (0 <= n_exp <= N_EXP_MAX and 1 <= dim <= 2 ** (N_EXP_MAX - n_exp)):
         raise ConfigError(f"need n_exp >= 0, dim >= 1 and dim * 2**n_exp <= "
                           f"2**{N_EXP_MAX}; got n_exp={n_exp}, dim={dim}")
+    horizon = float(horizon)
     n = 2 ** n_exp
-    t = np.linspace(0.0, float(horizon), n + 1)
-    dt = float(horizon) / n
+    dt = horizon / n
+    # i * dt rises strictly from 0 to the horizon when dt is a normal float;
+    # a subnormal step can round two times together, so it is checked
+    t = np.linspace(0.0, horizon, n + 1) if 0.0 < horizon < np.inf else None
+    if t is None or not (dt >= _TINY or np.all(np.diff(t) > 0)):
+        raise ConfigError(f"horizon={horizon!r} with n_exp={n_exp} gives "
+                          f"no strictly rising grid of 2**n_exp steps")
+    # the values are finite for every finite horizon, so the grid is valid
+    # by construction and needs no check or copy
+    v = np.zeros((n + 1, dim))
     z = rng.normals(seed, index, (n, dim)) * np.sqrt(dt)
-    v = np.vstack([np.zeros(dim), np.cumsum(z, axis=0)])
-    return GridPath(t, v, LINEAR)
+    np.cumsum(z, axis=0, out=v[1:])
+    return grid_view(t, v, LINEAR)
 
 
 def dyadic_subsample(path, level, n_exp=None):

@@ -291,6 +291,14 @@ def test_flow_from_a_brownian_path_along_the_constraint_direction(tmp_path):
         == [0.5, brownian_path(0, 3, n_exp=8).eval(0.5)[0]]
 
 
+def test_flow_from_a_brownian_path_with_a_subnormal_step(tmp_path):
+    # 2**16 steps of a 1e-310 horizon are subnormal but still rise strictly
+    out = tmp_path / "flow.csv"
+    rc = main(["flow", "--path", "brownian:0", "--horizon", "1e-310",
+               "--out", str(out)])
+    assert rc == 0
+
+
 def test_csv_path_spec_round_trips(tmp_path):
     src = tmp_path / "ramp.csv"
     path_to_csv(ramp_path(1.0, 1.0, n=129), str(src))
@@ -455,6 +463,8 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
     ["deriv", "--path", "csv:" + str(DATA / "missing_column.csv")],
     ["probe", "--horizon", "-1"],
     ["probe", "--horizon", "0"],
+    ["qv", "--horizon", "1e-320"],
+    ["ito-check", "--horizon", "5e-324"],
 ], ids=["functional_axis_text", "functional_axis_range", "path_index_text",
         "direction_floor_text", "direction_floor_nan", "substep_nan",
         "probe_no_samples", "probe_no_dim", "probe_negative_box",
@@ -465,7 +475,8 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
         "config_value_unparseable", "times_not_numbers", "unknown_path",
         "unknown_probe", "unknown_flow_method", "csv_cell_not_a_number",
         "csv_row_missing_a_column", "probe_negative_horizon",
-        "probe_zero_horizon"])
+        "probe_zero_horizon", "qv_horizon_without_a_rising_grid",
+        "ito_check_horizon_without_a_rising_grid"])
 def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -487,12 +498,14 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     (["flow", "--horizon", "nan"], "horizon must be finite"),
     (["flow", "--horizon", "inf"], "horizon must be finite"),
     (["probe", "--horizon", "-1"], "horizon must be positive, not -1.0"),
+    (["qv", "--horizon", "1e-320"], "horizon=1e-320 with n_exp=16"),
     (["deriv", "--kind", "space", "--path", "const:1e308", "--eta0", "1e308"],
      "held value must be finite"),
 ], ids=["flow_window", "flow_picard_tol", "deriv_gamma_t",
         "deriv_horizontal_t", "deriv_space_t", "relation_times",
         "flow_zero_horizon", "flow_nan_horizon", "flow_inf_horizon",
-        "probe_negative_horizon", "deriv_space_held_overflows"])
+        "probe_negative_horizon", "qv_horizon_without_a_rising_grid",
+        "deriv_space_held_overflows"])
 def test_nan_option_is_one_line_naming_it(argv, named, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

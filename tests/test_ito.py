@@ -27,7 +27,7 @@ from pathcalc import (
     snap_partition,
     stratonovich_integral,
 )
-from pathcalc import rng
+from pathcalc import concat, rng
 from pathcalc.rng import substream
 
 
@@ -337,6 +337,119 @@ def test_brownian_path_size_is_checked_before_drawing(n_exp, dim,
     monkeypatch.setattr(rng, "normals", no_draw)
     with pytest.raises(ConfigError, match="2\\*\\*24"):
         brownian_path(0, 0, n_exp=n_exp, dim=dim)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 0.3, 1e-300, 1e308, 1e-310])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_brownian_path_is_the_checked_construction_bit_for_bit(horizon, dim):
+    # 1e-310 gives a subnormal step whose grid still rises strictly
+    for n_exp in range(17):
+        n = 2 ** n_exp
+        p = brownian_path(7, 3, n_exp=n_exp, horizon=horizon, dim=dim)
+        z = rng.normals(7, 3, (n, dim)) * np.sqrt(horizon / n)
+        want = GridPath(np.linspace(0.0, horizon, n + 1),
+                        np.vstack([np.zeros(dim), np.cumsum(z, axis=0)]),
+                        LINEAR)
+        assert p.times.tobytes() == want.times.tobytes()
+        assert p.values.tobytes() == want.values.tobytes()
+        assert (p.interp_mode, p.horizon, p.dim) \
+            == (LINEAR, want.horizon, dim)
+        assert not p.times.flags.writeable
+        assert not p.values.flags.writeable
+
+
+@pytest.mark.parametrize("horizon, n_exp", [
+    (1e-320, 16), (5e-324, 16), (5e-324, 1), (0.0, 4), (-1.0, 4),
+    (float("nan"), 4), (float("inf"), 4)])
+def test_brownian_path_rejects_a_horizon_without_a_rising_grid(
+        horizon, n_exp, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew normals before the horizon check")
+
+    monkeypatch.setattr(rng, "normals", no_draw)
+    with pytest.raises(ConfigError) as err:
+        brownian_path(0, 0, n_exp=n_exp, horizon=horizon)
+    assert str(err.value) == (f"horizon={horizon!r} with n_exp={n_exp} "
+                              "gives no strictly rising grid of 2**n_exp "
+                              "steps")
+
+
+def _snap_by_search(times, path):
+    """snap_partition with a left binary search for each time's first knot
+    at or after it, as it was written before grid paths located by their
+    segment."""
+    knots = np.asarray(path.knots())
+    pos = np.clip(np.searchsorted(knots, times), 1, len(knots) - 1)
+    left = knots[pos - 1]
+    right = knots[pos]
+    idx = np.where(times - left <= right - times, pos - 1, pos)
+    snapped = knots[idx]
+    disp = np.abs(snapped - times)
+    cell = right - left
+    bad = disp > 0.5 * cell
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise GridMismatchError(
+            f"time {times[k]!r} snaps {disp[k]:g} away, beyond half the "
+            f"local cell {cell[k]:g}")
+    if np.any(np.diff(idx) <= 0):
+        k = int(np.argmax(np.diff(idx) <= 0))
+        raise GridMismatchError(
+            f"times {times[k]!r} and {times[k + 1]!r} snap to one knot "
+            f"{snapped[k]!r}; partition finer than the path grid")
+    return snapped, path.eval(snapped)
+
+
+def _snap_outcome(snap, times, path):
+    try:
+        snapped, values = snap(times, path)
+    except GridMismatchError as e:
+        return str(e)
+    return snapped.tobytes(), values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["brownian", "linspace", "random", "spliced",
+                        "short_last_cell"]),
+       st.sampled_from(["subset", "jittered", "random", "past_the_end"]),
+       st.integers(2, 1500), st.integers(0, 2 ** 32 - 1))
+def test_snap_partition_matches_the_left_binary_search(kind, partition, m,
+                                                       seed):
+    gen = np.random.default_rng(seed)
+    if kind == "brownian":
+        path = brownian_path(seed % 97, 0, n_exp=11)
+    elif kind == "linspace":
+        path = GridPath(np.linspace(0.0, 0.3, 1700), gen.normal(size=1700))
+    elif kind == "random":
+        times = np.unique(np.concatenate([[0.0, 1.0], gen.random(1500)]))
+        path = GridPath(times, gen.normal(size=len(times)), CADLAG)
+    elif kind == "spliced":
+        path = concat(ramp_path(1.0, n=900), 0.4, ramp_path(-2.0, n=1100))
+    else:
+        # a last cell of 1e-13: a time 1e-12 past the horizon is off-grid
+        times = np.append(np.linspace(0.0, 1.0 - 1e-13, 1600), 1.0)
+        path = GridPath(times, gen.normal(size=1601))
+    knots = np.asarray(path.knots())
+    m = min(m, len(knots))
+    times = np.sort(gen.choice(knots, m, replace=False))
+    if partition == "jittered":
+        # up to 0.4 of the narrower cell beside each knot
+        gaps = np.diff(knots)
+        j = np.searchsorted(knots, times)
+        near = np.minimum(gaps[np.maximum(j - 1, 0)],
+                          gaps[np.minimum(j, len(gaps) - 1)])
+        times = np.clip(times + gen.uniform(-0.4, 0.4, m) * near, 0.0,
+                        path.horizon)
+    elif partition == "random":
+        times = np.unique(gen.uniform(0.0, path.horizon, m))
+    elif partition == "past_the_end":
+        times = np.append(times[times < path.horizon],
+                          path.horizon * (1 + 1e-12))
+    times = np.unique(np.append(times, [0.0]))
+    if len(times) < 2:
+        return
+    assert _snap_outcome(snap_partition, times, path) \
+        == _snap_outcome(_snap_by_search, times, path)
 
 
 def test_brownian_dim_two_shape():

@@ -22,7 +22,7 @@ from pathcalc import (
     ramp_path,
     stop,
 )
-from pathcalc.paths import splice_view
+from pathcalc.paths import _LOCATE_SEARCH_BELOW, splice_view
 
 # dyadic rationals keep +/- and interpolation at shared knots exact, so the
 # metric identities below can be asserted with tolerance zero
@@ -618,3 +618,92 @@ def test_bad_times_raise_for_every_shape(bad, shape, which):
     for name in QUERIES:
         with pytest.raises(DomainError):
             getattr(path, name)(ts)
+
+
+# ---------------------------------------------------------------------------
+# the two routes of a segment's locate: binary search for few times,
+# arithmetic for many on a uniform grid
+
+
+def _route_grid(kind, s, span, n, gen):
+    """Segment times from s over span: linspace, the flow solver's grid, two
+    nodes, linspace with one inner node moved by an ulp or half a cell, or
+    random nodes."""
+    if kind == "two":
+        return np.array([s, s + span])
+    if kind == "random":
+        return np.unique(np.concatenate([[s, s + span],
+                                         s + gen.random(n - 2) * span]))
+    if kind == "solver":
+        # as flow._make_grid builds it, where span * n does not overflow
+        grid = s + min(span, 1e300) * np.arange(n) / (n - 1)
+        grid[0], grid[-1] = s, s + min(span, 1e300)
+    else:
+        grid = np.linspace(s, s + span, n)
+    j = int(gen.integers(1, n - 1)) if n > 2 else 0
+    if kind == "ulp" and j:
+        grid[j] = np.nextafter(grid[j], np.inf if gen.random() < 0.5
+                               else -np.inf)
+    if kind == "half" and j:
+        grid[j] += 0.5 * (grid[j + 1] - grid[j])
+    return np.unique(grid)
+
+
+def _route_queries(times, end, m, gen):
+    """m times in [times[0], end]: nodes, the floats just below them,
+    points between them, times[-1] and, where end lies past it, held times
+    after it."""
+    n = len(times)
+    j = gen.integers(0, max(n - 1, 1), m)
+    cell = times[np.minimum(j + 1, n - 1)] - times[j]
+    between = times[j] + gen.random(m) * cell
+    nodes = times[gen.integers(0, n, m)]
+    below = np.maximum(np.nextafter(nodes, -np.inf), times[0])
+    pick = [nodes, below, np.minimum(between, times[-1]),
+            np.full(m, times[-1]),
+            np.minimum(times[-1] + gen.random(m) * (end - times[-1]), end)]
+    return np.choose(gen.integers(0, len(pick), m), pick)
+
+
+def _assert_chunks_agree(path, ts):
+    """Each query over all of ts equals the same times asked in chunks too
+    small for the arithmetic route, bit for bit."""
+    step = _LOCATE_SEARCH_BELOW - 1
+    for name in ("eval", "integral_prefix", "running_max_prefix"):
+        whole = getattr(path, name)(ts)
+        parts = [getattr(path, name)(ts[i:i + step])
+                 for i in range(0, len(ts), step)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["linspace", "solver", "two", "ulp", "half",
+                        "random"]),
+       st.floats(5e-324, 1e308, allow_subnormal=True),
+       st.integers(3, 3000), st.sampled_from([LINEAR, CADLAG]),
+       st.integers(0, 2 ** 32 - 1))
+def test_many_times_locate_as_chunks_of_few_do(kind, span, n, mode, seed):
+    gen = np.random.default_rng(seed)
+    m = _LOCATE_SEARCH_BELOW + int(gen.integers(0, 400))
+    dim = int(gen.integers(1, 3))
+    # a grid path: its segment starts at 0 and ends at the horizon
+    times = _route_grid(kind, 0.0, span, n, gen)
+    x = GridPath(times, gen.uniform(-1.0, 1.0, (len(times), dim)), mode)
+    _assert_chunks_agree(x, _route_queries(times, times[-1], m, gen))
+    # a live splice from s, queried after fills of 1, 2, some and all nodes
+    s = span / 4
+    times = _route_grid(kind, s, span, n, gen)
+    end = s + 1.25 * span
+    left = GridPath([0.0, end], gen.uniform(-1.0, 1.0, (2, dim)), mode)
+    values = gen.uniform(-1.0, 1.0, (len(times), dim))
+    buffer = values.copy()
+    view = splice_view(left, s, times, buffer, mode)
+    for filled in sorted({1, 2, int(gen.integers(1, len(times) + 1)),
+                          len(times)}):
+        view.seg.fill(filled)
+        # a node past the filled ones reads as NaN, which would show
+        buffer[:] = values
+        buffer[filled:] = np.nan
+        ts = _route_queries(times[:filled], end, m, gen)
+        _assert_chunks_agree(view, ts)
+        assert not np.isnan(view.eval(ts)).any()
