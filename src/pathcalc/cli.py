@@ -67,6 +67,14 @@ _LADDER = [
     _i("count", 20, "number of ladder steps"),
 ]
 
+_CORPUS = [
+    _i("level_min", 6, "coarsest dyadic level"),
+    _i("level_max", 12, "finest dyadic level"),
+    _i("n_exp", 16, "corpus paths use 2**n_exp steps"),
+    _i("seed", 42, "corpus seed"),
+    _f("horizon", 1.0, "corpus horizon"),
+]
+
 _PATHOPTS = [
     _s("path", "ramp:1.0", _PATH_HELP),
     _f("horizon", 1.0, "time horizon for generated paths"),
@@ -115,30 +123,16 @@ OPTS = {
     "ito-check": [
         _s("functional", "exp_eval", _FUNC_HELP + " (needs derivatives)"),
         _i("paths", 1, "number of corpus paths; residual is their median"),
-        _i("level_min", 6, "coarsest dyadic level"),
-        _i("level_max", 12, "finest dyadic level"),
-        _i("n_exp", 16, "corpus paths use 2**n_exp steps"),
-        _i("seed", 42, "corpus seed"),
-        _f("horizon", 1.0, "corpus horizon"),
-    ],
+    ] + _CORPUS,
     "qv": [
         _i("index", 0, "corpus path index"),
-        _i("level_min", 6, "coarsest dyadic level"),
-        _i("level_max", 12, "finest dyadic level"),
-        _i("n_exp", 16, "corpus paths use 2**n_exp steps"),
-        _i("seed", 42, "corpus seed"),
-        _f("horizon", 1.0, "corpus horizon"),
+    ] + _CORPUS + [
         _i("dim", 1, "path dimension"),
     ],
     "stratonovich": [
         _s("integrand", "eval", _DIR_HELP),
         _i("index", 0, "corpus path index"),
-        _i("level_min", 6, "coarsest dyadic level"),
-        _i("level_max", 12, "finest dyadic level"),
-        _i("n_exp", 16, "corpus paths use 2**n_exp steps"),
-        _i("seed", 42, "corpus seed"),
-        _f("horizon", 1.0, "corpus horizon"),
-    ],
+    ] + _CORPUS,
     "feynman-kac": [
         _s("benchmark", "gauss_square",
            "gauss_square, drifted_linear or discount_const"),

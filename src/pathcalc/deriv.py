@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ConfigError, DomainError, IllConditionedError, \
     NonDifferentiableError
 from .flow import solve_flow
-from .functionals import Functional, FunctionalWithDerivatives
+from .functionals import Functional, FunctionalWithDerivatives, \
+    MatrixFunctional, VectorFunctional
 from .paths import StoppedPath, stop, stop_exactly
 
 TAIL = 5                 # quotients entering the spread/estimate
@@ -338,6 +339,22 @@ def horizontal_from_gamma(F, gamma, t, x, h, ladder=None):
     return HorizontalAverage(value, nodes, integrand)
 
 
+def _hess_entry(F, i, j, t, x):
+    """Converged HESS_LADDER estimate of the (i, j) second derivative."""
+    ei, ej = np.eye(x.dim)[[i, j]]
+    hs = HESS_LADDER.steps()
+    if i == j:      # (f(+h) - 2 f + f(-h)) / h^2
+        v = bump_values(F, t, x, hs, np.stack([ei, -ei]))
+        qs = (v[:, 0] - 2.0 * F.eval(t, stop(x, t)) + v[:, 1]) / (hs * hs)
+    else:           # the four corners (+-h, +-h)
+        v = bump_values(F, t, x, hs, np.stack(
+            [ei + ej, ei - ej, ej - ei, -ei - ej]))
+        qs = (v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4.0 * hs * hs)
+    label = f"d2_space[{i},{j}]"
+    rep = judge(hs, qs, HESS_LADDER.ratio, label)
+    return require_converged(rep, label).estimate
+
+
 def numerical_derivatives(F, dim=1):
     """Wrap F with derivatives built from quotient ladders on demand.
 
@@ -360,33 +377,16 @@ def numerical_derivatives(F, dim=1):
         return require_converged(d_horizontal(F, t, x),
                                  "d_horizontal").estimate
 
-    def grad_fn(i):
-        def g(t, x):
-            return require_converged(d_space(F, i, t, x),
-                                     f"d_space[{i}]").estimate
-        return g
+    def grad(t, x):
+        return [require_converged(d_space(F, i, t, x), f"d_space[{i}]")
+                .estimate for i in range(d)]
 
-    def hess_fn(i, j):
-        def hij(t, x):
-            ei, ej = np.eye(x.dim)[[i, j]]
-            hs = HESS_LADDER.steps()
-            if i == j:      # (f(+h) - 2 f + f(-h)) / h^2
-                v = bump_values(F, t, x, hs, np.stack([ei, -ei]))
-                qs = (v[:, 0] - 2.0 * F.eval(t, stop(x, t)) + v[:, 1]) \
-                    / (hs * hs)
-            else:           # the four corners (+-h, +-h)
-                v = bump_values(F, t, x, hs, np.stack(
-                    [ei + ej, ei - ej, ej - ei, -ei - ej]))
-                qs = (v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4.0 * hs * hs)
-            label = f"d2_space[{i},{j}]"
-            rep = judge(hs, qs, HESS_LADDER.ratio, label)
-            return require_converged(rep, label).estimate
-        return hij
+    def hess(t, x):
+        return [[_hess_entry(F, i, j, t, x) for j in range(d)]
+                for i in range(d)]
 
-    grad = [Functional(grad_fn(i), label=f"num_grad[{i}]") for i in range(d)]
-    hess = [[Functional(hess_fn(i, j), label=f"num_hess[{i},{j}]")
-             for j in range(d)] for i in range(d)]
     return FunctionalWithDerivatives(
         F.eval, label=f"num_derivs[{F.label}]", fn_many=F.eval_many,
         partial_t=Functional(pt, label="num_partial_t"),
-        grad=grad, hess=hess)
+        grad=VectorFunctional(grad, d, label="num_grad"),
+        hess=MatrixFunctional(hess, (d, d), label="num_hess"))

@@ -27,7 +27,7 @@ from .errors import ConfigError, DomainError, NumericalError
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
     constant_functional, constant_matrix_field, require_derivatives, \
-    square_functional
+    square_functional, zero_direction
 from .paths import LINEAR, SplicedPath, constant_path, splice_view, stop
 
 
@@ -144,6 +144,9 @@ def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
         grid = np.linspace(t, spec.horizon, int(n_steps) + 1)
     else:
         grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or len(grid) < 2:
+            raise ConfigError("grid must be a 1-d array of at least 2 times, "
+                              f"not of shape {grid.shape}")
         if grid[0] != t or grid[-1] != spec.horizon \
                 or not np.all(np.diff(grid) > 0):
             raise ConfigError("grid must increase from t to the horizon")
@@ -215,8 +218,8 @@ def fk_residual(f, spec, t, x):
     _check_history(spec, t, x)
     xt = stop(x, t)
     pt = f.partial_t.eval(t, xt)
-    grad = f.grad_vector(t, xt)
-    hess = f.hess_matrix(t, xt)
+    grad = f.grad.eval(t, xt)
+    hess = f.hess.eval(t, xt)
     a = spec.drift.eval(t, xt)
     sig = spec.sigma.eval(t, xt)
     r = spec.rate.eval(t, xt)
@@ -304,13 +307,13 @@ def benchmark(name, horizon=1.0):
             return v * v + (T - ts)
 
         def twice(ts, x):
-            return 2.0 * x.eval(ts)[..., 0]
+            return 2.0 * x.eval(ts)[..., :1]
 
         f = FunctionalWithDerivatives(
             value, label="square_plus_remaining", fn_many=value,
             partial_t=constant_functional(-1.0),
-            grad=[Functional(twice, label="2*eval", fn_many=twice)],
-            hess=[[constant_functional(2.0)]])
+            grad=VectorFunctional(twice, 1, label="2*eval", fn_many=twice),
+            hess=constant_matrix_field([[2.0]]))
         return unit_noise(0.0, 0.0, square_functional()), f
     if name == "drifted_linear":
         mu = 0.5
@@ -325,8 +328,8 @@ def benchmark(name, horizon=1.0):
         f = FunctionalWithDerivatives(
             value, label="linear_plus_drift", fn_many=value,
             partial_t=constant_functional(-mu),
-            grad=[constant_functional(1.0)],
-            hess=[[constant_functional(0.0)]])
+            grad=constant_direction([1.0]),
+            hess=constant_matrix_field([[0.0]]))
         return unit_noise(mu, 0.0, payoff), f
     if name == "discount_const":
         rho = 0.25
@@ -340,8 +343,7 @@ def benchmark(name, horizon=1.0):
         f = FunctionalWithDerivatives(
             value, label="pure_discount", fn_many=value,
             partial_t=Functional(rate, label="rho*discount", fn_many=rate),
-            grad=[constant_functional(0.0)],
-            hess=[[constant_functional(0.0)]])
+            grad=zero_direction(1), hess=constant_matrix_field([[0.0]]))
         return unit_noise(0.0, rho, constant_functional(1.0)), f
     raise DomainError(f"unknown benchmark {name!r}; choices: gauss_square, "
                       "drifted_linear, discount_const")

@@ -69,6 +69,9 @@ class FlowSolution:
 def _make_grid(s, until, substep, grid):
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or len(grid) < 2:
+            raise DomainError("explicit grid must be a 1-d array of at least "
+                              f"2 times, not of shape {grid.shape}")
         if grid[0] != s or grid[-1] != until:
             raise DomainError("explicit grid must run from s to until")
         if not np.all(np.diff(grid) > 0):
@@ -81,6 +84,9 @@ def _make_grid(s, until, substep, grid):
         raise ConfigError("substep must be positive and give at most 2**24 "
                           f"steps, not {substep}")
     n = max(1, int(np.ceil(span / substep - 1e-12)))
+    if not np.isfinite(span * n):
+        raise ConfigError(f"span {span:g} times {n} steps overflows; the "
+                          "grid needs span * steps below the largest float")
     grid = s + span * np.arange(n + 1) / n
     grid[0] = s
     grid[-1] = until

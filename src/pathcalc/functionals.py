@@ -4,9 +4,10 @@ A functional maps (t, x) to a value and may only read the path on [0, t];
 that property is not enforceable statically, so `probe_non_anticipative`
 checks it by randomizing the future.  There is one type, `Functional`, and
 its values differ only in shape: a real, a (k,) vector (flow directions,
-SDE drifts) or a (d, m) matrix (SDE diffusions).  The catalog at the bottom
-provides the standard examples with coded coinvariant derivatives where
-they exist.
+SDE drifts, gradients) or a (d, m) matrix (SDE diffusions, Hessians).  The
+catalog at the bottom provides the standard examples with coded coinvariant
+derivatives where they exist: a real time derivative, a (d,) gradient and a
+(d, d) Hessian, each one functional read in one call.
 """
 
 import math
@@ -115,20 +116,23 @@ class DirectionField(VectorFunctional):
 
 
 class MatrixFunctional(Functional):
-    """(d, m)-matrix-valued non-anticipative map; SDE diffusion shape."""
+    """(d, m)-matrix-valued non-anticipative map: SDE diffusions and
+    second derivatives."""
 
-    def __init__(self, fn, shape, label="", constant_value=None):
+    def __init__(self, fn, shape, label="", fn_many=None, constant_value=None):
         self.shape = (int(shape[0]), int(shape[1]))
-        super().__init__(fn, label=label, constant_value=constant_value)
+        super().__init__(fn, label=label, fn_many=fn_many,
+                         constant_value=constant_value)
 
 
 class FunctionalWithDerivatives(Functional):
     """Functional bundled with coded coinvariant derivatives.
 
-    partial_t is the horizontal time derivative, grad the list of d spatial
-    derivatives, hess the d x d second derivatives (each a Functional, or
-    None when absent).  A missing grad/hess means the derivative genuinely
-    does not exist (e.g. a running maximum), not that it was omitted.
+    partial_t is the horizontal time derivative (a real), grad the vertical
+    gradient (a (d,) VectorFunctional) and hess the second vertical
+    derivative (a (d, d) MatrixFunctional); each is None when absent.  A
+    missing grad/hess means the derivative genuinely does not exist (e.g. a
+    running maximum), not that it was omitted.
     """
 
     def __init__(self, fn, label="", fn_many=None, partial_t=None, grad=None,
@@ -138,27 +142,6 @@ class FunctionalWithDerivatives(Functional):
         self.partial_t = partial_t
         self.grad = grad
         self.hess = hess
-
-    def grad_vector(self, t, x):
-        if self.grad is None:
-            raise DomainError(f"{self.label}: spatial derivative absent")
-        return np.array([g.eval(t, x) for g in self.grad])
-
-    def grad_many(self, ts, x):
-        if self.grad is None:
-            raise DomainError(f"{self.label}: spatial derivative absent")
-        return np.stack([g.eval_many(ts, x) for g in self.grad], axis=1)
-
-    def hess_matrix(self, t, x):
-        if self.hess is None:
-            raise DomainError(f"{self.label}: second derivative absent")
-        return np.array([[h.eval(t, x) for h in row] for row in self.hess])
-
-    def hess_many(self, ts, x):
-        if self.hess is None:
-            raise DomainError(f"{self.label}: second derivative absent")
-        return np.stack([np.stack([h.eval_many(ts, x) for h in row], axis=1)
-                         for row in self.hess], axis=1)
 
 
 def _constant(value):
@@ -182,8 +165,20 @@ def _zero(label="0"):
     return constant_functional(0.0, label)
 
 
-def _zeros_hess(d):
-    return [[_zero() for _ in range(d)] for _ in range(d)]
+def _at_entry(body, index, d, label):
+    """The (d,) or (d, d) functional, by the length of index, that reads
+    body at that entry and exactly +0.0 at every other."""
+    shape = (d,) * len(index)
+
+    def value(ts, x):
+        v = body(ts, x)
+        out = np.zeros(np.shape(v) + shape)
+        out[(..., *index)] = v
+        return out
+
+    if len(shape) == 1:
+        return VectorFunctional(value, d, label=label, fn_many=value)
+    return MatrixFunctional(value, shape, label=label, fn_many=value)
 
 
 def running_mean(ts, x):
@@ -211,10 +206,10 @@ def eval_functional(axis=0, dim=1):
     def value(ts, x):
         return x.eval(ts)[..., a]
 
-    grad = [constant_functional(1.0 if j == a else 0.0) for j in range(d)]
     return FunctionalWithDerivatives(
         value, label=f"eval[{a}]", fn_many=value, partial_t=_zero(),
-        grad=grad, hess=_zeros_hess(d))
+        grad=constant_direction(np.eye(d)[a]),
+        hess=constant_matrix_field(np.zeros((d, d))))
 
 
 def square_functional(axis=0, dim=1):
@@ -229,13 +224,10 @@ def square_functional(axis=0, dim=1):
     def twice(ts, x):
         return 2.0 * x.eval(ts)[..., a]
 
-    grad = [Functional(twice, label=f"2*eval[{a}]", fn_many=twice)
-            if j == a else _zero() for j in range(d)]
-    hess = _zeros_hess(d)
-    hess[a][a] = constant_functional(2.0)
     return FunctionalWithDerivatives(
         square, label=f"square[{a}]", fn_many=square, partial_t=_zero(),
-        grad=grad, hess=hess)
+        grad=_at_entry(twice, (a,), d, f"2*eval[{a}]"),
+        hess=constant_matrix_field(np.diag(2.0 * np.eye(d)[a])))
 
 
 def integral_functional(axis=0, dim=1):
@@ -253,8 +245,8 @@ def integral_functional(axis=0, dim=1):
 
     return FunctionalWithDerivatives(
         integral, label=f"integral[{a}]", fn_many=integral,
-        partial_t=eval_functional(a, d), grad=[_zero() for _ in range(d)],
-        hess=_zeros_hess(d))
+        partial_t=eval_functional(a, d), grad=zero_direction(d),
+        hess=constant_matrix_field(np.zeros((d, d))))
 
 
 def running_avg_functional(axis=0, dim=1):
@@ -275,8 +267,7 @@ def running_avg_functional(axis=0, dim=1):
     return FunctionalWithDerivatives(
         avg, label=f"running_avg[{a}]", fn_many=avg,
         partial_t=Functional(dt, label=f"d_t running_avg[{a}]", fn_many=dt),
-        grad=[_zero() for _ in range(d)],
-        hess=_zeros_hess(d))
+        grad=zero_direction(d), hess=constant_matrix_field(np.zeros((d, d))))
 
 
 def running_max_functional(axis=0, dim=1):
@@ -299,13 +290,11 @@ def exp_eval_functional(axis=0, dim=1):
     def exp_eval(ts, x):
         return np.exp(x.eval(ts)[..., a])
 
-    itself = Functional(exp_eval, label=f"1.0*exp_eval[{a}]", fn_many=exp_eval)
-    grad = [itself if j == a else _zero() for j in range(d)]
-    hess = _zeros_hess(d)
-    hess[a][a] = itself
     return FunctionalWithDerivatives(
         exp_eval, label=f"exp_eval[{a}]", fn_many=exp_eval,
-        partial_t=_zero(), grad=grad, hess=hess)
+        partial_t=_zero(),
+        grad=_at_entry(exp_eval, (a,), d, f"grad exp_eval[{a}]"),
+        hess=_at_entry(exp_eval, (a, a), d, f"hess exp_eval[{a}]"))
 
 
 def require_derivatives(f):
@@ -322,12 +311,14 @@ def product_functional():
         v = x.eval(ts)
         return v[..., 0] * v[..., 1]
 
-    hess = [[_zero(), constant_functional(1.0)],
-            [constant_functional(1.0), _zero()]]
+    def swapped(ts, x):
+        return x.eval(ts)[..., ::-1]
+
     return FunctionalWithDerivatives(
         product, label="product", fn_many=product, partial_t=_zero(),
-        grad=[eval_functional(1, 2), eval_functional(0, 2)],
-        hess=hess)
+        grad=VectorFunctional(swapped, 2, label="(x_2, x_1)",
+                              fn_many=swapped),
+        hess=constant_matrix_field([[0.0, 1.0], [1.0, 0.0]]))
 
 
 CATALOG = {
@@ -389,8 +380,9 @@ def running_avg_direction(dim=1):
 
 def constant_matrix_field(mat):
     m = np.atleast_2d(np.asarray(mat, dtype=float))
-    return MatrixFunctional(_constant(m), m.shape, label="const_matrix",
-                            constant_value=m)
+    value = _constant(m)
+    return MatrixFunctional(value, m.shape, label="const_matrix",
+                            fn_many=value, constant_value=m)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +541,7 @@ def check_hessian_symmetry(F, samples=50, seed=0, dim=1, horizon=1.0,
         mode = LINEAR if gen.random() < 0.5 else CADLAG
         x = _random_path(gen, dim, horizon, mode)
         t = float(gen.uniform(0.0, horizon))
-        h = F.hess_matrix(t, x)
+        h = F.hess.eval(t, x)
         worst = max(worst, float(np.abs(h - h.T).max()))
     return ProbeReport(f"hessian_symmetry[{F.label}]", worst <= tol, worst,
                        samples)

@@ -213,9 +213,9 @@ def ito_residual(F, x, times):
     delta = F.eval(tau[-1], x) - F.eval(tau[0], x)
     pt = F.partial_t.eval_many(tau[:-1], x)
     time_term = float(dot_increment_prefix(pt[:, None], dtau[:, None])[-1])
-    grads = F.grad_many(tau[:-1], x)
+    grads = F.grad.eval_many(tau[:-1], x)
     space_term = float(dot_increment_prefix(grads, dx)[-1])
-    hess = F.hess_many(tau[:-1], x)
+    hess = F.hess.eval_many(tau[:-1], x)
     quad_term = 0.5 * float(quad_form_prefix(hess, dx)[-1])
     return ItoDecomposition(tau, float(delta), time_term, space_term,
                             quad_term)

@@ -99,9 +99,8 @@ def _functionals(dim):
     for name in names:
         for axis in range(dim if name != "product" else 1):
             F = builtin(name, axis=axis, dim=dim)
-            found += [F, F.partial_t]
-            found += F.grad or []
-            found += [h for row in F.hess or [] for h in row]
+            found += [G for G in (F, F.partial_t, F.grad, F.hess)
+                      if G is not None]
     if dim == 1:
         found += [mean_functional(), surface_functional(),
                   counterexample_functional()]
@@ -119,9 +118,9 @@ def test_eval_family_equals_eval_on_each_row_bitwise(case):
     for F in _functionals(fam.dim):
         for t in ts:
             got = F.eval_family(t, fam)
-            assert got.shape == (fam.rows,), F.label
+            assert got.shape == (fam.rows,) + F.shape, F.label
             for r, path in enumerate(rows):
-                want = np.float64(F.eval(t, path)).tobytes()
+                want = np.asarray(F.eval(t, path), dtype=float).tobytes()
                 assert got[r].tobytes() == want, (F.label, t, r)
 
 

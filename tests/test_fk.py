@@ -94,6 +94,17 @@ def test_simulate_argument_validation():
         simulate_sde(spec, 0.5, x0, n_steps=0)
     with pytest.raises(ConfigError):
         simulate_sde(spec, 0.5, x0, grid=np.array([0.6, 1.0]))
+
+
+@pytest.mark.parametrize("grid", [
+    np.array([[0.5, 0.75, 1.0]]), np.array([[0.5], [1.0]]), np.array([]),
+    np.array([0.5]), np.float64(0.5)],
+    ids=["row", "column", "empty", "one_time", "scalar"])
+def test_simulate_rejects_a_grid_of_the_wrong_shape(grid):
+    # checked before the endpoints, which numpy cannot compare on a 2-d
+    # grid and cannot index on an empty one
+    with pytest.raises(ConfigError, match="1-d array of at least 2 times"):
+        simulate_sde(_drift_only(0.0), 0.5, constant_path(1.0), grid=grid)
     with pytest.raises(DomainError):
         SDESpec(constant_direction([0.0, 0.0]), constant_matrix_field([[1.0]]),
                 constant_functional(0.0), builtin("eval"))

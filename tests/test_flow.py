@@ -178,6 +178,32 @@ def test_argument_validation():
         sol.residual(np.array([0.9]))
 
 
+_BAD_GRIDS = [np.array([[0.0, 0.5, 1.0]]), np.array([[0.0], [1.0]]),
+              np.array([]), np.array([1.0]), np.float64(1.0)]
+
+
+@pytest.mark.parametrize("solver", [solve_flow, euler_flow])
+@pytest.mark.parametrize("grid", _BAD_GRIDS,
+                         ids=["row", "column", "empty", "one_time", "scalar"])
+def test_explicit_grid_of_the_wrong_shape_is_a_domain_error(solver, grid):
+    # checked before the endpoints, which numpy cannot compare on a 2-d
+    # grid and cannot index on an empty one
+    with pytest.raises(DomainError, match="1-d array of at least 2 times"):
+        solver(constant_path(1.0), 0.0, eval_direction(1), grid=grid)
+
+
+def test_grid_whose_span_times_steps_overflows_is_rejected():
+    w = constant_path(1.0, horizon=1e308)
+    with pytest.raises(ConfigError, match="span 1e\\+308 times 1024 steps"):
+        solve_flow(w, 0.0, eval_direction(1))
+    # just below the overflow the grid is built as before
+    w = constant_path(1.0, horizon=1e308 / 1024)
+    sol = euler_flow(w, 0.0, zero_direction(1))
+    span = 1e308 / 1024
+    assert sol.grid.tobytes() == np.concatenate(
+        [span * np.arange(1024) / 1024, [span]]).tobytes()
+
+
 @pytest.mark.parametrize("option", ["picard_tol", "window"])
 def test_nan_options_are_rejected(option):
     w = constant_path(1.0)

@@ -25,6 +25,7 @@ from pathcalc import (
     constraint_direction,
     counterexample_functional,
     eval_direction,
+    eval_functional,
     gamma_star,
     mean_functional,
     probe_boundedness,
@@ -37,7 +38,8 @@ from pathcalc import (
     zero_direction,
 )
 from pathcalc.functionals import CATALOG, DirectionField, \
-    _random_path, _with_pinned_future, product_functional
+    _random_path, _with_pinned_future, product_functional, \
+    require_derivatives
 
 
 @pytest.fixture
@@ -64,16 +66,16 @@ def test_product_on_two_dim_ramp():
     p = ramp_path([1.0, 2.0], 1.0, n=129)
     F = builtin("product")
     assert F.eval(0.5, p) == 0.5 * 1.0
-    assert np.array_equal(F.grad_vector(0.5, p), np.array([1.0, 0.5]))
-    assert np.array_equal(F.hess_matrix(0.5, p),
+    assert np.array_equal(F.grad.eval(0.5, p), np.array([1.0, 0.5]))
+    assert np.array_equal(F.hess.eval(0.5, p),
                           np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_square_coded_derivatives(ramp):
     F = builtin("square")
     assert F.partial_t.eval(0.5, ramp) == 0.0
-    assert F.grad_vector(0.5, ramp)[0] == 1.0
-    assert F.hess_matrix(0.5, ramp)[0, 0] == 2.0
+    assert F.grad.eval(0.5, ramp)[0] == 1.0
+    assert F.hess.eval(0.5, ramp)[0, 0] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +84,8 @@ def test_square_coded_derivatives(ramp):
 
 def _with_derivatives(F):
     """F and every coded derivative hanging off it."""
-    found = [F, getattr(F, "partial_t", None)]
-    found += getattr(F, "grad", None) or []
-    found += [h for row in getattr(F, "hess", None) or [] for h in row]
+    found = [F] + [getattr(F, name, None)
+                   for name in ("partial_t", "grad", "hess")]
     return [G for G in found if G is not None]
 
 
@@ -152,6 +153,54 @@ def test_eval_many_matches_pointwise_loop(case):
             _assert_routes_agree(field, x, late)
 
 
+def _entry_lists(name, a, d):
+    """The catalog's derivatives as they were once built: grad as a list of
+    d real functionals and hess as a d x d list of lists of them."""
+    def body(fn):
+        return Functional(fn, fn_many=fn)
+
+    grad = [constant_functional(0.0) for _ in range(d)]
+    hess = [[constant_functional(0.0) for _ in range(d)] for _ in range(d)]
+    if name == "product":
+        grad = [eval_functional(1, 2), eval_functional(0, 2)]
+        hess[0][1] = hess[1][0] = constant_functional(1.0)
+    elif name == "eval":
+        grad[a] = constant_functional(1.0)
+    elif name == "square":
+        grad[a] = body(lambda ts, x: 2.0 * x.eval(ts)[..., a])
+        hess[a][a] = constant_functional(2.0)
+    elif name == "exp_eval":
+        grad[a] = hess[a][a] = body(lambda ts, x: np.exp(x.eval(ts)[..., a]))
+    return grad, hess
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths_and_times())
+def test_shaped_derivatives_equal_the_entry_lists_bitwise(case):
+    x, ts = case
+    d = x.dim
+    names = [(name, a) for name in sorted(CATALOG) for a in range(d)]
+    for name, a in names + ([("product", 0)] if d == 2 else []):
+        F = builtin(name, axis=a, dim=d)
+        if name == "running_max":
+            assert F.grad is None and F.hess is None
+            continue
+        grad, hess = _entry_lists(name, a, d)
+        want = (np.stack([g.eval_many(ts, x) for g in grad], axis=1),
+                np.stack([np.stack([h.eval_many(ts, x) for h in row], axis=1)
+                          for row in hess], axis=1))
+        zero = (np.array([g.constant_value == 0.0 for g in grad]),
+                np.array([[h.constant_value == 0.0 for h in row]
+                          for row in hess]))
+        for got, ref, off in zip((F.grad.eval_many(ts, x),
+                                  F.hess.eval_many(ts, x)), want, zero):
+            assert got.shape == ref.shape, F.label
+            assert got.tobytes() == ref.tobytes(), F.label
+            # every entry off the axis is exactly +0.0, not -0.0
+            off = got[:, off]
+            assert not off.any() and not np.signbit(off).any(), F.label
+
+
 def test_square_routes_agree_where_pow_is_off_by_one_ulp():
     # libm pow rounds this square up by one ulp; v * v is correctly rounded
     p = constant_path(float.fromhex("-0x1.93d6220ea40a6p-4"))
@@ -193,8 +242,9 @@ def test_builtin_unknown_name():
 
 def test_grad_absent_for_running_max(ramp):
     F = builtin("running_max")
+    assert F.grad is None and F.hess is None
     with pytest.raises(DomainError):
-        F.grad_vector(0.5, ramp)
+        require_derivatives(F)
     with pytest.raises(DomainError):
         check_hessian_symmetry(F)
 
@@ -336,9 +386,8 @@ def test_hessian_symmetry_pass_and_fail():
     lopsided = FunctionalWithDerivatives(
         lambda t, x: 0.0, label="lopsided",
         partial_t=constant_functional(0.0),
-        grad=[constant_functional(0.0), constant_functional(0.0)],
-        hess=[[constant_functional(0.0), constant_functional(1.0)],
-              [constant_functional(0.0), constant_functional(0.0)]])
+        grad=constant_direction([0.0, 0.0]),
+        hess=constant_matrix_field([[0.0, 1.0], [0.0, 0.0]]))
     assert not check_hessian_symmetry(lopsided, dim=2).passed
 
 
