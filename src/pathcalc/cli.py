@@ -2,9 +2,11 @@
 
 One subcommand per computation; every option can also come from a flat
 ``key = value`` config file (CLI flags win, unknown keys are rejected).
-Artifacts are CSV with the resolved configuration echoed in ``# key = value``
-comment lines, floats written with repr, and no timestamps unless --stamp is
-given, so rerunning a command reproduces the artifact byte for byte.
+An artifact is ``# key = value`` comment lines, the resolved configuration
+and then the command's own keys, followed by one or more CSV tables.
+``write_csv`` writes every artifact and ``_fmt`` every value in it, floats
+with repr; there is no timestamp unless --stamp is given, so rerunning a
+command reproduces the artifact byte for byte.
 
 Exit codes: 0 success, 2 invalid configuration or domain, 3 numerical
 failure, 4 I/O failure.
@@ -302,24 +304,27 @@ def parse_functional(spec, dim):
 
 
 def _fmt(v):
+    """A value as artifact text: a bool as true or false, a float by repr,
+    a list as its items joined by ';'."""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
+    if isinstance(v, list):
+        return ";".join(_fmt(x) for x in v)
     return str(v)
 
 
-def write_csv(out, cfg, columns, rows, stamp=False, comments=(),
-              trailer=()):
-    lines = [f"# {k} = {_fmt(cfg[k])}" for k in sorted(cfg)
-             if cfg[k] is not None]
-    lines += [f"# {c}" for c in comments]
+def write_csv(out, comments, tables, stamp=False):
+    """Write one artifact: a ``# key = value`` line per (key, value) comment
+    whose value is set, then each (columns, rows) table."""
+    lines = [f"# {k} = {_fmt(v)}" for k, v in comments if v is not None]
     if stamp:
         lines.append("# generated = "
                      + datetime.now(timezone.utc).isoformat())
-    lines.append(",".join(columns))
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    lines += list(trailer)
+    for columns, rows in tables:
+        lines.append(",".join(columns))
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -332,19 +337,21 @@ def _ladder(cfg):
     return QuotientLadder(cfg["eta0"], cfg["ratio"], cfg["count"])
 
 
-def _report_rows(rep):
-    return [(e, q) for e, q in zip(rep.etas, rep.quotients)]
-
-
-def _report_trailer(rep):
-    # ladder summary as a second small table in the same artifact
-    return ["verdict,estimate,spread_tail",
-            f"{rep.verdict},{repr(float(rep.estimate))},"
-            f"{repr(float(rep.spread_tail))}"]
+def _corpus(cfg, index, dim=1):
+    """(level, path, times) for each level's dyadic partition of corpus
+    path index; the levels are checked before the path is drawn."""
+    lo, hi = cfg["level_min"], cfg["level_max"]
+    if not 0 <= lo <= hi <= cfg["n_exp"]:
+        raise ConfigError("need 0 <= level_min <= level_max <= n_exp")
+    p = ito.brownian_path(cfg["seed"], index, n_exp=cfg["n_exp"],
+                          horizon=cfg["horizon"], dim=dim)
+    for level in range(lo, hi + 1):
+        yield level, p, ito.dyadic_subsample(p, level, n_exp=cfg["n_exp"])
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (columns, rows, comments, trailer)
+# subcommand handlers; each returns its (key, value) comments and its
+# (columns, rows) tables
 
 
 def run_flow(cfg):
@@ -359,16 +366,12 @@ def run_flow(cfg):
                          max_iters=cfg["max_iters"], **kw)
     else:
         sol = euler_flow(x, cfg["start"], gamma, **kw)
-    comments = [
-        "interp_mode = linear",
-        f"iterations = {';'.join(str(k) for k in sol.iterations)}",
-        f"sup_residual = {repr(float(np.max(sol.residual())))}",
-        f"tol_residual = {repr(float(sol.tol_residual))}",
-    ]
+    comments = [("interp_mode", "linear"), ("iterations", sol.iterations),
+                ("sup_residual", np.max(sol.residual())),
+                ("tol_residual", sol.tol_residual)]
     # the artifact doubles as a path CSV: t,v1,...,vd plus interp_mode
     cols = ["t"] + [f"v{k + 1}" for k in range(x.dim)]
-    rows = [(t, *v) for t, v in zip(sol.grid, sol.values)]
-    return cols, rows, comments, ()
+    return comments, [(cols, [(t, *v) for t, v in zip(sol.grid, sol.values)])]
 
 
 def run_deriv(cfg):
@@ -385,9 +388,11 @@ def run_deriv(cfg):
                       scheme=cfg["scheme"])
     else:
         raise ConfigError("kind must be gamma, horizontal or space")
-    comments = [f"alternations = {rep.alternations}"]
-    return ["eta", "quotient"], _report_rows(rep), comments, \
-        _report_trailer(rep)
+    # the ladder, then its summary as a second small table
+    return [("alternations", rep.alternations)], [
+        (["eta", "quotient"], zip(rep.etas, rep.quotients)),
+        (["verdict", "estimate", "spread_tail"],
+         [(rep.verdict, rep.estimate, rep.spread_tail)])]
 
 
 def run_relation(cfg):
@@ -404,7 +409,7 @@ def run_relation(cfg):
         rows.append((t, rel.residual, rel.gamma_report.estimate,
                      rel.horizontal_report.estimate, *rel.gradient,
                      *rel.direction_value))
-    return cols, rows, [], ()
+    return [], [(cols, rows)]
 
 
 def run_recover_grad(cfg):
@@ -414,19 +419,17 @@ def run_recover_grad(cfg):
               for s in cfg["directions"].split(";") if s]
     rec = recover_gradient(F, fields, cfg["t"], x, ladder=_ladder(cfg),
                            cond_max=cfg["cond_max"])
-    comments = [f"cond = {repr(rec.cond)}",
-                f"d_horizontal = {repr(rec.horizontal_report.estimate)}"]
-    rows = [(k, g) for k, g in enumerate(rec.gradient)]
-    return ["axis", "gradient"], rows, comments, ()
+    comments = [("cond", rec.cond),
+                ("d_horizontal", rec.horizontal_report.estimate)]
+    return comments, [(["axis", "gradient"], enumerate(rec.gradient))]
 
 
 def run_counterexample(cfg):
     bat = pathology.ramp_battery(cfg["t0"], horizon=cfg["horizon"],
                                  n=cfg["nodes"], t_floor=cfg["t_floor"])
-    t0 = cfg["t0"]
     # (path id, gamma id, report) per check; the quotient ladders follow as
     # a second table so oscillation figures can be drawn from one artifact
-    table = [
+    checks = [
         ("ramp", "vertical_forward", bat.spatial),
         ("ramp", "horizontal", bat.horizontal),
         ("ramp", "constraint", bat.constraint.report),
@@ -435,78 +438,54 @@ def run_counterexample(cfg):
         ("ramp", "const:2.0", bat.rogue.report),
         ("ramp", "gap_rate", bat.expansion.report),
     ]
-    cols = ["t0", "path_id", "gamma_id", "verdict", "estimate"]
-    rows = [(t0, pid, gid, rep.verdict, rep.estimate)
-            for pid, gid, rep in table]
-    comments = [f"spatial_max_err = {_fmt(bat.spatial_max_err)}",
-                f"alpha = {_fmt(bat.expansion.alpha)}",
-                f"alpha_hat = {_fmt(bat.expansion.alpha_hat)}",
-                f"rate_slope = {_fmt(bat.expansion.slope)}",
-                f"passed = {_fmt(bat.passed)}"]
-    trailer = ["path_id,gamma_id,eta,quotient"]
-    trailer += [f"{pid},{gid},{repr(float(e))},{repr(float(q))}"
-                for pid, gid, rep in table
-                for e, q in zip(rep.etas, rep.quotients)]
+    verdicts = (["t0", "path_id", "gamma_id", "verdict", "estimate"],
+                [(cfg["t0"], pid, gid, rep.verdict, rep.estimate)
+                 for pid, gid, rep in checks])
+    ladders = (["path_id", "gamma_id", "eta", "quotient"],
+               [(pid, gid, e, q) for pid, gid, rep in checks
+                for e, q in zip(rep.etas, rep.quotients)])
     if cfg["ladders_out"]:
-        lrows = [(pid, gid, e, q) for pid, gid, rep in table
-                 for e, q in zip(rep.etas, rep.quotients)]
-        write_csv(cfg["ladders_out"], cfg,
-                  ["path_id", "gamma_id", "eta", "quotient"], lrows)
-    return cols, rows, comments, trailer
-
-
-def _corpus_levels(cfg):
-    lo, hi = cfg["level_min"], cfg["level_max"]
-    if not 0 <= lo <= hi <= cfg["n_exp"]:
-        raise ConfigError("need 0 <= level_min <= level_max <= n_exp")
-    return range(lo, hi + 1)
+        write_csv(cfg["ladders_out"], sorted(cfg.items()), [ladders])
+    comments = [("spatial_max_err", bat.spatial_max_err),
+                ("alpha", bat.expansion.alpha),
+                ("alpha_hat", bat.expansion.alpha_hat),
+                ("rate_slope", bat.expansion.slope),
+                ("passed", bat.passed)]
+    return comments, [verdicts, ladders]
 
 
 def run_ito_check(cfg):
     F = parse_functional(cfg["functional"], 1)
     if cfg["paths"] < 1:
         raise ConfigError("paths must be at least 1")
-    paths = [ito.brownian_path(cfg["seed"], i, n_exp=cfg["n_exp"],
-                               horizon=cfg["horizon"])
-             for i in range(cfg["paths"])]
-    rows = []
-    for level in _corpus_levels(cfg):
-        res = []
-        mesh = None
-        for p in paths:
-            times = ito.dyadic_subsample(p, level, n_exp=cfg["n_exp"])
+    # one corpus path at a time: the residuals of each level, in path order
+    mesh, res = {}, {}
+    for i in range(cfg["paths"]):
+        for level, p, times in _corpus(cfg, i):
             dec = ito.ito_residual(F, p, times)
-            mesh = float(np.diff(dec.times).max())
-            res.append(abs(dec.residual))
-        rows.append((level, mesh, float(np.median(res))))
-    return ["level", "mesh", "residual"], rows, [], ()
+            mesh[level] = np.diff(dec.times).max()
+            res.setdefault(level, []).append(abs(dec.residual))
+    rows = [(level, mesh[level], np.median(r)) for level, r in res.items()]
+    return [], [(["level", "mesh", "residual"], rows)]
 
 
 def run_qv(cfg):
-    p = ito.brownian_path(cfg["seed"], cfg["index"], n_exp=cfg["n_exp"],
-                          horizon=cfg["horizon"], dim=cfg["dim"])
     d = cfg["dim"]
     cols = ["level"] + (["qv_T"] if d == 1 else
                         [f"qv_T_{i}{j}" for i in range(d) for j in range(d)])
-    rows = []
-    for level in _corpus_levels(cfg):
-        times = ito.dyadic_subsample(p, level, n_exp=cfg["n_exp"])
-        qv = ito.quadratic_covariation(p, times)
-        rows.append((level, *qv.final().reshape(-1)))
-    return cols, rows, [], ()
+    rows = [(level, *ito.quadratic_covariation(p, times).final().reshape(-1))
+            for level, p, times in _corpus(cfg, cfg["index"], d)]
+    return [], [(cols, rows)]
 
 
 def run_stratonovich(cfg):
-    p = ito.brownian_path(cfg["seed"], cfg["index"], n_exp=cfg["n_exp"],
-                          horizon=cfg["horizon"])
     G = parse_direction(cfg["integrand"], 1)
     rows = []
-    for level in _corpus_levels(cfg):
-        times = ito.dyadic_subsample(p, level, n_exp=cfg["n_exp"])
+    for level, p, times in _corpus(cfg, cfg["index"]):
         r = ito.stratonovich_integral(G, p, times)
-        mesh = float(np.diff(times).max())
-        rows.append((level, mesh, r.ito, r.covariation, r.value))
-    return ["level", "mesh", "ito", "covariation", "value"], rows, [], ()
+        rows.append((level, np.diff(times).max(), r.ito, r.covariation,
+                     r.value))
+    return [], [(["level", "mesh", "ito", "covariation", "value"], rows)]
 
 
 def run_feynman_kac(cfg):
@@ -521,7 +500,7 @@ def run_feynman_kac(cfg):
         exact = f.eval(t, stop(x0, t))
         res = fk.fk_residual(f, spec, t, x0)
         rows.append((t, est.value, est.stderr, exact, res))
-    return ["t", "f_mc", "stderr", "f_exact", "residual"], rows, [], ()
+    return [], [(["t", "f_mc", "stderr", "f_exact", "residual"], rows)]
 
 
 def run_probe(cfg):
@@ -545,7 +524,7 @@ def run_probe(cfg):
             field, samples=cfg["samples"], seed=cfg["seed"],
             horizon=cfg["horizon"]))
     rows = [(r.label, r.passed, r.metric, r.samples) for r in reports]
-    return ["probe", "passed", "metric", "samples"], rows, [], ()
+    return [], [(["probe", "passed", "metric", "samples"], rows)]
 
 
 HANDLERS = {
@@ -571,9 +550,9 @@ def main(argv=None):
     try:
         with np.errstate(all="ignore"):  # no warning lines on stderr
             cfg = resolve(OPTS[args.command], args)
-            columns, rows, comments, trailer = HANDLERS[args.command](cfg)
-            write_csv(args.out, cfg, columns, rows, stamp=args.stamp,
-                      comments=comments, trailer=trailer)
+            comments, tables = HANDLERS[args.command](cfg)
+            write_csv(args.out, sorted(cfg.items()) + comments, tables,
+                      stamp=args.stamp)
     except (ConfigError, DomainError) as e:
         print(f"config-error: {e}", file=sys.stderr)
         return 2

@@ -43,8 +43,9 @@ class SDESpec:
 
     def __post_init__(self):
         self.horizon = float(self.horizon)
-        if self.horizon <= 0:
-            raise DomainError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:   # NaN fails too
+            raise DomainError(f"horizon must be positive and finite, not "
+                              f"{self.horizon}")
         if self.drift.dim_out != self.sigma.shape[0]:
             raise DomainError(
                 f"drift is {self.drift.dim_out}-dimensional but sigma has "
@@ -265,8 +266,9 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     if not hasattr(x0, "eval"):
         x0 = constant_path(x0, horizon=spec.horizon, dim=spec.dim)
     _check_history(spec, float(t_grid[0]), x0)
-    if t_grid[-1] > spec.horizon * (1 + 1e-12):
-        raise DomainError("t_grid exceeds the horizon")
+    if t_grid[-1] > spec.horizon:
+        raise DomainError(f"t_grid ends at {float(t_grid[-1])!r}, past the "
+                          f"horizon {spec.horizon!r}")
     if n_paths < 2:
         raise ConfigError("martingale check needs n_paths >= 2")
     H = np.empty((n_paths, len(t_grid)))

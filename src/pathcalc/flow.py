@@ -80,9 +80,10 @@ def _make_grid(s, until, substep, grid):
     span = until - s
     if substep is None:
         substep = span / 1024.0
-    if not (substep > 0 and span / substep <= 2 ** 24):  # NaN fails too
-        raise ConfigError("substep must be positive and give at most 2**24 "
-                          f"steps, not {substep}")
+    # NaN fails too; inf would give one step of the whole span
+    if not (0 < substep < np.inf and span / substep <= 2 ** 24):
+        raise ConfigError("substep must be positive, finite and give at most "
+                          f"2**24 steps, not {substep}")
     n = max(1, int(np.ceil(span / substep - 1e-12)))
     if not np.isfinite(span * n):
         raise ConfigError(f"span {span:g} times {n} steps overflows; the "

@@ -45,8 +45,9 @@ class PartitionSequence:
     def __init__(self, horizon=1.0, kind="dyadic", grids=None):
         self.horizon = float(horizon)
         self.kind = kind
-        if self.horizon <= 0:
-            raise DomainError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:   # NaN fails too
+            raise DomainError(f"horizon must be positive and finite, not "
+                              f"{self.horizon}")
         if kind == "custom":
             if not grids:
                 raise DomainError("custom partitions need grids")
@@ -162,14 +163,21 @@ def quadratic_covariation(x, times):
     return QVMatrixPath(tau, outer_increment_prefix(dx))
 
 
+def _require_shape(F, shape, name):
+    """Raise DomainError unless the functional F declares shape: (d,) for
+    an integrand or a gradient, (d, d) for a Hessian on a d-dim path."""
+    if F.shape != shape:
+        got = f"{F.shape[0]}-dimensional" if len(F.shape) == 1 \
+            else f"of shape {F.shape}"
+        raise DomainError(f"{name} is {got}, path is {shape[0]}")
+
+
 def partition_integral(G, x, times):
     """Left-point sum of <G(t_j, x), x(t_{j+1}) - x(t_j)>."""
+    _require_shape(G, (x.dim,), "integrand")
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     g = G.eval_many(tau[:-1], x)
-    if g.shape != dx.shape:
-        raise DomainError(f"integrand is {g.shape[1]}-dimensional, "
-                          f"path is {dx.shape[1]}")
     return float(dot_increment_prefix(g, dx)[-1])
 
 
@@ -207,6 +215,8 @@ def ito_residual(F, x, times):
     summed in fixed order.
     """
     require_derivatives(F)
+    _require_shape(F.grad, (x.dim,), "grad")
+    _require_shape(F.hess, (x.dim, x.dim), "hess")
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     dtau = np.diff(tau)
@@ -236,12 +246,10 @@ class StratonovichResult:
 
 def stratonovich_integral(G, x, times):
     """Midpoint-form partition integral of G against dx."""
+    _require_shape(G, (x.dim,), "integrand")
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     g = G.eval_many(tau, x)
-    if g.shape[1] != dx.shape[1]:
-        raise DomainError(f"integrand is {g.shape[1]}-dimensional, "
-                          f"path is {dx.shape[1]}")
     ito = float(dot_increment_prefix(g[:-1], dx)[-1])
     cov = float(dot_increment_prefix(np.diff(g, axis=0), dx)[-1])
     return StratonovichResult(ito + 0.5 * cov, ito, cov)
@@ -250,6 +258,7 @@ def stratonovich_integral(G, x, times):
 def midpoint_sum(G, x, times):
     """Direct averaged-endpoint sum; agrees with stratonovich_integral up
     to roundoff and serves as its independent cross-check."""
+    _require_shape(G, (x.dim,), "integrand")
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     g = G.eval_many(tau, x)

@@ -502,11 +502,13 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     (["deriv", "--kind", "space", "--path", "const:1e308", "--eta0", "1e308"],
      "held value must be finite"),
     (["flow", "--horizon", "1e308"], "span 1e+308 times 1024 steps"),
+    (["flow", "--substep", "inf"], "substep must be positive, finite"),
 ], ids=["flow_window", "flow_picard_tol", "deriv_gamma_t",
         "deriv_horizontal_t", "deriv_space_t", "relation_times",
         "flow_zero_horizon", "flow_nan_horizon", "flow_inf_horizon",
         "probe_negative_horizon", "qv_horizon_without_a_rising_grid",
-        "deriv_space_held_overflows", "flow_grid_overflows"])
+        "deriv_space_held_overflows", "flow_grid_overflows",
+        "flow_inf_substep"])
 def test_nan_option_is_one_line_naming_it(argv, named, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

@@ -288,6 +288,22 @@ def test_martingale_validation():
         martingale_check(spec, f, np.array([0.5, 1.5]), 1.0)
 
 
+def test_martingale_check_rejects_a_grid_past_the_horizon():
+    # a grid ending within rounding of the horizon is not let through to
+    # fail later, in the simulation, under another name
+    spec, f = benchmark("gauss_square")
+    with pytest.raises(DomainError, match="t_grid ends at 1.0000000000001"):
+        martingale_check(spec, f, np.array([0.0, 0.5, 1.0 + 1e-13]), 1.0,
+                         n_paths=4)
+
+
+@pytest.mark.parametrize("horizon", [np.nan, np.inf])
+def test_spec_rejects_a_horizon_that_is_not_finite(horizon):
+    with pytest.raises(DomainError, match="positive and finite"):
+        SDESpec(constant_direction([0.0]), constant_matrix_field([[1.0]]),
+                constant_functional(0.0), builtin("eval"), horizon=horizon)
+
+
 # ---------------------------------------------------------------------------
 # block simulation: every row is the one-path result, bit for bit
 

@@ -192,6 +192,20 @@ def test_explicit_grid_of_the_wrong_shape_is_a_domain_error(solver, grid):
         solver(constant_path(1.0), 0.0, eval_direction(1), grid=grid)
 
 
+@pytest.mark.parametrize("solver", [solve_flow, euler_flow])
+def test_explicit_grid_that_does_not_rise_is_a_domain_error(solver):
+    grid = np.array([0.0, 0.5, 0.5, 1.0])
+    with pytest.raises(DomainError, match="strictly increasing"):
+        solver(constant_path(1.0), 0.0, eval_direction(1), grid=grid)
+
+
+@pytest.mark.parametrize("solver", [solve_flow, euler_flow])
+def test_infinite_substep_is_rejected(solver):
+    # it would otherwise give a grid of one step over the whole span
+    with pytest.raises(ConfigError, match="substep must be positive, finite"):
+        solver(constant_path(1.0), 0.0, eval_direction(1), substep=np.inf)
+
+
 def test_grid_whose_span_times_steps_overflows_is_rejected():
     w = constant_path(1.0, horizon=1e308)
     with pytest.raises(ConfigError, match="span 1e\\+308 times 1024 steps"):
@@ -215,6 +229,25 @@ def test_euler_flow_zero_field_is_stop():
     w = constant_path(2.0)
     sol = euler_flow(w, 0.5, zero_direction(1), until=1.0, substep=0.125)
     assert isinstance(sol.path, StoppedPath)
+
+
+def test_euler_flow_argument_validation():
+    w = constant_path(1.0)
+    for s, until in ((-0.1, 0.5), (0.5, 0.25), (0.5, 1.5)):
+        with pytest.raises(DomainError, match="s <= until <= horizon"):
+            euler_flow(w, s, eval_direction(1), until=until)
+    with pytest.raises(DomainError, match="direction dimension"):
+        euler_flow(w, 0.0, eval_direction(2))
+
+
+def test_euler_flow_start_equals_until_is_stop():
+    ramp = ramp_path(1.0, 1.0, n=65)
+    sol = euler_flow(ramp, 0.5, eval_direction(1), until=0.5)
+    assert isinstance(sol.path, StoppedPath)
+    assert sol.path.eval(1.0)[0] == 0.5
+    assert sol.grid.tolist() == [0.5]
+    assert sol.values.tolist() == [[0.5]]
+    assert sol.iterations == []
 
 
 def test_euler_flow_residual_uses_left_rectangles():

@@ -1,6 +1,8 @@
 """Partition sums: quadratic covariation, functional updates, two integral
 conventions, and the dyadic Brownian corpus."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from pathcalc import (
     CADLAG,
     ConfigError,
     DomainError,
+    FunctionalWithDerivatives,
     GridMismatchError,
     GridPath,
     LINEAR,
@@ -17,6 +20,8 @@ from pathcalc import (
     brownian_path,
     builtin,
     constant_direction,
+    constant_functional,
+    constant_matrix_field,
     dyadic_subsample,
     ito_residual,
     midpoint_sum,
@@ -272,6 +277,60 @@ def test_stratonovich_rejects_an_integrand_of_another_dimension():
     with pytest.raises(DomainError, match="2-dimensional, path is 1"):
         stratonovich_integral(constant_direction([1.0, 2.0]), p,
                               dyadic_subsample(p, 4, n_exp=6))
+
+
+def _lopsided_hess():
+    # a (1,) gradient with a (2, 2) Hessian
+    return FunctionalWithDerivatives(
+        lambda t, x: 0.0, label="lopsided", partial_t=constant_functional(0.0),
+        grad=constant_direction([0.0]),
+        hess=constant_matrix_field(np.zeros((2, 2))))
+
+
+_SHAPE_CASES = {
+    "midpoint_one_on_two": (midpoint_sum, lambda: constant_direction([1.0]),
+                            2, "integrand is 1-dimensional, path is 2"),
+    "midpoint_three_on_two": (midpoint_sum,
+                              lambda: constant_direction([1.0, 2.0, 3.0]), 2,
+                              "integrand is 3-dimensional, path is 2"),
+    "partition_scalar": (partition_integral, lambda: builtin("square"), 1,
+                         "integrand is of shape ()"),
+    "stratonovich_scalar": (stratonovich_integral, lambda: builtin("square"),
+                            1, "integrand is of shape ()"),
+    "midpoint_scalar": (midpoint_sum, lambda: builtin("square"), 1,
+                        "integrand is of shape ()"),
+    "partition_matrix": (partition_integral,
+                         lambda: constant_matrix_field([[1.0]]), 1,
+                         "integrand is of shape (1, 1)"),
+    "stratonovich_matrix": (stratonovich_integral,
+                            lambda: constant_matrix_field([[1.0]]), 1,
+                            "integrand is of shape (1, 1)"),
+    "midpoint_matrix": (midpoint_sum, lambda: constant_matrix_field([[1.0]]),
+                        1, "integrand is of shape (1, 1)"),
+    "ito_two_on_one": (ito_residual, lambda: builtin("eval", dim=2), 1,
+                       "grad is 2-dimensional, path is 1"),
+    "ito_one_on_two": (ito_residual, lambda: builtin("eval"), 2,
+                       "grad is 1-dimensional, path is 2"),
+    "ito_hess": (ito_residual, _lopsided_hess, 1,
+                 "hess is of shape (2, 2), path is 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHAPE_CASES))
+def test_partition_sums_check_declared_shapes_before_they_evaluate(case):
+    # an integrand must be (d,), a gradient (d,) and a Hessian (d, d) for a
+    # d-dimensional path; a mismatch is one DomainError, never a numpy error
+    # or a sum over the first components only
+    sum_, make, dim, named = _SHAPE_CASES[case]
+    p = brownian_path(42, 3, n_exp=6, dim=dim)
+    with pytest.raises(DomainError, match=re.escape(named)):
+        sum_(make(), p, dyadic_subsample(p, 4, n_exp=6))
+
+
+@pytest.mark.parametrize("horizon", [np.nan, np.inf])
+def test_partition_sequence_rejects_a_horizon_that_is_not_finite(horizon):
+    with pytest.raises(DomainError, match="positive and finite"):
+        PartitionSequence(horizon)
 
 
 def test_chain_rule_for_cubes():

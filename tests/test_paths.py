@@ -122,6 +122,27 @@ def test_running_max_zigzag():
     assert p.running_max_prefix(0.125)[0] == 1.0
 
 
+@pytest.mark.parametrize("mode", [LINEAR, CADLAG])
+def test_running_max_of_a_splice_cut_before_its_left_splice_switches(mode):
+    # the outer splice switches at 0.3 and reads the sup of its left path,
+    # a splice that switches at 0.7, before 0.3
+    gen = np.random.default_rng(11)
+
+    def random_path():
+        inner = np.sort(gen.uniform(0.0, 1.0, 30))
+        times = np.unique(np.concatenate([[0.0], inner, [1.0]]))
+        return GridPath(times, gen.normal(size=(len(times), 2)), mode)
+
+    c = concat(stop(random_path(), 0.7), 0.3, random_path())
+    knots = c.knots()
+    ts = np.unique(np.concatenate([knots, np.linspace(0.0, 1.0, 41)]))
+    got = c.running_max_prefix(ts)
+    for u, row in zip(ts, got):
+        k = np.append(knots[knots <= u], u)
+        brute = np.maximum(c.eval(k), c.eval_left(k)).max(axis=0)
+        assert np.array_equal(row, brute), u
+
+
 # ---------------------------------------------------------------------------
 # stop / bump / concat
 
