@@ -175,14 +175,14 @@ def time_study(F, t, x, gamma, ladder, label):
 def bump_values(F, t, x, hs, dirs):
     """F on x bumped at t by h * dirs[s], for every step h of hs and every
     row s of dirs, as a (len(hs), len(dirs)) array.  All bumps are rows of
-    one family held at t, read in one eval_family call."""
-    pin = stop_exactly(stop(x, t), t)
+    one family held at t, read in one eval call."""
+    pin = stop_exactly(x, t)
     # every step's held values at once, as bump() would add them
     held = pin.value_at_stop + hs[:, None, None] * dirs
     if np.any((held[-1] == pin.value_at_stop) & (dirs != 0)):
         raise DomainError(f"smallest bump {hs[-1]:g} does not move x({t:g})")
     bumps = StoppedPath(pin.base, pin.stop_time, held.reshape(-1, x.dim))
-    return F.eval_family(t, bumps).reshape(len(hs), len(dirs))
+    return F.eval(t, bumps).reshape(len(hs), len(dirs))
 
 
 def d_gamma(F, gamma, t, x, ladder=None):

@@ -9,12 +9,11 @@ knowing the true value.
 
 Paths are simulated in blocks, each block one array of paths, and the
 estimators read each block as a family (see ``paths``): the history before
-the first grid time, shared by every row, then the block's rows.  The
-payoff is one eval_family call per block, a rate or a candidate one call
-per grid time.  Path i still draws only from its own counter-based
-substream, so it depends only on (seed, i) and is identical, bit for bit,
-whether it is simulated alone by `simulate_sde` or in a block, and so is
-every value read from its row.
+the first grid time, shared by every row, then the block's rows, read once
+per block for the payoff, the rate and a candidate.  Path i still draws
+only from its own counter-based substream, so it depends only on (seed, i)
+and is identical, bit for bit, whether it is simulated alone by
+`simulate_sde` or in a block, and so is every value read from its row.
 """
 
 from dataclasses import dataclass
@@ -122,13 +121,6 @@ def _sample_blocks(spec, grid, x, seed, n_paths):
         yield SplicedPath(x, grid[0], grid, block.transpose(1, 0, 2), LINEAR)
 
 
-def _rate_integral(rate, grid, fam):
-    """Integral of the rate up to each grid time on each row of fam, as an
-    (n+1, k) array: left rectangles, each column summed in time order."""
-    rv = np.stack([rate.eval_family(s, fam) for s in grid])
-    return left_prefix(grid, rv)
-
-
 def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
     """Simulate the SDE from (t, x) to the horizon.
 
@@ -190,8 +182,9 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     ys = []
     for fam in _sample_blocks(spec, grid, x, seed, n_paths):
         if const_rate is None:
-            disc = np.exp(-_rate_integral(spec.rate, grid, fam)[-1])
-        ys.append(disc * spec.payoff.eval_family(spec.horizon, fam))
+            disc = np.exp(-left_prefix(
+                grid, spec.rate.eval_many(grid, fam).T)[-1])
+        ys.append(disc * spec.payoff.eval(spec.horizon, fam))
     ys = np.concatenate(ys)
     value = float(ys.mean())
     stderr = float(ys.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 \
@@ -274,9 +267,9 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     H = np.empty((n_paths, len(t_grid)))
     first = 0
     for fam in _sample_blocks(spec, t_grid, x0, seed, n_paths):
-        disc = np.exp(-_rate_integral(spec.rate, t_grid, fam))
-        vals = np.stack([f.eval_family(s, fam) for s in t_grid])
-        H[first:first + fam.rows] = (disc * vals).T
+        disc = np.exp(-left_prefix(t_grid,
+                                   spec.rate.eval_many(t_grid, fam).T))
+        H[first:first + fam.rows] = disc.T * f.eval_many(t_grid, fam)
         first += fam.rows
     D = np.diff(H, axis=1)
     means = D.mean(axis=0)

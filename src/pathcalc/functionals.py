@@ -31,19 +31,18 @@ class Functional:
     it as both fn and fn_many.  eval and eval_many then run the same
     arithmetic and agree bit for bit, as every built-in does.
 
-    Passing the same object as fn and fn_many is also how a functional
-    declares that it broadcasts over a family (see ``paths``): eval_family
-    then calls the body once on the whole family, whose queries at one
-    time return (k, d).  Any other functional is evaluated row by row.
-    Either way row r equals eval(t, family.row(r)) bit for bit.
-    constant_value marks functionals that ignore (t, x) entirely, which
-    lets downstream code pick exact fast paths.
+    A family (see ``paths``) adds a leading row axis to every read: eval
+    gives (k,) + shape and eval_many (k, m) + shape.  A body passed as both
+    fn and fn_many is called once on the whole family; any other is read
+    row by row.  Either way row r equals the same read on family.row(r) bit
+    for bit.  constant_value marks functionals that ignore (t, x) entirely,
+    which lets downstream code pick exact fast paths.
 
-    Each value is read in the declared shape, after a leading axis of one
-    entry per time or row for eval_many and eval_family: a real or vector
-    with that many entries is reshaped to it, a matrix must match exactly,
-    and a value of just the declared shape is spread over the times or
-    rows.  Anything else raises DomainError.
+    Each value is read in the declared shape, after the leading axes of the
+    rows and the times: a real or vector with as many entries is reshaped
+    to it, a matrix must match exactly, and a value that leaves out leading
+    axes, such as a constant's, is spread over them.  Anything else raises
+    DomainError.
     """
 
     shape = ()
@@ -61,7 +60,8 @@ class Functional:
         want = lead + self.shape
         if out.shape == want:
             return out
-        if lead and out.shape == self.shape:
+        # spread over the leading axes that the value leaves out
+        if out.shape == want[len(want) - max(out.ndim, len(self.shape)):]:
             return np.broadcast_to(out, want).copy()
         if len(self.shape) < 2 and out.size == math.prod(want):
             return out.reshape(want)
@@ -70,23 +70,27 @@ class Functional:
 
     def eval(self, t, x):
         """The value at t: a float, or an array of the declared shape."""
-        out = self._read(self._fn(float(t), x))
-        return out if self.shape else float(out)
+        t = float(t)
+        rows = getattr(x, "rows", None)
+        if rows is None:
+            out = self._read(self._fn(t, x))
+            return out if self.shape else float(out)
+        if self._fn is self._fn_many:
+            return self._read(self._fn(t, x), (rows,))
+        return np.array([self.eval(t, x.row(r)) for r in range(rows)])
 
     def eval_many(self, ts, x):
         """One value per time of a sorted array: (m,) + shape."""
         ts = np.asarray(ts, dtype=float)
+        rows = getattr(x, "rows", None)
+        if rows is not None and self._fn is not self._fn_many:
+            return np.array([self.eval_many(ts, x.row(r))
+                             for r in range(rows)])
         if self._fn_many is not None:
-            return self._read(self._fn_many(ts, x), ts.shape)
+            lead = ts.shape if rows is None else (rows,) + ts.shape
+            return self._read(self._fn_many(ts, x), lead)
         vals = [self.eval(t, x) for t in ts]
         return np.array(vals, dtype=float).reshape(ts.shape + self.shape)
-
-    def eval_family(self, t, fam):
-        """The value at one time t on each row of a family: (rows,) + shape."""
-        t = float(t)
-        if self._fn is self._fn_many:
-            return self._read(self._fn(t, fam), (fam.rows,))
-        return np.array([self.eval(t, fam.row(r)) for r in range(fam.rows)])
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label or 'anonymous'}>"
@@ -147,6 +151,9 @@ class FunctionalWithDerivatives(Functional):
 def _constant(value):
     """The one body of every constant functional: value at each time."""
     value = np.asarray(value, dtype=float)
+    bad = value[~np.isfinite(value)]
+    if bad.size:
+        raise DomainError(f"a constant must be finite, not {bad[0]}")
 
     def body(ts, x):
         return np.full(np.shape(ts) + value.shape, value)
@@ -190,8 +197,7 @@ def running_mean(ts, x):
     if pos.all():
         return x.integral_prefix(ts) / ts[..., None]
     out = x.integral_prefix(ts) / np.where(pos, ts, 1.0)[..., None]
-    out[~pos] = x.eval(0.0)
-    return out
+    return np.where(pos[..., None], out, x.eval(np.zeros_like(ts)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +411,14 @@ class ProbeReport:
                 f"samples={self.samples}>")
 
 
+def _worse(worst, value):
+    """The larger of a probe's worst metric and a new value, where a NaN
+    value is inf: a probe that meets NaN fails."""
+    if value <= worst:
+        return worst
+    return np.inf if np.isnan(value) else value
+
+
 def _check_probe(samples, dim, horizon):
     # a probe over no samples, or over paths with no coordinate, would
     # report a pass it never tested; a finite positive horizon is what
@@ -466,9 +480,8 @@ def probe_non_anticipative(F, dim=1, samples=200, seed=0, horizon=1.0):
         t = float(gen.uniform(0.0, horizon * 0.999))
         pinned, randomized = _with_pinned_future(path, t, gen)
         d = abs(F.eval(t, pinned) - F.eval(t, randomized))
-        if d > worst:
-            worst = d
-        if d > 0 and len(failures) < 10:
+        worst = _worse(worst, d)
+        if d != 0 and len(failures) < 10:   # NaN included
             failures.append((k, t, d))
     return ProbeReport(f"non_anticipative[{F.label}]", worst == 0.0, worst,
                        samples, failures)
@@ -491,12 +504,12 @@ def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0):
                             box=box_radius)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = np.abs(F.eval_many(path.times, path))
-        top = vals.max() if len(vals) else 0.0
-        if np.isnan(top):
-            top = np.inf
+        top = _worse(worst, vals.max())
         if top > worst:
             worst = float(top)
-            where = (k, float(path.times[int(np.nanargmax(vals))]))
+            # numpy's argmax, like its max, takes a NaN as the largest
+            j = np.unravel_index(np.argmax(vals), vals.shape)[0]
+            where = (k, float(path.times[j]))
     return ProbeReport(f"boundedness[{F.label}]", np.isfinite(worst), worst,
                        samples, [where] if where else [])
 
@@ -523,9 +536,8 @@ def probe_lipschitz(field, samples=200, seed=0, horizon=1.0, dim=None):
         if gap == 0.0:
             continue
         diff = np.abs(field.eval(t, xs) - field.eval(t, ys)).max()
-        worst = max(worst, diff / gap)
-    ok = worst <= field.lipschitz_K * (1 + 1e-9) or field.lipschitz_K == 0 \
-        and worst == 0.0
+        worst = _worse(worst, diff / gap)
+    ok = worst <= field.lipschitz_K * (1 + 1e-9)
     return ProbeReport(f"lipschitz[{field.label}]", ok, worst, samples)
 
 
@@ -542,6 +554,6 @@ def check_hessian_symmetry(F, samples=50, seed=0, dim=1, horizon=1.0,
         x = _random_path(gen, dim, horizon, mode)
         t = float(gen.uniform(0.0, horizon))
         h = F.hess.eval(t, x)
-        worst = max(worst, float(np.abs(h - h.T).max()))
+        worst = _worse(worst, float(np.abs(h - h.T).max()))
     return ProbeReport(f"hessian_symmetry[{F.label}]", worst <= tol, worst,
                        samples)

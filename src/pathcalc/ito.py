@@ -37,9 +37,10 @@ _TINY = np.finfo(float).tiny    # the smallest normal float
 class PartitionSequence:
     """Family of refining partitions of [0, horizon], indexed by level.
 
-    kind 'dyadic': level n has 2^n equal cells.  kind 'uniform': level n has
-    n cells (n >= 1).  kind 'custom': pass `grids`, a list of arrays in
-    refining order; meshes must decrease strictly.
+    kind 'dyadic': level n has 2^n equal cells (0 <= n <= N_EXP_MAX).  kind
+    'uniform': level n has n cells (1 <= n <= 2^N_EXP_MAX).  kind 'custom':
+    pass `grids`, a list of arrays in refining order; meshes must decrease
+    strictly.
     """
 
     def __init__(self, horizon=1.0, kind="dyadic", grids=None):
@@ -71,12 +72,14 @@ class PartitionSequence:
     def grid(self, level):
         level = int(level)
         if self.kind == "dyadic":
-            if level < 0:
-                raise DomainError("dyadic level must be >= 0")
+            if not 0 <= level <= N_EXP_MAX:
+                raise DomainError(f"dyadic level must be in [0, {N_EXP_MAX}]"
+                                  f", not {level}")
             return np.linspace(0.0, self.horizon, 2 ** level + 1)
         if self.kind == "uniform":
-            if level < 1:
-                raise DomainError("uniform level must be >= 1")
+            if not 1 <= level <= 2 ** N_EXP_MAX:
+                raise DomainError(f"uniform level must be in [1, 2**"
+                                  f"{N_EXP_MAX}], not {level}")
             return np.linspace(0.0, self.horizon, level + 1)
         if not 0 <= level < len(self._grids):
             raise DomainError(f"custom sequence has {len(self._grids)} grids")

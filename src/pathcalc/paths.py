@@ -32,11 +32,10 @@ stays exact after every fill.
 A family is k paths that agree before a cut: a splice whose segment values
 are (n, k, d), such as a simulated block of paths that share the history
 before the splice.  A bump family, such as the rungs of a bump study, is
-the case n = 1: a StoppedPath whose held value is (k, d).  A family is
-queried at one time t at once: eval, eval_left, integral_prefix and
-running_max_prefix return (k, d), row r equal bit for bit to the same query
-on ``family.row(r)``.  ``rows`` is k for a family and None for a single
-path.
+the case n = 1: a StoppedPath whose held value is (k, d).  A family adds a
+leading row axis to every query: (k, d) at one time, (k, m, d) at m times,
+row r equal bit for bit to the same query on ``family.row(r)``.  ``rows``
+is k for a family and None for a single path.
 """
 
 import csv
@@ -97,8 +96,8 @@ class PathBase:
     Subclasses provide ``dim``, ``horizon``, ``interp_mode`` and the
     vectorized primitives ``_eval``, ``_eval_left``, ``_integral_prefix``,
     ``_running_max_prefix`` and ``_sup_before`` over validated, in-domain
-    time arrays.  ``rows`` is None for a path and k for a family of k paths
-    (see the module docstring), whose queries take one time.
+    time arrays, time first.  ``rows`` is None for a path and k for a
+    family of k paths, whose queries put a row axis first (module docstring).
     """
 
     dim = None
@@ -123,13 +122,15 @@ class PathBase:
         """Value(s) at time(s) ts; (d,) for a scalar, (m, d) for an array."""
         arr, scalar = _as_times(ts)
         out = self._eval(self._check(arr))
-        return out[0] if scalar else out
+        return out[0] if scalar else (
+            out if self.rows is None else out.swapaxes(0, 1))
 
     def eval_left(self, ts):
         """Left limit(s) at ts (equals eval for continuous paths)."""
         arr, scalar = _as_times(ts)
         out = self._eval_left(self._check(arr))
-        return out[0] if scalar else out
+        return out[0] if scalar else (
+            out if self.rows is None else out.swapaxes(0, 1))
 
     def integral_prefix(self, ts):
         """Componentwise integral over [0, u] for each u in ts.
@@ -139,13 +140,15 @@ class PathBase:
         """
         arr, scalar = _as_times(ts)
         out = self._integral_prefix(self._check(arr))
-        return out[0] if scalar else out
+        return out[0] if scalar else (
+            out if self.rows is None else out.swapaxes(0, 1))
 
     def running_max_prefix(self, ts):
         """Componentwise running maximum over [0, u] for each u in ts."""
         arr, scalar = _as_times(ts)
         out = self._running_max_prefix(self._check(arr))
-        return out[0] if scalar else out
+        return out[0] if scalar else (
+            out if self.rows is None else out.swapaxes(0, 1))
 
     def knots(self):
         """Times where the path's description changes, including 0 and T."""

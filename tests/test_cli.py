@@ -406,6 +406,15 @@ def test_probe_artifact_reports_all_probes(tmp_path):
     assert all(r[1] == "true" for r in rows)
 
 
+def test_probe_of_the_counterexample_functional(tmp_path):
+    argv = ["probe", "--functional", "counterexample", "--samples", "5"]
+    lines = _lines(_run(tmp_path, argv))
+    head = lines.index("probe,passed,metric,samples")
+    labels = [ln.split(",")[0] for ln in lines[head + 1:]]
+    assert labels[:2] == ["non_anticipative[sinlog_gap]",
+                          "boundedness[sinlog_gap]"]
+
+
 def test_stratonovich_artifact_schema(tmp_path):
     raw = _run(tmp_path, FAST_ARGV["stratonovich"])
     lines = _lines(raw)
@@ -465,6 +474,7 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
     ["probe", "--horizon", "0"],
     ["qv", "--horizon", "1e-320"],
     ["ito-check", "--horizon", "5e-324"],
+    ["ito-check", "--paths", "0"],
 ], ids=["functional_axis_text", "functional_axis_range", "path_index_text",
         "direction_floor_text", "direction_floor_nan", "substep_nan",
         "probe_no_samples", "probe_no_dim", "probe_negative_box",
@@ -476,7 +486,7 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
         "unknown_probe", "unknown_flow_method", "csv_cell_not_a_number",
         "csv_row_missing_a_column", "probe_negative_horizon",
         "probe_zero_horizon", "qv_horizon_without_a_rising_grid",
-        "ito_check_horizon_without_a_rising_grid"])
+        "ito_check_horizon_without_a_rising_grid", "ito_check_no_paths"])
 def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -503,12 +513,17 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
      "held value must be finite"),
     (["flow", "--horizon", "1e308"], "span 1e+308 times 1024 steps"),
     (["flow", "--substep", "inf"], "substep must be positive, finite"),
+    (["stratonovich", "--integrand", "const:nan", "--level-max", "7"],
+     "a constant must be finite, not nan"),
+    (["flow", "--direction", "const:nan"],
+     "a constant must be finite, not nan"),
 ], ids=["flow_window", "flow_picard_tol", "deriv_gamma_t",
         "deriv_horizontal_t", "deriv_space_t", "relation_times",
         "flow_zero_horizon", "flow_nan_horizon", "flow_inf_horizon",
         "probe_negative_horizon", "qv_horizon_without_a_rising_grid",
         "deriv_space_held_overflows", "flow_grid_overflows",
-        "flow_inf_substep"])
+        "flow_inf_substep", "stratonovich_nan_integrand",
+        "flow_nan_direction"])
 def test_nan_option_is_one_line_naming_it(argv, named, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

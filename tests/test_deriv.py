@@ -402,6 +402,8 @@ def test_horizontal_average_reconstructs_time_derivative():
     assert abs(avg2.value) <= 1e-6
     with pytest.raises(DomainError):
         horizontal_from_gamma(builtin("square"), gamma, 0.4, r, -0.1)
+    with pytest.raises(DomainError, match="t \\+ h \\+ eta0 <= horizon"):
+        horizontal_from_gamma(builtin("square"), gamma, 0.9, r, 0.1)
 
 
 # ---------------------------------------------------------------------------

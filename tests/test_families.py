@@ -1,7 +1,9 @@
-"""Path families: k paths that agree before a cut, read at one time at once.
+"""Path families: k paths that agree before a cut, read with a leading row
+axis.
 
-Every family query and every eval_family call must give, in row r, the
-bits of the same query or eval on path r built on its own.
+Every family query and every eval or eval_many of a functional on a family
+must give, in row r, the bits of the same query or read on path r built on
+its own, and at each of many times the bits of the read at that time.
 """
 
 import numpy as np
@@ -113,11 +115,11 @@ def _functionals(dim):
 
 @settings(max_examples=60, deadline=None)
 @given(families())
-def test_eval_family_equals_eval_on_each_row_bitwise(case):
+def test_eval_on_a_family_equals_eval_on_each_row_bitwise(case):
     fam, rows, ts = case
     for F in _functionals(fam.dim):
         for t in ts:
-            got = F.eval_family(t, fam)
+            got = F.eval(t, fam)
             assert got.shape == (fam.rows,) + F.shape, F.label
             for r, path in enumerate(rows):
                 want = np.asarray(F.eval(t, path), dtype=float).tobytes()
@@ -149,11 +151,12 @@ def _vector_and_matrix_functionals(dim):
 
 @settings(max_examples=60, deadline=None)
 @given(families())
-def test_vector_and_matrix_eval_family_equals_eval_on_each_row_bitwise(case):
+def test_vector_and_matrix_eval_on_a_family_equals_eval_on_each_row_bitwise(
+        case):
     fam, rows, ts = case
     for F in _vector_and_matrix_functionals(fam.dim):
         for t in ts:
-            got = F.eval_family(t, fam)
+            got = F.eval(t, fam)
             assert got.shape == (fam.rows,) + F.shape, F.label
             for r, path in enumerate(rows):
                 want = F.eval(t, fam.row(r))
@@ -162,13 +165,57 @@ def test_vector_and_matrix_eval_family_equals_eval_on_each_row_bitwise(case):
                 assert F.eval(t, path).tobytes() == want.tobytes(), F.label
 
 
+@st.composite
+def family_reads(draw):
+    """A family of k rows with m times to read it at: every time of
+    ``families``, or k of them, or one.  Fewer times than all keep 0 and
+    the cut while there is room, and may repeat a time."""
+    fam, rows, ts = draw(families())
+    size = draw(st.sampled_from([len(ts), fam.rows, 1]))
+    if size < len(ts):
+        gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        kept = [0.0, fam.switch][:size]
+        ts = np.sort(np.concatenate([kept, gen.choice(ts, size - len(kept))]))
+    return fam, rows, ts
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_reads())
+def test_family_reads_at_many_times_equal_each_row_and_time_bitwise(case):
+    fam, rows, ts = case
+    k, m = fam.rows, len(ts)
+    for name in QUERIES:
+        got = getattr(fam, name)(ts)
+        assert got.shape == (k, m, fam.dim), name
+        for r, path in enumerate(rows):
+            want = getattr(path, name)(ts).tobytes()
+            assert got[r].tobytes() == want, (name, r)
+            assert getattr(fam.row(r), name)(ts).tobytes() == want, (name, r)
+        for j, t in enumerate(ts):
+            assert got[:, j].tobytes() == getattr(fam, name)(t).tobytes(), \
+                (name, t)
+    for F in (_functionals(fam.dim)
+              + _vector_and_matrix_functionals(fam.dim)):
+        got = F.eval_many(ts, fam)
+        assert got.shape == (k, m) + F.shape, F.label
+        for r, path in enumerate(rows):
+            want = F.eval_many(ts, fam.row(r))
+            assert got[r].tobytes() == want.tobytes(), (F.label, r)
+            assert F.eval_many(ts, path).tobytes() == want.tobytes(), F.label
+        for j, t in enumerate(ts):
+            assert got[:, j].tobytes() == F.eval(t, fam).tobytes(), \
+                (F.label, t)
+
+
 def test_constant_functional_spreads_over_the_family():
     x = constant_path([1.0, 2.0])
     fam = StoppedPath(x, 0.5, np.zeros((3, 2)))
-    out = constant_functional(2.5).eval_family(0.75, fam)
+    out = constant_functional(2.5).eval(0.75, fam)
     assert out.tolist() == [2.5, 2.5, 2.5]
     out[0] = 0.0
-    assert constant_functional(2.5).eval_family(0.75, fam)[0] == 2.5
+    assert constant_functional(2.5).eval(0.75, fam)[0] == 2.5
+    many = constant_functional(2.5).eval_many([0.25, 0.75], fam)
+    assert many.shape == (3, 2) and (many == 2.5).all()
 
 
 def test_held_value_of_the_wrong_shape_is_rejected():
@@ -197,7 +244,7 @@ def test_a_single_path_has_no_rows(view):
 
 def _discounted_spec():
     """A rate read from each path's integral, one body for both routes, and
-    a payoff without fn_many, which eval_family reads row by row."""
+    a payoff without fn_many, which eval reads row by row."""
     def rate(ts, x):
         return 0.1 + 0.05 * x.integral_prefix(ts)[..., 0]
 

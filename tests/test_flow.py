@@ -173,6 +173,8 @@ def test_argument_validation():
         solve_flow(w, 0.0, gamma, substep=-1.0)
     with pytest.raises(DomainError):
         solve_flow(w, 0.0, gamma, grid=np.array([0.1, 0.5]))
+    with pytest.raises(ConfigError, match="max_iters must be at least 1"):
+        solve_flow(w, 0.0, gamma, max_iters=0)
     with pytest.raises(DomainError):
         sol = solve_flow(w, 0.0, gamma, until=0.5)
         sol.residual(np.array([0.9]))

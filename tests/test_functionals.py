@@ -381,6 +381,47 @@ def test_lipschitz_probe_constant_field_is_zero():
     assert rep.metric == 0.0
 
 
+def _nan_matrix(t, x):
+    return np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda: probe_non_anticipative(Functional(lambda t, x: np.nan),
+                                   samples=5),
+    lambda: probe_boundedness(Functional(lambda t, x: np.nan), 1.0,
+                              samples=5),
+    lambda: probe_lipschitz(
+        DirectionField(lambda t, x: np.array([np.nan]), 1, 0.0), samples=5),
+    lambda: check_hessian_symmetry(FunctionalWithDerivatives(
+        lambda t, x: 0.0, hess=MatrixFunctional(_nan_matrix, (2, 2))),
+        samples=5, dim=2),
+], ids=["non_anticipative", "boundedness", "lipschitz", "hessian_symmetry"])
+def test_a_probe_that_meets_nan_fails(probe):
+    rep = probe()
+    assert not rep.passed
+    assert rep.metric == np.inf
+
+
+def test_boundedness_of_a_vector_functional_names_a_time():
+    # the worst entry is looked up per time, not in the flattened values
+    rep = probe_boundedness(eval_direction(2), 1.0, dim=2, samples=20)
+    assert rep.passed
+    assert 0.0 < rep.metric <= 1.0
+    assert 0.0 <= rep.failures[0][1] <= 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: constant_functional(v),
+    lambda v: constant_direction([1.0, v]),
+    lambda v: constant_matrix_field([[1.0], [v]]),
+], ids=["functional", "direction", "matrix_field"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_constant_must_be_finite(make, value):
+    with pytest.raises(DomainError,
+                       match=f"a constant must be finite, not {value}$"):
+        make(value)
+
+
 def test_hessian_symmetry_pass_and_fail():
     assert check_hessian_symmetry(product_functional(), dim=2).passed
     lopsided = FunctionalWithDerivatives(

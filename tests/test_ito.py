@@ -87,10 +87,25 @@ def test_partition_sequence_custom_validation():
                           grids=[[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0]])
     with pytest.raises(DomainError):
         PartitionSequence(1.0, "custom", grids=[[0.0, 0.5]])
+    with pytest.raises(DomainError, match="strictly increasing"):
+        PartitionSequence(1.0, "custom", grids=[[0.0, 0.5, 0.5, 1.0]])
+    for level in (-1, 2):
+        with pytest.raises(DomainError, match="custom sequence has 2 grids"):
+            good.grid(level)
     with pytest.raises(DomainError):
         PartitionSequence(1.0, "banana")
     with pytest.raises(DomainError):
         PartitionSequence(1.0, "custom")
+
+
+# sizes that numpy refuses without allocating, so a missing check fails fast
+@pytest.mark.parametrize("kind, level", [("dyadic", 60), ("uniform", 2 ** 62)])
+def test_a_level_past_the_cap_is_rejected_before_allocating(kind, level):
+    seq = PartitionSequence(1.0, kind)
+    for read in (seq.grid, seq.mesh):
+        with pytest.raises(DomainError, match=f"level must be in .*, not "
+                                              f"{level}$"):
+            read(level)
 
 
 def test_snap_identity_on_exact_subset():

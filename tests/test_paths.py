@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathcalc import (
     CADLAG,
@@ -56,6 +56,8 @@ def test_gridpath_rejects_bad_grids():
         GridPath([0.0, 1.0], [[0.0], [np.nan]])
     with pytest.raises(DomainError):
         GridPath([0.0], [[1.0]])
+    with pytest.raises(DomainError, match="length mismatch"):
+        GridPath([0.0, 0.5, 1.0], [[0.0], [1.0]])
     with pytest.raises(DomainError):
         GridPath([0.0, 1.0], [[0.0], [1.0]], interp_mode="cubic")
     with pytest.raises(DomainError, match="d >= 1"):
@@ -395,6 +397,10 @@ def test_csv_mode_override_and_empty():
     buf = io.StringIO("# interp_mode = cadlag_hold\nt,v1\n0.0,1.0\n1.0,2.0\n")
     p = path_from_csv(buf, interp_mode=LINEAR)
     assert p.interp_mode == LINEAR
+    # blank lines are skipped wherever they fall
+    q = path_from_csv(io.StringIO("\nt,v1\n\n0.0,1.0\n  \n1.0,2.0\n\n"))
+    assert q.times.tolist() == [0.0, 1.0]
+    assert q.values.tolist() == [[1.0], [2.0]]
     with pytest.raises(DomainError):
         path_from_csv(io.StringIO("t,v1\n"))
 
@@ -611,6 +617,12 @@ def test_a_non_finite_held_value_is_rejected(held):
         StoppedPath(x, 0.5, [[0.0], [held]])
 
 
+@pytest.mark.parametrize("stop_time", [-0.25, 1.5, np.nan])
+def test_a_stop_time_outside_the_horizon_is_rejected(stop_time):
+    with pytest.raises(DomainError, match=r"stop time .* outside \[0, 1.0\]"):
+        StoppedPath(ramp_path(1.0, n=17), stop_time)
+
+
 @pytest.mark.parametrize("mode", [LINEAR, CADLAG])
 @pytest.mark.parametrize("cut", [0.0, 0.3, 0.5, 0.875])
 def test_integral_past_a_stop_grows_from_the_integral_at_it(mode, cut):
@@ -663,8 +675,10 @@ def _route_grid(kind, s, span, n, gen):
         grid = np.linspace(s, s + span, n)
     j = int(gen.integers(1, n - 1)) if n > 2 else 0
     if kind == "ulp" and j:
-        grid[j] = np.nextafter(grid[j], np.inf if gen.random() < 0.5
-                               else -np.inf)
+        # at a subnormal span linspace rounds inner nodes onto the end
+        # nodes, so the moved node is kept within them
+        grid[j] = np.clip(np.nextafter(grid[j], np.inf if gen.random() < 0.5
+                                       else -np.inf), grid[0], grid[-1])
     if kind == "half" and j:
         grid[j] += 0.5 * (grid[j + 1] - grid[j])
     return np.unique(grid)
@@ -703,6 +717,10 @@ def _assert_chunks_agree(path, ts):
        st.floats(5e-324, 1e308, allow_subnormal=True),
        st.integers(3, 3000), st.sampled_from([LINEAR, CADLAG]),
        st.integers(0, 2 ** 32 - 1))
+@example("ulp", 1e-323, 5, LINEAR, 309)
+@example("ulp", 1e-323, 4, LINEAR, 0)
+@example("ulp", 5e-324, 3, LINEAR, 2)
+@example("ulp", 5e-324, 4, CADLAG, 2)
 def test_many_times_locate_as_chunks_of_few_do(kind, span, n, mode, seed):
     gen = np.random.default_rng(seed)
     m = _LOCATE_SEARCH_BELOW + int(gen.integers(0, 400))
