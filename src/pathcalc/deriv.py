@@ -25,7 +25,7 @@ from .errors import ConfigError, DomainError, IllConditionedError, \
 from .flow import solve_flow
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional
-from .paths import StoppedPath, stop, stop_exactly
+from .paths import StoppedPath, require_path, stop, stop_exactly
 
 TAIL = 5                 # quotients entering the spread/estimate
 CONV_REL = 1e-4          # spread tolerance, relative to max(1, |median|)
@@ -149,6 +149,7 @@ def time_study(F, t, x, gamma, ladder, label):
     where the largest piece would not fit the solver's contraction window
     1/(2K) with its 1e-9 slack.
     """
+    require_path(x)
     etas = ladder.steps()
     if not (0.0 <= t < t + etas[-1]
             and t + etas[0] <= x.horizon * (1 + 1e-12)):
@@ -176,6 +177,7 @@ def bump_values(F, t, x, hs, dirs):
     """F on x bumped at t by h * dirs[s], for every step h of hs and every
     row s of dirs, as a (len(hs), len(dirs)) array.  All bumps are rows of
     one family held at t, read in one eval call."""
+    require_path(x)
     pin = stop_exactly(x, t)
     # every step's held values at once, as bump() would add them
     held = pin.value_at_stop + hs[:, None, None] * dirs

@@ -27,7 +27,8 @@ from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
     constant_functional, constant_matrix_field, require_derivatives, \
     square_functional, zero_direction
-from .paths import LINEAR, SplicedPath, constant_path, splice_view, stop
+from .paths import LINEAR, SplicedPath, constant_path, require_path, \
+    splice_view, stop
 
 
 @dataclass
@@ -65,6 +66,7 @@ class SDESpec:
 
 
 def _check_history(spec, t, x):
+    require_path(x)
     if x.dim != spec.dim:
         raise DomainError(f"history is {x.dim}-dimensional, SDE is {spec.dim}")
     if x.horizon != spec.horizon:

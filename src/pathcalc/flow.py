@@ -16,7 +16,8 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigError, DomainError, FlowIterationError
 from .functionals import DirectionField
-from .paths import CADLAG, LINEAR, PathBase, SplicedPath, splice_view, stop
+from .paths import CADLAG, LINEAR, PathBase, SplicedPath, require_path, \
+    splice_view, stop
 
 _DIVERGENCE_CAP = 1e12
 
@@ -130,6 +131,7 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
     evaluates to zero along the whole extension returns the stopped path
     itself, so the zero-field flow is exact.
     """
+    require_path(w)
     s = float(s)
     until = w.horizon if until is None else float(until)
     if not 0.0 <= s <= w.horizon:
@@ -200,6 +202,7 @@ def euler_flow(w, s, gamma, until=None, substep=None, grid=None):
     Independent of solve_flow on purpose; used to cross-check it.  Exact
     for constant fields.
     """
+    require_path(w)
     s = float(s)
     until = w.horizon if until is None else float(until)
     if not 0.0 <= s <= until <= w.horizon:

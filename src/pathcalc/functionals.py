@@ -218,22 +218,27 @@ def eval_functional(axis=0, dim=1):
         hess=constant_matrix_field(np.zeros((d, d))))
 
 
-def square_functional(axis=0, dim=1):
-    """F(t, x) = x_axis(t)^2, squared as v * v in both routes."""
+def _of_value(f, df, d2f, name, axis, dim):
+    """F(t, x) = f(x_axis(t)) for an elementwise f with derivatives df and
+    d2f: no time derivative, df and d2f at the axis entry of the (d,)
+    gradient and the (d, d) Hessian."""
     d = int(dim)
     a = int(axis)
 
-    def square(ts, x):
-        v = x.eval(ts)[..., a]
-        return v * v
+    def of(g):
+        return lambda ts, x: g(x.eval(ts)[..., a])
 
-    def twice(ts, x):
-        return 2.0 * x.eval(ts)[..., a]
-
+    value = of(f)
     return FunctionalWithDerivatives(
-        square, label=f"square[{a}]", fn_many=square, partial_t=_zero(),
-        grad=_at_entry(twice, (a,), d, f"2*eval[{a}]"),
-        hess=constant_matrix_field(np.diag(2.0 * np.eye(d)[a])))
+        value, label=f"{name}[{a}]", fn_many=value, partial_t=_zero(),
+        grad=_at_entry(of(df), (a,), d, f"grad {name}[{a}]"),
+        hess=_at_entry(of(d2f), (a, a), d, f"hess {name}[{a}]"))
+
+
+def square_functional(axis=0, dim=1):
+    """F(t, x) = x_axis(t)^2, squared as v * v in both routes."""
+    return _of_value(lambda v: v * v, lambda v: 2.0 * v,
+                     lambda v: np.full_like(v, 2.0), "square", axis, dim)
 
 
 def integral_functional(axis=0, dim=1):
@@ -290,17 +295,7 @@ def running_max_functional(axis=0, dim=1):
 
 def exp_eval_functional(axis=0, dim=1):
     """F(t, x) = exp(x_axis(t))."""
-    d = int(dim)
-    a = int(axis)
-
-    def exp_eval(ts, x):
-        return np.exp(x.eval(ts)[..., a])
-
-    return FunctionalWithDerivatives(
-        exp_eval, label=f"exp_eval[{a}]", fn_many=exp_eval,
-        partial_t=_zero(),
-        grad=_at_entry(exp_eval, (a,), d, f"grad exp_eval[{a}]"),
-        hess=_at_entry(exp_eval, (a, a), d, f"hess exp_eval[{a}]"))
+    return _of_value(np.exp, np.exp, np.exp, "exp_eval", axis, dim)
 
 
 def require_derivatives(f):
@@ -419,7 +414,11 @@ def _worse(worst, value):
     return np.inf if np.isnan(value) else value
 
 
-def _check_probe(samples, dim, horizon):
+def _samples(seed, stream, samples, dim, horizon, **shape):
+    """(k, gen, path) for each of a probe's samples, from stream ``stream``
+    of the seed: the path's mode is drawn, then the path, then whatever the
+    probe draws from gen itself.  The arguments are checked at the call,
+    before any draw."""
     # a probe over no samples, or over paths with no coordinate, would
     # report a pass it never tested; a finite positive horizon is what
     # makes every grid the probes generate valid by construction
@@ -432,6 +431,10 @@ def _check_probe(samples, dim, horizon):
         raise ConfigError(f"horizon must be finite, not {horizon}")
     if not horizon > 0:
         raise ConfigError(f"horizon must be positive, not {horizon}")
+    gen = rng.substream(seed, stream)
+    modes = (LINEAR if gen.random() < 0.5 else CADLAG for _ in range(samples))
+    return ((k, gen, _random_path(gen, dim, horizon, mode, **shape))
+            for k, mode in enumerate(modes))
 
 
 def _random_path(gen, dim, horizon, mode, n_lo=6, n_hi=40, box=None):
@@ -466,20 +469,16 @@ def _with_pinned_future(path, t, gen):
 def probe_non_anticipative(F, dim=1, samples=200, seed=0, horizon=1.0):
     """Randomize the strict future of sampled paths and compare F values.
 
-    Passes only if every discrepancy is exactly zero: the pinned control and
-    the randomized path share all data on [0, t], so a genuinely
-    non-anticipative functional computes bit-identical results.
+    Passes only if every discrepancy, the largest absolute entry of the
+    difference, is exactly zero: the pinned and the randomized path share
+    all data on [0, t], so a non-anticipative F of any shape agrees bitwise.
     """
-    _check_probe(samples, dim, horizon)
-    gen = rng.substream(seed, 0)
     worst = 0.0
     failures = []
-    for k in range(samples):
-        mode = LINEAR if gen.random() < 0.5 else CADLAG
-        path = _random_path(gen, dim, horizon, mode)
+    for k, gen, path in _samples(seed, 0, samples, dim, horizon):
         t = float(gen.uniform(0.0, horizon * 0.999))
         pinned, randomized = _with_pinned_future(path, t, gen)
-        d = abs(F.eval(t, pinned) - F.eval(t, randomized))
+        d = float(np.abs(F.eval(t, pinned) - F.eval(t, randomized)).max())
         worst = _worse(worst, d)
         if d != 0 and len(failures) < 10:   # NaN included
             failures.append((k, t, d))
@@ -492,16 +491,13 @@ def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0):
     values: reports the max of |F(s, x)| over random paths confined to
     [-box_radius, box_radius]^d, with s running over grid times up to and
     including the horizon.  A non-finite value fails the probe."""
-    _check_probe(samples, dim, horizon)
+    draws = _samples(seed, 1, samples, dim, horizon, n_lo=64, n_hi=65,
+                     box=box_radius)
     if not 0.0 < 2.0 * box_radius < np.inf:
         raise ConfigError("box_radius must be positive, 2 * box_radius finite")
-    gen = rng.substream(seed, 1)
     worst = 0.0
     where = None
-    for k in range(samples):
-        mode = LINEAR if gen.random() < 0.5 else CADLAG
-        path = _random_path(gen, dim, horizon, mode, n_lo=64, n_hi=65,
-                            box=box_radius)
+    for k, _, path in draws:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = np.abs(F.eval_many(path.times, path))
         top = _worse(worst, vals.max())
@@ -520,14 +516,10 @@ def probe_lipschitz(field, samples=200, seed=0, horizon=1.0, dim=None):
     Samples stopped-path pairs sharing a grid and compares the field gap to
     the sup gap of the stopped paths."""
     d = field.dim_out if dim is None else dim
-    _check_probe(samples, d, horizon)
-    gen = rng.substream(seed, 2)
     worst = 0.0
-    for _ in range(samples):
-        mode = LINEAR if gen.random() < 0.5 else CADLAG
-        x = _random_path(gen, d, horizon, mode)
+    for _, gen, x in _samples(seed, 2, samples, d, horizon):
         values = x.values + gen.normal(scale=0.5, size=x.values.shape)
-        y = grid_view(x.times, values, mode)
+        y = grid_view(x.times, values, x.interp_mode)
         t = float(gen.uniform(horizon * 0.05, horizon))
         xs, ys = stop(x, t), stop(y, t)
         # x and y share their times, so either's knots are the union
@@ -546,12 +538,8 @@ def check_hessian_symmetry(F, samples=50, seed=0, dim=1, horizon=1.0,
     """Verify coded second derivatives are symmetric at random points."""
     if F.hess is None:
         raise DomainError(f"{F.label}: second derivative absent")
-    _check_probe(samples, dim, horizon)
-    gen = rng.substream(seed, 3)
     worst = 0.0
-    for _ in range(samples):
-        mode = LINEAR if gen.random() < 0.5 else CADLAG
-        x = _random_path(gen, dim, horizon, mode)
+    for _, gen, x in _samples(seed, 3, samples, dim, horizon):
         t = float(gen.uniform(0.0, horizon))
         h = F.hess.eval(t, x)
         worst = _worse(worst, float(np.abs(h - h.T).max()))

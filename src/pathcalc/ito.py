@@ -21,7 +21,7 @@ from ._kernels import dot_increment_prefix, outer_increment_prefix, \
     quad_form_prefix
 from .errors import ConfigError, DomainError, GridMismatchError
 from .functionals import require_derivatives
-from .paths import GridPath, LINEAR, grid_view
+from .paths import GridPath, LINEAR, grid_view, require_path
 
 __all__ = [
     "PartitionSequence", "snap_partition", "QVMatrixPath",
@@ -95,6 +95,7 @@ def snap_partition(times, path):
     Values come from evaluating the path at its own knots, so they are the
     stored node data in either interpolation mode.
     """
+    require_path(path)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2 or not np.all(np.diff(times) > 0):
         raise DomainError("partition must be strictly increasing, >= 2 times")

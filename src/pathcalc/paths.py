@@ -51,13 +51,6 @@ LINEAR = "linear"
 _MODES = (CADLAG, LINEAR)
 
 
-def _as_times(ts):
-    arr = np.asarray(ts, dtype=float)
-    if arr.ndim == 0:
-        return arr.reshape(1), True
-    return arr, False
-
-
 def _piecewise(ts, cut, inclusive, head, tail, shape):
     """head(ts) before cut (and at it when inclusive), tail(ts) after, as
     one (m,) + shape array: shape is (d,) for a path, (k, d) for a family.
@@ -118,19 +111,22 @@ class PathBase:
                 f"time outside [0, {self.horizon}]: range [{lo}, {hi}]")
         return ts
 
+    def _query(self, primitive, ts):
+        """primitive at the times ts, checked: its (d,) value for a scalar,
+        (m, d) for an array, a family's rows first."""
+        arr = np.asarray(ts, dtype=float)
+        if arr.ndim == 0:
+            return primitive(self._check(arr.reshape(1)))[0]
+        out = primitive(self._check(arr))
+        return out if self.rows is None else out.swapaxes(0, 1)
+
     def eval(self, ts):
         """Value(s) at time(s) ts; (d,) for a scalar, (m, d) for an array."""
-        arr, scalar = _as_times(ts)
-        out = self._eval(self._check(arr))
-        return out[0] if scalar else (
-            out if self.rows is None else out.swapaxes(0, 1))
+        return self._query(self._eval, ts)
 
     def eval_left(self, ts):
         """Left limit(s) at ts (equals eval for continuous paths)."""
-        arr, scalar = _as_times(ts)
-        out = self._eval_left(self._check(arr))
-        return out[0] if scalar else (
-            out if self.rows is None else out.swapaxes(0, 1))
+        return self._query(self._eval_left, ts)
 
     def integral_prefix(self, ts):
         """Componentwise integral over [0, u] for each u in ts.
@@ -138,17 +134,11 @@ class PathBase:
         Exact for the declared interpolation mode (trapezoid on linear
         segments, left rectangles on held segments).
         """
-        arr, scalar = _as_times(ts)
-        out = self._integral_prefix(self._check(arr))
-        return out[0] if scalar else (
-            out if self.rows is None else out.swapaxes(0, 1))
+        return self._query(self._integral_prefix, ts)
 
     def running_max_prefix(self, ts):
         """Componentwise running maximum over [0, u] for each u in ts."""
-        arr, scalar = _as_times(ts)
-        out = self._running_max_prefix(self._check(arr))
-        return out[0] if scalar else (
-            out if self.rows is None else out.swapaxes(0, 1))
+        return self._query(self._running_max_prefix, ts)
 
     def knots(self):
         """Times where the path's description changes, including 0 and T."""
@@ -538,6 +528,15 @@ class StoppedPath(SplicedPath):
         return StoppedPath(self.base, self.stop_time, self.value_at_stop[r])
 
 
+def require_path(*paths):
+    """Raise DomainError if any of paths is a family, where an operation
+    reads one path."""
+    for x in paths:
+        if x.rows is not None:
+            raise DomainError(f"{type(x).__name__} family of {x.rows} rows: "
+                              "one path is required; read one with .row(r)")
+
+
 def stop(x, t):
     """Path frozen at t: x on [0, t), constant x(t) afterwards.
 
@@ -584,6 +583,7 @@ def concat(a, s, b):
     b must cover [0, T - s]; any longer tail is discarded.  A jump at s is
     permitted; values are exact at every representable time in either mode.
     """
+    require_path(a, b)
     s = float(s)
     if not 0.0 <= s <= a.horizon:
         raise DomainError(f"junction {s} outside [0, {a.horizon}]")
@@ -613,6 +613,7 @@ def dist_stopped(x, t, y, s):
     values and left limits are compared; this is exact for piecewise
     constant and piecewise linear paths.
     """
+    require_path(x, y)
     if x.horizon != y.horizon:
         raise DomainError("paths must share a horizon")
     if x.dim != y.dim:
@@ -649,6 +650,7 @@ def path_to_csv(path, dest):
     interpolation mode is recorded in a leading comment line.  One row per
     knot cannot carry a jump of a linear path, so such a path is rejected.
     """
+    require_path(path)
     grid = np.asarray(path.knots())
     vals = path.eval(grid)
     if path.interp_mode == LINEAR \

@@ -415,6 +415,15 @@ def test_probe_of_the_counterexample_functional(tmp_path):
                           "boundedness[sinlog_gap]"]
 
 
+def test_probe_of_the_running_avg_direction(tmp_path):
+    argv = ["probe", "--probe", "lipschitz", "--direction", "running_avg",
+            "--dim", "2", "--samples", "5"]
+    lines = _lines(_run(tmp_path, argv))
+    head = lines.index("probe,passed,metric,samples")
+    assert [ln.split(",")[:2] for ln in lines[head + 1:]] \
+        == [["lipschitz[running_avg]", "true"]]
+
+
 def test_stratonovich_artifact_schema(tmp_path):
     raw = _run(tmp_path, FAST_ARGV["stratonovich"])
     lines = _lines(raw)
@@ -475,6 +484,8 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
     ["qv", "--horizon", "1e-320"],
     ["ito-check", "--horizon", "5e-324"],
     ["ito-check", "--paths", "0"],
+    ["flow", "--path", "csv:"],
+    ["flow", "--direction", "bogus"],
 ], ids=["functional_axis_text", "functional_axis_range", "path_index_text",
         "direction_floor_text", "direction_floor_nan", "substep_nan",
         "probe_no_samples", "probe_no_dim", "probe_negative_box",
@@ -486,7 +497,8 @@ def test_bad_monte_carlo_input_is_one_line(argv, capsys):
         "unknown_probe", "unknown_flow_method", "csv_cell_not_a_number",
         "csv_row_missing_a_column", "probe_negative_horizon",
         "probe_zero_horizon", "qv_horizon_without_a_rising_grid",
-        "ito_check_horizon_without_a_rising_grid", "ito_check_no_paths"])
+        "ito_check_horizon_without_a_rising_grid", "ito_check_no_paths",
+        "csv_path_without_a_file", "unknown_direction"])
 def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

@@ -6,6 +6,8 @@ must give, in row r, the bits of the same query or read on path r built on
 its own, and at each of many times the bits of the read at that time.
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,17 +25,29 @@ from pathcalc import (
     VectorFunctional,
     benchmark,
     builtin,
+    concat,
     constant_direction,
     constant_functional,
     constant_matrix_field,
     constant_path,
     counterexample_functional,
+    d_horizontal,
+    d_space,
+    dist_stopped,
     estimate_f,
+    euler_flow,
     eval_direction,
+    fk_residual,
+    ito_residual,
     martingale_check,
     mean_functional,
+    path_to_csv,
+    polygonal,
+    ramp_path,
     running_avg_direction,
     simulate_sde,
+    snap_partition,
+    solve_flow,
     surface_functional,
 )
 from pathcalc.functionals import CATALOG
@@ -236,6 +250,42 @@ def test_held_value_of_the_wrong_shape_is_rejected():
 def test_a_single_path_has_no_rows(view):
     with pytest.raises(DomainError, match="a single path has no rows"):
         view.row(0)
+
+
+_GAUSS, _GAUSS_F = benchmark("gauss_square")
+_PARTITION = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: concat(fam, 0.5, ramp_path(1.0)),
+    lambda fam: concat(ramp_path(1.0), 0.5, fam),
+    lambda fam: dist_stopped(fam, 0.5, ramp_path(1.0), 0.5),
+    lambda fam: path_to_csv(fam, io.StringIO()),
+    lambda fam: snap_partition(_PARTITION, fam),
+    lambda fam: ito_residual(builtin("square"), fam, _PARTITION),
+    lambda fam: polygonal(fam, _PARTITION),
+    lambda fam: solve_flow(fam, 0.5, eval_direction(1)),
+    lambda fam: euler_flow(fam, 0.5, eval_direction(1)),
+    lambda fam: estimate_f(_GAUSS, 0.5, fam, n_paths=4),
+    lambda fam: fk_residual(_GAUSS_F, _GAUSS, 0.5, fam),
+    lambda fam: d_horizontal(builtin("square"), 0.75, fam),
+    lambda fam: d_space(builtin("square"), 0, 0.75, fam),
+], ids=["concat_head", "concat_tail", "dist_stopped", "path_to_csv",
+        "snap_partition", "ito_residual", "polygonal", "solve_flow",
+        "euler_flow", "estimate_f", "fk_residual", "d_horizontal",
+        "d_space"])
+@pytest.mark.parametrize("family", [
+    lambda: StoppedPath(ramp_path(1.0, n=5), 0.5, [[0.1], [0.2], [0.3]]),
+    lambda: StoppedPath(ramp_path(1.0, n=5, interp_mode=CADLAG), 0.5,
+                        [[0.1], [0.2], [0.3]]),
+    lambda: SplicedPath(ramp_path(1.0, n=5), 0.5, [0.5, 1.0],
+                        np.zeros((2, 3, 1))),
+], ids=["held_linear", "held_cadlag", "block"])
+def test_a_family_is_rejected_where_one_path_is_required(call, family):
+    with pytest.raises(DomainError,
+                       match=r"family of 3 rows: one path is required; "
+                             r"read one with \.row\(r\)$"):
+        call(family())
 
 
 # ---------------------------------------------------------------------------

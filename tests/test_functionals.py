@@ -13,6 +13,7 @@ from pathcalc import (
     FunctionalWithDerivatives,
     GridPath,
     MatrixFunctional,
+    ProbeReport,
     VectorFunctional,
     benchmark,
     builtin,
@@ -400,6 +401,36 @@ def test_a_probe_that_meets_nan_fails(probe):
     rep = probe()
     assert not rep.passed
     assert rep.metric == np.inf
+
+
+@pytest.mark.parametrize("F, dim, looks_ahead", [
+    (builtin("square"), 1, False),
+    (eval_direction(2), 2, False),
+    (builtin("product").grad, 2, False),
+    (builtin("product").hess, 2, False),
+    (builtin("exp_eval", dim=2).hess, 2, False),
+    (VectorFunctional(lambda t, x: x.eval(x.horizon), 2, label="lookahead"),
+     2, True),
+], ids=["scalar", "direction", "product_grad", "product_hess",
+        "exp_eval_hess", "lookahead_vector"])
+def test_every_probe_reads_every_shape(F, dim, looks_ahead):
+    rep = probe_non_anticipative(F, dim=dim, samples=20)
+    assert rep.passed is not looks_ahead
+    if looks_ahead:
+        assert 0.0 < rep.metric < np.inf
+        assert rep.failures
+        assert all(type(d) is float and d > 0.0 for _, _, d in rep.failures)
+    assert probe_boundedness(F, 1.0, dim=dim, samples=20).passed
+
+
+def test_reprs_name_the_label_and_the_outcome():
+    assert repr(builtin("square")) == "<FunctionalWithDerivatives square[0]>"
+    assert repr(Functional(lambda t, x: 0.0)) == "<Functional anonymous>"
+    rep = probe_non_anticipative(builtin("eval"), samples=2)
+    assert repr(rep) == ("<ProbeReport non_anticipative[eval[0]]: pass "
+                         "metric=0 samples=2>")
+    assert repr(ProbeReport("lookahead", False, 1.5, 3)) \
+        == "<ProbeReport lookahead: FAIL metric=1.5 samples=3>"
 
 
 def test_boundedness_of_a_vector_functional_names_a_time():

@@ -129,6 +129,14 @@ def test_snap_rejects_partition_finer_than_grid():
         snap_partition(np.array([0.0, 0.26, 0.3, 1.0]), p)
 
 
+def test_snap_rejects_a_time_past_a_short_last_cell():
+    # a partition may end up to 1e-12 past the horizon, further than half
+    # a last cell of 2**-50
+    p = GridPath([0.0, 1.0 - 2.0 ** -50, 1.0], [[0.0], [2.0], [1.0]])
+    with pytest.raises(GridMismatchError, match="beyond half the local cell"):
+        snap_partition(np.array([0.0, 1.0 + 1e-13]), p)
+
+
 def test_snap_input_validation():
     p = constant_path_1()
     with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ from pathcalc import (
     OSCILLATING,
     check_direction,
     constant_direction,
+    constant_path,
     constraint_direction,
     counterexample_functional,
     expansion_check,
@@ -106,6 +107,15 @@ def test_expansion_rate_closed_forms_on_ramp():
     assert expansion_rate(gamma_star(0.25), 0.5, r) == 0.0
     with pytest.raises(DomainError):
         expansion_rate(None, 0.0, r)
+
+
+def test_expansion_check_on_a_constant_path_fits_no_slope():
+    # the surface gap of a constant path is 0 at every rung, as its rate
+    # is, which leaves no rung above 1e-13 to fit an order to
+    chk = expansion_check(0.5, constant_path(1.0))
+    assert chk.alpha == 0.0 and chk.alpha_hat == 0.0
+    assert chk.verdict == "converged" and chk.ok
+    assert np.isnan(chk.slope)
 
 
 def test_expansion_check_matches_stopped_ramp_closed_form():

@@ -11,6 +11,7 @@ from pathcalc import (
     LINEAR,
     DomainError,
     GridPath,
+    PathBase,
     SplicedPath,
     StoppedPath,
     bump,
@@ -746,3 +747,20 @@ def test_many_times_locate_as_chunks_of_few_do(kind, span, n, mode, seed):
         ts = _route_queries(times[:filled], end, m, gen)
         _assert_chunks_agree(view, ts)
         assert not np.isnan(view.eval(ts)).any()
+
+
+def test_spliced_segment_values_may_be_one_dimensional():
+    base = ramp_path(1.0, 1.0, n=5)
+    flat = SplicedPath(base, 0.5, [0.5, 0.75, 1.0], [2.0, 3.0, 2.5])
+    column = SplicedPath(base, 0.5, [0.5, 0.75, 1.0], [[2.0], [3.0], [2.5]])
+    ts = np.linspace(0.0, 1.0, 17)
+    assert flat.dim == 1 and flat.rows is None
+    for query in ("eval", "eval_left", "integral_prefix",
+                  "running_max_prefix"):
+        assert getattr(flat, query)(ts).tobytes() \
+            == getattr(column, query)(ts).tobytes()
+
+
+def test_the_path_interface_leaves_knots_to_its_types():
+    with pytest.raises(NotImplementedError):
+        PathBase().knots()
