@@ -1,8 +1,11 @@
-"""Shared exception types.
+"""Shared exception types, and the check of a size or count argument.
 
 Validation problems raise subclasses of ValueError so plain callers can catch
 broadly; the CLI maps the categories to distinct exit codes.
 """
+
+import numbers
+import operator
 
 
 class DomainError(ValueError):
@@ -53,3 +56,21 @@ class IllConditionedError(NumericalError):
     def __init__(self, message, cond=None):
         super().__init__(message)
         self.cond = cond
+
+
+def require_count(name, value, low=0):
+    """value as an int of at least low, or ConfigError naming the parameter.
+
+    An integral float such as 64.0 is that int; 2.5, NaN or inf is refused,
+    never truncated.  low=None leaves the range to the caller.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = int(value) if isinstance(value, numbers.Real) \
+            and float(value).is_integer() else None
+    if n is None:
+        raise ConfigError(f"{name} must be a whole number, not {value!r}")
+    if low is not None and n < low:
+        raise ConfigError(f"{name} must be at least {low}, not {n}")
+    return n

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from ._kernels import left_prefix
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError, require_count
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
     constant_functional, constant_matrix_field, require_derivatives, \
@@ -92,8 +92,8 @@ def _simulate_block(spec, grid, x, seed, first, count):
     """
     n = len(grid) - 1
     dt = np.diff(grid)
-    dw = rng.normal_block(seed, first, count, (n, spec.noise_dim)) \
-        * np.sqrt(dt)[:, None]
+    dw = rng.normal_block(seed, first, count, (n, spec.noise_dim))
+    dw *= np.sqrt(dt)[:, None]
     start = x.eval(grid[0])
     values = np.empty((count, n + 1, spec.dim))
     values[:, 0] = start
@@ -134,9 +134,8 @@ def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
     if t == spec.horizon:
         return x
     if grid is None:
-        if n_steps < 1:
-            raise ConfigError("n_steps must be at least 1")
-        grid = np.linspace(t, spec.horizon, int(n_steps) + 1)
+        n_steps = require_count("n_steps", n_steps, 1)
+        grid = np.linspace(t, spec.horizon, n_steps + 1)
     else:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or len(grid) < 2:
@@ -171,13 +170,11 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     """
     t = float(t)
     _check_history(spec, t, x)
-    if n_paths < 1:
-        raise ConfigError("n_paths must be at least 1")
-    if n_steps < 1:
-        raise ConfigError("n_steps must be at least 1")
+    n_paths = require_count("n_paths", n_paths, 1)
+    n_steps = require_count("n_steps", n_steps, 1)
     if t == spec.horizon:
         return _finite(MCEstimate(spec.payoff.eval(t, x), 0.0, 0))
-    grid = np.linspace(t, spec.horizon, int(n_steps) + 1)
+    grid = np.linspace(t, spec.horizon, n_steps + 1)
     const_rate = spec.rate.constant_value
     if const_rate is not None:
         disc = float(np.exp(-const_rate * (spec.horizon - t)))
@@ -264,8 +261,7 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     if t_grid[-1] > spec.horizon:
         raise DomainError(f"t_grid ends at {float(t_grid[-1])!r}, past the "
                           f"horizon {spec.horizon!r}")
-    if n_paths < 2:
-        raise ConfigError("martingale check needs n_paths >= 2")
+    n_paths = require_count("n_paths", n_paths, 2)
     H = np.empty((n_paths, len(t_grid)))
     first = 0
     for fam in _sample_blocks(spec, t_grid, x0, seed, n_paths):

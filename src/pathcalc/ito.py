@@ -19,7 +19,8 @@ import numpy as np
 from . import rng
 from ._kernels import dot_increment_prefix, outer_increment_prefix, \
     quad_form_prefix
-from .errors import ConfigError, DomainError, GridMismatchError
+from .errors import ConfigError, DomainError, GridMismatchError, \
+    require_count
 from .functionals import require_derivatives
 from .paths import GridPath, LINEAR, grid_view, require_path
 
@@ -285,7 +286,9 @@ def brownian_path(seed, index, n_exp=16, horizon=1.0, dim=1):
     the same no matter which other paths were drawn before it.  Dyadic
     sub-levels of the returned grid are exact subsets of its times.
     """
-    n_exp, dim = int(n_exp), int(dim)   # checked before allocating
+    # whole numbers, then one range check, before allocating
+    n_exp = require_count("n_exp", n_exp, low=None)
+    dim = require_count("dim", dim, low=None)
     if not (0 <= n_exp <= N_EXP_MAX and 1 <= dim <= 2 ** (N_EXP_MAX - n_exp)):
         raise ConfigError(f"need n_exp >= 0, dim >= 1 and dim * 2**n_exp <= "
                           f"2**{N_EXP_MAX}; got n_exp={n_exp}, dim={dim}")
@@ -301,7 +304,8 @@ def brownian_path(seed, index, n_exp=16, horizon=1.0, dim=1):
     # the values are finite for every finite horizon, so the grid is valid
     # by construction and needs no check or copy
     v = np.zeros((n + 1, dim))
-    z = rng.normals(seed, index, (n, dim)) * np.sqrt(dt)
+    z = rng.normals(seed, index, (n, dim))
+    z *= np.sqrt(dt)
     np.cumsum(z, axis=0, out=v[1:])
     return grid_view(t, v, LINEAR)
 

@@ -494,11 +494,12 @@ class StoppedPath(SplicedPath):
     The base must not change under the view: the held value and the base's
     integral up to the stop time are taken from it once.  A (k, d) held
     value makes the view a family of k paths, row r holding row r; a bump
-    family is a splice family with one segment node.  The view keeps the
-    base's ``interp_mode``.
+    family is a splice family with one segment node.  The base is one
+    path, never a family.  The view keeps the base's ``interp_mode``.
     """
 
     def __init__(self, base, stop_time, value_at_stop=None):
+        require_path(base)
         stop_time = float(stop_time)
         if not 0.0 <= stop_time <= base.horizon:
             raise DomainError(f"stop time {stop_time} outside [0, {base.horizon}]")
@@ -542,6 +543,9 @@ def stop(x, t):
 
     Stopping is idempotent: re-stopping a stopped or bumped path at or after
     its stop time returns the same object, and stop(x, T) is x itself.
+    A held family stopped at or after its stop time is returned as it is,
+    and stopped before it is one path; any other stop of a family, and a
+    bump of one after its stop time, raises DomainError.
     """
     t = float(t)
     if not 0.0 <= t <= x.horizon:

@@ -25,6 +25,7 @@ from pathcalc import (
     VectorFunctional,
     benchmark,
     builtin,
+    bump,
     concat,
     constant_direction,
     constant_functional,
@@ -48,9 +49,11 @@ from pathcalc import (
     simulate_sde,
     snap_partition,
     solve_flow,
+    stop,
     surface_functional,
 )
 from pathcalc.functionals import CATALOG
+from pathcalc.paths import stop_exactly
 
 QUERIES = ("eval", "eval_left", "integral_prefix", "running_max_prefix")
 
@@ -270,10 +273,12 @@ _PARTITION = np.linspace(0.0, 1.0, 5)
     lambda fam: fk_residual(_GAUSS_F, _GAUSS, 0.5, fam),
     lambda fam: d_horizontal(builtin("square"), 0.75, fam),
     lambda fam: d_space(builtin("square"), 0, 0.75, fam),
+    lambda fam: bump(fam, 0.75, [1.0]),
+    lambda fam: stop_exactly(fam, 0.75),
 ], ids=["concat_head", "concat_tail", "dist_stopped", "path_to_csv",
         "snap_partition", "ito_residual", "polygonal", "solve_flow",
         "euler_flow", "estimate_f", "fk_residual", "d_horizontal",
-        "d_space"])
+        "d_space", "bump_past_the_cut", "stop_exactly_past_the_cut"])
 @pytest.mark.parametrize("family", [
     lambda: StoppedPath(ramp_path(1.0, n=5), 0.5, [[0.1], [0.2], [0.3]]),
     lambda: StoppedPath(ramp_path(1.0, n=5, interp_mode=CADLAG), 0.5,
@@ -286,6 +291,19 @@ def test_a_family_is_rejected_where_one_path_is_required(call, family):
                        match=r"family of 3 rows: one path is required; "
                              r"read one with \.row\(r\)$"):
         call(family())
+
+
+def test_a_held_family_stops_as_itself_past_its_cut_and_as_one_path_before():
+    fam = StoppedPath(ramp_path(1.0, n=5), 0.5, [[0.1], [0.2], [0.3]])
+    assert stop(fam, 0.75) is fam
+    assert stop(fam, 0.5) is fam
+    early = stop(fam, 0.25)
+    assert early.rows is None
+    assert np.array_equal(early.eval(np.array([0.1, 0.6])),
+                          stop(ramp_path(1.0, n=5), 0.25).eval(
+                              np.array([0.1, 0.6])))
+    with pytest.raises(DomainError, match="family of 3 rows"):
+        StoppedPath(fam, 0.75)
 
 
 # ---------------------------------------------------------------------------

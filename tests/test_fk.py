@@ -404,3 +404,22 @@ def test_estimates_do_not_depend_on_the_block_size(block_nodes, monkeypatch):
     after = [estimate_f(spec, 0.5, x, n_paths=30, n_steps=8, seed=2)
              for spec, x in cases]
     assert before == after
+
+
+_GAUSS, _GAUSS_F = benchmark("gauss_square")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda x: estimate_f(_GAUSS, 0.0, x, n_paths=2.5), "n_paths"),
+    (lambda x: martingale_check(_GAUSS, _GAUSS_F, [0.0, 0.5, 1.0], x,
+                                n_paths=2.5), "n_paths"),
+    (lambda x: estimate_f(_GAUSS, 0.0, x, n_paths=4, n_steps=np.inf),
+     "n_steps"),
+    (lambda x: estimate_f(_GAUSS, 0.0, x, n_paths=4, n_steps=2.5), "n_steps"),
+    (lambda x: simulate_sde(_GAUSS, 0.0, x, n_steps=1.5), "n_steps"),
+], ids=["estimate_f_fractional_paths", "martingale_fractional_paths",
+        "estimate_f_infinite_steps", "estimate_f_fractional_steps",
+        "simulate_sde_fractional_steps"])
+def test_bad_simulation_sizes_are_config_errors_naming_them(call, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be a whole number"):
+        call(constant_path(0.0))

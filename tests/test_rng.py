@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from numpy.random import Generator
+from hypothesis import example, given, settings, strategies as st
+from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 import pathcalc.rng as rng_module
-from pathcalc import ConfigError
+from pathcalc import ConfigError, brownian_path
 from pathcalc.rng import normal_block, normals, substream, uniforms
 
 
@@ -100,3 +101,44 @@ def test_normal_block_rows_equal_substreams(index):
 def test_out_of_range_seed_or_index_is_a_config_error(draw):
     with pytest.raises(ConfigError):
         draw()
+
+
+# seeds with both 64-bit key words set, blocks that straddle index 2**64 or
+# end at 2**128 - 1, and rows that are not a whole number of Philox outputs
+@settings(max_examples=40, deadline=None)
+@given(seed=st.sampled_from([2 ** 64 + 3, 2 ** 128 - 1])
+       | st.integers(0, 2 ** 128 - 1),
+       edge=st.sampled_from([0, 2 ** 64, 2 ** 128]),
+       back=st.integers(0, 4), count=st.integers(1, 4),
+       n=st.sampled_from([1, 7, 13]))
+@example(seed=2 ** 64 + 3, edge=2 ** 64, back=2, count=4, n=7)
+@example(seed=2 ** 128 - 1, edge=2 ** 128, back=0, count=3, n=13)
+@example(seed=2 ** 128 - 1, edge=2 ** 64, back=1, count=2, n=1)
+def test_block_rows_equal_fresh_philox_streams(seed, edge, back, count, n):
+    first = min(max(edge - back, 0), 2 ** 128 - count)
+    block = normal_block(seed, first, count, (n,))
+    assert block.shape == (count, n)
+    for r in range(count):
+        fresh = Generator(Philox(key=seed, counter=(first + r) << 128))
+        u = np.minimum(fresh.random(n) + 2.0 ** -54, 1.0 - 2.0 ** -53)
+        assert block[r].tobytes() == ndtri(u).tobytes()
+
+
+@pytest.mark.parametrize("draw, name", [
+    (lambda: normals(1, 0, (-3,)), "shape"),
+    (lambda: normal_block(1, 0, -2, (3,)), "count"),
+    (lambda: uniforms(1, 0, -1), "n"),
+    (lambda: uniforms(1, 0, np.nan), "n"),
+    (lambda: substream(1, 2 ** 128), "substream ind"),
+    (lambda: normals(1, 0, 2.5), "shape"),
+    (lambda: brownian_path(1, 0, n_exp=2.5), "n_exp"),
+], ids=["negative_shape", "negative_count", "negative_n", "nan_n",
+        "index_past_2_128", "fractional_shape", "fractional_n_exp"])
+def test_bad_draw_sizes_are_config_errors_naming_them(draw, name):
+    with pytest.raises(ConfigError, match=f"^{name}"):
+        draw()
+
+
+def test_whole_float_sizes_draw_as_ints():
+    assert np.array_equal(normals(1, 0, 4.0), normals(1, 0, 4))
+    assert np.array_equal(uniforms(1, 0, 3.0), uniforms(1, 0, 3))
