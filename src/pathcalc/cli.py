@@ -21,7 +21,7 @@ import numpy as np
 from . import fk, ito, pathology
 from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, \
     recover_gradient, relation_residual
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError, require_count
 from .flow import euler_flow, solve_flow
 from .functionals import builtin, constant_direction, eval_direction, \
     probe_boundedness, probe_lipschitz, probe_non_anticipative, \
@@ -456,8 +456,7 @@ def run_counterexample(cfg):
 
 def run_ito_check(cfg):
     F = parse_functional(cfg["functional"], 1)
-    if cfg["paths"] < 1:
-        raise ConfigError("paths must be at least 1")
+    require_count("paths", cfg["paths"], 1)
     # one corpus path at a time: the residuals of each level, in path order
     mesh, res = {}, {}
     for i in range(cfg["paths"]):
@@ -489,8 +488,7 @@ def run_stratonovich(cfg):
 
 
 def run_feynman_kac(cfg):
-    if cfg["n_paths"] < 2:
-        raise ConfigError("n_paths must be at least 2 to give a stderr")
+    require_count("n_paths", cfg["n_paths"], 2)
     spec, f = fk.benchmark(cfg["benchmark"], horizon=cfg["horizon"])
     x0 = parse_path(cfg["x0"], cfg)
     rows = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, IllConditionedError, \
-    NonDifferentiableError
+    NonDifferentiableError, require_count, require_finite
 from .flow import solve_flow
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional
@@ -46,12 +46,11 @@ class QuotientLadder:
     count: int = 20
 
     def __post_init__(self):
-        if not 0.0 < self.eta0 < np.inf:
-            raise ConfigError("eta0 must be positive and finite")
+        require_finite("eta0", self.eta0)
         if not 0.0 < self.ratio < 1.0:
             raise ConfigError("ratio must lie in (0, 1)")
-        if self.count < TAIL + 1:
-            raise ConfigError(f"count must be at least {TAIL + 1}")
+        object.__setattr__(self, "count",
+                           require_count("count", self.count, TAIL + 1))
         # a float, before steps() allocates count of them
         if not self.eta0 * self.ratio ** (self.count - 1) > 0:
             raise ConfigError("count too large: the last step underflows")
@@ -215,7 +214,7 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     ladder = ladder or SPACE_LADDER
     if scheme not in ("central", "forward"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    i = int(i)
+    i = require_count("axis", i, low=None)
     if not 0 <= i < x.dim:
         raise DomainError(f"axis {i} outside dimension {x.dim}")
     e = np.zeros((3, x.dim))    # up, down, unbumped
@@ -283,6 +282,7 @@ def recover_gradient(F, fields, t, x, ladder=None, cond_max=1e8):
     fields must contain exactly dim direction fields whose values at
     (t, x) form a well-conditioned matrix.
     """
+    require_finite("cond_max", cond_max)
     d = x.dim
     if len(fields) != d:
         raise DomainError(f"need {d} direction fields, got {len(fields)}")
@@ -319,9 +319,7 @@ def horizontal_from_gamma(F, gamma, t, x, h, ladder=None):
     Quadrature nodes follow the ladder layout (geometric refinement toward
     t); each node needs its own converged d_gamma and d_space studies.
     """
-    t, h = float(t), float(h)
-    if h <= 0:
-        raise DomainError("averaging width h must be positive")
+    t, h = float(t), require_finite("h", h, error=DomainError)
     lad = ladder or QuotientLadder()
     if t + h + lad.eta0 > x.horizon * (1 + 1e-12):
         raise DomainError("need t + h + eta0 <= horizon for the node studies")
@@ -380,8 +378,7 @@ def numerical_derivatives(F, dim=1):
                                  "d_horizontal").estimate
 
     def grad(t, x):
-        return [require_converged(d_space(F, i, t, x), f"d_space[{i}]")
-                .estimate for i in range(d)]
+        return _space_gradient(F, t, x)[0]
 
     def hess(t, x):
         return [[_hess_entry(F, i, j, t, x) for j in range(d)]

@@ -1,9 +1,10 @@
-"""Shared exception types, and the check of a size or count argument.
+"""Shared exception types, and the checks of a count and of a real argument.
 
 Validation problems raise subclasses of ValueError so plain callers can catch
 broadly; the CLI maps the categories to distinct exit codes.
 """
 
+import math
 import numbers
 import operator
 
@@ -74,3 +75,13 @@ def require_count(name, value, low=0):
     if low is not None and n < low:
         raise ConfigError(f"{name} must be at least {low}, not {n}")
     return n
+
+
+def require_finite(name, value, zero=False, error=ConfigError):
+    """value as a finite float above 0, or at least 0 when zero is set, or
+    error naming the parameter.  NaN and inf are refused."""
+    v = float(value)
+    if not (0.0 <= v if zero else 0.0 < v) or v == math.inf:
+        kind = "nonnegative" if zero else "positive"
+        raise error(f"{name} must be {kind} and finite, not {v}")
+    return v

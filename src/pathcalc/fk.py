@@ -22,7 +22,8 @@ import numpy as np
 
 from . import rng
 from ._kernels import left_prefix
-from .errors import ConfigError, DomainError, NumericalError, require_count
+from .errors import ConfigError, DomainError, NumericalError, \
+    require_count, require_finite
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
     constant_functional, constant_matrix_field, require_derivatives, \
@@ -42,10 +43,8 @@ class SDESpec:
     horizon: float = 1.0
 
     def __post_init__(self):
-        self.horizon = float(self.horizon)
-        if not 0 < self.horizon < np.inf:   # NaN fails too
-            raise DomainError(f"horizon must be positive and finite, not "
-                              f"{self.horizon}")
+        self.horizon = require_finite("horizon", self.horizon,
+                                      error=DomainError)
         if self.drift.dim_out != self.sigma.shape[0]:
             raise DomainError(
                 f"drift is {self.drift.dim_out}-dimensional but sigma has "
@@ -155,6 +154,7 @@ class MCEstimate:
     n_paths: int
 
     def within(self, reference, k=3.0):
+        require_finite("k", k)
         return abs(self.value - reference) <= k * self.stderr
 
 
@@ -252,6 +252,7 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     demands an exactly zero mean.  A wrong candidate shows a systematic
     drift and fails.
     """
+    require_finite("k", k)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2 or not np.all(np.diff(t_grid) > 0):
         raise DomainError("t_grid must be strictly increasing, >= 2 times")

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, DomainError, FlowIterationError
+from .errors import ConfigError, DomainError, FlowIterationError, \
+    require_count, require_finite
 from .functionals import DirectionField
 from .paths import CADLAG, LINEAR, PathBase, SplicedPath, require_path, \
     splice_view, stop
@@ -95,6 +96,18 @@ def _make_grid(s, until, substep, grid):
     return grid, span / n
 
 
+def _span(w, s, gamma, until):
+    """(s, until) as floats, checked against the path w and the field."""
+    require_path(w)
+    s = float(s)
+    until = w.horizon if until is None else float(until)
+    if not 0.0 <= s <= until <= w.horizon:
+        raise DomainError("need 0 <= s <= until <= horizon")
+    if gamma.dim_out != w.dim:
+        raise DomainError("direction dimension does not match the path")
+    return s, until
+
+
 def _window_runs(grid, cap):
     """Split the grid into index runs of span <= cap (with fp slack)."""
     runs = []
@@ -131,19 +144,9 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
     evaluates to zero along the whole extension returns the stopped path
     itself, so the zero-field flow is exact.
     """
-    require_path(w)
-    s = float(s)
-    until = w.horizon if until is None else float(until)
-    if not 0.0 <= s <= w.horizon:
-        raise DomainError(f"start {s} outside [0, {w.horizon}]")
-    if not s <= until <= w.horizon:
-        raise DomainError(f"until must lie in [{s}, {w.horizon}]")
-    if gamma.dim_out != w.dim:
-        raise DomainError("direction dimension does not match the path")
-    if not picard_tol > 0:  # negated so that NaN is rejected too
-        raise ConfigError("picard_tol must be positive")
-    if max_iters < 1:
-        raise ConfigError("max_iters must be at least 1")
+    s, until = _span(w, s, gamma, until)
+    require_finite("picard_tol", picard_tol)
+    max_iters = require_count("max_iters", max_iters, 1)
     if s == until:
         g0 = np.array([s])
         v0 = w.eval(s)[None, :]
@@ -202,13 +205,7 @@ def euler_flow(w, s, gamma, until=None, substep=None, grid=None):
     Independent of solve_flow on purpose; used to cross-check it.  Exact
     for constant fields.
     """
-    require_path(w)
-    s = float(s)
-    until = w.horizon if until is None else float(until)
-    if not 0.0 <= s <= until <= w.horizon:
-        raise DomainError("need 0 <= s <= until <= horizon")
-    if gamma.dim_out != w.dim:
-        raise DomainError("direction dimension does not match the path")
+    s, until = _span(w, s, gamma, until)
     if s == until:
         return FlowSolution(stop(w, s), s, until, gamma, 0.0, 0.0,
                             np.array([s]), w.eval(s)[None, :], [])

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, require_count, require_finite
 from .paths import CADLAG, LINEAR, grid_view, stop
 
 
@@ -35,8 +35,9 @@ class Functional:
     gives (k,) + shape and eval_many (k, m) + shape.  A body passed as both
     fn and fn_many is called once on the whole family; any other is read
     row by row.  Either way row r equals the same read on family.row(r) bit
-    for bit.  constant_value marks functionals that ignore (t, x) entirely,
-    which lets downstream code pick exact fast paths.
+    for bit.  constant_value is None except on the functionals that
+    constant_functional, constant_direction and constant_matrix_field build,
+    where it is their one value; fk's exact fast routes read it.
 
     Each value is read in the declared shape, after the leading axes of the
     rows and the times: a real or vector with as many entries is reshaped
@@ -46,14 +47,12 @@ class Functional:
     """
 
     shape = ()
+    constant_value = None
 
-    def __init__(self, fn, label="", fn_many=None, constant_value=None):
+    def __init__(self, fn, label="", fn_many=None):
         self._fn = fn
         self._fn_many = fn_many
         self.label = label
-        if constant_value is not None and self.shape:
-            constant_value = np.asarray(constant_value, dtype=float)
-        self.constant_value = constant_value
 
     def _read(self, value, lead=()):
         out = np.asarray(value, dtype=float)
@@ -99,34 +98,29 @@ class Functional:
 class VectorFunctional(Functional):
     """R^k-valued non-anticipative map (t, path) -> (k,)."""
 
-    def __init__(self, fn, dim_out, label="", fn_many=None, constant_value=None):
+    def __init__(self, fn, dim_out, label="", fn_many=None):
         self.dim_out = int(dim_out)
         self.shape = (self.dim_out,)
-        super().__init__(fn, label=label, fn_many=fn_many,
-                         constant_value=constant_value)
+        super().__init__(fn, label=label, fn_many=fn_many)
 
 
 class DirectionField(VectorFunctional):
     """Direction for path-dependent flows: d-valued with a declared
     Lipschitz constant in the sup norm of stopped paths."""
 
-    def __init__(self, fn, dim_out, lipschitz_K, label="", fn_many=None,
-                 constant_value=None):
-        super().__init__(fn, dim_out, label=label, fn_many=fn_many,
-                         constant_value=constant_value)
-        if lipschitz_K < 0:
-            raise DomainError("lipschitz_K must be nonnegative")
-        self.lipschitz_K = float(lipschitz_K)
+    def __init__(self, fn, dim_out, lipschitz_K, label="", fn_many=None):
+        super().__init__(fn, dim_out, label=label, fn_many=fn_many)
+        self.lipschitz_K = require_finite("lipschitz_K", lipschitz_K,
+                                          zero=True, error=DomainError)
 
 
 class MatrixFunctional(Functional):
     """(d, m)-matrix-valued non-anticipative map: SDE diffusions and
     second derivatives."""
 
-    def __init__(self, fn, shape, label="", fn_many=None, constant_value=None):
+    def __init__(self, fn, shape, label="", fn_many=None):
         self.shape = (int(shape[0]), int(shape[1]))
-        super().__init__(fn, label=label, fn_many=fn_many,
-                         constant_value=constant_value)
+        super().__init__(fn, label=label, fn_many=fn_many)
 
 
 class FunctionalWithDerivatives(Functional):
@@ -140,16 +134,17 @@ class FunctionalWithDerivatives(Functional):
     """
 
     def __init__(self, fn, label="", fn_many=None, partial_t=None, grad=None,
-                 hess=None, constant_value=None):
-        super().__init__(fn, label=label, fn_many=fn_many,
-                         constant_value=constant_value)
+                 hess=None):
+        super().__init__(fn, label=label, fn_many=fn_many)
         self.partial_t = partial_t
         self.grad = grad
         self.hess = hess
 
 
-def _constant(value):
-    """The one body of every constant functional: value at each time."""
+def _constant(cls, value, label, *args):
+    """cls(body, *args) whose one body gives value at each time, with
+    constant_value set to value: a float for a real, the array otherwise.
+    The only writer of constant_value."""
     value = np.asarray(value, dtype=float)
     bad = value[~np.isfinite(value)]
     if bad.size:
@@ -158,14 +153,14 @@ def _constant(value):
     def body(ts, x):
         return np.full(np.shape(ts) + value.shape, value)
 
-    return body
+    f = cls(body, *args, label=label, fn_many=body)
+    f.constant_value = value if value.ndim else float(value)
+    return f
 
 
 def constant_functional(c, label=None):
     c = float(c)
-    value = _constant(c)
-    return Functional(value, label=label or f"const({c})", fn_many=value,
-                      constant_value=c)
+    return _constant(Functional, c, label or f"const({c})")
 
 
 def _zero(label="0"):
@@ -335,6 +330,7 @@ CATALOG = {
 def builtin(name, axis=0, dim=None):
     """Catalog lookup by name; dim defaults to 1, and to 2 for 'product',
     the one dimension it is defined in."""
+    axis = require_count("axis", axis, low=None)
     if name == "product":
         if dim not in (None, 2) or axis != 0:
             raise DomainError("product needs dimension 2 and no axis, not "
@@ -359,10 +355,8 @@ def zero_direction(dim=1):
 
 def constant_direction(vec, label=None):
     v = np.atleast_1d(np.asarray(vec, dtype=float))
-    value = _constant(v)
     label = label or f"const({','.join(repr(float(c)) for c in v)})"
-    return DirectionField(value, len(v), 0.0, label=label, fn_many=value,
-                          constant_value=v)
+    return _constant(DirectionField, v, label, len(v), 0.0)
 
 
 def eval_direction(dim=1):
@@ -381,9 +375,7 @@ def running_avg_direction(dim=1):
 
 def constant_matrix_field(mat):
     m = np.atleast_2d(np.asarray(mat, dtype=float))
-    value = _constant(m)
-    return MatrixFunctional(value, m.shape, label="const_matrix",
-                            fn_many=value, constant_value=m)
+    return _constant(MatrixFunctional, m, "const_matrix", m.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +414,8 @@ def _samples(seed, stream, samples, dim, horizon, **shape):
     # a probe over no samples, or over paths with no coordinate, would
     # report a pass it never tested; a finite positive horizon is what
     # makes every grid the probes generate valid by construction
-    if samples < 1:
-        raise ConfigError("samples must be at least 1")
-    if dim < 1:
-        raise ConfigError("dim must be at least 1")
+    samples = require_count("samples", samples, 1)
+    dim = require_count("dim", dim, 1)
     horizon = float(horizon)
     if not np.isfinite(horizon):
         raise ConfigError(f"horizon must be finite, not {horizon}")
@@ -538,6 +528,7 @@ def check_hessian_symmetry(F, samples=50, seed=0, dim=1, horizon=1.0,
     """Verify coded second derivatives are symmetric at random points."""
     if F.hess is None:
         raise DomainError(f"{F.label}: second derivative absent")
+    require_finite("tol", tol, zero=True)
     worst = 0.0
     for _, gen, x in _samples(seed, 3, samples, dim, horizon):
         t = float(gen.uniform(0.0, horizon))

@@ -20,7 +20,7 @@ from . import rng
 from ._kernels import dot_increment_prefix, outer_increment_prefix, \
     quad_form_prefix
 from .errors import ConfigError, DomainError, GridMismatchError, \
-    require_count
+    require_count, require_finite
 from .functionals import require_derivatives
 from .paths import GridPath, LINEAR, grid_view, require_path
 
@@ -45,11 +45,8 @@ class PartitionSequence:
     """
 
     def __init__(self, horizon=1.0, kind="dyadic", grids=None):
-        self.horizon = float(horizon)
+        self.horizon = require_finite("horizon", horizon, error=DomainError)
         self.kind = kind
-        if not 0 < self.horizon < np.inf:   # NaN fails too
-            raise DomainError(f"horizon must be positive and finite, not "
-                              f"{self.horizon}")
         if kind == "custom":
             if not grids:
                 raise DomainError("custom partitions need grids")
@@ -71,7 +68,7 @@ class PartitionSequence:
             raise DomainError(f"unknown partition kind {kind!r}")
 
     def grid(self, level):
-        level = int(level)
+        level = require_count("level", level, low=None)
         if self.kind == "dyadic":
             if not 0 <= level <= N_EXP_MAX:
                 raise DomainError(f"dyadic level must be in [0, {N_EXP_MAX}]"
@@ -136,8 +133,7 @@ class QVMatrixPath:
     """Running quadratic covariation matrices along a partition.
 
     times: (m,), matrices: (m, d, d); matrices[k] sums the outer products
-    of the first k increments, so matrices[0] is zero and the increments
-    property recovers exact additivity over subintervals.
+    of the first k increments, so matrices[0] is zero.
     """
 
     def __init__(self, times, matrices):
@@ -319,7 +315,7 @@ def dyadic_subsample(path, level, n_exp=None):
     if 2 ** n_exp + 1 != len(knots):
         raise GridMismatchError(f"path has {len(knots)} knots, "
                                 f"not 2**{n_exp} + 1")
-    level = int(level)
+    level = require_count("level", level, low=None)
     if not 0 <= level <= n_exp:
         raise DomainError(f"level must lie in [0, {n_exp}]")
     return knots[:: 2 ** (n_exp - level)]

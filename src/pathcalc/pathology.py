@@ -21,7 +21,7 @@ import numpy as np
 
 from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, \
     time_study, OSCILLATING
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .functionals import DirectionField, Functional, constant_direction, \
     running_mean
 from .paths import ramp_path, stop
@@ -95,9 +95,7 @@ def counterexample_functional():
 def _over_time(numerator, t_floor, lipschitz, name):
     """1-d direction field 2 * numerator(t, x) / t for t >= t_floor, with
     Lipschitz constant lipschitz / t_floor."""
-    tf = float(t_floor)
-    if not tf > 0:
-        raise DomainError("t_floor must be positive")
+    tf = require_finite("t_floor", t_floor, error=DomainError)
 
     def value(ts, x):
         _require_1d(x)

@@ -44,7 +44,7 @@ import io
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError
+from .errors import DomainError, require_count
 
 CADLAG = "cadlag_hold"
 LINEAR = "linear"
@@ -641,7 +641,8 @@ def constant_path(value, horizon=1.0, dim=None, interp_mode=LINEAR):
 def ramp_path(slope=1.0, horizon=1.0, n=1025, interp_mode=LINEAR,
               offset=0.0):
     """x(s) = offset + slope * s sampled on a uniform grid (n nodes)."""
-    t = np.linspace(0.0, float(horizon), max(int(n), 0))  # GridPath: n >= 2
+    n = require_count("n", n, low=None)
+    t = np.linspace(0.0, float(horizon), max(n, 0))  # GridPath: n >= 2
     v = np.atleast_1d(np.asarray(slope, dtype=float))[None, :] * t[:, None] \
         + np.atleast_1d(np.asarray(offset, dtype=float))[None, :]
     return GridPath(t, v, interp_mode)

@@ -18,8 +18,9 @@ inverse CDF, is imported on the first normal draw, so importing pathcalc
 does not load it.
 
 Seeds, indices, counts and shape entries are whole numbers: one that is
-negative, fractional or not finite is a ConfigError naming it, raised
-before anything is drawn or allocated.
+negative, fractional or not finite is a ConfigError naming it, and so is a
+draw of more than 2**24 normals, raised before anything is drawn or
+allocated.
 """
 
 import math
@@ -34,6 +35,9 @@ _HALF_ULP = 2.0 ** -54
 _TOP = 1.0 - 2.0 ** -53
 _WORD = 2 ** 64
 _STREAMS = 2 ** 128
+# the most normals one block draw holds, as brownian_path's draw and the
+# flow grids' steps are capped
+_MAX_NORMALS = 2 ** 24
 
 
 def _key(seed):
@@ -84,6 +88,9 @@ def normal_block(seed, first, count, shape):
     key = _key(seed)
     first, count = _streams(first, count)
     shape = tuple(require_count("shape", s) for s in np.atleast_1d(shape))
+    if count * math.prod(shape) > _MAX_NORMALS:
+        raise ConfigError(f"count {count} times shape {shape} is more than "
+                          "2**24 normals")
     bitgen = Philox(key=key)
     gen = Generator(bitgen)
     counter = [0, 0, 0, 0]

@@ -108,6 +108,10 @@ def test_ladder_validation():
         QuotientLadder(ratio=1.0)
     with pytest.raises(ConfigError):
         QuotientLadder(count=3)
+    for count in (20.5, np.nan):
+        with pytest.raises(ConfigError, match="count must be a whole number"):
+            QuotientLadder(count=count)
+    assert QuotientLadder(count=20.0).count == 20
     # the last step underflows to 0; rejected before any step is allocated
     with pytest.raises(ConfigError, match="underflows"):
         QuotientLadder(count=10 ** 9)
@@ -387,6 +391,9 @@ def test_recover_gradient_rejects_singular_system():
     assert exc.value.cond > 1e8
     with pytest.raises(DomainError):
         recover_gradient(builtin("product"), nearly[:1], 0.5, x)
+    # a NaN cap accepted any conditioning
+    with pytest.raises(ConfigError, match="cond_max .* not nan"):
+        recover_gradient(builtin("product"), nearly, 0.5, x, cond_max=np.nan)
 
 
 def test_horizontal_average_reconstructs_time_derivative():
@@ -449,6 +456,19 @@ def test_numerical_derivatives_use_public_methods_only():
 def test_numerical_derivatives_refuses_running_max():
     with pytest.raises(DomainError):
         numerical_derivatives(builtin("running_max"))
+
+
+def test_numerical_gradient_has_one_entry_per_path_coordinate():
+    # a dim below the path's used to return a truncated gradient
+    F = numerical_derivatives(builtin("product"), dim=1)
+    x = ramp_path([1.0, 2.0], 1.0, n=129)
+    with pytest.raises(DomainError):
+        F.grad.eval(0.5, x)
+
+
+def test_d_space_axis_is_a_whole_number():
+    with pytest.raises(ConfigError, match="^axis must be a whole number"):
+        d_space(builtin("square"), 0.5, 0.5, ramp_path(1.0, 1.0, n=129))
 
 
 def _per_rung_bump_quotients(F, i, t, x, scheme):

@@ -23,7 +23,7 @@ from pathcalc import (
     simulate_sde,
     stop,
 )
-from pathcalc.functionals import Functional
+from pathcalc.functionals import Functional, VectorFunctional
 
 
 def _drift_only(mu):
@@ -423,3 +423,25 @@ _GAUSS, _GAUSS_F = benchmark("gauss_square")
 def test_bad_simulation_sizes_are_config_errors_naming_them(call, name):
     with pytest.raises(ConfigError, match=f"^{name} must be a whole number"):
         call(constant_path(0.0))
+
+
+def test_a_constant_body_runs_the_per_step_route():
+    # the drift returns 5.0 at every (t, x) but is built directly, so it is
+    # not marked constant: each step reads it, and the value is the drift's
+    drift = VectorFunctional(lambda t, x: np.array([5.0]), 1)
+    spec = SDESpec(drift, constant_matrix_field([[0.0]]),
+                   constant_functional(0.0), builtin("eval"))
+    assert drift.constant_value is None and not spec.has_constant_coeffs
+    est = estimate_f(spec, 0.0, constant_path(0.0), n_paths=2, n_steps=4)
+    assert est.value == 5.0
+
+
+@pytest.mark.parametrize("k", [np.inf, np.nan, 0.0, -1.0])
+def test_k_must_be_positive_and_finite(k):
+    # an infinite k passed the wrong candidate and any estimate
+    wrong = builtin("square")
+    with pytest.raises(ConfigError, match="^k must be positive and finite"):
+        martingale_check(_GAUSS, wrong, [0.0, 0.5, 1.0], 0.0, n_paths=8,
+                         k=k)
+    with pytest.raises(ConfigError, match="^k must be positive and finite"):
+        MCEstimate(0.0, 1.0, 10).within(100.0, k=k)

@@ -175,6 +175,8 @@ def test_argument_validation():
         solve_flow(w, 0.0, gamma, grid=np.array([0.1, 0.5]))
     with pytest.raises(ConfigError, match="max_iters must be at least 1"):
         solve_flow(w, 0.0, gamma, max_iters=0)
+    with pytest.raises(ConfigError, match="max_iters must be a whole number"):
+        solve_flow(w, 0.0, gamma, max_iters=2.5)
     with pytest.raises(DomainError):
         sol = solve_flow(w, 0.0, gamma, until=0.5)
         sol.residual(np.array([0.9]))
@@ -225,6 +227,19 @@ def test_nan_options_are_rejected(option):
     w = constant_path(1.0)
     with pytest.raises(ConfigError, match=option):
         solve_flow(w, 0.0, eval_direction(1), **{option: np.nan})
+
+
+def test_infinite_picard_tol_is_rejected():
+    # it would stop each window after one sweep, far from the fixed point
+    with pytest.raises(ConfigError, match="picard_tol .* not inf"):
+        solve_flow(ramp_path(), 0.2, eval_direction(1), picard_tol=np.inf)
+
+
+@pytest.mark.parametrize("solver", [solve_flow, euler_flow])
+@pytest.mark.parametrize("s, until", [(-0.1, 0.5), (0.5, 0.25), (0.5, 1.5)])
+def test_both_solvers_check_the_span_alike(solver, s, until):
+    with pytest.raises(DomainError, match="need 0 <= s <= until <= horizon"):
+        solver(constant_path(1.0), s, eval_direction(1), until=until)
 
 
 def test_euler_flow_zero_field_is_stop():

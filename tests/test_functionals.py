@@ -254,6 +254,27 @@ def test_constant_functional_flags():
     c = constant_functional(3.5)
     assert c.constant_value == 3.5
     assert c.eval(0.1, None) == 3.5
+    v = constant_direction([1.0, 2.0])
+    assert v.constant_value.tolist() == [1.0, 2.0]
+    assert v.eval(0.1, None).tolist() == [1.0, 2.0]
+    m = constant_matrix_field([[1.0]])
+    assert m.constant_value.tolist() == [[1.0]]
+    assert m.eval(0.1, None).tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda **kw: Functional(lambda t, x: 5.0, **kw),
+    lambda **kw: VectorFunctional(lambda t, x: [5.0], 1, **kw),
+    lambda **kw: DirectionField(lambda t, x: [5.0], 1, 0.0, **kw),
+    lambda **kw: MatrixFunctional(lambda t, x: [[5.0]], (1, 1), **kw),
+    lambda **kw: FunctionalWithDerivatives(lambda t, x: 5.0, **kw),
+], ids=["functional", "vector", "direction", "matrix", "with_derivatives"])
+def test_constant_value_is_no_constructor_keyword(make):
+    # only the constant constructors mark a functional as constant; a body
+    # that returns one value is not marked, and the fast routes skip it
+    assert make().constant_value is None
+    with pytest.raises(TypeError):
+        make(constant_value=5.0)
 
 
 def test_vector_functional_shape_check():
@@ -265,6 +286,20 @@ def test_vector_functional_shape_check():
 def test_direction_field_rejects_negative_constant():
     with pytest.raises(DomainError):
         DirectionField(lambda t, x: np.array([0.0]), 1, -1.0)
+
+
+@pytest.mark.parametrize("K", [np.nan, np.inf])
+def test_direction_field_rejects_a_non_finite_constant(K):
+    # a NaN K read as no window cap in solve_flow, an infinite one passed
+    # every Lipschitz probe
+    with pytest.raises(DomainError, match=f"lipschitz_K .* not {K}$"):
+        DirectionField(lambda t, x: x.eval(t), 1, K)
+
+
+@pytest.mark.parametrize("axis", [0.5, np.nan])
+def test_builtin_axis_is_a_whole_number(axis):
+    with pytest.raises(ConfigError, match="^axis must be a whole number"):
+        builtin("square", axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +496,10 @@ def test_hessian_symmetry_pass_and_fail():
         grad=constant_direction([0.0, 0.0]),
         hess=constant_matrix_field([[0.0, 1.0], [0.0, 0.0]]))
     assert not check_hessian_symmetry(lopsided, dim=2).passed
+    # an infinite tolerance would pass the lopsided Hessian
+    for tol in (np.inf, np.nan, -1.0):
+        with pytest.raises(ConfigError, match="^tol must be"):
+            check_hessian_symmetry(lopsided, dim=2, tol=tol)
 
 
 @pytest.mark.parametrize("probe", [
@@ -472,8 +511,10 @@ def test_hessian_symmetry_pass_and_fail():
 @pytest.mark.parametrize("kw", [
     {"samples": 0}, {"samples": -3}, {"dim": 0}, {"horizon": -1.0},
     {"horizon": 0.0}, {"horizon": np.nan}, {"horizon": np.inf},
+    {"samples": 2.5}, {"samples": np.nan}, {"dim": 1.5},
 ], ids=["no_samples", "negative_samples", "no_dim", "negative_horizon",
-        "zero_horizon", "nan_horizon", "inf_horizon"])
+        "zero_horizon", "nan_horizon", "inf_horizon", "fractional_samples",
+        "nan_samples", "fractional_dim"])
 def test_probes_reject_degenerate_configurations(probe, kw):
     with pytest.raises(ConfigError):
         probe(**kw)

@@ -73,6 +73,12 @@ def test_partition_sequence_dyadic_and_uniform():
         seq.grid(-1)
     with pytest.raises(DomainError):
         uni.grid(0)
+    for level in (2.5, np.nan):
+        for s in (seq, uni):
+            with pytest.raises(ConfigError, match="^level must be a whole"):
+                s.grid(level)
+        with pytest.raises(ConfigError, match="^level must be a whole"):
+            dyadic_subsample(ramp_path(1.0, 1.0, n=17), level)
 
 
 def test_partition_sequence_custom_validation():

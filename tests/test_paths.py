@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from pathcalc import (
     CADLAG,
     LINEAR,
+    ConfigError,
     DomainError,
     GridPath,
     PathBase,
@@ -68,6 +69,9 @@ def test_gridpath_rejects_bad_grids():
             ramp_path(1.0, horizon, n=3)
     with pytest.raises(DomainError, match="endpoints"):
         ramp_path(1.0, 1.0, n=-1)
+    for n in (2.5, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="^n must be a whole number"):
+            ramp_path(1.0, 1.0, n=n)
     # the grids np.linspace gives for a NaN and an infinite horizon, whose
     # first time is NaN too, are named for that, not for their start
     for times in ([np.nan] * 3, [np.nan, np.inf, np.inf], [0.0, 0.5, np.inf]):

@@ -132,8 +132,11 @@ def test_block_rows_equal_fresh_philox_streams(seed, edge, back, count, n):
     (lambda: substream(1, 2 ** 128), "substream ind"),
     (lambda: normals(1, 0, 2.5), "shape"),
     (lambda: brownian_path(1, 0, n_exp=2.5), "n_exp"),
+    (lambda: normals(1, 0, (2 ** 70,)), "count 1 times shape"),
+    (lambda: normal_block(1, 0, 2, (2 ** 23 + 1,)), "count 2 times shape"),
 ], ids=["negative_shape", "negative_count", "negative_n", "nan_n",
-        "index_past_2_128", "fractional_shape", "fractional_n_exp"])
+        "index_past_2_128", "fractional_shape", "fractional_n_exp",
+        "draw_past_2_70", "block_past_2_24"])
 def test_bad_draw_sizes_are_config_errors_naming_them(draw, name):
     with pytest.raises(ConfigError, match=f"^{name}"):
         draw()
