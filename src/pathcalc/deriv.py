@@ -371,7 +371,7 @@ def numerical_derivatives(F, dim=1):
         # F need only offer eval and eval_many; the bump studies then
         # evaluate it row by row
         F = Functional(F.eval, label=F.label, fn_many=F.eval_many)
-    d = int(dim)
+    d = require_count("dim", dim, 1)
 
     def pt(t, x):
         return require_converged(d_horizontal(F, t, x),

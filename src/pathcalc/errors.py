@@ -1,4 +1,4 @@
-"""Shared exception types, and the checks of a count and of a real argument.
+"""Shared exception types, and the checks of a count, a real and a grid.
 
 Validation problems raise subclasses of ValueError so plain callers can catch
 broadly; the CLI maps the categories to distinct exit codes.
@@ -7,6 +7,8 @@ broadly; the CLI maps the categories to distinct exit codes.
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -85,3 +87,26 @@ def require_finite(name, value, zero=False, error=ConfigError):
         kind = "nonnegative" if zero else "positive"
         raise error(f"{name} must be {kind} and finite, not {v}")
     return v
+
+
+def require_grid(name, times, start=None, end=None, error=DomainError):
+    """times as a 1-d float array, or error naming the parameter: at least 2
+    times, all finite, from start and to end where given, the last after the
+    first and each after the one before, checked in that order."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or len(t) < 2:
+        raise error(f"{name} must be a 1-d array of at least 2 times, its "
+                    f"endpoints, not of shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise error(f"{name} must be finite, not {t[~np.isfinite(t)][0]}")
+    if start is not None and t[0] != start:
+        raise error(f"{name} must start at {start}, not {t[0]}")
+    if end is not None and t[-1] != end:
+        raise error(f"{name} must end at {end}, not {t[-1]}")
+    if not t[-1] > t[0]:
+        raise error(f"{name}: horizon must be positive, not {t[-1] - t[0]}")
+    if not (np.diff(t) > 0.0).all():
+        k = np.flatnonzero(np.diff(t) <= 0.0)[0]
+        raise error(f"{name} must be strictly increasing, not {t[k]} then "
+                    f"{t[k + 1]}")
+    return t

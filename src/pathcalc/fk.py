@@ -23,7 +23,7 @@ import numpy as np
 from . import rng
 from ._kernels import left_prefix
 from .errors import ConfigError, DomainError, NumericalError, \
-    require_count, require_finite
+    require_count, require_finite, require_grid
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
     constant_functional, constant_matrix_field, require_derivatives, \
@@ -136,13 +136,8 @@ def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
         n_steps = require_count("n_steps", n_steps, 1)
         grid = np.linspace(t, spec.horizon, n_steps + 1)
     else:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2:
-            raise ConfigError("grid must be a 1-d array of at least 2 times, "
-                              f"not of shape {grid.shape}")
-        if grid[0] != t or grid[-1] != spec.horizon \
-                or not np.all(np.diff(grid) > 0):
-            raise ConfigError("grid must increase from t to the horizon")
+        grid = require_grid("grid", grid, start=t, end=spec.horizon,
+                            error=ConfigError)
     values = _simulate_block(spec, grid, x, seed, index, 1)[0]
     return SplicedPath(x, float(grid[0]), grid, values, LINEAR)
 
@@ -253,9 +248,7 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     drift and fails.
     """
     require_finite("k", k)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2 or not np.all(np.diff(t_grid) > 0):
-        raise DomainError("t_grid must be strictly increasing, >= 2 times")
+    t_grid = require_grid("t_grid", t_grid)
     if not hasattr(x0, "eval"):
         x0 = constant_path(x0, horizon=spec.horizon, dim=spec.dim)
     _check_history(spec, float(t_grid[0]), x0)

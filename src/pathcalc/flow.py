@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, DomainError, FlowIterationError, \
-    require_count, require_finite
+    require_count, require_finite, require_grid
 from .functionals import DirectionField
 from .paths import CADLAG, LINEAR, PathBase, SplicedPath, require_path, \
     splice_view, stop
@@ -70,14 +70,7 @@ class FlowSolution:
 
 def _make_grid(s, until, substep, grid):
     if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2:
-            raise DomainError("explicit grid must be a 1-d array of at least "
-                              f"2 times, not of shape {grid.shape}")
-        if grid[0] != s or grid[-1] != until:
-            raise DomainError("explicit grid must run from s to until")
-        if not np.all(np.diff(grid) > 0):
-            raise DomainError("grid times must be strictly increasing")
+        grid = require_grid("grid", grid, start=s, end=until)
         return grid, float(np.diff(grid).max())
     span = until - s
     if substep is None:

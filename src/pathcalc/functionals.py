@@ -99,7 +99,7 @@ class VectorFunctional(Functional):
     """R^k-valued non-anticipative map (t, path) -> (k,)."""
 
     def __init__(self, fn, dim_out, label="", fn_many=None):
-        self.dim_out = int(dim_out)
+        self.dim_out = require_count("dim_out", dim_out, 1)
         self.shape = (self.dim_out,)
         super().__init__(fn, label=label, fn_many=fn_many)
 
@@ -119,7 +119,8 @@ class MatrixFunctional(Functional):
     second derivatives."""
 
     def __init__(self, fn, shape, label="", fn_many=None):
-        self.shape = (int(shape[0]), int(shape[1]))
+        self.shape = tuple(require_count(f"shape[{i}]", shape[i], 1)
+                           for i in (0, 1))
         super().__init__(fn, label=label, fn_many=fn_many)
 
 
@@ -199,10 +200,17 @@ def running_mean(ts, x):
 # catalog: one body fn(ts, x) per functional, behind eval and eval_many
 
 
+def _axis_dim(axis, dim):
+    """(axis, dim) of a catalog functional as ints, the axis in [0, dim)."""
+    a, d = require_count("axis", axis, None), require_count("dim", dim, None)
+    if not 0 <= a < d:
+        raise DomainError(f"axis {a} outside dimension {d}")
+    return a, d
+
+
 def eval_functional(axis=0, dim=1):
     """F(t, x) = x_axis(t)."""
-    d = int(dim)
-    a = int(axis)
+    a, d = _axis_dim(axis, dim)
 
     def value(ts, x):
         return x.eval(ts)[..., a]
@@ -217,8 +225,7 @@ def _of_value(f, df, d2f, name, axis, dim):
     """F(t, x) = f(x_axis(t)) for an elementwise f with derivatives df and
     d2f: no time derivative, df and d2f at the axis entry of the (d,)
     gradient and the (d, d) Hessian."""
-    d = int(dim)
-    a = int(axis)
+    a, d = _axis_dim(axis, dim)
 
     def of(g):
         return lambda ts, x: g(x.eval(ts)[..., a])
@@ -243,8 +250,7 @@ def integral_functional(axis=0, dim=1):
     horizontal time derivative is the current value; a vertical bump at t
     has measure zero, so the spatial derivative vanishes.
     """
-    d = int(dim)
-    a = int(axis)
+    a, d = _axis_dim(axis, dim)
 
     def integral(ts, x):
         return x.integral_prefix(ts)[..., a]
@@ -257,8 +263,7 @@ def integral_functional(axis=0, dim=1):
 
 def running_avg_functional(axis=0, dim=1):
     """F(t, x) = (1/t) * integral of x_axis over [0, t]; x_axis(0) at t=0."""
-    d = int(dim)
-    a = int(axis)
+    a, d = _axis_dim(axis, dim)
 
     def avg(ts, x):
         return running_mean(ts, x)[..., a]
@@ -278,7 +283,7 @@ def running_avg_functional(axis=0, dim=1):
 
 def running_max_functional(axis=0, dim=1):
     """F(t, x) = max of x_axis over [0, t]; no spatial derivative exists."""
-    a = int(axis)
+    a = _axis_dim(axis, dim)[0]
 
     def running_max(ts, x):
         return x.running_max_prefix(ts)[..., a]
@@ -339,10 +344,7 @@ def builtin(name, axis=0, dim=None):
     if name not in CATALOG:
         raise DomainError(f"unknown functional {name!r}; "
                           f"choices: {sorted(CATALOG) + ['product']}")
-    dim = 1 if dim is None else dim
-    if not 0 <= axis < dim:
-        raise DomainError(f"axis {axis} outside dimension {dim}")
-    return CATALOG[name](axis=axis, dim=dim)
+    return CATALOG[name](axis=axis, dim=1 if dim is None else dim)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +352,8 @@ def builtin(name, axis=0, dim=None):
 
 
 def zero_direction(dim=1):
-    return constant_direction(np.zeros(int(dim)), label="zero")
+    return constant_direction(np.zeros(require_count("dim", dim, 1)),
+                              label="zero")
 
 
 def constant_direction(vec, label=None):

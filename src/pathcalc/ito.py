@@ -20,7 +20,7 @@ from . import rng
 from ._kernels import dot_increment_prefix, outer_increment_prefix, \
     quad_form_prefix
 from .errors import ConfigError, DomainError, GridMismatchError, \
-    require_count, require_finite
+    require_count, require_finite, require_grid
 from .functionals import require_derivatives
 from .paths import GridPath, LINEAR, grid_view, require_path
 
@@ -39,33 +39,29 @@ class PartitionSequence:
     """Family of refining partitions of [0, horizon], indexed by level.
 
     kind 'dyadic': level n has 2^n equal cells (0 <= n <= N_EXP_MAX).  kind
-    'uniform': level n has n cells (1 <= n <= 2^N_EXP_MAX).  kind 'custom':
-    pass `grids`, a list of arrays in refining order; meshes must decrease
-    strictly.
+    'uniform': level n has n cells (1 <= n <= 2^N_EXP_MAX).  kind 'custom'
+    reads `grids`, which no other kind takes: a list of arrays from 0 to the
+    horizon in refining order, whose meshes must decrease strictly.
     """
 
     def __init__(self, horizon=1.0, kind="dyadic", grids=None):
         self.horizon = require_finite("horizon", horizon, error=DomainError)
         self.kind = kind
+        self._grids = None
         if kind == "custom":
-            if not grids:
+            if grids is None or not len(grids):
                 raise DomainError("custom partitions need grids")
-            self._grids = []
-            meshes = []
-            for g in grids:
-                g = np.asarray(g, dtype=float)
-                if g.ndim != 1 or len(g) < 2 or not np.all(np.diff(g) > 0):
-                    raise DomainError("each grid must be strictly increasing")
-                if g[0] != 0.0 or g[-1] != self.horizon:
-                    raise DomainError("each grid must run 0 to horizon")
-                self._grids.append(g)
-                meshes.append(np.diff(g).max())
+            self._grids = [require_grid(f"grids[{i}]", g, start=0.0,
+                                        end=self.horizon)
+                           for i, g in enumerate(grids)]
+            meshes = [np.diff(g).max() for g in self._grids]
             if not all(a > b for a, b in zip(meshes, meshes[1:])):
                 raise DomainError("meshes must decrease strictly")
-        elif kind in ("dyadic", "uniform"):
-            self._grids = None
-        else:
+        elif kind not in ("dyadic", "uniform"):
             raise DomainError(f"unknown partition kind {kind!r}")
+        elif grids is not None:
+            raise DomainError(f"grids are read for kind 'custom' only, not "
+                              f"for {kind!r}")
 
     def grid(self, level):
         level = require_count("level", level, low=None)
@@ -94,9 +90,7 @@ def snap_partition(times, path):
     stored node data in either interpolation mode.
     """
     require_path(path)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2 or not np.all(np.diff(times) > 0):
-        raise DomainError("partition must be strictly increasing, >= 2 times")
+    times = require_grid("times", times)
     if times[0] < 0.0 or times[-1] > path.horizon * (1 + 1e-12):
         raise DomainError("partition leaves [0, horizon]")
     knots = np.asarray(path.knots())

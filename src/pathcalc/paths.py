@@ -44,7 +44,7 @@ import io
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, require_count
+from .errors import DomainError, require_count, require_grid
 
 CADLAG = "cadlag_hold"
 LINEAR = "linear"
@@ -305,24 +305,14 @@ class GridPath(PathBase):
     """
 
     def __init__(self, times, values, interp_mode=LINEAR):
-        times = np.asarray(times, dtype=float)
+        times = require_grid("times", times, start=0.0)
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
-        if times.ndim != 1 or values.ndim != 2 or values.shape[1] == 0:
-            raise DomainError("times must be 1-d and values (n, d), d >= 1")
+        if values.ndim != 2 or values.shape[1] == 0:
+            raise DomainError("values must be (n, d), d >= 1")
         if len(times) != len(values):
             raise DomainError("times and values length mismatch")
-        if len(times) < 2:
-            raise DomainError("need at least the endpoints 0 and T")
-        if not np.all(np.isfinite(times)):
-            raise DomainError("grid times must be finite")
-        if times[0] != 0.0:
-            raise DomainError("grid must start at 0")
-        if not times[-1] > 0:
-            raise DomainError(f"horizon must be positive, not {times[-1]}")
-        if not np.all(np.diff(times) > 0):
-            raise DomainError("grid times must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise DomainError("values must be finite")
         if interp_mode not in _MODES:
@@ -369,12 +359,13 @@ class SplicedPath(PathBase):
         switch = float(switch)
         if not 0.0 <= switch <= left.horizon:
             raise DomainError("switch time outside the base horizon")
+        # one node at the switch, as concat builds at the horizon, holds it
+        if not (seg_times.shape == (1,) and seg_times[0] == switch):
+            seg_times = require_grid("seg_times", seg_times)
         if seg_times[0] != switch:
             raise DomainError("segment must start at the switch time")
         if seg_times[-1] > left.horizon:
             raise DomainError("segment extends past the horizon")
-        if len(seg_times) > 1 and not np.all(np.diff(seg_times) > 0):
-            raise DomainError("segment times must be strictly increasing")
         if seg_values.ndim > 3 or seg_values.shape[0] != len(seg_times) \
                 or seg_values.shape[-1] != left.dim:
             raise DomainError("segment values shape mismatch")
@@ -634,7 +625,7 @@ def constant_path(value, horizon=1.0, dim=None, interp_mode=LINEAR):
     """Constant path on [0, horizon]."""
     v = np.atleast_1d(np.asarray(value, dtype=float))
     if dim is not None and v.size == 1:
-        v = np.full(dim, v[0])
+        v = np.full(require_count("dim", dim, 1), v[0])
     return GridPath([0.0, float(horizon)], np.vstack([v, v]), interp_mode)
 
 

@@ -5,10 +5,13 @@ import pytest
 
 from pathcalc import (
     ConfigError,
+    DirectionField,
     DomainError,
+    FlowIterationError,
     MCEstimate,
     NumericalError,
     SDESpec,
+    SplicedPath,
     benchmark,
     brownian_path,
     builtin,
@@ -21,9 +24,12 @@ from pathcalc import (
     martingale_check,
     numerical_derivatives,
     simulate_sde,
+    solve_flow,
     stop,
 )
 from pathcalc.functionals import Functional, VectorFunctional
+
+from conftest import GRID_FAULTS, bad_grid, grid_error
 
 
 def _drift_only(mu):
@@ -96,15 +102,14 @@ def test_simulate_argument_validation():
         simulate_sde(spec, 0.5, x0, grid=np.array([0.6, 1.0]))
 
 
-@pytest.mark.parametrize("grid", [
-    np.array([[0.5, 0.75, 1.0]]), np.array([[0.5], [1.0]]), np.array([]),
-    np.array([0.5]), np.float64(0.5)],
-    ids=["row", "column", "empty", "one_time", "scalar"])
-def test_simulate_rejects_a_grid_of_the_wrong_shape(grid):
-    # checked before the endpoints, which numpy cannot compare on a 2-d
-    # grid and cannot index on an empty one
-    with pytest.raises(ConfigError, match="1-d array of at least 2 times"):
-        simulate_sde(_drift_only(0.0), 0.5, constant_path(1.0), grid=grid)
+@pytest.mark.parametrize("fault", GRID_FAULTS)
+def test_simulate_rejects_a_grid_of_the_wrong_shape(fault):
+    # the shape is checked before the endpoints, which numpy cannot compare
+    # on a 2-d grid and cannot index on an empty one; a NaN or an infinite
+    # time is named for itself
+    with pytest.raises(ConfigError, match=grid_error(fault, "grid")):
+        simulate_sde(_drift_only(0.0), 0.5, constant_path(1.0),
+                     grid=bad_grid(fault, 0.5, 1.0))
     with pytest.raises(DomainError):
         SDESpec(constant_direction([0.0, 0.0]), constant_matrix_field([[1.0]]),
                 constant_functional(0.0), builtin("eval"))
@@ -193,6 +198,25 @@ def test_an_overflow_is_no_estimate(make_spec, horizon):
         # one path has no error bar to overflow
         one = estimate_f(_wide_noise(), 0.5, constant_path(1.0), n_paths=1)
     assert np.isfinite(one.value) and np.isnan(one.stderr)
+
+
+def test_a_path_that_overflows_fails_numerically():
+    # guard: the splices of computed values that solve_flow and the
+    # simulation build are not checked for finite values, so an overflow
+    # stays a numerical failure, not a domain error
+    def squared(ts, x):         # 1e200 * x(t)**2 overflows from 1e100
+        return 1e200 * x.eval(ts) ** 2
+
+    field = DirectionField(squared, 1, 1.0, fn_many=squared)
+    spec = SDESpec(field, constant_matrix_field([[1.0]]),
+                   constant_functional(0.0), builtin("eval"))
+    x = constant_path(1e100)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FlowIterationError) as failed:
+            solve_flow(x, 0.0, field)
+        with pytest.raises(NumericalError, match="not finite"):
+            estimate_f(spec, 0.0, x, n_paths=4, n_steps=8)
+    assert isinstance(failed.value.last_iterate, SplicedPath)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +310,13 @@ def test_martingale_validation():
         martingale_check(spec, f, np.array([0.5]), 1.0)
     with pytest.raises(DomainError):
         martingale_check(spec, f, np.array([0.5, 1.5]), 1.0)
+
+
+@pytest.mark.parametrize("fault", GRID_FAULTS)
+def test_martingale_check_rejects_a_bad_t_grid(fault):
+    spec, f = benchmark("gauss_square")
+    with pytest.raises(DomainError, match=grid_error(fault, "t_grid")):
+        martingale_check(spec, f, bad_grid(fault, 0.0, 1.0), 1.0, n_paths=4)
 
 
 def test_martingale_check_rejects_a_grid_past_the_horizon():

@@ -20,6 +20,8 @@ from pathcalc import (
 )
 from pathcalc.functionals import DirectionField
 
+from conftest import GRID_FAULTS, bad_grid, grid_error
+
 # I_0(2 sqrt(0.5)): exact value of the running-average flow from w = 1 at
 # t = 0.5 (power series sum t^k / (k!)^2); np.i0 reproduces this float
 BESSEL_AT_HALF = 1.5660829297563506
@@ -182,18 +184,15 @@ def test_argument_validation():
         sol.residual(np.array([0.9]))
 
 
-_BAD_GRIDS = [np.array([[0.0, 0.5, 1.0]]), np.array([[0.0], [1.0]]),
-              np.array([]), np.array([1.0]), np.float64(1.0)]
-
-
 @pytest.mark.parametrize("solver", [solve_flow, euler_flow])
-@pytest.mark.parametrize("grid", _BAD_GRIDS,
-                         ids=["row", "column", "empty", "one_time", "scalar"])
-def test_explicit_grid_of_the_wrong_shape_is_a_domain_error(solver, grid):
-    # checked before the endpoints, which numpy cannot compare on a 2-d
-    # grid and cannot index on an empty one
-    with pytest.raises(DomainError, match="1-d array of at least 2 times"):
-        solver(constant_path(1.0), 0.0, eval_direction(1), grid=grid)
+@pytest.mark.parametrize("fault", GRID_FAULTS)
+def test_explicit_grid_of_the_wrong_shape_is_a_domain_error(solver, fault):
+    # the shape is checked before the endpoints, which numpy cannot compare
+    # on a 2-d grid and cannot index on an empty one; a NaN or an infinite
+    # time is named for itself
+    with pytest.raises(DomainError, match=grid_error(fault, "grid")):
+        solver(constant_path(1.0), 0.0, eval_direction(1),
+               grid=bad_grid(fault, 0.0, 1.0))
 
 
 @pytest.mark.parametrize("solver", [solve_flow, euler_flow])

@@ -29,11 +29,13 @@ from pathcalc import (
     eval_functional,
     gamma_star,
     mean_functional,
+    numerical_derivatives,
     probe_boundedness,
     probe_lipschitz,
     probe_non_anticipative,
     ramp_path,
     running_avg_direction,
+    running_max_functional,
     stop,
     surface_functional,
     zero_direction,
@@ -300,6 +302,48 @@ def test_direction_field_rejects_a_non_finite_constant(K):
 def test_builtin_axis_is_a_whole_number(axis):
     with pytest.raises(ConfigError, match="^axis must be a whole number"):
         builtin("square", axis=axis)
+
+
+def _fn(t, x):
+    return 0.0
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: VectorFunctional(_fn, 1.5), ConfigError,
+     "^dim_out must be a whole number, not 1.5$"),
+    (lambda: VectorFunctional(_fn, np.nan), ConfigError,
+     "^dim_out must be a whole number, not nan$"),
+    (lambda: VectorFunctional(_fn, 0), ConfigError,
+     "^dim_out must be at least 1, not 0$"),
+    (lambda: VectorFunctional(_fn, -1), ConfigError,
+     "^dim_out must be at least 1, not -1$"),
+    (lambda: MatrixFunctional(_fn, (1.5, 1)), ConfigError,
+     r"^shape\[0\] must be a whole number"),
+    (lambda: MatrixFunctional(_fn, (1, 0)), ConfigError,
+     r"^shape\[1\] must be at least 1"),
+    (lambda: eval_direction(2.7), ConfigError,
+     "^dim_out must be a whole number"),
+    (lambda: builtin("eval", dim=1.5), ConfigError,
+     "^dim must be a whole number"),
+    (lambda: zero_direction(0), ConfigError, "^dim must be at least 1"),
+    (lambda: numerical_derivatives(builtin("eval"), dim=1.5), ConfigError,
+     "^dim must be a whole number"),
+    (lambda: constant_path(1.0, dim=1.5), ConfigError,
+     "^dim must be a whole number"),
+    (lambda: eval_functional(axis=1, dim=1), DomainError,
+     "^axis 1 outside dimension 1$"),
+    (lambda: running_max_functional(axis=2, dim=2), DomainError,
+     "^axis 2 outside dimension 2$"),
+], ids=["vector_fractional", "vector_nan", "vector_zero", "vector_negative",
+        "matrix_fractional", "matrix_zero", "eval_direction_fractional",
+        "builtin_fractional_dim", "zero_direction_zero",
+        "numerical_derivatives_fractional", "constant_path_fractional",
+        "catalog_axis_outside", "running_max_axis_outside"])
+def test_functional_sizes_are_errors_naming_them(call, error, match):
+    # each was cut by int() or passed through: a (1,) shape for 1.5, a (0,)
+    # or (-1,) shape, or a builtin TypeError or ValueError
+    with pytest.raises(error, match=match):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ from pathcalc import (
 from pathcalc import concat, rng
 from pathcalc.rng import substream
 
+from conftest import GRID_FAULTS, bad_grid, grid_error
+
 
 def _square_integrand():
     return VectorFunctional(lambda t, x: x.eval(t) ** 2, 1, label="x^2",
@@ -87,6 +89,9 @@ def test_partition_sequence_custom_validation():
                                     [0.0, 0.25, 0.5, 0.75, 1.0]])
     assert good.mesh(0) == 0.5
     assert good.mesh(1) == 0.25
+    # grids of one length may come as the rows of an array
+    rows = np.array([[0.0, 0.6, 1.0], [0.0, 0.5, 1.0]])
+    assert PartitionSequence(1.0, "custom", grids=rows).mesh(1) == 0.5
     with pytest.raises(DomainError):
         # second mesh does not shrink
         PartitionSequence(1.0, "custom",
@@ -102,6 +107,20 @@ def test_partition_sequence_custom_validation():
         PartitionSequence(1.0, "banana")
     with pytest.raises(DomainError):
         PartitionSequence(1.0, "custom")
+
+
+@pytest.mark.parametrize("fault", GRID_FAULTS)
+def test_custom_sequence_rejects_a_bad_grid(fault):
+    with pytest.raises(DomainError, match=grid_error(fault, "grids[1]")):
+        PartitionSequence(1.0, "custom",
+                          grids=[[0.0, 0.5, 1.0], bad_grid(fault, 0.0, 1.0)])
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "uniform"])
+def test_only_a_custom_sequence_takes_grids(kind):
+    # the grids were dropped: uniform level 2 read [0, 0.5, 1]
+    with pytest.raises(DomainError, match="^grids are read for kind 'custom'"):
+        PartitionSequence(1.0, kind, grids=[[0.0, 0.3, 1.0]])
 
 
 # sizes that numpy refuses without allocating, so a missing check fails fast
@@ -149,6 +168,12 @@ def test_snap_input_validation():
         snap_partition(np.array([0.5, 0.25]), p)
     with pytest.raises(DomainError):
         snap_partition(np.array([0.0, 1.5]), p)
+
+
+@pytest.mark.parametrize("fault", GRID_FAULTS)
+def test_snap_partition_rejects_a_bad_grid(fault):
+    with pytest.raises(DomainError, match=grid_error(fault, "times")):
+        snap_partition(bad_grid(fault, 0.0, 1.0), constant_path_1())
 
 
 def constant_path_1():

@@ -26,6 +26,8 @@ from pathcalc import (
 )
 from pathcalc.paths import _LOCATE_SEARCH_BELOW, splice_view
 
+from conftest import GRID_FAULTS, bad_grid, grid_error
+
 # dyadic rationals keep +/- and interpolation at shared knots exact, so the
 # metric identities below can be asserted with tolerance zero
 dyadic = st.integers(-4096, 4096).map(lambda k: k / 1024.0)
@@ -77,6 +79,9 @@ def test_gridpath_rejects_bad_grids():
     for times in ([np.nan] * 3, [np.nan, np.inf, np.inf], [0.0, 0.5, np.inf]):
         with pytest.raises(DomainError, match="must be finite"):
             GridPath(times, np.zeros((3, 1)))
+    for fault in GRID_FAULTS:
+        with pytest.raises(DomainError, match=grid_error(fault, "times")):
+            GridPath(bad_grid(fault, 0.0, 1.0), [[0.0], [1.0]])
 
 
 def test_eval_at_nodes_is_stored_data():
@@ -277,8 +282,10 @@ def test_concat_rejects_a_bad_junction_or_dimension(s, b, match):
     (0.5, [0.5, 0.75, 0.75], [[1.0], [2.0], [3.0]], LINEAR,
      "strictly increasing"),
     (0.5, [0.5, 1.0], [[1.0], [2.0]], "spline", "unknown interp_mode"),
-], ids=["switch_outside", "segment_starts_elsewhere", "segment_too_long",
-        "segment_times_repeat", "unknown_mode"])
+] + [(0.5, bad_grid(fault, 0.5, 1.0), [[1.0]], LINEAR,
+      grid_error(fault, "seg_times")) for fault in GRID_FAULTS],
+    ids=["switch_outside", "segment_starts_elsewhere", "segment_too_long",
+         "segment_times_repeat", "unknown_mode"] + list(GRID_FAULTS))
 def test_splice_rejects_a_bad_segment(switch, times, values, mode, match):
     with pytest.raises(DomainError, match=match):
         SplicedPath(constant_path(0.0), switch, times, values, mode)
