@@ -1,4 +1,5 @@
-"""Shared exception types, and the checks of a count, a real and a grid.
+"""Shared exception types, and the checks of a count, a real, a grid and
+the values computed along one.
 
 Validation problems raise subclasses of ValueError so plain callers can catch
 broadly; the CLI maps the categories to distinct exit codes.
@@ -7,6 +8,7 @@ broadly; the CLI maps the categories to distinct exit codes.
 import math
 import numbers
 import operator
+import reprlib
 
 import numpy as np
 
@@ -89,11 +91,21 @@ def require_finite(name, value, zero=False, error=ConfigError):
     return v
 
 
+def require_times(name, times, error=DomainError):
+    """times as a float array of any shape, or error naming the parameter
+    when numpy cannot read them as reals: ragged, text or another object."""
+    try:
+        return np.asarray(times, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be an array of real times, not "
+                    f"{reprlib.repr(times)}") from None
+
+
 def require_grid(name, times, start=None, end=None, error=DomainError):
-    """times as a 1-d float array, or error naming the parameter: at least 2
-    times, all finite, from start and to end where given, the last after the
-    first and each after the one before, checked in that order."""
-    t = np.asarray(times, dtype=float)
+    """times as a 1-d float array, or error naming the parameter: real
+    times, at least 2, all finite, from start and to end where given, the
+    last after the first and each after the one before, in that order."""
+    t = require_times(name, times, error)
     if t.ndim != 1 or len(t) < 2:
         raise error(f"{name} must be a 1-d array of at least 2 times, its "
                     f"endpoints, not of shape {t.shape}")
@@ -110,3 +122,13 @@ def require_grid(name, times, start=None, end=None, error=DomainError):
         raise error(f"{name} must be strictly increasing, not {t[k]} then "
                     f"{t[k + 1]}")
     return t
+
+
+def require_finite_steps(name, times, values):
+    """NumericalError naming name and the first of times whose entry of
+    values, one per time along their first axis, is not finite: a computed
+    path that overflowed is no result."""
+    ok = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if not ok.all():
+        raise NumericalError(f"{name} is not finite, first at grid time "
+                             f"{float(times[ok.argmin()])!r}")

@@ -23,18 +23,22 @@ import numpy as np
 from . import rng
 from ._kernels import left_prefix
 from .errors import ConfigError, DomainError, NumericalError, \
-    require_count, require_finite, require_grid
+    require_count, require_finite, require_finite_steps, require_grid
+from .flow import euler_steps
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
     constant_functional, constant_matrix_field, require_derivatives, \
     square_functional, zero_direction
-from .paths import LINEAR, SplicedPath, constant_path, require_path, \
-    splice_view, stop
+from .paths import LINEAR, SplicedPath, constant_path, require_path, stop
 
 
 @dataclass
 class SDESpec:
-    """dX = drift dt + sigma dW, discount rate, terminal payoff at horizon."""
+    """dX = drift dt + sigma dW, discount rate, terminal payoff at horizon.
+
+    drift is a (d,) vector, sigma a (d, m) matrix, rate and payoff reals; a
+    functional of another kind raises DomainError naming its field.
+    """
 
     drift: VectorFunctional
     sigma: MatrixFunctional
@@ -45,6 +49,9 @@ class SDESpec:
     def __post_init__(self):
         self.horizon = require_finite("horizon", self.horizon,
                                       error=DomainError)
+        for name, ndim in (("drift", 1), ("sigma", 2), ("rate", 0),
+                           ("payoff", 0)):
+            _require_shape(name, getattr(self, name), ndim)
         if self.drift.dim_out != self.sigma.shape[0]:
             raise DomainError(
                 f"drift is {self.drift.dim_out}-dimensional but sigma has "
@@ -62,6 +69,14 @@ class SDESpec:
     def has_constant_coeffs(self):
         return (self.drift.constant_value is not None
                 and self.sigma.constant_value is not None)
+
+
+def _require_shape(name, f, ndim):
+    """DomainError naming the parameter unless f's values have ndim axes."""
+    if len(f.shape) != ndim:
+        kind = ("a real", "a vector", "a matrix")[ndim]
+        raise DomainError(f"{name} must be {kind} functional, not one of "
+                          f"shape {f.shape}")
 
 
 def _check_history(spec, t, x):
@@ -86,8 +101,9 @@ def _simulate_block(spec, grid, x, seed, first, count):
 
     Row r depends only on (seed, first + r), so it is the same bit for bit
     in whatever block it is simulated.  Constant coefficients take one
-    cumulative sum along time, which adds in order; otherwise each row's
-    coefficients see its live prefix step by step, a constant one by value.
+    cumulative sum along time, which adds in order; otherwise the block
+    steps as one live family through flow.euler_steps.  A block that is not
+    finite at some grid time raises NumericalError.
     """
     n = len(grid) - 1
     dt = np.diff(grid)
@@ -101,13 +117,9 @@ def _simulate_block(spec, grid, x, seed, first, count):
         inc = dt[:, None] * drift[None, :] + dw @ sigma.T
         values[:, 1:] = start + np.cumsum(inc, axis=1)
     else:
-        for row, row_dw in zip(values, dw):
-            live = splice_view(x, grid[0], grid, row, LINEAR)
-            for j, s in enumerate(grid[:-1]):
-                live.seg.fill(j + 1)
-                a = spec.drift.eval(s, live) if drift is None else drift
-                sig = spec.sigma.eval(s, live) if sigma is None else sigma
-                row[j + 1] = row[j] + (dt[j] * a + sig @ row_dw[j])
+        euler_steps(x, grid, values.transpose(1, 0, 2), spec.drift,
+                    spec.sigma, dw)
+    require_finite_steps("a simulated path", grid, values.transpose(1, 0, 2))
     values.setflags(write=False)
     return values
 
@@ -126,7 +138,8 @@ def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
     """Simulate the SDE from (t, x) to the horizon.
 
     The returned path equals x on [0, t] exactly.  t == horizon returns x
-    itself.  An explicit grid must run from t to the horizon.
+    itself.  An explicit grid must run from t to the horizon.  A path that
+    is not finite at some grid time raises NumericalError.
     """
     t = float(t)
     _check_history(spec, t, x)
@@ -245,9 +258,10 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     path); simulation starts at t_grid[0].  Each step passes when the mean
     increment is within k standard errors of zero; a zero standard error
     demands an exactly zero mean.  A wrong candidate shows a systematic
-    drift and fails.
+    drift and fails.  f must be a real functional.
     """
     require_finite("k", k)
+    _require_shape("f", f, 0)
     t_grid = require_grid("t_grid", t_grid)
     if not hasattr(x0, "eval"):
         x0 = constant_path(x0, horizon=spec.horizon, dim=spec.dim)

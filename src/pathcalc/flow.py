@@ -5,8 +5,8 @@ length is capped at 1/(2K) for the field's declared Lipschitz constant K, so
 each sweep contracts by at least 1/2 in the sup norm.  Sweep integrals use
 trapezoid quadrature on the solver grid (the fixed point is the implicit
 trapezoid scheme, second order).  `euler_flow` is the deliberately simple
-first-order oracle: one explicit left-point pass, no iteration, kept
-independent so the two routes can check each other.
+first-order oracle: one pass of `euler_steps`, the recursion that fk's
+simulation runs too, kept independent so the two routes check each other.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, DomainError, FlowIterationError, \
-    require_count, require_finite, require_grid
+    require_count, require_finite, require_finite_steps, require_grid
 from .functionals import DirectionField
 from .paths import CADLAG, LINEAR, PathBase, SplicedPath, require_path, \
     splice_view, stop
@@ -196,20 +196,35 @@ def euler_flow(w, s, gamma, until=None, substep=None, grid=None):
     """First-order oracle: explicit left-point steps, no iteration.
 
     Independent of solve_flow on purpose; used to cross-check it.  Exact
-    for constant fields.
+    for constant fields.  A flow that is not finite at some grid time
+    raises NumericalError.
     """
     s, until = _span(w, s, gamma, until)
     if s == until:
         return FlowSolution(stop(w, s), s, until, gamma, 0.0, 0.0,
                             np.array([s]), w.eval(s)[None, :], [])
     grid, mesh = _make_grid(s, until, substep, grid)
-    n = len(grid)
-    values = np.empty((n, w.dim))
+    values = np.empty((len(grid), w.dim))
     values[0] = w.eval(s)
-    live = splice_view(w, s, grid, values, LINEAR)
-    for j in range(n - 1):
-        live.seg.fill(j + 1)
-        gj = gamma.eval(grid[j], live)
-        values[j + 1] = values[j] + (grid[j + 1] - grid[j]) * gj
+    euler_steps(w, grid, values, gamma)
+    require_finite_steps("the Euler flow", grid, values)
     return FlowSolution(_flow_path(w, s, grid, values), s, until, gamma,
                         mesh, 0.0, grid, values, [1], quadrature="left")
+
+
+def euler_steps(x, grid, values, drift, sigma=None, dw=None):
+    """Explicit left-point steps along grid from values[0], in place:
+    values[j + 1] = values[j] + (dt[j] * a + sigma @ dw[:, j]), with a and
+    sigma read at grid[j] on x spliced at grid[0] with the filled values, a
+    constant by its value.  values is (n, d), or (n, k, d) for a family of
+    k with dw (k, n - 1, m); without dw no noise term is added, not even 0."""
+    live = splice_view(x, grid[0], grid, values, LINEAR)
+    dt = np.diff(grid)
+    a, sig = drift.constant_value, getattr(sigma, "constant_value", None)
+    for j, s in enumerate(grid[:-1]):
+        live.seg.fill(j + 1)
+        step = dt[j] * (drift.eval(s, live) if a is None else a)
+        if dw is not None:
+            sj = sigma.eval(s, live) if sig is None else sig
+            step = step + (sj @ dw[:, j, :, None])[..., 0]
+        values[j + 1] = values[j] + step

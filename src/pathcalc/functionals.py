@@ -364,6 +364,8 @@ def constant_direction(vec, label=None):
 
 def eval_direction(dim=1):
     """gamma(t, x) = x(t); Lipschitz constant 1 in the sup norm."""
+    dim = require_count("dim", dim, 1)
+
     def value(ts, x):
         return x.eval(ts)
 
@@ -372,6 +374,7 @@ def eval_direction(dim=1):
 
 def running_avg_direction(dim=1):
     """gamma(t, x) = running average of x over [0, t]; Lipschitz 1."""
+    dim = require_count("dim", dim, 1)
     return DirectionField(running_mean, dim, 1.0, label="running_avg",
                           fn_many=running_mean)
 

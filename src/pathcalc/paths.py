@@ -44,7 +44,8 @@ import io
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, require_count, require_grid
+from .errors import DomainError, require_count, require_grid, \
+    require_times
 
 CADLAG = "cadlag_hold"
 LINEAR = "linear"
@@ -352,7 +353,7 @@ class SplicedPath(PathBase):
     """
 
     def __init__(self, left, switch, seg_times, seg_values, seg_mode=LINEAR):
-        seg_times = np.asarray(seg_times, dtype=float)
+        seg_times = require_times("seg_times", seg_times)
         seg_values = np.asarray(seg_values, dtype=float)
         if seg_values.ndim == 1:
             seg_values = seg_values[:, None]
@@ -377,11 +378,11 @@ class SplicedPath(PathBase):
         seg_values.setflags(write=False)
         self._join(left, switch, _Segment(seg_times, seg_values, seg_mode))
 
-    def _join(self, left, switch, seg):
+    def _join(self, left, switch, seg, at_switch=None):
         self.left = left
         self.switch = switch
         self.seg = seg
-        self._at_switch = None
+        self._at_switch = at_switch
         self._shape = seg.values.shape[1:]
         if len(self._shape) == 2:
             self.rows = self._shape[0]
@@ -395,8 +396,8 @@ class SplicedPath(PathBase):
         if self.rows is None:
             raise DomainError("a single path has no rows")
         seg = _Segment(self.seg.times, self.seg.values[:, r], self.seg.mode)
-        return SplicedPath.__new__(SplicedPath)._join(self.left, self.switch,
-                                                      seg)
+        return SplicedPath.__new__(SplicedPath)._join(
+            self.left, self.switch, seg, self._head_integral())
 
     def knots(self):
         t = self.left.knots()
@@ -421,7 +422,8 @@ class SplicedPath(PathBase):
 
     def _head_integral(self):
         # integral of the left path over [0, switch]; only the segment of a
-        # splice_view is ever rewritten, so this holds for the view's life
+        # splice_view is ever rewritten, so this holds for the view's life,
+        # and its rows share it
         if self._at_switch is None:
             self._at_switch = self.left._integral_prefix(
                 np.array([self.switch]))[0]

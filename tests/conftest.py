@@ -24,10 +24,12 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-# The ten ways a time grid can be wrong, and the fragment of
+# The twelve ways a time grid can be wrong, and the fragment of
 # errors.require_grid's message that names each.  A falling grid fails at the
 # first of its entry's start, end and span checks.
 GRID_FAULTS = {
+    "ragged": "array of real times",
+    "text": "array of real times",
     "row": "1-d array of at least 2 times",
     "column": "1-d array of at least 2 times",
     "empty": "1-d array of at least 2 times",
@@ -46,6 +48,8 @@ def bad_grid(fault, a, b):
     GRID_FAULTS); one_time and scalar hold b."""
     m = 0.5 * (a + b)
     return {
+        "ragged": [[a, m], [b]],
+        "text": ["a", "b"],
         "row": np.array([[a, m, b]]),
         "column": np.array([[a], [b]]),
         "empty": np.array([]),

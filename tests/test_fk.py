@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcalc import (
     ConfigError,
     DirectionField,
     DomainError,
     FlowIterationError,
+    GridPath,
     MCEstimate,
     NumericalError,
     SDESpec,
@@ -23,11 +25,14 @@ from pathcalc import (
     fk_residual,
     martingale_check,
     numerical_derivatives,
+    rng,
     simulate_sde,
     solve_flow,
     stop,
 )
-from pathcalc.functionals import Functional, VectorFunctional
+from pathcalc.functionals import Functional, MatrixFunctional, \
+    VectorFunctional
+from pathcalc.paths import LINEAR, splice_view
 
 from conftest import GRID_FAULTS, bad_grid, grid_error
 
@@ -476,3 +481,149 @@ def test_k_must_be_positive_and_finite(k):
                          k=k)
     with pytest.raises(ConfigError, match="^k must be positive and finite"):
         MCEstimate(0.0, 1.0, 10).within(100.0, k=k)
+
+
+# ---------------------------------------------------------------------------
+# the block's Euler recursion against one path at a time
+
+
+def _reference_block(spec, grid, x, seed, first, count):
+    """The block as a loop over its rows, each stepped on its own live
+    view: row[j + 1] = row[j] + (dt[j] * a + sig @ row_dw[j])."""
+    n = len(grid) - 1
+    dt = np.diff(grid)
+    dw = rng.normal_block(seed, first, count, (n, spec.noise_dim))
+    dw *= np.sqrt(dt)[:, None]
+    values = np.empty((count, n + 1, spec.dim))
+    values[:, 0] = x.eval(grid[0])
+    drift, sigma = spec.drift.constant_value, spec.sigma.constant_value
+    for row, row_dw in zip(values, dw):
+        live = splice_view(x, grid[0], grid, row, LINEAR)
+        for j, s in enumerate(grid[:-1]):
+            live.seg.fill(j + 1)
+            a = spec.drift.eval(s, live) if drift is None else drift
+            sig = spec.sigma.eval(s, live) if sigma is None else sigma
+            row[j + 1] = row[j] + (dt[j] * a + sig @ row_dw[j])
+    return values
+
+
+def _coefficient(kind, body, value):
+    """A drift or sigma of value's shape, (d,) or (d, m), whose body
+    broadcasts over a family (fn is fn_many), is read row by row, or which
+    is the constant value."""
+    if kind == "constant":
+        return constant_direction(value) if value.ndim == 1 \
+            else constant_matrix_field(value)
+    many = body if kind == "broadcast" else None
+    if value.ndim == 1:
+        return VectorFunctional(body, len(value), fn_many=many)
+    return MatrixFunctional(body, value.shape, fn_many=many)
+
+
+@st.composite
+def _blocks(draw):
+    kinds = st.sampled_from(["broadcast", "rows", "constant"])
+    drift_kind, sigma_kind = draw(st.tuples(kinds, kinds).filter(
+        lambda k: k != ("constant", "constant")))
+    d, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    reals = st.floats(-1.0, 1.0)
+    mix = np.array(draw(st.lists(reals, min_size=d * m, max_size=d * m)))
+    mix = mix.reshape(d, m)
+    pull = draw(reals)
+
+    def drift(ts, x):
+        t = np.maximum(ts, 0.1)[..., None]
+        return pull * x.integral_prefix(ts) / t + 0.5 * x.eval(ts)
+
+    def sigma(ts, x):
+        return mix + 0.2 * x.running_max_prefix(ts)[..., :, None]
+
+    spec = SDESpec(_coefficient(drift_kind, drift, mix[:, 0]),
+                   _coefficient(sigma_kind, sigma, mix),
+                   constant_functional(0.0), builtin("eval", dim=d))
+    x = brownian_path(draw(st.integers(0, 3)), 0, n_exp=6) if d == 1 \
+        else GridPath([0.0, 0.3, 1.0], [[0.2, -0.1], [0.5, 0.4], [0.1, 0.3]])
+    t0 = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    grid = np.linspace(t0, 1.0, draw(st.integers(1, 16)) + 1)
+    return spec, grid, x, draw(st.integers(0, 5)), draw(st.integers(1, 30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_blocks(), st.integers(0, 2 ** 32 - 1))
+def test_a_block_steps_as_its_rows_step_one_at_a_time(block, seed):
+    # guard: the block steps all its rows as one family through
+    # flow.euler_steps, one coefficient read per step, and every row is
+    # the per-row loop's bit for bit, whether a coefficient broadcasts,
+    # reads rows or is constant
+    from pathcalc.fk import _simulate_block
+    spec, grid, x, first, count = block
+    got = _simulate_block(spec, grid, x, seed, first, count)
+    assert np.array_equal(got, _reference_block(spec, grid, x, seed, first,
+                                                count))
+
+
+# ---------------------------------------------------------------------------
+# a functional of the wrong shape, and a path that overflows
+
+
+def _eval_spec(**fields):
+    kw = dict(drift=constant_direction([0.0]),
+              sigma=constant_matrix_field([[1.0]]),
+              rate=constant_functional(0.0), payoff=builtin("eval"))
+    kw.update(fields)
+    return SDESpec(**kw)
+
+
+def _pair(ts, x):
+    return np.stack([x.eval(ts)[..., 0], np.full(np.shape(ts), 5.0)], -1)
+
+
+@pytest.mark.parametrize("field, value, shape", [
+    ("payoff", VectorFunctional(_pair, 2, fn_many=_pair), r"\(2,\)"),
+    ("rate", constant_direction([0.1, 0.2]), r"\(2,\)"),
+    ("sigma", VectorFunctional(_pair, 2, fn_many=_pair), r"\(2,\)"),
+    ("drift", constant_matrix_field([[0.0]]), r"\(1, 1\)"),
+], ids=["vector_payoff", "vector_rate", "vector_sigma", "matrix_drift"])
+def test_a_spec_refuses_a_functional_of_the_wrong_shape(field, value, shape):
+    # a vector payoff was averaged over its entries (2.51 for [x_T, 5.0]),
+    # a vector rate raised TypeError and a vector sigma IndexError
+    with pytest.raises(DomainError, match=f"^{field} must be a .* "
+                                          f"functional, not one of shape "
+                                          f"{shape}$"):
+        _eval_spec(**{field: value})
+
+
+def test_martingale_check_refuses_a_candidate_that_is_not_real():
+    # numpy raised its broadcast ValueError
+    spec, _ = benchmark("gauss_square")
+    with pytest.raises(DomainError, match=r"^f must be a real functional, "
+                                          r"not one of shape \(2,\)$"):
+        martingale_check(spec, VectorFunctional(_pair, 2, fn_many=_pair),
+                         [0.0, 0.5, 1.0], 1.0, n_paths=4)
+
+
+def _squared_spec():
+    def squared(ts, x):         # 1e200 * x(t)**2 overflows from 1e100
+        return 1e200 * x.eval(ts) ** 2
+
+    return _eval_spec(drift=DirectionField(squared, 1, 1.0, fn_many=squared))
+
+
+@pytest.mark.parametrize("call, first", [
+    (lambda: simulate_sde(_squared_spec(), 0.0, constant_path(1e100),
+                          n_steps=8), r"0\.125"),
+    # 1e308 + k * 1.25e307 passes the largest float at the seventh step
+    (lambda: simulate_sde(_eval_spec(drift=constant_direction([1e308])), 0.0,
+                          constant_path(1e308), n_steps=8), r"0\.875"),
+    (lambda: martingale_check(_squared_spec(), builtin("eval"),
+                              np.linspace(0.0, 1.0, 9), 1e100, n_paths=4),
+     r"0\.125"),
+], ids=["simulate_sde", "simulate_sde_constant_route", "martingale_check"])
+def test_a_simulated_path_that_overflows_is_a_numerical_error(call, first):
+    # each returned inf, or a report with worst_z NaN; the first grid time
+    # at which the path is not finite is named
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match=r"^a simulated path is not "
+                                                 r"finite, first at grid "
+                                                 rf"time {first}$"):
+            call()

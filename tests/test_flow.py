@@ -7,6 +7,9 @@ from pathcalc import (
     ConfigError,
     DomainError,
     FlowIterationError,
+    LINEAR,
+    NumericalError,
+    SplicedPath,
     StoppedPath,
     constant_direction,
     constant_path,
@@ -276,3 +279,54 @@ def test_euler_flow_residual_uses_left_rectangles():
     assert res.shape == sol.grid.shape
     assert res.max() <= sol.tol_residual
     assert sol.residual([0.25, 0.5, 1.0]).max() <= sol.tol_residual
+
+
+# ---------------------------------------------------------------------------
+# euler_flow is one left-point step per grid cell
+
+
+def _euler_reference(w, s, gamma, grid):
+    """Each step reads the field on w spliced with the values so far, built
+    by the public constructor: values[j + 1] = values[j] + dt * gamma."""
+    values = np.empty((len(grid), w.dim))
+    values[0] = w.eval(s)
+    for j in range(len(grid) - 1):
+        head = SplicedPath(w, s, grid[:j + 1], values[:j + 1], LINEAR)
+        values[j + 1] = values[j] + (grid[j + 1] - grid[j]) \
+            * gamma.eval(grid[j], head)
+    return values
+
+
+def _damped(dim):
+    # a field without fn_many, so it is read one time at a time
+    return DirectionField(lambda t, x: 0.5 * x.eval(t)
+                          - x.integral_prefix(t), dim, 1.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("make_field", [
+    eval_direction, running_avg_direction,
+    lambda d: constant_direction([0.5, -0.25][:d]), _damped,
+], ids=["eval", "running_avg", "constant", "without_fn_many"])
+def test_euler_flow_matches_a_per_step_reference(make_field, dim):
+    gamma = make_field(dim)
+    w = ramp_path([1.0, -0.5][:dim], 1.0, n=9, offset=[0.25, 1.0][:dim])
+    for s, grid in ((0.0, None), (0.3, np.array([0.3, 0.35, 0.6, 0.61, 1.0]))):
+        sol = euler_flow(w, s, gamma, substep=1 / 16, grid=grid)
+        assert np.array_equal(sol.values,
+                              _euler_reference(w, s, gamma, sol.grid))
+        assert np.array_equal(sol.path.eval(sol.grid), sol.values)
+
+
+def test_an_euler_flow_that_overflows_is_a_numerical_error():
+    # it returned [1e100, inf, inf, ...]; the first grid time at which the
+    # flow is not finite is named
+    def squared(ts, x):         # 1e200 * x(t)**2 overflows from 1e100
+        return 1e200 * x.eval(ts) ** 2
+
+    field = DirectionField(squared, 1, 1.0, fn_many=squared)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match=r"^the Euler flow is not "
+                                                 r"finite, first at grid "
+                                                 r"time 0\.125$"):
+            euler_flow(constant_path(1e100), 0.0, field, substep=0.125)

@@ -322,7 +322,9 @@ def _fn(t, x):
     (lambda: MatrixFunctional(_fn, (1, 0)), ConfigError,
      r"^shape\[1\] must be at least 1"),
     (lambda: eval_direction(2.7), ConfigError,
-     "^dim_out must be a whole number"),
+     "^dim must be a whole number, not 2.7$"),
+    (lambda: running_avg_direction(2.7), ConfigError,
+     "^dim must be a whole number, not 2.7$"),
     (lambda: builtin("eval", dim=1.5), ConfigError,
      "^dim must be a whole number"),
     (lambda: zero_direction(0), ConfigError, "^dim must be at least 1"),
@@ -336,6 +338,7 @@ def _fn(t, x):
      "^axis 2 outside dimension 2$"),
 ], ids=["vector_fractional", "vector_nan", "vector_zero", "vector_negative",
         "matrix_fractional", "matrix_zero", "eval_direction_fractional",
+        "running_avg_direction_fractional",
         "builtin_fractional_dim", "zero_direction_zero",
         "numerical_derivatives_fractional", "constant_path_fractional",
         "catalog_axis_outside", "running_max_axis_outside"])

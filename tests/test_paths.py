@@ -1,6 +1,7 @@
 """Path algebra: exact evaluation, stopping, bumping, splicing, distance."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ def test_gridpath_rejects_bad_grids():
     for fault in GRID_FAULTS:
         with pytest.raises(DomainError, match=grid_error(fault, "times")):
             GridPath(bad_grid(fault, 0.0, 1.0), [[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("times, shown", [
+    (object(), "<object objec"),
+    ([0.0, 10 ** 400], "[0.0, 1000000"),
+], ids=["object", "int_too_large"])
+def test_times_numpy_cannot_read_as_reals_are_named(times, shown):
+    # numpy's TypeError and OverflowError came through, naming no parameter
+    with pytest.raises(DomainError, match=r"^times must be an array of real "
+                                          rf"times, not {re.escape(shown)}"):
+        GridPath(times, [[0.0], [1.0]])
+    with pytest.raises(DomainError, match="^seg_times must be an array"):
+        SplicedPath(constant_path(0.0), 0.0, times, [[0.0], [1.0]])
 
 
 def test_eval_at_nodes_is_stored_data():
