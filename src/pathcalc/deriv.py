@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, IllConditionedError, \
-    NonDifferentiableError, require_count, require_finite
+    NonDifferentiableError, require_count, require_finite, require_shape, \
+    require_time
 from .flow import solve_flow
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional
@@ -149,6 +150,8 @@ def time_study(F, t, x, gamma, ladder, label):
     1/(2K) with its 1e-9 slack.
     """
     require_path(x)
+    require_shape("F", F, ())
+    t = require_time("t", t, x.horizon)
     etas = ladder.steps()
     if not (0.0 <= t < t + etas[-1]
             and t + etas[0] <= x.horizon * (1 + 1e-12)):
@@ -177,6 +180,7 @@ def bump_values(F, t, x, hs, dirs):
     row s of dirs, as a (len(hs), len(dirs)) array.  All bumps are rows of
     one family held at t, read in one eval call."""
     require_path(x)
+    require_shape("F", F, ())
     pin = stop_exactly(x, t)
     # every step's held values at once, as bump() would add them
     held = pin.value_at_stop + hs[:, None, None] * dirs
@@ -191,14 +195,16 @@ def d_gamma(F, gamma, t, x, ladder=None):
     once per study.  A direction that vanishes along the extension gives
     exactly the stopped path, so the study then equals d_horizontal
     quotient by quotient."""
+    t = require_time("t", t, x.horizon)
     return time_study(F, t, x, gamma, ladder or QuotientLadder(),
-                      f"d_gamma[{F.label}|{gamma.label}]@{float(t):g}")
+                      f"d_gamma[{F.label}|{gamma.label}]@{t:g}")
 
 
 def d_horizontal(F, t, x, ladder=None):
     """Time derivative of F along the stopped extension of x at t."""
+    t = require_time("t", t, x.horizon)
     return time_study(F, t, x, None, ladder or QuotientLadder(),
-                      f"d_horizontal[{F.label}]@{float(t):g}")
+                      f"d_horizontal[{F.label}]@{t:g}")
 
 
 def d_space(F, i, t, x, ladder=None, scheme="central"):
@@ -220,7 +226,8 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     e = np.zeros((3, x.dim))    # up, down, unbumped
     e[0, i], e[1, i] = 1.0, -1.0
     hs = ladder.steps()
-    label = f"d_space[{F.label};{i};{scheme}]@{float(t):g}"
+    t = require_time("t", t, x.horizon)
+    label = f"d_space[{F.label};{i};{scheme}]@{t:g}"
     if scheme == "forward":
         v = bump_values(F, t, x, hs, e[:1])
         return judge(hs, (v[:, 0] - F.eval(t, stop(x, t))) / hs,
@@ -287,7 +294,8 @@ def recover_gradient(F, fields, t, x, ladder=None, cond_max=1e8):
     if len(fields) != d:
         raise DomainError(f"need {d} direction fields, got {len(fields)}")
     xt = stop(x, t)
-    mat = np.stack([f.eval(t, xt) for f in fields])
+    mat = np.stack([require_shape(f"fields[{i}]", f, (d,)).eval(t, xt)
+                    for i, f in enumerate(fields)])
     cond = float(np.linalg.cond(mat))
     if not np.isfinite(cond) or cond > cond_max:
         raise IllConditionedError(
@@ -319,7 +327,8 @@ def horizontal_from_gamma(F, gamma, t, x, h, ladder=None):
     Quadrature nodes follow the ladder layout (geometric refinement toward
     t); each node needs its own converged d_gamma and d_space studies.
     """
-    t, h = float(t), require_finite("h", h, error=DomainError)
+    t = require_time("t", t, x.horizon)
+    h = require_finite("h", h, error=DomainError)
     lad = ladder or QuotientLadder()
     if t + h + lad.eta0 > x.horizon * (1 + 1e-12):
         raise DomainError("need t + h + eta0 <= horizon for the node studies")

@@ -1,5 +1,5 @@
-"""Shared exception types, and the checks of a count, a real, a grid and
-the values computed along one.
+"""Shared exception types, and the checks of a count, a real, a time, a
+functional's shape, a grid and the values computed along one.
 
 Validation problems raise subclasses of ValueError so plain callers can catch
 broadly; the CLI maps the categories to distinct exit codes.
@@ -89,6 +89,30 @@ def require_finite(name, value, zero=False, error=ConfigError):
         kind = "nonnegative" if zero else "positive"
         raise error(f"{name} must be {kind} and finite, not {v}")
     return v
+
+
+def require_time(name, t, horizon):
+    """t as a float in [0, horizon], or DomainError naming the parameter:
+    text, None, a list, an array of one or more axes and NaN are refused."""
+    try:
+        v = None if getattr(t, "ndim", 0) else float(t)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or not 0.0 <= v <= horizon:
+        raise DomainError(f"{name} must be a time in [0, {horizon}], not "
+                          f"{reprlib.repr(t)}")
+    return v
+
+
+def require_shape(name, f, shape):
+    """f, or DomainError naming the parameter unless the functional f's
+    values have shape; a None entry matches any size."""
+    if len(f.shape) != len(shape) or any(
+            w is not None and n != w for n, w in zip(f.shape, shape)):
+        want = str(tuple(shape)).replace("None", "*")
+        raise DomainError(f"{name} must be a functional of shape {want}, "
+                          f"not {f.shape}")
+    return f
 
 
 def require_times(name, times, error=DomainError):

@@ -23,7 +23,8 @@ import numpy as np
 from . import rng
 from ._kernels import left_prefix
 from .errors import ConfigError, DomainError, NumericalError, \
-    require_count, require_finite, require_finite_steps, require_grid
+    require_count, require_finite, require_finite_steps, require_grid, \
+    require_shape, require_time
 from .flow import euler_steps
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
@@ -49,13 +50,10 @@ class SDESpec:
     def __post_init__(self):
         self.horizon = require_finite("horizon", self.horizon,
                                       error=DomainError)
-        for name, ndim in (("drift", 1), ("sigma", 2), ("rate", 0),
-                           ("payoff", 0)):
-            _require_shape(name, getattr(self, name), ndim)
-        if self.drift.dim_out != self.sigma.shape[0]:
-            raise DomainError(
-                f"drift is {self.drift.dim_out}-dimensional but sigma has "
-                f"{self.sigma.shape[0]} rows")
+        d = require_shape("drift", self.drift, (None,)).shape[0]
+        require_shape("sigma", self.sigma, (d, None))
+        require_shape("rate", self.rate, ())
+        require_shape("payoff", self.payoff, ())
 
     @property
     def dim(self):
@@ -71,22 +69,14 @@ class SDESpec:
                 and self.sigma.constant_value is not None)
 
 
-def _require_shape(name, f, ndim):
-    """DomainError naming the parameter unless f's values have ndim axes."""
-    if len(f.shape) != ndim:
-        kind = ("a real", "a vector", "a matrix")[ndim]
-        raise DomainError(f"{name} must be {kind} functional, not one of "
-                          f"shape {f.shape}")
-
-
 def _check_history(spec, t, x):
+    """t as a float, checked with the history x against the SDE."""
     require_path(x)
     if x.dim != spec.dim:
         raise DomainError(f"history is {x.dim}-dimensional, SDE is {spec.dim}")
     if x.horizon != spec.horizon:
         raise DomainError("history horizon must equal the SDE horizon")
-    if not 0.0 <= t <= spec.horizon:
-        raise DomainError(f"time {t} outside [0, {spec.horizon}]")
+    return require_time("t", t, spec.horizon)
 
 
 # grid nodes held by one simulated block, summed over its paths: 252 paths
@@ -141,8 +131,7 @@ def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
     itself.  An explicit grid must run from t to the horizon.  A path that
     is not finite at some grid time raises NumericalError.
     """
-    t = float(t)
-    _check_history(spec, t, x)
+    t = _check_history(spec, t, x)
     if t == spec.horizon:
         return x
     if grid is None:
@@ -176,8 +165,7 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     than one path that is not, raises NumericalError: an overflow is no
     estimate.
     """
-    t = float(t)
-    _check_history(spec, t, x)
+    t = _check_history(spec, t, x)
     n_paths = require_count("n_paths", n_paths, 1)
     n_steps = require_count("n_steps", n_steps, 1)
     if t == spec.horizon:
@@ -215,8 +203,11 @@ def fk_residual(f, spec, t, x):
     evaluated on the stopped history.  Zero along solutions.
     """
     require_derivatives(f)
-    t = float(t)
-    _check_history(spec, t, x)
+    t = _check_history(spec, t, x)
+    require_shape("f", f, ())
+    require_shape("f.partial_t", f.partial_t, ())
+    require_shape("f.grad", f.grad, (spec.dim,))
+    require_shape("f.hess", f.hess, (spec.dim, spec.dim))
     xt = stop(x, t)
     pt = f.partial_t.eval(t, xt)
     grad = f.grad.eval(t, xt)
@@ -261,14 +252,12 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     drift and fails.  f must be a real functional.
     """
     require_finite("k", k)
-    _require_shape("f", f, 0)
+    require_shape("f", f, ())
     t_grid = require_grid("t_grid", t_grid)
     if not hasattr(x0, "eval"):
         x0 = constant_path(x0, horizon=spec.horizon, dim=spec.dim)
     _check_history(spec, float(t_grid[0]), x0)
-    if t_grid[-1] > spec.horizon:
-        raise DomainError(f"t_grid ends at {float(t_grid[-1])!r}, past the "
-                          f"horizon {spec.horizon!r}")
+    require_time("t_grid[-1]", float(t_grid[-1]), spec.horizon)
     n_paths = require_count("n_paths", n_paths, 2)
     H = np.empty((n_paths, len(t_grid)))
     first = 0

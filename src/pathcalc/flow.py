@@ -15,7 +15,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, DomainError, FlowIterationError, \
-    require_count, require_finite, require_finite_steps, require_grid
+    require_count, require_finite, require_finite_steps, require_grid, \
+    require_shape, require_time
 from .functionals import DirectionField
 from .paths import CADLAG, LINEAR, PathBase, SplicedPath, require_path, \
     splice_view, stop
@@ -92,12 +93,12 @@ def _make_grid(s, until, substep, grid):
 def _span(w, s, gamma, until):
     """(s, until) as floats, checked against the path w and the field."""
     require_path(w)
-    s = float(s)
-    until = w.horizon if until is None else float(until)
-    if not 0.0 <= s <= until <= w.horizon:
-        raise DomainError("need 0 <= s <= until <= horizon")
-    if gamma.dim_out != w.dim:
-        raise DomainError("direction dimension does not match the path")
+    require_shape("gamma", gamma, (w.dim,))
+    s = require_time("s", s, w.horizon)
+    until = w.horizon if until is None \
+        else require_time("until", until, w.horizon)
+    if until < s:
+        raise DomainError(f"until must be at least s={s}, not {until}")
     return s, until
 
 

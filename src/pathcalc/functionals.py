@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError, require_count, require_finite
+from .errors import ConfigError, DomainError, require_count, \
+    require_finite, require_shape
 from .paths import CADLAG, LINEAR, grid_view, stop
 
 
@@ -534,6 +535,8 @@ def check_hessian_symmetry(F, samples=50, seed=0, dim=1, horizon=1.0,
     """Verify coded second derivatives are symmetric at random points."""
     if F.hess is None:
         raise DomainError(f"{F.label}: second derivative absent")
+    dim = require_count("dim", dim, 1)
+    require_shape("F.hess", F.hess, (dim, dim))
     require_finite("tol", tol, zero=True)
     worst = 0.0
     for _, gen, x in _samples(seed, 3, samples, dim, horizon):

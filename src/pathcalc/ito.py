@@ -20,7 +20,7 @@ from . import rng
 from ._kernels import dot_increment_prefix, outer_increment_prefix, \
     quad_form_prefix
 from .errors import ConfigError, DomainError, GridMismatchError, \
-    require_count, require_finite, require_grid
+    require_count, require_finite, require_grid, require_shape
 from .functionals import require_derivatives
 from .paths import GridPath, LINEAR, grid_view, require_path
 
@@ -158,18 +158,9 @@ def quadratic_covariation(x, times):
     return QVMatrixPath(tau, outer_increment_prefix(dx))
 
 
-def _require_shape(F, shape, name):
-    """Raise DomainError unless the functional F declares shape: (d,) for
-    an integrand or a gradient, (d, d) for a Hessian on a d-dim path."""
-    if F.shape != shape:
-        got = f"{F.shape[0]}-dimensional" if len(F.shape) == 1 \
-            else f"of shape {F.shape}"
-        raise DomainError(f"{name} is {got}, path is {shape[0]}")
-
-
 def partition_integral(G, x, times):
     """Left-point sum of <G(t_j, x), x(t_{j+1}) - x(t_j)>."""
-    _require_shape(G, (x.dim,), "integrand")
+    require_shape("G", G, (x.dim,))
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     g = G.eval_many(tau[:-1], x)
@@ -210,8 +201,10 @@ def ito_residual(F, x, times):
     summed in fixed order.
     """
     require_derivatives(F)
-    _require_shape(F.grad, (x.dim,), "grad")
-    _require_shape(F.hess, (x.dim, x.dim), "hess")
+    require_shape("F", F, ())
+    require_shape("F.partial_t", F.partial_t, ())
+    require_shape("F.grad", F.grad, (x.dim,))
+    require_shape("F.hess", F.hess, (x.dim, x.dim))
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     dtau = np.diff(tau)
@@ -241,7 +234,7 @@ class StratonovichResult:
 
 def stratonovich_integral(G, x, times):
     """Midpoint-form partition integral of G against dx."""
-    _require_shape(G, (x.dim,), "integrand")
+    require_shape("G", G, (x.dim,))
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     g = G.eval_many(tau, x)
@@ -253,7 +246,7 @@ def stratonovich_integral(G, x, times):
 def midpoint_sum(G, x, times):
     """Direct averaged-endpoint sum; agrees with stratonovich_integral up
     to roundoff and serves as its independent cross-check."""
-    _require_shape(G, (x.dim,), "integrand")
+    require_shape("G", G, (x.dim,))
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     g = G.eval_many(tau, x)

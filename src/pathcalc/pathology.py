@@ -21,7 +21,7 @@ import numpy as np
 
 from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, \
     time_study, OSCILLATING
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_time
 from .functionals import DirectionField, Functional, constant_direction, \
     running_mean
 from .paths import ramp_path, stop
@@ -136,7 +136,7 @@ def expansion_rate(gamma, t, x):
     d/d eta [Phi(t + eta)] at eta = 0 equals gamma(t,x) - 2(x(t) - mean)/t,
     covering the horizontal case with gamma = 0.
     """
-    t = float(t)
+    t = require_time("t", t, x.horizon)
     if t <= 0:
         raise DomainError("expansion rate needs t > 0")
     xt = stop(x, t)
@@ -167,7 +167,7 @@ def expansion_check(t0, x, gamma=None):
     """Ladder study of (Phi(t0+eta) - Phi(t0)) / eta against the predicted
     rate.  gamma=None means the horizontal (frozen) extension."""
     _require_1d(x)
-    t0 = float(t0)
+    t0 = require_time("t0", t0, x.horizon)
     lad = QuotientLadder()
     alpha = expansion_rate(gamma, t0, x)
     rep = time_study(surface_functional(), t0, x, gamma, lad,
@@ -201,7 +201,7 @@ def check_direction(gamma, t0, x):
     theory: alpha = 0 differentiates (limit f'(phi0) * alpha, which is 0 on
     the surface), alpha != 0 on the surface oscillates."""
     F = counterexample_functional()
-    t0 = float(t0)
+    t0 = require_time("t0", t0, x.horizon)
     xt = stop(x, t0)
     phi0 = surface_value(t0, xt)[0]
     alpha = expansion_rate(gamma, t0, x)

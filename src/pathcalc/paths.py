@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, require_count, require_grid, \
-    require_times
+    require_time, require_times
 
 CADLAG = "cadlag_hold"
 LINEAR = "linear"
@@ -357,16 +357,13 @@ class SplicedPath(PathBase):
         seg_values = np.asarray(seg_values, dtype=float)
         if seg_values.ndim == 1:
             seg_values = seg_values[:, None]
-        switch = float(switch)
-        if not 0.0 <= switch <= left.horizon:
-            raise DomainError("switch time outside the base horizon")
+        switch = require_time("switch", switch, left.horizon)
         # one node at the switch, as concat builds at the horizon, holds it
         if not (seg_times.shape == (1,) and seg_times[0] == switch):
             seg_times = require_grid("seg_times", seg_times)
         if seg_times[0] != switch:
             raise DomainError("segment must start at the switch time")
-        if seg_times[-1] > left.horizon:
-            raise DomainError("segment extends past the horizon")
+        require_time("seg_times[-1]", float(seg_times[-1]), left.horizon)
         if seg_values.ndim > 3 or seg_values.shape[0] != len(seg_times) \
                 or seg_values.shape[-1] != left.dim:
             raise DomainError("segment values shape mismatch")
@@ -493,9 +490,7 @@ class StoppedPath(SplicedPath):
 
     def __init__(self, base, stop_time, value_at_stop=None):
         require_path(base)
-        stop_time = float(stop_time)
-        if not 0.0 <= stop_time <= base.horizon:
-            raise DomainError(f"stop time {stop_time} outside [0, {base.horizon}]")
+        stop_time = require_time("stop_time", stop_time, base.horizon)
         if value_at_stop is None:
             value_at_stop = base.eval(stop_time)
         else:
@@ -540,9 +535,7 @@ def stop(x, t):
     and stopped before it is one path; any other stop of a family, and a
     bump of one after its stop time, raises DomainError.
     """
-    t = float(t)
-    if not 0.0 <= t <= x.horizon:
-        raise DomainError(f"stop time {t} outside [0, {x.horizon}]")
+    t = require_time("t", t, x.horizon)
     if t == x.horizon:
         return x
     if isinstance(x, StoppedPath):
@@ -581,9 +574,7 @@ def concat(a, s, b):
     permitted; values are exact at every representable time in either mode.
     """
     require_path(a, b)
-    s = float(s)
-    if not 0.0 <= s <= a.horizon:
-        raise DomainError(f"junction {s} outside [0, {a.horizon}]")
+    s = require_time("s", s, a.horizon)
     if a.dim != b.dim:
         raise DomainError("dimension mismatch between the two paths")
     span = a.horizon - s
@@ -615,8 +606,8 @@ def dist_stopped(x, t, y, s):
         raise DomainError("paths must share a horizon")
     if x.dim != y.dim:
         raise DomainError("paths must share a dimension")
-    xs = stop(x, float(t))
-    ys = stop(y, float(s))
+    xs = stop(x, require_time("t", t, x.horizon))
+    ys = stop(y, require_time("s", s, y.horizon))
     grid = np.unique(np.concatenate([xs.knots(), ys.knots()]))
     gap = np.abs(xs.eval(grid) - ys.eval(grid)).max()
     gap_left = np.abs(xs.eval_left(grid) - ys.eval_left(grid)).max()

@@ -512,10 +512,12 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
 @pytest.mark.parametrize("argv, named", [
     (["flow", "--window", "nan"], "window"),
     (["flow", "--picard-tol", "nan"], "picard_tol"),
-    (["deriv", "--t", "nan"], "t=nan"),
-    (["deriv", "--kind", "horizontal", "--t", "nan"], "t=nan"),
-    (["deriv", "--kind", "space", "--t", "nan"], "time nan"),
-    (["relation", "--times", "nan"], "t=nan"),
+    (["deriv", "--t", "nan"], "t must be a time in [0, 1.0], not nan"),
+    (["deriv", "--kind", "horizontal", "--t", "nan"],
+     "t must be a time in [0, 1.0], not nan"),
+    (["deriv", "--kind", "space", "--t", "nan"],
+     "t must be a time in [0, 1.0], not nan"),
+    (["relation", "--times", "nan"], "t must be a time in [0, 1.0], not nan"),
     (["flow", "--horizon", "0"], "horizon must be positive"),
     (["flow", "--horizon", "nan"], "horizon must be finite"),
     (["flow", "--horizon", "inf"], "horizon must be finite"),

@@ -230,6 +230,31 @@ def test_space_argument_checks():
         d_space(builtin("eval"), 0, 0.5, r, scheme="sideways")
 
 
+_WRONG_SHAPES = {
+    "gamma": (lambda x, V: d_gamma(V, eval_direction(1), 0.5, x), "F", "()",
+              "(2,)"),
+    "horizontal": (lambda x, V: d_horizontal(V, 0.5, x), "F", "()", "(2,)"),
+    "space": (lambda x, V: d_space(V, 0, 0.5, x), "F", "()", "(2,)"),
+    "relation": (lambda x, V: relation_residual(V, eval_direction(1), 0.5, x),
+                 "F", "()", "(2,)"),
+    "recover_field": (lambda x, V: recover_gradient(builtin("eval"), [V],
+                                                    0.5, x),
+                      "fields[0]", "(1,)", "(2,)"),
+}
+
+
+@pytest.mark.parametrize("study", sorted(_WRONG_SHAPES))
+def test_studies_refuse_a_functional_of_the_wrong_shape(study):
+    # a (2,) F raised numpy's broadcast or reshape ValueError, and a (2,)
+    # field on a 1-d path failed only in its flow solve, after the
+    # condition number of a (1, 2) matrix and the horizontal study
+    call, name, want, got = _WRONG_SHAPES[study]
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} must be a "
+                       f"functional of shape {re.escape(want)}, not "
+                       f"{re.escape(got)}$"):
+        call(ramp_path(1.0, 1.0, n=65), constant_direction([1.0, 2.0]))
+
+
 def test_zero_direction_study_equals_horizontal_bitwise():
     x = brownian_path(11, 0, n_exp=10)
     F = builtin("exp_eval")

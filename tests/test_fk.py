@@ -30,8 +30,8 @@ from pathcalc import (
     solve_flow,
     stop,
 )
-from pathcalc.functionals import Functional, MatrixFunctional, \
-    VectorFunctional
+from pathcalc.functionals import Functional, FunctionalWithDerivatives, \
+    MatrixFunctional, VectorFunctional
 from pathcalc.paths import LINEAR, splice_view
 
 from conftest import GRID_FAULTS, bad_grid, grid_error
@@ -328,7 +328,9 @@ def test_martingale_check_rejects_a_grid_past_the_horizon():
     # a grid ending within rounding of the horizon is not let through to
     # fail later, in the simulation, under another name
     spec, f = benchmark("gauss_square")
-    with pytest.raises(DomainError, match="t_grid ends at 1.0000000000001"):
+    with pytest.raises(DomainError, match=r"^t_grid\[-1\] must be a time "
+                                          r"in \[0, 1\.0\], not "
+                                          r"1\.0000000000001$"):
         martingale_check(spec, f, np.array([0.0, 0.5, 1.0 + 1e-13]), 1.0,
                          n_paths=4)
 
@@ -578,28 +580,70 @@ def _pair(ts, x):
     return np.stack([x.eval(ts)[..., 0], np.full(np.shape(ts), 5.0)], -1)
 
 
-@pytest.mark.parametrize("field, value, shape", [
-    ("payoff", VectorFunctional(_pair, 2, fn_many=_pair), r"\(2,\)"),
-    ("rate", constant_direction([0.1, 0.2]), r"\(2,\)"),
-    ("sigma", VectorFunctional(_pair, 2, fn_many=_pair), r"\(2,\)"),
-    ("drift", constant_matrix_field([[0.0]]), r"\(1, 1\)"),
-], ids=["vector_payoff", "vector_rate", "vector_sigma", "matrix_drift"])
-def test_a_spec_refuses_a_functional_of_the_wrong_shape(field, value, shape):
+@pytest.mark.parametrize("field, value, want, shape", [
+    ("payoff", VectorFunctional(_pair, 2, fn_many=_pair), r"\(\)", r"\(2,\)"),
+    ("rate", constant_direction([0.1, 0.2]), r"\(\)", r"\(2,\)"),
+    ("sigma", VectorFunctional(_pair, 2, fn_many=_pair), r"\(1, \*\)",
+     r"\(2,\)"),
+    ("drift", constant_matrix_field([[0.0]]), r"\(\*,\)", r"\(1, 1\)"),
+    ("sigma", constant_matrix_field([[1.0], [1.0]]), r"\(1, \*\)",
+     r"\(2, 1\)"),
+], ids=["vector_payoff", "vector_rate", "vector_sigma", "matrix_drift",
+        "sigma_rows"])
+def test_a_spec_refuses_a_functional_of_the_wrong_shape(field, value, want,
+                                                        shape):
     # a vector payoff was averaged over its entries (2.51 for [x_T, 5.0]),
-    # a vector rate raised TypeError and a vector sigma IndexError
-    with pytest.raises(DomainError, match=f"^{field} must be a .* "
-                                          f"functional, not one of shape "
-                                          f"{shape}$"):
+    # a vector rate raised TypeError and a vector sigma IndexError; sigma's
+    # rows must match the drift
+    with pytest.raises(DomainError, match=f"^{field} must be a functional "
+                                          f"of shape {want}, not {shape}$"):
         _eval_spec(**{field: value})
 
 
 def test_martingale_check_refuses_a_candidate_that_is_not_real():
     # numpy raised its broadcast ValueError
     spec, _ = benchmark("gauss_square")
-    with pytest.raises(DomainError, match=r"^f must be a real functional, "
-                                          r"not one of shape \(2,\)$"):
+    with pytest.raises(DomainError, match=r"^f must be a functional of shape "
+                                          r"\(\), not \(2,\)$"):
         martingale_check(spec, VectorFunctional(_pair, 2, fn_many=_pair),
                          [0.0, 0.5, 1.0], 1.0, n_paths=4)
+
+
+def _candidate(**fields):
+    # a real candidate on 1-d paths, with some derivatives swapped out
+    kw = dict(partial_t=constant_functional(0.0),
+              grad=constant_direction([0.0]),
+              hess=constant_matrix_field([[0.0]]))
+    kw.update(fields)
+    return FunctionalWithDerivatives(lambda t, x: 0.0, label="swapped", **kw)
+
+
+def _vector_candidate():
+    # a (2,) candidate that carries real-shaped derivatives
+    f = constant_direction([1.0, 2.0])
+    f.partial_t = constant_functional(0.0)
+    f.grad = constant_direction([0.0])
+    f.hess = constant_matrix_field([[0.0]])
+    return f
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: builtin("square", dim=2), r"f\.grad .* \(1,\), not \(2,\)$"),
+    (lambda: _candidate(hess=constant_matrix_field(np.zeros((2, 2)))),
+     r"f\.hess .* \(1, 1\), not \(2, 2\)$"),
+    (lambda: _candidate(partial_t=constant_direction([0.0, 0.0])),
+     r"f\.partial_t .* \(\), not \(2,\)$"),
+    (lambda: _candidate(grad=constant_matrix_field([[0.0]])),
+     r"f\.grad .* \(1,\), not \(1, 1\)$"),
+    (_vector_candidate, r"f must be a functional of shape \(\), not \(2,\)$"),
+], ids=["two_dim_candidate", "wide_hess", "vector_partial_t", "matrix_grad",
+        "vector_candidate"])
+def test_fk_residual_refuses_a_candidate_of_the_wrong_shape(make, named):
+    # numpy raised its matmul ValueError, or a vector time derivative gave
+    # an array where a float was due
+    spec, _ = benchmark("gauss_square")
+    with pytest.raises(DomainError, match=f"^{named}"):
+        fk_residual(make(), spec, 0.5, constant_path(1.0))
 
 
 def _squared_spec():

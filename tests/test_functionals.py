@@ -336,12 +336,16 @@ def _fn(t, x):
      "^axis 1 outside dimension 1$"),
     (lambda: running_max_functional(axis=2, dim=2), DomainError,
      "^axis 2 outside dimension 2$"),
+    (lambda: check_hessian_symmetry(builtin("square", dim=2), dim=1),
+     DomainError, r"^F\.hess must be a functional of shape \(1, 1\), not "
+                  r"\(2, 2\)$"),
 ], ids=["vector_fractional", "vector_nan", "vector_zero", "vector_negative",
         "matrix_fractional", "matrix_zero", "eval_direction_fractional",
         "running_avg_direction_fractional",
         "builtin_fractional_dim", "zero_direction_zero",
         "numerical_derivatives_fractional", "constant_path_fractional",
-        "catalog_axis_outside", "running_max_axis_outside"])
+        "catalog_axis_outside", "running_max_axis_outside",
+        "hessian_symmetry_on_fewer_coordinates"])
 def test_functional_sizes_are_errors_naming_them(call, error, match):
     # each was cut by int() or passed through: a (1,) shape for 1.5, a (0,)
     # or (-1,) shape, or a builtin TypeError or ValueError

@@ -328,7 +328,8 @@ def test_constant_integrand_collapses_to_left_sum():
 
 def test_stratonovich_rejects_an_integrand_of_another_dimension():
     p = brownian_path(42, 3, n_exp=6)
-    with pytest.raises(DomainError, match="2-dimensional, path is 1"):
+    with pytest.raises(DomainError, match=r"^G must be a functional of shape "
+                                          r"\(1,\), not \(2,\)$"):
         stratonovich_integral(constant_direction([1.0, 2.0]), p,
                               dyadic_subsample(p, 4, n_exp=6))
 
@@ -341,43 +342,69 @@ def _lopsided_hess():
         hess=constant_matrix_field(np.zeros((2, 2))))
 
 
+def _vector_partial_t():
+    # a (2,) time derivative beside a (1,) gradient and a (1, 1) Hessian
+    return FunctionalWithDerivatives(
+        lambda t, x: 0.0, label="vector_pt",
+        partial_t=constant_direction([0.0, 0.0]),
+        grad=constant_direction([0.0]), hess=constant_matrix_field([[0.0]]))
+
+
+def _vector_with_derivatives():
+    # a (2,) functional that carries a full set of real-shaped derivatives
+    F = constant_direction([1.0, 2.0])
+    F.partial_t = constant_functional(0.0)
+    F.grad = constant_direction([0.0])
+    F.hess = constant_matrix_field([[0.0]])
+    return F
+
+
 _SHAPE_CASES = {
     "midpoint_one_on_two": (midpoint_sum, lambda: constant_direction([1.0]),
-                            2, "integrand is 1-dimensional, path is 2"),
+                            2, "G must be a functional of shape (2,), not "
+                               "(1,)"),
     "midpoint_three_on_two": (midpoint_sum,
                               lambda: constant_direction([1.0, 2.0, 3.0]), 2,
-                              "integrand is 3-dimensional, path is 2"),
+                              "G must be a functional of shape (2,), not "
+                              "(3,)"),
     "partition_scalar": (partition_integral, lambda: builtin("square"), 1,
-                         "integrand is of shape ()"),
+                         "G must be a functional of shape (1,), not ()"),
     "stratonovich_scalar": (stratonovich_integral, lambda: builtin("square"),
-                            1, "integrand is of shape ()"),
+                            1, "G must be a functional of shape (1,), not ()"),
     "midpoint_scalar": (midpoint_sum, lambda: builtin("square"), 1,
-                        "integrand is of shape ()"),
+                        "G must be a functional of shape (1,), not ()"),
     "partition_matrix": (partition_integral,
                          lambda: constant_matrix_field([[1.0]]), 1,
-                         "integrand is of shape (1, 1)"),
+                         "G must be a functional of shape (1,), not (1, 1)"),
     "stratonovich_matrix": (stratonovich_integral,
                             lambda: constant_matrix_field([[1.0]]), 1,
-                            "integrand is of shape (1, 1)"),
+                            "G must be a functional of shape (1,), not "
+                            "(1, 1)"),
     "midpoint_matrix": (midpoint_sum, lambda: constant_matrix_field([[1.0]]),
-                        1, "integrand is of shape (1, 1)"),
+                        1, "G must be a functional of shape (1,), not (1, 1)"),
     "ito_two_on_one": (ito_residual, lambda: builtin("eval", dim=2), 1,
-                       "grad is 2-dimensional, path is 1"),
+                       "F.grad must be a functional of shape (1,), not (2,)"),
     "ito_one_on_two": (ito_residual, lambda: builtin("eval"), 2,
-                       "grad is 1-dimensional, path is 2"),
+                       "F.grad must be a functional of shape (2,), not (1,)"),
     "ito_hess": (ito_residual, _lopsided_hess, 1,
-                 "hess is of shape (2, 2), path is 1"),
+                 "F.hess must be a functional of shape (1, 1), not (2, 2)"),
+    "ito_vector_partial_t": (ito_residual, _vector_partial_t, 1,
+                             "F.partial_t must be a functional of shape (), "
+                             "not (2,)"),
+    "ito_vector": (ito_residual, _vector_with_derivatives, 1,
+                   "F must be a functional of shape (), not (2,)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SHAPE_CASES))
 def test_partition_sums_check_declared_shapes_before_they_evaluate(case):
     # an integrand must be (d,), a gradient (d,) and a Hessian (d, d) for a
-    # d-dimensional path; a mismatch is one DomainError, never a numpy error
-    # or a sum over the first components only
+    # d-dimensional path, and the functional and its time derivative reals;
+    # a mismatch is one DomainError, never a numpy or builtin error or a sum
+    # over the first components only
     sum_, make, dim, named = _SHAPE_CASES[case]
     p = brownian_path(42, 3, n_exp=6, dim=dim)
-    with pytest.raises(DomainError, match=re.escape(named)):
+    with pytest.raises(DomainError, match=f"^{re.escape(named)}$"):
         sum_(make(), p, dyadic_subsample(p, 4, n_exp=6))
 
 

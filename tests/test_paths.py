@@ -2,6 +2,7 @@
 
 import io
 import re
+import reprlib
 
 import numpy as np
 import pytest
@@ -14,17 +15,34 @@ from pathcalc import (
     DomainError,
     GridPath,
     PathBase,
+    QuotientLadder,
     SplicedPath,
     StoppedPath,
+    benchmark,
+    builtin,
     bump,
+    check_direction,
     concat,
     constant_path,
+    d_gamma,
+    d_horizontal,
+    d_space,
     dist_stopped,
+    estimate_f,
+    euler_flow,
+    eval_direction,
+    expansion_check,
+    expansion_rate,
+    fk_residual,
+    horizontal_from_gamma,
     path_from_csv,
     path_to_csv,
     ramp_path,
+    simulate_sde,
+    solve_flow,
     stop,
 )
+from pathcalc.deriv import time_study
 from pathcalc.paths import _LOCATE_SEARCH_BELOW, splice_view
 
 from conftest import GRID_FAULTS, bad_grid, grid_error
@@ -280,8 +298,9 @@ def test_concat_rejects_short_tail():
 
 
 @pytest.mark.parametrize("s, b, match", [
-    (-0.25, constant_path(1.0), "junction"),
-    (1.5, constant_path(1.0), "junction"),
+    (-0.25, constant_path(1.0),
+     r"^s must be a time in \[0, 1\.0\], not -0\.25$"),
+    (1.5, constant_path(1.0), r"^s must be a time in \[0, 1\.0\], not 1\.5$"),
     (0.5, constant_path([1.0, 2.0]), "dimension mismatch"),
 ], ids=["junction_before_zero", "junction_past_horizon", "dimension"])
 def test_concat_rejects_a_bad_junction_or_dimension(s, b, match):
@@ -290,9 +309,11 @@ def test_concat_rejects_a_bad_junction_or_dimension(s, b, match):
 
 
 @pytest.mark.parametrize("switch, times, values, mode, match", [
-    (1.5, [1.5], [[1.0]], LINEAR, "switch time outside"),
+    (1.5, [1.5], [[1.0]], LINEAR,
+     r"^switch must be a time in \[0, 1\.0\], not 1\.5$"),
     (0.5, [0.25, 1.0], [[1.0], [2.0]], LINEAR, "start at the switch"),
-    (0.5, [0.5, 2.0], [[1.0], [2.0]], LINEAR, "past the horizon"),
+    (0.5, [0.5, 2.0], [[1.0], [2.0]], LINEAR,
+     r"^seg_times\[-1\] must be a time in \[0, 1\.0\], not 2\.0$"),
     (0.5, [0.5, 0.75, 0.75], [[1.0], [2.0], [3.0]], LINEAR,
      "strictly increasing"),
     (0.5, [0.5, 1.0], [[1.0], [2.0]], "spline", "unknown interp_mode"),
@@ -645,7 +666,8 @@ def test_a_non_finite_held_value_is_rejected(held):
 
 @pytest.mark.parametrize("stop_time", [-0.25, 1.5, np.nan])
 def test_a_stop_time_outside_the_horizon_is_rejected(stop_time):
-    with pytest.raises(DomainError, match=r"stop time .* outside \[0, 1.0\]"):
+    with pytest.raises(DomainError, match=r"^stop_time must be a time in "
+                                          rf"\[0, 1\.0\], not {stop_time!r}$"):
         StoppedPath(ramp_path(1.0, n=17), stop_time)
 
 
@@ -789,3 +811,61 @@ def test_spliced_segment_values_may_be_one_dimensional():
 def test_the_path_interface_leaves_knots_to_its_types():
     with pytest.raises(NotImplementedError):
         PathBase().knots()
+
+
+# ---------------------------------------------------------------------------
+# one rule for a single time: errors.require_time
+
+
+def _time_entries():
+    x = ramp_path(1.0, n=17)
+    F = builtin("eval")
+    spec, f = benchmark("gauss_square")
+    return {
+        "stop": ("t", lambda t: stop(x, t)),
+        "StoppedPath": ("stop_time", lambda t: StoppedPath(x, t)),
+        "bump": ("t", lambda t: bump(x, t, [0.5])),
+        "concat": ("s", lambda t: concat(x, t, x)),
+        "SplicedPath": ("switch",
+                        lambda t: SplicedPath(x, t, [0.5, 1.0], [1.0, 2.0])),
+        "dist_stopped_t": ("t", lambda t: dist_stopped(x, t, x, 0.5)),
+        "dist_stopped_s": ("s", lambda t: dist_stopped(x, 0.5, x, t)),
+        "estimate_f": ("t", lambda t: estimate_f(spec, t, x, n_paths=2)),
+        "simulate_sde": ("t", lambda t: simulate_sde(spec, t, x)),
+        "fk_residual": ("t", lambda t: fk_residual(f, spec, t, x)),
+        "solve_flow_s": ("s", lambda t: solve_flow(x, t, eval_direction(1))),
+        "solve_flow_until": ("until", lambda t: solve_flow(
+            x, 0.0, eval_direction(1), until=t)),
+        "euler_flow_s": ("s", lambda t: euler_flow(x, t, eval_direction(1))),
+        "time_study": ("t", lambda t: time_study(F, t, x, None,
+                                                 QuotientLadder(), "F")),
+        "d_horizontal": ("t", lambda t: d_horizontal(F, t, x)),
+        "d_gamma": ("t", lambda t: d_gamma(F, eval_direction(1), t, x)),
+        "d_space": ("t", lambda t: d_space(F, 0, t, x)),
+        "horizontal_from_gamma": ("t", lambda t: horizontal_from_gamma(
+            F, eval_direction(1), t, x, 0.125)),
+        "expansion_rate": ("t", lambda t: expansion_rate(None, t, x)),
+        "expansion_check": ("t0", lambda t: expansion_check(t, x)),
+        "check_direction": ("t0", lambda t: check_direction(
+            eval_direction(1), t, x)),
+    }
+
+
+_BAD_TIMES = {"text": "a", "none": None, "list": [0.5],
+              "array": np.array([0.5]), "nan": np.nan, "negative": -0.25,
+              "past_horizon": 1.5}
+
+
+# until=None is the horizon, solve_flow's default
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in sorted(_time_entries())
+    for bad in sorted(_BAD_TIMES)
+    if (entry, bad) != ("solve_flow_until", "none")])
+def test_every_single_time_goes_through_one_rule(entry, bad):
+    # text, None and lists raised builtin ValueError or TypeError, and each
+    # entry had its own message for a time outside the horizon, or none
+    name, call = _time_entries()[entry]
+    t = _BAD_TIMES[bad]
+    with pytest.raises(DomainError, match=rf"^{name} must be a time in "
+                       rf"\[0, 1\.0\], not {re.escape(reprlib.repr(t))}$"):
+        call(t)
