@@ -23,9 +23,9 @@ from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, \
     recover_gradient, relation_residual
 from .errors import ConfigError, DomainError, NumericalError, require_count
 from .flow import euler_flow, solve_flow
-from .functionals import builtin, constant_direction, eval_direction, \
-    probe_boundedness, probe_lipschitz, probe_non_anticipative, \
-    running_avg_direction, zero_direction
+from .functionals import CATALOG, builtin, constant_direction, \
+    eval_direction, probe_boundedness, probe_lipschitz, \
+    probe_non_anticipative, running_avg_direction, zero_direction
 from .paths import constant_path, path_from_csv, ramp_path, stop
 
 __all__ = ["main"]
@@ -59,9 +59,8 @@ _PATH_HELP = ("path spec: const:c[,c2...], ramp:slope[,slope2...], "
               "brownian:index, csv:FILE")
 _DIR_HELP = ("direction spec: zero, const:v[,v2...], eval, running_avg, "
              "constraint[:t_floor], gamma_star[:t_floor]")
-_FUNC_HELP = ("functional spec: eval[:axis], square[:axis], integral[:axis], "
-              "running_avg[:axis], running_max[:axis], exp_eval[:axis], "
-              "product, counterexample")
+_FUNC_HELP = "functional spec: " + ", ".join(
+    [f"{name}[:axis]" for name in CATALOG] + ["product", "counterexample"])
 
 _LADDER = [
     _f("eta0", 1e-2, "largest ladder step"),
@@ -225,9 +224,6 @@ def resolve(opts, args):
                     f"config key {o.name}: cannot parse {conf[o.name]!r}")
         else:
             table[o.name] = o.default
-    # NaN would pass as a grid of NaN times, inf as a grid of infinite steps
-    if not np.isfinite(table.get("horizon", 1.0)):
-        raise ConfigError(f"horizon must be finite, not {table['horizon']}")
     return table
 
 

@@ -25,7 +25,7 @@ from .errors import ConfigError, DomainError, IllConditionedError, \
     require_time
 from .flow import solve_flow
 from .functionals import Functional, FunctionalWithDerivatives, \
-    MatrixFunctional, VectorFunctional
+    MatrixFunctional, VectorFunctional, require_field
 from .paths import StoppedPath, require_path, stop, stop_exactly
 
 TAIL = 5                 # quotients entering the spread/estimate
@@ -160,7 +160,7 @@ def time_study(F, t, x, gamma, ladder, label):
     if gamma is None:
         path = stop(x, t)
     else:
-        K = gamma.lipschitz_K
+        K = require_field("gamma", gamma).lipschitz_K
         gap = np.diff(etas[::-1], prepend=0.0).max()
         refine = max(8.0, np.ceil(2.0 * K * gap / (1 + 1e-9)))
         if ladder.count * refine > 2 ** 24:
@@ -196,8 +196,9 @@ def d_gamma(F, gamma, t, x, ladder=None):
     exactly the stopped path, so the study then equals d_horizontal
     quotient by quotient."""
     t = require_time("t", t, x.horizon)
+    label = require_field("gamma", gamma).label
     return time_study(F, t, x, gamma, ladder or QuotientLadder(),
-                      f"d_gamma[{F.label}|{gamma.label}]@{t:g}")
+                      f"d_gamma[{F.label}|{label}]@{t:g}")
 
 
 def d_horizontal(F, t, x, ladder=None):

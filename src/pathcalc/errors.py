@@ -81,23 +81,32 @@ def require_count(name, value, low=0):
     return n
 
 
+def _real(value):
+    """value as a float, or None for text, None, a list, an array of one or
+    more axes and an int past the float range."""
+    try:
+        return None if getattr(value, "ndim", 0) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def require_finite(name, value, zero=False, error=ConfigError):
     """value as a finite float above 0, or at least 0 when zero is set, or
-    error naming the parameter.  NaN and inf are refused."""
-    v = float(value)
-    if not (0.0 <= v if zero else 0.0 < v) or v == math.inf:
+    error naming the parameter.  NaN and inf are refused, and so is what
+    is no real, as in require_time: text, None, a list or an array with an
+    axis."""
+    v = _real(value)
+    if v is None or not (0.0 <= v if zero else 0.0 < v) or v == math.inf:
         kind = "nonnegative" if zero else "positive"
-        raise error(f"{name} must be {kind} and finite, not {v}")
+        shown = reprlib.repr(value) if v is None else v
+        raise error(f"{name} must be {kind} and finite, not {shown}")
     return v
 
 
 def require_time(name, t, horizon):
     """t as a float in [0, horizon], or DomainError naming the parameter:
     text, None, a list, an array of one or more axes and NaN are refused."""
-    try:
-        v = None if getattr(t, "ndim", 0) else float(t)
-    except (TypeError, ValueError):
-        v = None
+    v = _real(t)
     if v is None or not 0.0 <= v <= horizon:
         raise DomainError(f"{name} must be a time in [0, {horizon}], not "
                           f"{reprlib.repr(t)}")

@@ -28,8 +28,8 @@ from .errors import ConfigError, DomainError, NumericalError, \
 from .flow import euler_steps
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
-    constant_functional, constant_matrix_field, require_derivatives, \
-    square_functional, zero_direction
+    constant_functional, constant_matrix_field, eval_functional, \
+    require_derivatives, square_functional, zero_direction
 from .paths import LINEAR, SplicedPath, constant_path, require_path, stop
 
 
@@ -256,6 +256,7 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     t_grid = require_grid("t_grid", t_grid)
     if not hasattr(x0, "eval"):
         x0 = constant_path(x0, horizon=spec.horizon, dim=spec.dim)
+    require_time("t_grid[0]", float(t_grid[0]), spec.horizon)
     _check_history(spec, float(t_grid[0]), x0)
     require_time("t_grid[-1]", float(t_grid[-1]), spec.horizon)
     n_paths = require_count("n_paths", n_paths, 2)
@@ -284,7 +285,7 @@ def benchmark(name, horizon=1.0):
     drifted_linear: dX = mu dt + dW, f = x(t) + mu (T - t), payoff X_T.
     discount_const: dX = dW, rate rho, payoff 1, f = exp(-rho (T - t)).
     """
-    T = float(horizon)
+    T = require_finite("horizon", horizon, error=DomainError)
 
     def unit_noise(mu, rho, payoff):
         return SDESpec(constant_direction([mu]),
@@ -296,30 +297,23 @@ def benchmark(name, horizon=1.0):
             v = x.eval(ts)[..., 0]
             return v * v + (T - ts)
 
-        def twice(ts, x):
-            return 2.0 * x.eval(ts)[..., :1]
-
+        payoff = square_functional()
         f = FunctionalWithDerivatives(
             value, label="square_plus_remaining", fn_many=value,
-            partial_t=constant_functional(-1.0),
-            grad=VectorFunctional(twice, 1, label="2*eval", fn_many=twice),
+            partial_t=constant_functional(-1.0), grad=payoff.grad,
             hess=constant_matrix_field([[2.0]]))
-        return unit_noise(0.0, 0.0, square_functional()), f
+        return unit_noise(0.0, 0.0, payoff), f
     if name == "drifted_linear":
         mu = 0.5
 
-        def coordinate(ts, x):
-            return x.eval(ts)[..., 0]
-
         def value(ts, x):
-            return coordinate(ts, x) + mu * (T - ts)
+            return x.eval(ts)[..., 0] + mu * (T - ts)
 
-        payoff = Functional(coordinate, label="eval", fn_many=coordinate)
+        payoff = eval_functional()
         f = FunctionalWithDerivatives(
             value, label="linear_plus_drift", fn_many=value,
-            partial_t=constant_functional(-mu),
-            grad=constant_direction([1.0]),
-            hess=constant_matrix_field([[0.0]]))
+            partial_t=constant_functional(-mu), grad=payoff.grad,
+            hess=payoff.hess)
         return unit_noise(mu, 0.0, payoff), f
     if name == "discount_const":
         rho = 0.25

@@ -17,8 +17,8 @@ from . import _kernels
 from .errors import ConfigError, DomainError, FlowIterationError, \
     require_count, require_finite, require_finite_steps, require_grid, \
     require_shape, require_time
-from .functionals import DirectionField
-from .paths import CADLAG, LINEAR, PathBase, SplicedPath, require_path, \
+from .functionals import DirectionField, require_field
+from .paths import LINEAR, PathBase, SplicedPath, require_path, \
     splice_view, stop
 
 _DIVERGENCE_CAP = 1e12
@@ -47,17 +47,16 @@ class FlowSolution:
         if ts.size and (ts.min() < self.start or ts.max() > self.until):
             raise DomainError("residual times must lie in [start, until]")
         g = self.direction.eval_many(self.grid, self.path)
-        # the field on the solver grid as a segment from start: its node
-        # prefix is the quadrature's, and left rectangles are its integral
-        mode = LINEAR if self.quadrature == "trapezoid" else CADLAG
-        quad = splice_view(self.path, self.start, self.grid, g, mode).seg
-        if mode == CADLAG:
-            part = quad.integral(ts)
-        else:
-            idx = quad.locate(ts)
+        # the quadrature's prefix at the last grid node at or before each
+        # time, plus its rule over the rest of the step
+        idx = self.grid.searchsorted(ts, side="right") - 1
+        rem = (ts - self.grid[idx])[:, None]
+        if self.quadrature == "trapezoid":
             g_ts = g if at_grid else self.direction.eval_many(ts, self.path)
-            part = quad.node_prefix()[idx] + (ts - self.grid[idx])[:, None] \
-                * 0.5 * (g[idx] + g_ts)
+            part = _kernels.trapezoid_prefix(self.grid, g)[idx] \
+                + rem * 0.5 * (g[idx] + g_ts)
+        else:
+            part = _kernels.left_prefix(self.grid, g)[idx] + rem * g[idx]
         gap = self.path.eval(ts) - (self.values[0] + part)
         return np.abs(gap).max(axis=1)
 
@@ -138,7 +137,7 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
     evaluates to zero along the whole extension returns the stopped path
     itself, so the zero-field flow is exact.
     """
-    s, until = _span(w, s, gamma, until)
+    s, until = _span(w, s, require_field("gamma", gamma), until)
     require_finite("picard_tol", picard_tol)
     max_iters = require_count("max_iters", max_iters, 1)
     if s == until:

@@ -299,6 +299,14 @@ def exp_eval_functional(axis=0, dim=1):
     return _of_value(np.exp, np.exp, np.exp, "exp_eval", axis, dim)
 
 
+def require_field(name, f):
+    """f, or DomainError naming the parameter unless f is a DirectionField,
+    whose declared Lipschitz constant the caller reads."""
+    if not isinstance(f, DirectionField):
+        raise DomainError(f"{name} must be a DirectionField, not {f!r}")
+    return f
+
+
 def require_derivatives(f):
     """Raise DomainError unless f carries partial_t, grad and hess."""
     for name in ("partial_t", "grad", "hess"):
@@ -423,11 +431,7 @@ def _samples(seed, stream, samples, dim, horizon, **shape):
     # makes every grid the probes generate valid by construction
     samples = require_count("samples", samples, 1)
     dim = require_count("dim", dim, 1)
-    horizon = float(horizon)
-    if not np.isfinite(horizon):
-        raise ConfigError(f"horizon must be finite, not {horizon}")
-    if not horizon > 0:
-        raise ConfigError(f"horizon must be positive, not {horizon}")
+    horizon = require_finite("horizon", horizon)
     gen = rng.substream(seed, stream)
     modes = (LINEAR if gen.random() < 0.5 else CADLAG for _ in range(samples))
     return ((k, gen, _random_path(gen, dim, horizon, mode, **shape))
@@ -512,6 +516,7 @@ def probe_lipschitz(field, samples=200, seed=0, horizon=1.0, dim=None):
 
     Samples stopped-path pairs sharing a grid and compares the field gap to
     the sup gap of the stopped paths."""
+    require_field("field", field)
     d = field.dim_out if dim is None else dim
     worst = 0.0
     for _, gen, x in _samples(seed, 2, samples, d, horizon):

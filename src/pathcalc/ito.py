@@ -275,13 +275,13 @@ def brownian_path(seed, index, n_exp=16, horizon=1.0, dim=1):
     if not (0 <= n_exp <= N_EXP_MAX and 1 <= dim <= 2 ** (N_EXP_MAX - n_exp)):
         raise ConfigError(f"need n_exp >= 0, dim >= 1 and dim * 2**n_exp <= "
                           f"2**{N_EXP_MAX}; got n_exp={n_exp}, dim={dim}")
-    horizon = float(horizon)
+    horizon = require_finite("horizon", horizon)
     n = 2 ** n_exp
     dt = horizon / n
     # i * dt rises strictly from 0 to the horizon when dt is a normal float;
     # a subnormal step can round two times together, so it is checked
-    t = np.linspace(0.0, horizon, n + 1) if 0.0 < horizon < np.inf else None
-    if t is None or not (dt >= _TINY or np.all(np.diff(t) > 0)):
+    t = np.linspace(0.0, horizon, n + 1)
+    if not (dt >= _TINY or np.all(np.diff(t) > 0)):
         raise ConfigError(f"horizon={horizon!r} with n_exp={n_exp} gives "
                           f"no strictly rising grid of 2**n_exp steps")
     # the values are finite for every finite horizon, so the grid is valid

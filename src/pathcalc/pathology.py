@@ -249,7 +249,8 @@ def ramp_battery(t0=0.5, horizon=1.0, n=1025, t_floor=None):
     sin(log h) to the last bit.  The off-surface point is the ramp shifted
     up by 1/4, whose surface gap is exactly -1/4.
     """
-    t0 = float(t0)
+    horizon = require_finite("horizon", horizon, error=DomainError)
+    t0 = require_time("t0", t0, horizon)
     if not 0.0 < t0 < horizon:
         raise DomainError("need 0 < t0 < horizon")
     tf = t_floor if t_floor is not None else max(T_FLOOR, t0 / 2.0)

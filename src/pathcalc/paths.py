@@ -44,8 +44,8 @@ import io
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, require_count, require_grid, \
-    require_time, require_times
+from .errors import DomainError, require_count, require_finite, \
+    require_grid, require_time, require_times
 
 CADLAG = "cadlag_hold"
 LINEAR = "linear"
@@ -88,10 +88,11 @@ class PathBase:
     """Interface shared by all path types.
 
     Subclasses provide ``dim``, ``horizon``, ``interp_mode`` and the
-    vectorized primitives ``_eval``, ``_eval_left``, ``_integral_prefix``,
-    ``_running_max_prefix`` and ``_sup_before`` over validated, in-domain
-    time arrays, time first.  ``rows`` is None for a path and k for a
-    family of k paths, whose queries put a row axis first (module docstring).
+    vectorized primitives ``_eval``, ``_eval_left``, ``_integral_prefix``
+    and ``_running_max_prefix``, one per public query, over validated,
+    in-domain time arrays, time first.  ``rows`` is None for a path and k
+    for a family of k paths, whose queries put a row axis first (module
+    docstring).
     """
 
     dim = None
@@ -250,13 +251,6 @@ class _Segment:
         idx = self.locate(ts)
         return np.maximum(self.node_runmax()[idx], self._interp(ts, idx))
 
-    def sup_before(self, u):
-        """Componentwise sup over [times[0], u) for a scalar u > times[0]."""
-        if self.mode == LINEAR:
-            return self.running_max(np.array([u]))[0]
-        idx = max(self.times.searchsorted(u, side="left") - 1, 0)
-        return self.node_runmax()[idx].copy()
-
     def node_prefix(self):
         """Integral from times[0] to each node under the segment's mode."""
         if self._prefix is None:
@@ -334,7 +328,6 @@ class GridPath(PathBase):
         self._eval_left = seg.eval_left
         self._integral_prefix = seg.integral
         self._running_max_prefix = seg.running_max
-        self._sup_before = seg.sup_before
         return self
 
     def knots(self):
@@ -404,10 +397,14 @@ class SplicedPath(PathBase):
         return np.concatenate(parts)
 
     def _head_sup(self):
-        # sup of the left path over [0, switch)
-        if self.switch > 0:
-            return self.left._sup_before(self.switch)
-        return np.full(self.dim, -np.inf)
+        # sup of the left path over [0, switch): it is monotone from its last
+        # knot before the switch, and max does not round, so this is exact
+        if self.switch == 0:
+            return np.full(self.dim, -np.inf)
+        knots = np.asarray(self.left.knots())
+        last = knots[knots.searchsorted(self.switch, side="left") - 1]
+        return np.maximum(self.left.running_max_prefix(last),
+                          self.left.eval_left(self.switch))
 
     def _eval(self, ts):
         return _piecewise(ts, self.switch, False, self.left._eval,
@@ -441,11 +438,6 @@ class SplicedPath(PathBase):
             return np.maximum(self._head_sup(), self.seg.running_max(u))
         return _piecewise(ts, self.switch, False,
                           self.left._running_max_prefix, after, self._shape)
-
-    def _sup_before(self, u):
-        if u <= self.switch:
-            return self.left._sup_before(u)
-        return np.maximum(self._head_sup(), self.seg.sup_before(u))
 
 
 def grid_view(times, values, mode):
@@ -616,17 +608,19 @@ def dist_stopped(x, t, y, s):
 
 def constant_path(value, horizon=1.0, dim=None, interp_mode=LINEAR):
     """Constant path on [0, horizon]."""
+    horizon = require_finite("horizon", horizon, error=DomainError)
     v = np.atleast_1d(np.asarray(value, dtype=float))
     if dim is not None and v.size == 1:
         v = np.full(require_count("dim", dim, 1), v[0])
-    return GridPath([0.0, float(horizon)], np.vstack([v, v]), interp_mode)
+    return GridPath([0.0, horizon], np.vstack([v, v]), interp_mode)
 
 
 def ramp_path(slope=1.0, horizon=1.0, n=1025, interp_mode=LINEAR,
               offset=0.0):
     """x(s) = offset + slope * s sampled on a uniform grid (n nodes)."""
     n = require_count("n", n, low=None)
-    t = np.linspace(0.0, float(horizon), max(n, 0))  # GridPath: n >= 2
+    horizon = require_finite("horizon", horizon, error=DomainError)
+    t = np.linspace(0.0, horizon, max(n, 0))  # GridPath: n >= 2
     v = np.atleast_1d(np.asarray(slope, dtype=float))[None, :] * t[:, None] \
         + np.atleast_1d(np.asarray(offset, dtype=float))[None, :]
     return GridPath(t, v, interp_mode)

@@ -314,6 +314,15 @@ def test_csv_path_spec_round_trips(tmp_path):
     assert abs(float(estimate) - 0.5) <= 1e-9
 
 
+def test_a_csv_path_takes_its_horizon_from_its_file(tmp_path):
+    # a path file sets its own horizon, so --horizon is not read
+    src = tmp_path / "ramp.csv"
+    path_to_csv(ramp_path(1.0, 1.0, n=17), str(src))
+    rc = main(["flow", "--path", f"csv:{src}", "--horizon", "nan",
+               "--out", str(tmp_path / "flow.csv")])
+    assert rc == 0
+
+
 def test_deriv_of_running_max_at_zero_is_one(tmp_path):
     lines = _lines(_run(tmp_path, ["deriv", "--kind", "space",
                                    "--functional", "running_max",
@@ -519,9 +528,12 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
      "t must be a time in [0, 1.0], not nan"),
     (["relation", "--times", "nan"], "t must be a time in [0, 1.0], not nan"),
     (["flow", "--horizon", "0"], "horizon must be positive"),
-    (["flow", "--horizon", "nan"], "horizon must be finite"),
-    (["flow", "--horizon", "inf"], "horizon must be finite"),
-    (["probe", "--horizon", "-1"], "horizon must be positive, not -1.0"),
+    (["flow", "--horizon", "nan"],
+     "horizon must be positive and finite, not nan"),
+    (["flow", "--horizon", "inf"],
+     "horizon must be positive and finite, not inf"),
+    (["probe", "--horizon", "-1"],
+     "horizon must be positive and finite, not -1.0"),
     (["qv", "--horizon", "1e-320"], "horizon=1e-320 with n_exp=16"),
     (["deriv", "--kind", "space", "--path", "const:1e308", "--eta0", "1e308"],
      "held value must be finite"),
@@ -531,13 +543,23 @@ def test_bad_spec_or_probe_input_is_one_line(argv, capsys):
      "a constant must be finite, not nan"),
     (["flow", "--direction", "const:nan"],
      "a constant must be finite, not nan"),
+    (["counterexample", "--horizon", "nan"],
+     "horizon must be positive and finite, not nan"),
+    (["feynman-kac", "--horizon", "nan"],
+     "horizon must be positive and finite, not nan"),
+    (["qv", "--horizon", "inf"],
+     "horizon must be positive and finite, not inf"),
+    (["deriv", "--path", "const:1.0", "--horizon", "nan"],
+     "horizon must be positive and finite, not nan"),
 ], ids=["flow_window", "flow_picard_tol", "deriv_gamma_t",
         "deriv_horizontal_t", "deriv_space_t", "relation_times",
         "flow_zero_horizon", "flow_nan_horizon", "flow_inf_horizon",
         "probe_negative_horizon", "qv_horizon_without_a_rising_grid",
         "deriv_space_held_overflows", "flow_grid_overflows",
         "flow_inf_substep", "stratonovich_nan_integrand",
-        "flow_nan_direction"])
+        "flow_nan_direction", "counterexample_nan_horizon",
+        "feynman_kac_nan_horizon", "qv_inf_horizon",
+        "deriv_const_nan_horizon"])
 def test_nan_option_is_one_line_naming_it(argv, named, capsys):
     rc = main(argv)
     captured = capsys.readouterr()

@@ -21,19 +21,23 @@ from pathcalc import (
     GridPath,
     QuotientLadder,
     SPACE_LADDER,
+    VectorFunctional,
     brownian_path,
     bump,
     builtin,
+    check_direction,
     constant_direction,
     d_gamma,
     d_horizontal,
     d_space,
+    euler_flow,
     eval_direction,
     expansion_check,
     gamma_star,
     horizontal_from_gamma,
     judge,
     numerical_derivatives,
+    probe_lipschitz,
     ramp_path,
     recover_gradient,
     relation_residual,
@@ -44,7 +48,8 @@ from pathcalc import (
     surface_value,
     zero_direction,
 )
-from pathcalc.deriv import HESS_LADDER, _hess_entry, ladder_flow_grid
+from pathcalc.deriv import HESS_LADDER, _hess_entry, ladder_flow_grid, \
+    time_study
 from pathcalc.pathology import counterexample_functional
 
 
@@ -253,6 +258,54 @@ def test_studies_refuse_a_functional_of_the_wrong_shape(study):
                        f"functional of shape {re.escape(want)}, not "
                        f"{re.escape(got)}$"):
         call(ramp_path(1.0, 1.0, n=65), constant_direction([1.0, 2.0]))
+
+
+def _vector_field():
+    def value(ts, x):
+        return x.eval(ts)
+
+    return VectorFunctional(value, 1, label="eval", fn_many=value)
+
+
+_LIPSCHITZ_READERS = {
+    "solve_flow": (lambda x, g: solve_flow(x, 0.5, g), "gamma"),
+    "d_gamma": (lambda x, g: d_gamma(builtin("eval"), g, 0.5, x), "gamma"),
+    "relation": (lambda x, g: relation_residual(builtin("eval"), g, 0.5, x),
+                 "gamma"),
+    "recover_gradient": (lambda x, g: recover_gradient(
+        builtin("eval"), [g], 0.5, x), "gamma"),
+    "horizontal_from_gamma": (lambda x, g: horizontal_from_gamma(
+        builtin("eval"), g, 0.25, x, 0.125), "gamma"),
+    "time_study": (lambda x, g: time_study(
+        builtin("eval"), 0.5, x, g, QuotientLadder(), "F"), "gamma"),
+    "probe_lipschitz": (lambda x, g: probe_lipschitz(g, samples=2), "field"),
+    "check_direction": (lambda x, g: check_direction(g, 0.5, x), "gamma"),
+}
+
+
+# None is the horizontal study's gamma in time_study, and recover_gradient
+# reads its fields' shapes first
+@pytest.mark.parametrize("reader, field", [
+    (reader, field) for reader in sorted(_LIPSCHITZ_READERS)
+    for field in ("none", "vector")
+    if (reader, field) not in {("recover_gradient", "none"),
+                               ("time_study", "none")}])
+def test_a_direction_whose_constant_is_read_must_be_a_field(reader, field):
+    # a (1,) VectorFunctional raised AttributeError for lipschitz_K, and
+    # None one for whichever attribute was read first
+    call, name = _LIPSCHITZ_READERS[reader]
+    g = _vector_field() if field == "vector" else None
+    with pytest.raises(DomainError, match=rf"^{name} must be a "
+                       rf"DirectionField, not {re.escape(repr(g))}$"):
+        call(ramp_path(1.0, 1.0, n=65), g)
+
+
+def test_euler_flow_takes_any_vector_functional():
+    # it never reads a Lipschitz constant
+    x = ramp_path(1.0, 1.0, n=65)
+    want = euler_flow(x, 0.5, eval_direction(1), substep=0.125)
+    got = euler_flow(x, 0.5, _vector_field(), substep=0.125)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_zero_direction_study_equals_horizontal_bitwise():

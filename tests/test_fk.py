@@ -324,6 +324,13 @@ def test_martingale_check_rejects_a_bad_t_grid(fault):
         martingale_check(spec, f, bad_grid(fault, 0.0, 1.0), 1.0, n_paths=4)
 
 
+def test_martingale_check_names_a_grid_start_before_zero():
+    spec, f = benchmark("gauss_square")
+    with pytest.raises(DomainError, match=r"^t_grid\[0\] must be a time in "
+                                          r"\[0, 1\.0\], not -0\.5$"):
+        martingale_check(spec, f, [-0.5, 0.0, 1.0], 1.0, n_paths=4)
+
+
 def test_martingale_check_rejects_a_grid_past_the_horizon():
     # a grid ending within rounding of the horizon is not let through to
     # fail later, in the simulation, under another name

@@ -14,16 +14,22 @@ from pathcalc import (
     ConfigError,
     DomainError,
     GridPath,
+    DirectionField,
+    PartitionSequence,
     PathBase,
     QuotientLadder,
+    SDESpec,
     SplicedPath,
     StoppedPath,
     benchmark,
+    brownian_path,
     builtin,
     bump,
     check_direction,
+    check_hessian_symmetry,
     concat,
     constant_path,
+    constraint_direction,
     d_gamma,
     d_horizontal,
     d_space,
@@ -35,9 +41,13 @@ from pathcalc import (
     expansion_rate,
     fk_residual,
     horizontal_from_gamma,
+    martingale_check,
     path_from_csv,
     path_to_csv,
+    probe_non_anticipative,
+    ramp_battery,
     ramp_path,
+    recover_gradient,
     simulate_sde,
     solve_flow,
     stop,
@@ -560,13 +570,15 @@ QUERIES = ("eval", "eval_left", "integral_prefix", "running_max_prefix")
 def surgery_views(draw):
     """(make, cut, probe times): make() builds a fresh stopped, bumped,
     spliced or live spliced view of a random path whose surgery point is
-    cut, so its caches start empty."""
+    cut, so its caches start empty.  A splice of a bump cuts the bumped
+    path at its bump or after it, so the head it keeps jumps."""
     (x,) = draw(shared_grid_paths(count=1, dim=2))
     horizon = x.horizon
     cut = draw(st.integers(0, int(horizon * 32))) / 32.0
     kind = draw(st.sampled_from(["stop", "bump", "splice", "view",
-                                 "bump_of_splice"]))
+                                 "bump_of_splice", "splice_of_bump"]))
     h = np.array([draw(dyadic), draw(dyadic)])
+    bumped_at = cut - draw(st.integers(0, int(cut * 32))) / 32.0
     n = 1 if cut == horizon else draw(st.integers(2, 6))
     gaps = draw(st.lists(st.integers(1, 8), min_size=n - 1, max_size=n - 1))
     times = cut + np.concatenate([[0.0], np.cumsum(gaps, dtype=float)]) \
@@ -587,8 +599,9 @@ def surgery_views(draw):
             view = splice_view(x, cut, times, buffer, mode)
             view.seg.fill(filled)
             return view
-        spliced = SplicedPath(x, cut, times, values, seg_mode=mode)
-        if kind == "splice":
+        left = bump(x, bumped_at, h) if kind == "splice_of_bump" else x
+        spliced = SplicedPath(left, cut, times, values, seg_mode=mode)
+        if kind in ("splice", "splice_of_bump"):
             return spliced
         later = times[-1] if times[-1] > cut else cut
         return bump(spliced, later, h)
@@ -848,6 +861,7 @@ def _time_entries():
         "expansion_check": ("t0", lambda t: expansion_check(t, x)),
         "check_direction": ("t0", lambda t: check_direction(
             eval_direction(1), t, x)),
+        "ramp_battery": ("t0", lambda t: ramp_battery(t)),
     }
 
 
@@ -869,3 +883,65 @@ def test_every_single_time_goes_through_one_rule(entry, bad):
     with pytest.raises(DomainError, match=rf"^{name} must be a time in "
                        rf"\[0, 1\.0\], not {re.escape(reprlib.repr(t))}$"):
         call(t)
+
+
+def _finite_entries():
+    """entry: (parameter, error, whether 0 is allowed, call)."""
+    x = ramp_path(1.0, n=17)
+    spec, f = benchmark("gauss_square")
+    F = builtin("eval")
+    return {
+        "SDESpec": ("horizon", DomainError, False, lambda v: SDESpec(
+            spec.drift, spec.sigma, spec.rate, spec.payoff, horizon=v)),
+        "PartitionSequence": ("horizon", DomainError, False,
+                              lambda v: PartitionSequence(v)),
+        "constant_path": ("horizon", DomainError, False,
+                          lambda v: constant_path(1.0, horizon=v)),
+        "ramp_path": ("horizon", DomainError, False,
+                      lambda v: ramp_path(1.0, horizon=v, n=17)),
+        "brownian_path": ("horizon", ConfigError, False,
+                          lambda v: brownian_path(0, 0, n_exp=4, horizon=v)),
+        "benchmark": ("horizon", DomainError, False,
+                      lambda v: benchmark("gauss_square", horizon=v)),
+        "probe": ("horizon", ConfigError, False, lambda v: (
+            probe_non_anticipative(F, samples=2, horizon=v))),
+        "ramp_battery": ("horizon", DomainError, False,
+                         lambda v: ramp_battery(0.5, horizon=v)),
+        "QuotientLadder": ("eta0", ConfigError, False,
+                           lambda v: QuotientLadder(eta0=v)),
+        "DirectionField": ("lipschitz_K", DomainError, True,
+                           lambda v: DirectionField(lambda t, y: [0.0], 1, v)),
+        "recover_gradient": ("cond_max", ConfigError, False, lambda v: (
+            recover_gradient(F, [eval_direction(1)], 0.5, x, cond_max=v))),
+        "martingale_check": ("k", ConfigError, False, lambda v: (
+            martingale_check(spec, f, [0.0, 1.0], 0.0, n_paths=2, k=v))),
+        "solve_flow": ("picard_tol", ConfigError, False, lambda v: (
+            solve_flow(x, 0.5, eval_direction(1), picard_tol=v))),
+        "constraint_direction": ("t_floor", DomainError, False,
+                                 lambda v: constraint_direction(v)),
+        "horizontal_from_gamma": ("h", DomainError, False, lambda v: (
+            horizontal_from_gamma(F, eval_direction(1), 0.25, x, v))),
+        "check_hessian_symmetry": ("tol", ConfigError, True, lambda v: (
+            check_hessian_symmetry(builtin("square"), samples=2, tol=v))),
+    }
+
+
+_BAD_REALS = {"text": "a", "none": None, "list": [1.0],
+              "array": np.array([1.0]), "nan": np.nan, "inf": np.inf,
+              "negative": -1.0}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in sorted(_finite_entries())
+    for bad in sorted(_BAD_REALS)])
+def test_every_positive_real_goes_through_one_rule(entry, bad):
+    # text, None and arrays raised builtin ValueError or TypeError (numpy 2.0
+    # read an array of one value as that value); a horizon that no rule
+    # checked surfaced as a grid error under another name
+    name, error, zero, call = _finite_entries()[entry]
+    v = _BAD_REALS[bad]
+    shown = v if isinstance(v, float) else reprlib.repr(v)
+    kind = "nonnegative" if zero else "positive"
+    with pytest.raises(error, match=rf"^{name} must be {kind} and finite, "
+                       rf"not {re.escape(str(shown))}$"):
+        call(v)
