@@ -4,9 +4,9 @@ One subcommand per computation; every option can also come from a flat
 ``key = value`` config file (CLI flags win, unknown keys are rejected).
 An artifact is ``# key = value`` comment lines, the resolved configuration
 and then the command's own keys, followed by one or more CSV tables.
-``write_csv`` writes every artifact and ``_fmt`` every value in it, floats
-with repr; there is no timestamp unless --stamp is given, so rerunning a
-command reproduces the artifact byte for byte.
+``paths.write_csv``, the writer of path CSVs, writes every artifact,
+floats with repr; there is no timestamp unless --stamp is given, so
+rerunning a command reproduces the artifact byte for byte.
 
 Exit codes: 0 success, 2 invalid configuration or domain, 3 numerical
 failure, 4 I/O failure.
@@ -26,7 +26,8 @@ from .flow import euler_flow, solve_flow
 from .functionals import CATALOG, builtin, constant_direction, \
     eval_direction, probe_boundedness, probe_lipschitz, \
     probe_non_anticipative, running_avg_direction, zero_direction
-from .paths import constant_path, path_from_csv, ramp_path, stop
+from .paths import constant_path, path_from_csv, ramp_path, stop, \
+    write_csv
 
 __all__ = ["main"]
 
@@ -190,7 +191,7 @@ def build_parser(names=tuple(OPTS)):
 def load_config(path):
     table = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -200,7 +201,7 @@ def load_config(path):
                         f"{path}:{lineno}: expected 'key = value'")
                 k, _, v = line.partition("=")
                 table[k.strip()] = v.strip()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     return table
 
@@ -293,40 +294,6 @@ def parse_functional(spec, dim):
         return pathology.counterexample_functional()
     axis = _number(int, rest, spec) if rest else 0
     return builtin(name, axis=axis, dim=dim)
-
-
-# ---------------------------------------------------------------------------
-# output
-
-
-def _fmt(v):
-    """A value as artifact text: a bool as true or false, a float by repr,
-    a list as its items joined by ';'."""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, list):
-        return ";".join(_fmt(x) for x in v)
-    return str(v)
-
-
-def write_csv(out, comments, tables, stamp=False):
-    """Write one artifact: a ``# key = value`` line per (key, value) comment
-    whose value is set, then each (columns, rows) table."""
-    lines = [f"# {k} = {_fmt(v)}" for k, v in comments if v is not None]
-    if stamp:
-        lines.append("# generated = "
-                     + datetime.now(timezone.utc).isoformat())
-    for columns, rows in tables:
-        lines.append(",".join(columns))
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
 
 
 def _ladder(cfg):
@@ -545,8 +512,10 @@ def main(argv=None):
         with np.errstate(all="ignore"):  # no warning lines on stderr
             cfg = resolve(OPTS[args.command], args)
             comments, tables = HANDLERS[args.command](cfg)
-            write_csv(args.out, sorted(cfg.items()) + comments, tables,
-                      stamp=args.stamp)
+            if args.stamp:
+                comments.append(
+                    ("generated", datetime.now(timezone.utc).isoformat()))
+            write_csv(args.out, sorted(cfg.items()) + comments, tables)
     except (ConfigError, DomainError) as e:
         print(f"config-error: {e}", file=sys.stderr)
         return 2

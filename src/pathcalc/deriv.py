@@ -149,7 +149,7 @@ def time_study(F, t, x, gamma, ladder, label):
     where the largest piece would not fit the solver's contraction window
     1/(2K) with its 1e-9 slack.
     """
-    require_path(x)
+    require_path(x=x)
     require_shape("F", F, ())
     t = require_time("t", t, x.horizon)
     etas = ladder.steps()
@@ -179,7 +179,7 @@ def bump_values(F, t, x, hs, dirs):
     """F on x bumped at t by h * dirs[s], for every step h of hs and every
     row s of dirs, as a (len(hs), len(dirs)) array.  All bumps are rows of
     one family held at t, read in one eval call."""
-    require_path(x)
+    require_path(x=x)
     require_shape("F", F, ())
     pin = stop_exactly(x, t)
     # every step's held values at once, as bump() would add them

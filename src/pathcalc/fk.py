@@ -71,7 +71,7 @@ class SDESpec:
 
 def _check_history(spec, t, x):
     """t as a float, checked with the history x against the SDE."""
-    require_path(x)
+    require_path(x=x)
     if x.dim != spec.dim:
         raise DomainError(f"history is {x.dim}-dimensional, SDE is {spec.dim}")
     if x.horizon != spec.horizon:
@@ -202,12 +202,8 @@ def fk_residual(f, spec, t, x):
 
     evaluated on the stopped history.  Zero along solutions.
     """
-    require_derivatives(f)
+    require_derivatives("f", f, spec.dim)
     t = _check_history(spec, t, x)
-    require_shape("f", f, ())
-    require_shape("f.partial_t", f.partial_t, ())
-    require_shape("f.grad", f.grad, (spec.dim,))
-    require_shape("f.hess", f.hess, (spec.dim, spec.dim))
     xt = stop(x, t)
     pt = f.partial_t.eval(t, xt)
     grad = f.grad.eval(t, xt)

@@ -91,7 +91,7 @@ def _make_grid(s, until, substep, grid):
 
 def _span(w, s, gamma, until):
     """(s, until) as floats, checked against the path w and the field."""
-    require_path(w)
+    require_path(w=w)
     require_shape("gamma", gamma, (w.dim,))
     s = require_time("s", s, w.horizon)
     until = w.horizon if until is None \
@@ -179,14 +179,14 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
             if not np.isfinite(delta) or delta > _DIVERGENCE_CAP:
                 break
         if not done:
-            partial = SplicedPath(w, s, grid[:i1 + 1], values[:i1 + 1],
-                                  seg_mode=LINEAR)
+            # the live view holds the i1 + 1 nodes swept so far, which
+            # the SplicedPath constructor would refuse once they overflow
             raise FlowIterationError(
                 f"Picard did not contract to {picard_tol:g} within "
                 f"{max_iters} sweeps on window [{ts[0]:g}, {ts[-1]:g}] "
                 f"(last change {delta:g}); is the declared Lipschitz "
                 f"constant {K:g} honest?",
-                last_iterate=partial, sup_change=delta)
+                last_iterate=live, sup_change=delta)
 
     return FlowSolution(_flow_path(w, s, grid, values), s, until, gamma,
                         mesh, picard_tol, grid, values, iterations)

@@ -307,12 +307,19 @@ def require_field(name, f):
     return f
 
 
-def require_derivatives(f):
-    """Raise DomainError unless f carries partial_t, grad and hess."""
-    for name in ("partial_t", "grad", "hess"):
-        if getattr(f, name, None) is None:
-            raise DomainError(f"{getattr(f, 'label', f)!r} lacks {name}; "
+def require_derivatives(name, f, dim):
+    """f, or DomainError naming the parameter unless f is a scalar
+    functional carrying partial_t, grad and hess, of shapes (), (dim,)
+    and (dim, dim) on dim-dimensional paths."""
+    for part in ("partial_t", "grad", "hess"):
+        if getattr(f, part, None) is None:
+            raise DomainError(f"{getattr(f, 'label', f)!r} lacks {part}; "
                               "a full derivative set is required")
+    require_shape(name, f, ())
+    require_shape(f"{name}.partial_t", f.partial_t, ())
+    require_shape(f"{name}.grad", f.grad, (dim,))
+    require_shape(f"{name}.hess", f.hess, (dim, dim))
+    return f
 
 
 def product_functional():

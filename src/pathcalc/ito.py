@@ -89,7 +89,7 @@ def snap_partition(times, path):
     Values come from evaluating the path at its own knots, so they are the
     stored node data in either interpolation mode.
     """
-    require_path(path)
+    require_path(path=path)
     times = require_grid("times", times)
     if times[0] < 0.0 or times[-1] > path.horizon * (1 + 1e-12):
         raise DomainError("partition leaves [0, horizon]")
@@ -200,11 +200,7 @@ def ito_residual(F, x, times):
     rectangles, the space and quadratic terms left-point coefficients, all
     summed in fixed order.
     """
-    require_derivatives(F)
-    require_shape("F", F, ())
-    require_shape("F.partial_t", F.partial_t, ())
-    require_shape("F.grad", F.grad, (x.dim,))
-    require_shape("F.hess", F.hess, (x.dim, x.dim))
+    require_derivatives("F", F, x.dim)
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     dtau = np.diff(tau)

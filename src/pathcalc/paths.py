@@ -38,8 +38,9 @@ row r equal bit for bit to the same query on ``family.row(r)``.  ``rows``
 is k for a family and None for a single path.
 """
 
-import csv
-import io
+import contextlib
+import re
+import sys
 
 import numpy as np
 
@@ -357,9 +358,15 @@ class SplicedPath(PathBase):
         if seg_times[0] != switch:
             raise DomainError("segment must start at the switch time")
         require_time("seg_times[-1]", float(seg_times[-1]), left.horizon)
-        if seg_values.ndim > 3 or seg_values.shape[0] != len(seg_times) \
+        if seg_values.ndim not in (2, 3) \
+                or seg_values.shape[0] != len(seg_times) \
                 or seg_values.shape[-1] != left.dim:
-            raise DomainError("segment values shape mismatch")
+            raise DomainError(f"seg_values must be ({len(seg_times)}, "
+                              f"{left.dim}) or ({len(seg_times)}, k, "
+                              f"{left.dim}), not {seg_values.shape}")
+        bad = seg_values[~np.isfinite(seg_values)]
+        if bad.size:
+            raise DomainError(f"seg_values must be finite, not {bad[0]}")
         if seg_mode not in _MODES:
             raise DomainError(f"unknown interp_mode {seg_mode!r}")
         seg_times = seg_times.copy()
@@ -481,7 +488,7 @@ class StoppedPath(SplicedPath):
     """
 
     def __init__(self, base, stop_time, value_at_stop=None):
-        require_path(base)
+        require_path(base=base)
         stop_time = require_time("stop_time", stop_time, base.horizon)
         if value_at_stop is None:
             value_at_stop = base.eval(stop_time)
@@ -509,10 +516,12 @@ class StoppedPath(SplicedPath):
         return StoppedPath(self.base, self.stop_time, self.value_at_stop[r])
 
 
-def require_path(*paths):
-    """Raise DomainError if any of paths is a family, where an operation
-    reads one path."""
-    for x in paths:
+def require_path(**paths):
+    """Raise DomainError naming the parameter if any of paths, given by
+    name, is no path, or is a family where an operation reads one path."""
+    for name, x in paths.items():
+        if not isinstance(x, PathBase):
+            raise DomainError(f"{name} must be a path, not {x!r}")
         if x.rows is not None:
             raise DomainError(f"{type(x).__name__} family of {x.rows} rows: "
                               "one path is required; read one with .row(r)")
@@ -565,7 +574,7 @@ def concat(a, s, b):
     b must cover [0, T - s]; any longer tail is discarded.  A jump at s is
     permitted; values are exact at every representable time in either mode.
     """
-    require_path(a, b)
+    require_path(a=a, b=b)
     s = require_time("s", s, a.horizon)
     if a.dim != b.dim:
         raise DomainError("dimension mismatch between the two paths")
@@ -593,7 +602,7 @@ def dist_stopped(x, t, y, s):
     values and left limits are compared; this is exact for piecewise
     constant and piecewise linear paths.
     """
-    require_path(x, y)
+    require_path(x=x, y=y)
     if x.horizon != y.horizon:
         raise DomainError("paths must share a horizon")
     if x.dim != y.dim:
@@ -626,53 +635,89 @@ def ramp_path(slope=1.0, horizon=1.0, n=1025, interp_mode=LINEAR,
     return GridPath(t, v, interp_mode)
 
 
-def path_to_csv(path, dest):
-    """Write a path as CSV: header t,v1,...,vd, one row per knot.
+def _fmt(v):
+    """A value as artifact text: a bool as true or false, a float by repr,
+    a list as its items joined by ';'."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, list):
+        return ";".join(_fmt(x) for x in v)
+    return str(v)
 
-    Floats are written with repr so the round trip is byte stable.  The
-    interpolation mode is recorded in a leading comment line.  One row per
-    knot cannot carry a jump of a linear path, so such a path is rejected.
+
+@contextlib.contextmanager
+def _opened(dest, mode):
+    """dest as a UTF-8 text file: a file name is opened in mode and closed
+    after use; anything else is a file object the caller owns."""
+    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
+        with open(dest, mode, newline="", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield dest
+
+
+def write_csv(out, comments, tables):
+    """Write one artifact to out, a file name, a text file, or None or '-'
+    for stdout: a ``# key = value`` line per (key, value) comment whose
+    value is set, then each (columns, rows) table.  Values are written by
+    _fmt, floats with repr, so a rewrite is byte for byte the same."""
+    lines = [f"# {k} = {_fmt(v)}" for k, v in comments if v is not None]
+    for columns, rows in tables:
+        lines.append(",".join(columns))
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+    with _opened(sys.stdout if out is None or out == "-" else out, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def path_to_csv(path, dest):
+    """Write a path by write_csv: the comment ``interp_mode``, then the
+    table t,v1,...,vd with one row per knot.
+
+    One row per knot cannot carry a jump of a linear path, so such a path
+    is rejected.
     """
-    require_path(path)
+    require_path(path=path)
     grid = np.asarray(path.knots())
     vals = path.eval(grid)
     if path.interp_mode == LINEAR \
             and not np.array_equal(path.eval_left(grid), vals):
         raise DomainError("a linear path with a jump cannot be written "
                           "one row per knot")
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w", newline="") if own else dest
-    try:
-        fh.write(f"# interp_mode = {path.interp_mode}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"v{i + 1}" for i in range(path.dim)])
-        for u, row in zip(grid, vals):
-            writer.writerow([repr(float(u))] + [repr(float(v)) for v in row])
-    finally:
-        if own:
-            fh.close()
+    cols = ["t"] + [f"v{i + 1}" for i in range(path.dim)]
+    write_csv(dest, [("interp_mode", path.interp_mode)],
+              [(cols, np.column_stack([grid, vals]))])
 
 
 def path_from_csv(src, interp_mode=None):
-    """Read a path written by path_to_csv; returns a GridPath."""
-    own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    fh = open(src, "r", newline="") if own else src
+    """Read a path written by path_to_csv; returns a GridPath.
+
+    interp_mode, when given, wins over the file's ``# interp_mode = ...``
+    comment; other comments are ignored.  A mode comment that is not
+    ``key = value``, and a file that is not UTF-8 text, raise DomainError.
+    """
     try:
-        text = fh.read()
-    finally:
-        if own:
-            fh.close()
+        with _opened(src, "r") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise DomainError(f"path CSV {src}: not UTF-8 text ({e})") from None
     mode = interp_mode
     rows = []
     header_seen = False
-    for number, line in enumerate(io.StringIO(text), 1):
+    for number, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("interp_mode") and mode is None:
-                mode = body.split("=", 1)[1].strip()
+            if re.match(r"#+\s*interp_mode\b", line):
+                key, eq, value = line.lstrip("#").partition("=")
+                if not eq or key.strip() != "interp_mode":
+                    raise DomainError(f"path CSV line {number}: expected "
+                                      f"'# interp_mode = <mode>', not "
+                                      f"{line!r}")
+                if mode is None:
+                    mode = value.strip()
             continue
         if not header_seen:
             header_seen = True  # column names; structure is positional
@@ -688,4 +733,4 @@ def path_from_csv(src, interp_mode=None):
     if not rows:
         raise DomainError("no data rows in path CSV")
     arr = np.asarray(rows, dtype=float)
-    return GridPath(arr[:, 0], arr[:, 1:], mode or LINEAR)
+    return GridPath(arr[:, 0], arr[:, 1:], LINEAR if mode is None else mode)

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pathcalc
-from pathcalc import brownian_path, path_from_csv, path_to_csv, ramp_path
+from pathcalc import brownian_path, constant_direction, path_from_csv, \
+    path_to_csv, ramp_path, solve_flow
 from pathcalc.cli import OPTS, build_parser, main
 
 DATA = Path(__file__).with_name("data")
@@ -199,6 +200,25 @@ def test_malformed_config_line_exits_two(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("opt, raw, named", [
+    ("--config", b"index = 1\n\xff\xfe\n", "cannot read config "),
+    ("--path", b"\xff\xfe", "path CSV "),
+    ("--path", b"# interp_mode\nt,v1\n0.0,1.0\n1.0,2.0\n", "path CSV line 1"),
+    ("--path", b"# interp_mode: cadlag_hold\nt,v1\n0.0,1.0\n1.0,2.0\n",
+     "path CSV line 1"),
+], ids=["config_not_utf8", "path_not_utf8", "mode_without_value",
+        "mode_with_colon"])
+def test_unreadable_text_file_is_one_line(tmp_path, capsys, opt, raw, named):
+    # each leaked a UnicodeDecodeError or IndexError traceback
+    src = tmp_path / "input.txt"
+    src.write_bytes(raw)
+    arg = str(src) if opt == "--config" else f"csv:{src}"
+    assert main(["deriv", opt, arg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config-error: " + named)
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # error channels
 
@@ -259,6 +279,23 @@ def test_flow_artifact_is_a_loadable_path(tmp_path):
     # constant unit field on the zero-started ramp gives y(t) = t
     ts = np.linspace(0.0, 1.0, 17)
     assert np.allclose(p.eval(ts)[:, 0], ts, atol=1e-12)
+
+
+def test_flow_artifact_table_is_the_path_csv_of_its_solution(tmp_path):
+    # guard: below its configuration comments the artifact is, byte for
+    # byte, the path CSV of the solved flow
+    out = tmp_path / "flow.csv"
+    assert main(["flow", "--direction", "const:1.0", "--path", "ramp:1.0",
+                 "--out", str(out)]) == 0
+    sol = solve_flow(ramp_path(1.0), 0.0, constant_direction([1.0]))
+    assert sol.values[0, 0] != sol.values[-1, 0]  # a flow, not a stop
+    buf = io.StringIO()
+    path_to_csv(sol.path, buf)
+    mode, *table = buf.getvalue().splitlines()
+    lines = _lines(out.read_bytes())
+    assert mode in lines
+    assert lines[-len(table):] == table
+    assert lines[-len(table) - 1].startswith("# ")
 
 
 def test_flow_euler_artifact_is_a_loadable_path(tmp_path):

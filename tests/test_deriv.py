@@ -248,6 +248,18 @@ _WRONG_SHAPES = {
 }
 
 
+@pytest.mark.parametrize("call, name, want", [
+    (lambda x: recover_gradient(builtin("eval"), [None], 0.5, x),
+     "fields[0]", "(1,)"),
+    (lambda x: euler_flow(x, 0.5, None), "gamma", "(1,)"),
+], ids=["recover_field", "euler_flow"])
+def test_none_for_a_functional_is_refused_by_name(call, name, want):
+    # reading None's shape raised AttributeError
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} must be a "
+                       f"functional of shape {re.escape(want)}, not None$"):
+        call(ramp_path(1.0, 1.0, n=65))
+
+
 @pytest.mark.parametrize("study", sorted(_WRONG_SHAPES))
 def test_studies_refuse_a_functional_of_the_wrong_shape(study):
     # a (2,) F raised numpy's broadcast or reshape ValueError, and a (2,)

@@ -247,9 +247,19 @@ def test_grad_absent_for_running_max(ramp):
     F = builtin("running_max")
     assert F.grad is None and F.hess is None
     with pytest.raises(DomainError):
-        require_derivatives(F)
+        require_derivatives("F", F, 1)
     with pytest.raises(DomainError):
         check_hessian_symmetry(F)
+
+
+def test_require_derivatives_checks_the_set_by_name_and_dimension():
+    F = builtin("square")
+    assert require_derivatives("F", F, 1) is F
+    with pytest.raises(DomainError, match=r"^f\.grad must be a functional "
+                                          r"of shape \(2,\), not \(1,\)$"):
+        require_derivatives("f", F, 2)
+    with pytest.raises(DomainError, match="lacks partial_t"):
+        require_derivatives("f", None, 1)
 
 
 def test_constant_functional_flags():

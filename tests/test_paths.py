@@ -327,10 +327,19 @@ def test_concat_rejects_a_bad_junction_or_dimension(s, b, match):
     (0.5, [0.5, 0.75, 0.75], [[1.0], [2.0], [3.0]], LINEAR,
      "strictly increasing"),
     (0.5, [0.5, 1.0], [[1.0], [2.0]], "spline", "unknown interp_mode"),
+    (0.5, [0.5, 1.0], [[np.nan], [1.0]], LINEAR,
+     r"^seg_values must be finite, not nan$"),
+    (0.5, [0.5, 1.0], [[1.0], [-np.inf]], LINEAR,
+     r"^seg_values must be finite, not -inf$"),
+    (0.5, [0.5, 1.0], 1.0, LINEAR,
+     r"^seg_values must be \(2, 1\) or \(2, k, 1\), not \(\)$"),
+    (0.5, [0.5, 1.0], [[1.0, 2.0], [3.0, 4.0]], LINEAR,
+     r"^seg_values must be \(2, 1\) or \(2, k, 1\), not \(2, 2\)$"),
 ] + [(0.5, bad_grid(fault, 0.5, 1.0), [[1.0]], LINEAR,
       grid_error(fault, "seg_times")) for fault in GRID_FAULTS],
     ids=["switch_outside", "segment_starts_elsewhere", "segment_too_long",
-         "segment_times_repeat", "unknown_mode"] + list(GRID_FAULTS))
+         "segment_times_repeat", "unknown_mode", "nan_value", "inf_value",
+         "scalar_values", "values_of_another_dim"] + list(GRID_FAULTS))
 def test_splice_rejects_a_bad_segment(switch, times, values, mode, match):
     with pytest.raises(DomainError, match=match):
         SplicedPath(constant_path(0.0), switch, times, values, mode)
@@ -448,6 +457,37 @@ def test_csv_header_and_mode_comment():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# interp_mode = linear"
     assert lines[1] == "t,v1,v2"
+
+
+@pytest.mark.parametrize("comment, match", [
+    ("# interp_mode", r"^path CSV line 1: expected '# interp_mode = <mode>', "
+                      r"not '# interp_mode'$"),
+    ("# interp_mode: cadlag_hold", r"^path CSV line 1: expected "),
+    ("# interp_mode = ", r"^unknown interp_mode ''$"),
+], ids=["no_value", "colon", "empty"])
+def test_csv_mode_comment_is_read_by_its_exact_key(comment, match):
+    text = f"{comment}\nt,v1\n0.0,1.0\n1.0,2.0\n"
+    with pytest.raises(DomainError, match=match):
+        path_from_csv(io.StringIO(text))
+    # a key that only starts with interp_mode is any other comment
+    other = "# interp_modes = cadlag_hold\n# note: interp_mode\n"
+    p = path_from_csv(io.StringIO(other + "t,v1\n0.0,1.0\n1.0,2.0\n"))
+    assert p.interp_mode == LINEAR
+
+
+def test_csv_that_is_not_utf8_is_a_domain_error(tmp_path):
+    src = tmp_path / "p.csv"
+    src.write_bytes(b"\xff\xfe")
+    with pytest.raises(DomainError, match=r"^path CSV .*p\.csv: not UTF-8 "):
+        path_from_csv(src)
+
+
+def test_csv_to_none_or_dash_is_stdout(capsys):
+    buf = io.StringIO()
+    path_to_csv(ramp_path(1.0, n=5), buf)
+    for dest in (None, "-"):
+        path_to_csv(ramp_path(1.0, n=5), dest)
+        assert capsys.readouterr().out == buf.getvalue()
 
 
 def test_csv_mode_override_and_empty():
@@ -675,6 +715,20 @@ def test_a_non_finite_held_value_is_rejected(held):
         bump(x, 0.5, [held])
     with pytest.raises(DomainError, match="held value must be finite"):
         StoppedPath(x, 0.5, [[0.0], [held]])
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: StoppedPath(None, 0.5), r"^base must be a path, not None$"),
+    (lambda: concat(constant_path(0.0), 0.5, None),
+     r"^b must be a path, not None$"),
+    (lambda: dist_stopped(ramp_path(1.0), 0.5, [0.0, 1.0], 0.5),
+     r"^y must be a path, not \[0\.0, 1\.0\]$"),
+    (lambda: path_to_csv(None, io.StringIO()),
+     r"^path must be a path, not None$"),
+], ids=["stopped_path", "concat", "dist_stopped", "path_to_csv"])
+def test_what_is_no_path_is_refused_by_name(make, match):
+    with pytest.raises(DomainError, match=match):
+        make()
 
 
 @pytest.mark.parametrize("stop_time", [-0.25, 1.5, np.nan])
