@@ -29,8 +29,6 @@ from .functionals import CATALOG, builtin, constant_direction, \
 from .paths import constant_path, path_from_csv, ramp_path, stop, \
     write_csv
 
-__all__ = ["main"]
-
 
 # ---------------------------------------------------------------------------
 # option table

@@ -91,6 +91,10 @@ def judge(etas, quotients, ratio, label=""):
     """Classify a quotient ladder; see the module docstring."""
     etas = np.asarray(etas, dtype=float)
     quotients = np.asarray(quotients, dtype=float)
+    if etas.ndim != 1 or quotients.shape != etas.shape or len(etas) <= TAIL:
+        raise ConfigError(f"judge needs one quotient per eta, at least "
+                          f"{TAIL + 1}, not {etas.shape} etas and "
+                          f"{quotients.shape} quotients")
     tail = quotients[-TAIL:]
     med = float(np.median(tail))
     spread = float(tail.max() - tail.min())
@@ -139,6 +143,14 @@ def ladder_flow_grid(t, etas, refine=8):
     return grid
 
 
+def _study_point(F, t, x):
+    """t as a float in x's horizon, once F is a real functional and x one
+    path: a study checks its arguments before it reads one."""
+    require_path(x=x)
+    require_shape("F", F, ())
+    return require_time("t", t, x.horizon)
+
+
 def time_study(F, t, x, gamma, ladder, label):
     """Judge (F(t + eta) - F(t)) / eta along one extension of x from t,
     dividing by the realized float gaps.
@@ -149,9 +161,7 @@ def time_study(F, t, x, gamma, ladder, label):
     where the largest piece would not fit the solver's contraction window
     1/(2K) with its 1e-9 slack.
     """
-    require_path(x=x)
-    require_shape("F", F, ())
-    t = require_time("t", t, x.horizon)
+    t = _study_point(F, t, x)
     etas = ladder.steps()
     if not (0.0 <= t < t + etas[-1]
             and t + etas[0] <= x.horizon * (1 + 1e-12)):
@@ -179,8 +189,7 @@ def bump_values(F, t, x, hs, dirs):
     """F on x bumped at t by h * dirs[s], for every step h of hs and every
     row s of dirs, as a (len(hs), len(dirs)) array.  All bumps are rows of
     one family held at t, read in one eval call."""
-    require_path(x=x)
-    require_shape("F", F, ())
+    t = _study_point(F, t, x)
     pin = stop_exactly(x, t)
     # every step's held values at once, as bump() would add them
     held = pin.value_at_stop + hs[:, None, None] * dirs
@@ -195,7 +204,7 @@ def d_gamma(F, gamma, t, x, ladder=None):
     once per study.  A direction that vanishes along the extension gives
     exactly the stopped path, so the study then equals d_horizontal
     quotient by quotient."""
-    t = require_time("t", t, x.horizon)
+    t = _study_point(F, t, x)
     label = require_field("gamma", gamma).label
     return time_study(F, t, x, gamma, ladder or QuotientLadder(),
                       f"d_gamma[{F.label}|{label}]@{t:g}")
@@ -203,7 +212,7 @@ def d_gamma(F, gamma, t, x, ladder=None):
 
 def d_horizontal(F, t, x, ladder=None):
     """Time derivative of F along the stopped extension of x at t."""
-    t = require_time("t", t, x.horizon)
+    t = _study_point(F, t, x)
     return time_study(F, t, x, None, ladder or QuotientLadder(),
                       f"d_horizontal[{F.label}]@{t:g}")
 
@@ -221,13 +230,13 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     ladder = ladder or SPACE_LADDER
     if scheme not in ("central", "forward"):
         raise ConfigError(f"unknown scheme {scheme!r}")
+    t = _study_point(F, t, x)
     i = require_count("axis", i, low=None)
     if not 0 <= i < x.dim:
         raise DomainError(f"axis {i} outside dimension {x.dim}")
     e = np.zeros((3, x.dim))    # up, down, unbumped
     e[0, i], e[1, i] = 1.0, -1.0
     hs = ladder.steps()
-    t = require_time("t", t, x.horizon)
     label = f"d_space[{F.label};{i};{scheme}]@{t:g}"
     if scheme == "forward":
         v = bump_values(F, t, x, hs, e[:1])
@@ -290,10 +299,12 @@ def recover_gradient(F, fields, t, x, ladder=None, cond_max=1e8):
     fields must contain exactly dim direction fields whose values at
     (t, x) form a well-conditioned matrix.
     """
+    t = _study_point(F, t, x)
     require_finite("cond_max", cond_max)
     d = x.dim
-    if len(fields) != d:
-        raise DomainError(f"need {d} direction fields, got {len(fields)}")
+    if not hasattr(fields, "__len__") or len(fields) != d:
+        raise DomainError(f"fields must be {d} direction fields, not "
+                          f"{fields!r}")
     xt = stop(x, t)
     mat = np.stack([require_shape(f"fields[{i}]", f, (d,)).eval(t, xt)
                     for i, f in enumerate(fields)])
@@ -328,7 +339,7 @@ def horizontal_from_gamma(F, gamma, t, x, h, ladder=None):
     Quadrature nodes follow the ladder layout (geometric refinement toward
     t); each node needs its own converged d_gamma and d_space studies.
     """
-    t = require_time("t", t, x.horizon)
+    t = _study_point(F, t, x)
     h = require_finite("h", h, error=DomainError)
     lad = ladder or QuotientLadder()
     if t + h + lad.eta0 > x.horizon * (1 + 1e-12):

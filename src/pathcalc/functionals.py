@@ -499,9 +499,10 @@ def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0):
     values: reports the max of |F(s, x)| over random paths confined to
     [-box_radius, box_radius]^d, with s running over grid times up to and
     including the horizon.  A non-finite value fails the probe."""
+    box_radius = require_finite("box_radius", box_radius)
     draws = _samples(seed, 1, samples, dim, horizon, n_lo=64, n_hi=65,
                      box=box_radius)
-    if not 0.0 < 2.0 * box_radius < np.inf:
+    if not 2.0 * box_radius < np.inf:
         raise ConfigError("box_radius must be positive, 2 * box_radius finite")
     worst = 0.0
     where = None
@@ -540,20 +541,3 @@ def probe_lipschitz(field, samples=200, seed=0, horizon=1.0, dim=None):
         worst = _worse(worst, diff / gap)
     ok = worst <= field.lipschitz_K * (1 + 1e-9)
     return ProbeReport(f"lipschitz[{field.label}]", ok, worst, samples)
-
-
-def check_hessian_symmetry(F, samples=50, seed=0, dim=1, horizon=1.0,
-                           tol=1e-12):
-    """Verify coded second derivatives are symmetric at random points."""
-    if F.hess is None:
-        raise DomainError(f"{F.label}: second derivative absent")
-    dim = require_count("dim", dim, 1)
-    require_shape("F.hess", F.hess, (dim, dim))
-    require_finite("tol", tol, zero=True)
-    worst = 0.0
-    for _, gen, x in _samples(seed, 3, samples, dim, horizon):
-        t = float(gen.uniform(0.0, horizon))
-        h = F.hess.eval(t, x)
-        worst = _worse(worst, float(np.abs(h - h.T).max()))
-    return ProbeReport(f"hessian_symmetry[{F.label}]", worst <= tol, worst,
-                       samples)

@@ -24,63 +24,8 @@ from .errors import ConfigError, DomainError, GridMismatchError, \
 from .functionals import require_derivatives
 from .paths import GridPath, LINEAR, grid_view, require_path
 
-__all__ = [
-    "PartitionSequence", "snap_partition", "QVMatrixPath",
-    "quadratic_covariation", "partition_integral", "ItoDecomposition",
-    "ito_residual", "StratonovichResult", "stratonovich_integral",
-    "midpoint_sum", "polygonal", "brownian_path", "dyadic_subsample",
-]
-
 N_EXP_MAX = 24          # brownian_path holds at most 2**24 values
 _TINY = np.finfo(float).tiny    # the smallest normal float
-
-
-class PartitionSequence:
-    """Family of refining partitions of [0, horizon], indexed by level.
-
-    kind 'dyadic': level n has 2^n equal cells (0 <= n <= N_EXP_MAX).  kind
-    'uniform': level n has n cells (1 <= n <= 2^N_EXP_MAX).  kind 'custom'
-    reads `grids`, which no other kind takes: a list of arrays from 0 to the
-    horizon in refining order, whose meshes must decrease strictly.
-    """
-
-    def __init__(self, horizon=1.0, kind="dyadic", grids=None):
-        self.horizon = require_finite("horizon", horizon, error=DomainError)
-        self.kind = kind
-        self._grids = None
-        if kind == "custom":
-            if grids is None or not len(grids):
-                raise DomainError("custom partitions need grids")
-            self._grids = [require_grid(f"grids[{i}]", g, start=0.0,
-                                        end=self.horizon)
-                           for i, g in enumerate(grids)]
-            meshes = [np.diff(g).max() for g in self._grids]
-            if not all(a > b for a, b in zip(meshes, meshes[1:])):
-                raise DomainError("meshes must decrease strictly")
-        elif kind not in ("dyadic", "uniform"):
-            raise DomainError(f"unknown partition kind {kind!r}")
-        elif grids is not None:
-            raise DomainError(f"grids are read for kind 'custom' only, not "
-                              f"for {kind!r}")
-
-    def grid(self, level):
-        level = require_count("level", level, low=None)
-        if self.kind == "dyadic":
-            if not 0 <= level <= N_EXP_MAX:
-                raise DomainError(f"dyadic level must be in [0, {N_EXP_MAX}]"
-                                  f", not {level}")
-            return np.linspace(0.0, self.horizon, 2 ** level + 1)
-        if self.kind == "uniform":
-            if not 1 <= level <= 2 ** N_EXP_MAX:
-                raise DomainError(f"uniform level must be in [1, 2**"
-                                  f"{N_EXP_MAX}], not {level}")
-            return np.linspace(0.0, self.horizon, level + 1)
-        if not 0 <= level < len(self._grids):
-            raise DomainError(f"custom sequence has {len(self._grids)} grids")
-        return self._grids[level]
-
-    def mesh(self, level):
-        return float(np.diff(self.grid(level)).max())
 
 
 def snap_partition(times, path):
@@ -158,15 +103,6 @@ def quadratic_covariation(x, times):
     return QVMatrixPath(tau, outer_increment_prefix(dx))
 
 
-def partition_integral(G, x, times):
-    """Left-point sum of <G(t_j, x), x(t_{j+1}) - x(t_j)>."""
-    require_shape("G", G, (x.dim,))
-    tau, v = snap_partition(times, x)
-    dx = np.diff(v, axis=0)
-    g = G.eval_many(tau[:-1], x)
-    return float(dot_increment_prefix(g, dx)[-1])
-
-
 @dataclass
 class ItoDecomposition:
     """Second-order discrete update of F along one partition.
@@ -200,6 +136,7 @@ def ito_residual(F, x, times):
     rectangles, the space and quadratic terms left-point coefficients, all
     summed in fixed order.
     """
+    require_path(x=x)
     require_derivatives("F", F, x.dim)
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
@@ -230,6 +167,7 @@ class StratonovichResult:
 
 def stratonovich_integral(G, x, times):
     """Midpoint-form partition integral of G against dx."""
+    require_path(x=x)
     require_shape("G", G, (x.dim,))
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
@@ -242,20 +180,13 @@ def stratonovich_integral(G, x, times):
 def midpoint_sum(G, x, times):
     """Direct averaged-endpoint sum; agrees with stratonovich_integral up
     to roundoff and serves as its independent cross-check."""
+    require_path(x=x)
     require_shape("G", G, (x.dim,))
     tau, v = snap_partition(times, x)
     dx = np.diff(v, axis=0)
     g = G.eval_many(tau, x)
     gm = 0.5 * (g[:-1] + g[1:])
     return float(dot_increment_prefix(gm, dx)[-1])
-
-
-def polygonal(x, times):
-    """Piecewise-linear interpolant of x through the snapped partition."""
-    tau, v = snap_partition(times, x)
-    if tau[0] != 0.0:
-        raise DomainError("polygonal approximant must start at 0")
-    return GridPath(tau, v, LINEAR)
 
 
 def brownian_path(seed, index, n_exp=16, horizon=1.0, dim=1):
@@ -292,9 +223,10 @@ def brownian_path(seed, index, n_exp=16, horizon=1.0, dim=1):
 def dyadic_subsample(path, level, n_exp=None):
     """Times of the level-`level` dyadic partition as an exact subset of a
     dyadically sampled path's knots."""
+    require_path(path=path)
     knots = np.asarray(path.knots())
-    if n_exp is None:
-        n_exp = int(round(np.log2(len(knots) - 1)))
+    n_exp = int(round(np.log2(len(knots) - 1))) if n_exp is None \
+        else require_count("n_exp", n_exp)
     if 2 ** n_exp + 1 != len(knots):
         raise GridMismatchError(f"path has {len(knots)} knots, "
                                 f"not 2**{n_exp} + 1")

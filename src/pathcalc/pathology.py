@@ -24,7 +24,7 @@ from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, \
 from .errors import DomainError, require_finite, require_time
 from .functionals import DirectionField, Functional, constant_direction, \
     running_mean
-from .paths import ramp_path, stop
+from .paths import ramp_path, require_path, stop
 
 GUARD = 1e-300        # |y| below this evaluates f as 0
 PHI_TOL = 1e-10       # |surface value| below this counts as on-surface
@@ -136,6 +136,7 @@ def expansion_rate(gamma, t, x):
     d/d eta [Phi(t + eta)] at eta = 0 equals gamma(t,x) - 2(x(t) - mean)/t,
     covering the horizontal case with gamma = 0.
     """
+    require_path(x=x)
     t = require_time("t", t, x.horizon)
     if t <= 0:
         raise DomainError("expansion rate needs t > 0")
@@ -166,6 +167,7 @@ class ExpansionCheck:
 def expansion_check(t0, x, gamma=None):
     """Ladder study of (Phi(t0+eta) - Phi(t0)) / eta against the predicted
     rate.  gamma=None means the horizontal (frozen) extension."""
+    require_path(x=x)
     _require_1d(x)
     t0 = require_time("t0", t0, x.horizon)
     lad = QuotientLadder()
@@ -200,6 +202,7 @@ def check_direction(gamma, t0, x):
     """Run d_gamma on F and compare verdict and value with the expansion
     theory: alpha = 0 differentiates (limit f'(phi0) * alpha, which is 0 on
     the surface), alpha != 0 on the surface oscillates."""
+    require_path(x=x)
     F = counterexample_functional()
     t0 = require_time("t0", t0, x.horizon)
     xt = stop(x, t0)

@@ -347,6 +347,7 @@ class SplicedPath(PathBase):
     """
 
     def __init__(self, left, switch, seg_times, seg_values, seg_mode=LINEAR):
+        require_path(left=left)
         seg_times = require_times("seg_times", seg_times)
         seg_values = np.asarray(seg_values, dtype=float)
         if seg_values.ndim == 1:
@@ -516,13 +517,14 @@ class StoppedPath(SplicedPath):
         return StoppedPath(self.base, self.stop_time, self.value_at_stop[r])
 
 
-def require_path(**paths):
+def require_path(family=False, **paths):
     """Raise DomainError naming the parameter if any of paths, given by
-    name, is no path, or is a family where an operation reads one path."""
+    name, is no path, or is a family where an operation reads one path
+    (unless family is set)."""
     for name, x in paths.items():
         if not isinstance(x, PathBase):
             raise DomainError(f"{name} must be a path, not {x!r}")
-        if x.rows is not None:
+        if x.rows is not None and not family:
             raise DomainError(f"{type(x).__name__} family of {x.rows} rows: "
                               "one path is required; read one with .row(r)")
 
@@ -536,6 +538,7 @@ def stop(x, t):
     and stopped before it is one path; any other stop of a family, and a
     bump of one after its stop time, raises DomainError.
     """
+    require_path(x=x, family=True)
     t = require_time("t", t, x.horizon)
     if t == x.horizon:
         return x
@@ -552,10 +555,10 @@ def bump(x, t, h):
     x may already be stopped at t, as in a derivative study that stops once
     and bumps on every rung; the bump then reuses the stopped value.
     """
+    xt = stop_exactly(x, t)
     h = np.asarray(h, dtype=float).reshape(-1)
     if h.shape != (x.dim,):
         raise DomainError(f"bump must have shape ({x.dim},)")
-    xt = stop_exactly(x, t)
     return StoppedPath(xt.base, xt.stop_time, xt.value_at_stop + h)
 
 

@@ -68,12 +68,6 @@ def substream(seed, index):
     return Generator(Philox(key=_key(seed), counter=index << 128))
 
 
-def uniforms(seed, index, n):
-    """n uniforms in (0,1) from the given substream, shifted off 0."""
-    n = require_count("n", n)
-    return _shift(substream(seed, index).random(n))
-
-
 def normal_block(seed, first, count, shape):
     """Standard normals of substreams first .. first+count-1, one per row.
 

@@ -106,6 +106,20 @@ def test_judge_scale_aware_tolerance():
     assert judge(etas, wobble, lad.ratio).verdict != CONVERGED
 
 
+@pytest.mark.parametrize("etas, quotients", [
+    ([1e-2], [1.0]), ([], []), (0.5 ** np.arange(5), np.ones(5)),
+    (0.5 ** np.arange(6), [1.0, 1.0]), (0.5 ** np.arange(6), np.ones(7)),
+    (np.ones((6, 2)), np.ones((6, 2))),
+], ids=["one_rung", "empty", "five_rungs", "six_etas_two_quotients",
+        "six_etas_seven_quotients", "two_columns"])
+def test_judge_refuses_a_ladder_it_cannot_judge(etas, quotients):
+    # one rung was judged converged with estimate NaN, an empty ladder
+    # raised numpy's ValueError, and lengths went unchecked
+    with pytest.raises(ConfigError, match=r"^judge needs one quotient per "
+                                          r"eta, at least 6, not "):
+        judge(etas, quotients, 0.5)
+
+
 def test_ladder_validation():
     with pytest.raises(ConfigError):
         QuotientLadder(eta0=0.0)

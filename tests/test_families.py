@@ -43,7 +43,6 @@ from pathcalc import (
     martingale_check,
     mean_functional,
     path_to_csv,
-    polygonal,
     ramp_path,
     running_avg_direction,
     simulate_sde,
@@ -266,7 +265,6 @@ _PARTITION = np.linspace(0.0, 1.0, 5)
     lambda fam: path_to_csv(fam, io.StringIO()),
     lambda fam: snap_partition(_PARTITION, fam),
     lambda fam: ito_residual(builtin("square"), fam, _PARTITION),
-    lambda fam: polygonal(fam, _PARTITION),
     lambda fam: solve_flow(fam, 0.5, eval_direction(1)),
     lambda fam: euler_flow(fam, 0.5, eval_direction(1)),
     lambda fam: estimate_f(_GAUSS, 0.5, fam, n_paths=4),
@@ -276,9 +274,9 @@ _PARTITION = np.linspace(0.0, 1.0, 5)
     lambda fam: bump(fam, 0.75, [1.0]),
     lambda fam: stop_exactly(fam, 0.75),
 ], ids=["concat_head", "concat_tail", "dist_stopped", "path_to_csv",
-        "snap_partition", "ito_residual", "polygonal", "solve_flow",
-        "euler_flow", "estimate_f", "fk_residual", "d_horizontal",
-        "d_space", "bump_past_the_cut", "stop_exactly_past_the_cut"])
+        "snap_partition", "ito_residual", "solve_flow", "euler_flow",
+        "estimate_f", "fk_residual", "d_horizontal", "d_space",
+        "bump_past_the_cut", "stop_exactly_past_the_cut"])
 @pytest.mark.parametrize("family", [
     lambda: StoppedPath(ramp_path(1.0, n=5), 0.5, [[0.1], [0.2], [0.3]]),
     lambda: StoppedPath(ramp_path(1.0, n=5, interp_mode=CADLAG), 0.5,

@@ -18,7 +18,6 @@ from pathcalc import (
     benchmark,
     builtin,
     bump,
-    check_hessian_symmetry,
     constant_functional,
     constant_direction,
     constant_matrix_field,
@@ -248,8 +247,6 @@ def test_grad_absent_for_running_max(ramp):
     assert F.grad is None and F.hess is None
     with pytest.raises(DomainError):
         require_derivatives("F", F, 1)
-    with pytest.raises(DomainError):
-        check_hessian_symmetry(F)
 
 
 def test_require_derivatives_checks_the_set_by_name_and_dimension():
@@ -346,16 +343,12 @@ def _fn(t, x):
      "^axis 1 outside dimension 1$"),
     (lambda: running_max_functional(axis=2, dim=2), DomainError,
      "^axis 2 outside dimension 2$"),
-    (lambda: check_hessian_symmetry(builtin("square", dim=2), dim=1),
-     DomainError, r"^F\.hess must be a functional of shape \(1, 1\), not "
-                  r"\(2, 2\)$"),
 ], ids=["vector_fractional", "vector_nan", "vector_zero", "vector_negative",
         "matrix_fractional", "matrix_zero", "eval_direction_fractional",
         "running_avg_direction_fractional",
         "builtin_fractional_dim", "zero_direction_zero",
         "numerical_derivatives_fractional", "constant_path_fractional",
-        "catalog_axis_outside", "running_max_axis_outside",
-        "hessian_symmetry_on_fewer_coordinates"])
+        "catalog_axis_outside", "running_max_axis_outside"])
 def test_functional_sizes_are_errors_naming_them(call, error, match):
     # each was cut by int() or passed through: a (1,) shape for 1.5, a (0,)
     # or (-1,) shape, or a builtin TypeError or ValueError
@@ -478,10 +471,6 @@ def test_lipschitz_probe_constant_field_is_zero():
     assert rep.metric == 0.0
 
 
-def _nan_matrix(t, x):
-    return np.full((2, 2), np.nan)
-
-
 @pytest.mark.parametrize("probe", [
     lambda: probe_non_anticipative(Functional(lambda t, x: np.nan),
                                    samples=5),
@@ -489,10 +478,7 @@ def _nan_matrix(t, x):
                               samples=5),
     lambda: probe_lipschitz(
         DirectionField(lambda t, x: np.array([np.nan]), 1, 0.0), samples=5),
-    lambda: check_hessian_symmetry(FunctionalWithDerivatives(
-        lambda t, x: 0.0, hess=MatrixFunctional(_nan_matrix, (2, 2))),
-        samples=5, dim=2),
-], ids=["non_anticipative", "boundedness", "lipschitz", "hessian_symmetry"])
+], ids=["non_anticipative", "boundedness", "lipschitz"])
 def test_a_probe_that_meets_nan_fails(probe):
     rep = probe()
     assert not rep.passed
@@ -549,26 +535,11 @@ def test_a_constant_must_be_finite(make, value):
         make(value)
 
 
-def test_hessian_symmetry_pass_and_fail():
-    assert check_hessian_symmetry(product_functional(), dim=2).passed
-    lopsided = FunctionalWithDerivatives(
-        lambda t, x: 0.0, label="lopsided",
-        partial_t=constant_functional(0.0),
-        grad=constant_direction([0.0, 0.0]),
-        hess=constant_matrix_field([[0.0, 1.0], [0.0, 0.0]]))
-    assert not check_hessian_symmetry(lopsided, dim=2).passed
-    # an infinite tolerance would pass the lopsided Hessian
-    for tol in (np.inf, np.nan, -1.0):
-        with pytest.raises(ConfigError, match="^tol must be"):
-            check_hessian_symmetry(lopsided, dim=2, tol=tol)
-
-
 @pytest.mark.parametrize("probe", [
     lambda **kw: probe_non_anticipative(builtin("eval"), **kw),
     lambda **kw: probe_boundedness(builtin("eval"), 1.0, **kw),
     lambda **kw: probe_lipschitz(eval_direction(1), **kw),
-    lambda **kw: check_hessian_symmetry(builtin("square"), **kw),
-], ids=["non_anticipative", "boundedness", "lipschitz", "hessian_symmetry"])
+], ids=["non_anticipative", "boundedness", "lipschitz"])
 @pytest.mark.parametrize("kw", [
     {"samples": 0}, {"samples": -3}, {"dim": 0}, {"horizon": -1.0},
     {"horizon": 0.0}, {"horizon": np.nan}, {"horizon": np.inf},

@@ -1,8 +1,9 @@
 """Modules of the package share only public names and import only what
-they use."""
+they use, and every export implements a paper object or has a caller."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +60,43 @@ def test_import_leaves_scipy_unloaded_until_the_first_normal_draw():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["False", "True"]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+# exports that implement no paper object, each mapped to the file of its
+# caller: the CLI or an acceptance criterion
+CALLERS = {
+    "ConfigError": "src/pathcalc/cli.py",
+    "DomainError": "src/pathcalc/cli.py",
+    "NumericalError": "src/pathcalc/cli.py",
+    "numerical_derivatives": "tests/test_acceptance.py",
+    "rng": "tests/test_acceptance.py",
+}
+
+
+def _exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _paper_table():
+    """Names in the last column of the README's "Paper to code" table."""
+    text = (REPO / "README.md").read_text()
+    section = text.split("\n## Paper to code\n")[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    return {name for row in rows[2:]
+            for name in re.findall(r"`(\w+)`", row.split("|")[-2])}
+
+
+def test_every_export_has_a_paper_row_or_a_caller():
+    table = _paper_table()
+    exports = _exports()
+    assert not table - exports, "the table names what is not exported"
+    bare = sorted(exports - table - set(CALLERS))
+    assert not bare, "exports with neither a paper row nor a caller"
+    for name, path in CALLERS.items():
+        assert name in exports
+        assert re.search(rf"\b{name}\b", (REPO / path).read_text()), \
+            f"{path} does not call {name}"

@@ -15,7 +15,6 @@ from pathcalc import (
     GridMismatchError,
     GridPath,
     LINEAR,
-    PartitionSequence,
     VectorFunctional,
     brownian_path,
     builtin,
@@ -25,8 +24,6 @@ from pathcalc import (
     dyadic_subsample,
     ito_residual,
     midpoint_sum,
-    partition_integral,
-    polygonal,
     quadratic_covariation,
     ramp_path,
     snap_partition,
@@ -62,75 +59,6 @@ def _random_subpartition(gen, path):
 
 # ---------------------------------------------------------------------------
 # partitions and snapping
-
-
-def test_partition_sequence_dyadic_and_uniform():
-    seq = PartitionSequence(1.0, "dyadic")
-    assert len(seq.grid(3)) == 9
-    assert seq.mesh(3) == 0.125
-    uni = PartitionSequence(2.0, "uniform")
-    assert len(uni.grid(4)) == 5
-    assert uni.mesh(4) == 0.5
-    with pytest.raises(DomainError):
-        seq.grid(-1)
-    with pytest.raises(DomainError):
-        uni.grid(0)
-    for level in (2.5, np.nan):
-        for s in (seq, uni):
-            with pytest.raises(ConfigError, match="^level must be a whole"):
-                s.grid(level)
-        with pytest.raises(ConfigError, match="^level must be a whole"):
-            dyadic_subsample(ramp_path(1.0, 1.0, n=17), level)
-
-
-def test_partition_sequence_custom_validation():
-    good = PartitionSequence(1.0, "custom",
-                             grids=[[0.0, 0.5, 1.0],
-                                    [0.0, 0.25, 0.5, 0.75, 1.0]])
-    assert good.mesh(0) == 0.5
-    assert good.mesh(1) == 0.25
-    # grids of one length may come as the rows of an array
-    rows = np.array([[0.0, 0.6, 1.0], [0.0, 0.5, 1.0]])
-    assert PartitionSequence(1.0, "custom", grids=rows).mesh(1) == 0.5
-    with pytest.raises(DomainError):
-        # second mesh does not shrink
-        PartitionSequence(1.0, "custom",
-                          grids=[[0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 1.0]])
-    with pytest.raises(DomainError):
-        PartitionSequence(1.0, "custom", grids=[[0.0, 0.5]])
-    with pytest.raises(DomainError, match="strictly increasing"):
-        PartitionSequence(1.0, "custom", grids=[[0.0, 0.5, 0.5, 1.0]])
-    for level in (-1, 2):
-        with pytest.raises(DomainError, match="custom sequence has 2 grids"):
-            good.grid(level)
-    with pytest.raises(DomainError):
-        PartitionSequence(1.0, "banana")
-    with pytest.raises(DomainError):
-        PartitionSequence(1.0, "custom")
-
-
-@pytest.mark.parametrize("fault", GRID_FAULTS)
-def test_custom_sequence_rejects_a_bad_grid(fault):
-    with pytest.raises(DomainError, match=grid_error(fault, "grids[1]")):
-        PartitionSequence(1.0, "custom",
-                          grids=[[0.0, 0.5, 1.0], bad_grid(fault, 0.0, 1.0)])
-
-
-@pytest.mark.parametrize("kind", ["dyadic", "uniform"])
-def test_only_a_custom_sequence_takes_grids(kind):
-    # the grids were dropped: uniform level 2 read [0, 0.5, 1]
-    with pytest.raises(DomainError, match="^grids are read for kind 'custom'"):
-        PartitionSequence(1.0, kind, grids=[[0.0, 0.3, 1.0]])
-
-
-# sizes that numpy refuses without allocating, so a missing check fails fast
-@pytest.mark.parametrize("kind, level", [("dyadic", 60), ("uniform", 2 ** 62)])
-def test_a_level_past_the_cap_is_rejected_before_allocating(kind, level):
-    seq = PartitionSequence(1.0, kind)
-    for read in (seq.grid, seq.mesh):
-        with pytest.raises(DomainError, match=f"level must be in .*, not "
-                                              f"{level}$"):
-            read(level)
 
 
 def test_snap_identity_on_exact_subset():
@@ -224,7 +152,7 @@ def test_qv_brownian_near_horizon_value():
 # partition integrals and the functional update
 
 
-def test_partition_integral_of_gradient_on_ramp():
+def test_left_point_integral_of_gradient_on_ramp():
     # sum 2 x(t_j) dx over x(t) = t is exactly 1 - mesh on dyadic grids
     x = ramp_path(1.0, 1.0, n=2 ** 10 + 1)
     G = VectorFunctional(lambda t, x_: 2.0 * x_.eval(t), 1,
@@ -232,15 +160,8 @@ def test_partition_integral_of_gradient_on_ramp():
     for level in (4, 7, 10):
         times = dyadic_subsample(x, level, n_exp=10)
         mesh = 2.0 ** -level
-        got = partition_integral(G, x, times)
+        got = stratonovich_integral(G, x, times).ito
         assert got == 1.0 - mesh
-
-
-def test_partition_integral_shape_mismatch():
-    x = brownian_path(0, 0, n_exp=6, dim=2)
-    with pytest.raises(DomainError):
-        partition_integral(constant_direction([1.0]), x,
-                           dyadic_subsample(x, 3, n_exp=6))
 
 
 def test_ito_residual_exact_zero_on_dyadic_data():
@@ -323,7 +244,8 @@ def test_constant_integrand_collapses_to_left_sum():
     r = stratonovich_integral(G, p, times)
     assert r.covariation == 0.0
     assert r.value == r.ito
-    assert r.ito == partition_integral(G, p, times)
+    # the midpoint of a constant is the constant, so the two sums are one
+    assert r.ito == midpoint_sum(G, p, times)
 
 
 def test_stratonovich_rejects_an_integrand_of_another_dimension():
@@ -367,15 +289,10 @@ _SHAPE_CASES = {
                               lambda: constant_direction([1.0, 2.0, 3.0]), 2,
                               "G must be a functional of shape (2,), not "
                               "(3,)"),
-    "partition_scalar": (partition_integral, lambda: builtin("square"), 1,
-                         "G must be a functional of shape (1,), not ()"),
     "stratonovich_scalar": (stratonovich_integral, lambda: builtin("square"),
                             1, "G must be a functional of shape (1,), not ()"),
     "midpoint_scalar": (midpoint_sum, lambda: builtin("square"), 1,
                         "G must be a functional of shape (1,), not ()"),
-    "partition_matrix": (partition_integral,
-                         lambda: constant_matrix_field([[1.0]]), 1,
-                         "G must be a functional of shape (1,), not (1, 1)"),
     "stratonovich_matrix": (stratonovich_integral,
                             lambda: constant_matrix_field([[1.0]]), 1,
                             "G must be a functional of shape (1,), not "
@@ -408,12 +325,6 @@ def test_partition_sums_check_declared_shapes_before_they_evaluate(case):
         sum_(make(), p, dyadic_subsample(p, 4, n_exp=6))
 
 
-@pytest.mark.parametrize("horizon", [np.nan, np.inf])
-def test_partition_sequence_rejects_a_horizon_that_is_not_finite(horizon):
-    with pytest.raises(DomainError, match="positive and finite"):
-        PartitionSequence(horizon)
-
-
 def test_chain_rule_for_cubes():
     # int x^2 o dx = (x(1)^3 - x(0)^3) / 3 in the midpoint convention
     errs = []
@@ -433,19 +344,6 @@ def test_chain_rule_error_refines():
                                       dyadic_subsample(p, lvl, n_exp=14)).value
                 - exact) for lvl in (6, 10, 14)]
     assert errs[2] < errs[0]
-
-
-def test_polygonal_preserves_partition_data():
-    p = brownian_path(3, 3, n_exp=8, dim=1)
-    times = dyadic_subsample(p, 5, n_exp=8)
-    poly = polygonal(p, times)
-    assert isinstance(poly, GridPath)
-    assert np.array_equal(poly.times, times)
-    qv_a = quadratic_covariation(p, times).final()
-    qv_b = quadratic_covariation(poly, times).final()
-    assert np.array_equal(qv_a, qv_b)
-    with pytest.raises(DomainError):
-        polygonal(p, times[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +514,27 @@ def test_dyadic_subsample_levels():
     odd = GridPath(np.linspace(0, 1, 1000), np.zeros((1000, 1)))
     with pytest.raises(GridMismatchError):
         dyadic_subsample(odd, 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda p: dyadic_subsample(p, 2.5), ConfigError,
+     "level must be a whole number, not 2.5"),
+    (lambda p: dyadic_subsample(p, np.nan), ConfigError,
+     "level must be a whole number, not nan"),
+    (lambda p: dyadic_subsample(p, 2, n_exp="a"), ConfigError,
+     "n_exp must be a whole number, not 'a'"),
+    (lambda p: dyadic_subsample(p, 2, n_exp=2.5), ConfigError,
+     "n_exp must be a whole number, not 2.5"),
+    (lambda p: dyadic_subsample(None, 2), DomainError,
+     "path must be a path, not None"),
+], ids=["fractional_level", "nan_level", "text_n_exp", "fractional_n_exp",
+        "no_path"])
+def test_dyadic_subsample_reads_its_arguments_by_their_rules(call, error,
+                                                            message):
+    # n_exp='a' raised TypeError, n_exp=2.5 a GridMismatchError naming
+    # 2**2.5 + 1 knots, and a path of None an AttributeError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(ramp_path(1.0, 1.0, n=17))
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,7 +15,6 @@ from pathcalc import (
     DomainError,
     GridPath,
     DirectionField,
-    PartitionSequence,
     PathBase,
     QuotientLadder,
     SDESpec,
@@ -26,7 +25,6 @@ from pathcalc import (
     builtin,
     bump,
     check_direction,
-    check_hessian_symmetry,
     concat,
     constant_path,
     constraint_direction,
@@ -41,16 +39,21 @@ from pathcalc import (
     expansion_rate,
     fk_residual,
     horizontal_from_gamma,
+    ito_residual,
     martingale_check,
+    midpoint_sum,
     path_from_csv,
     path_to_csv,
+    probe_boundedness,
     probe_non_anticipative,
     ramp_battery,
     ramp_path,
     recover_gradient,
+    relation_residual,
     simulate_sde,
     solve_flow,
     stop,
+    stratonovich_integral,
 )
 from pathcalc.deriv import time_study
 from pathcalc.paths import _LOCATE_SEARCH_BELOW, splice_view
@@ -731,6 +734,55 @@ def test_what_is_no_path_is_refused_by_name(make, match):
         make()
 
 
+def _none_entries():
+    """entry: (call, the parameter it names, the rest of the message):
+    each passes None where a functional, a path or a list of fields
+    belongs."""
+    x = ramp_path(1.0, n=65)
+    F = builtin("eval")
+    g = eval_direction(1)
+    t = np.linspace(0.0, 1.0, 5)
+    real, path = "a functional of shape (), not None", "a path, not None"
+    return {
+        "d_horizontal_F": (lambda: d_horizontal(None, 0.5, x), "F", real),
+        "d_gamma_F": (lambda: d_gamma(None, g, 0.5, x), "F", real),
+        "d_space_F": (lambda: d_space(None, 0, 0.5, x), "F", real),
+        "relation_residual_F": (lambda: relation_residual(None, g, 0.5, x),
+                                "F", real),
+        "d_horizontal_x": (lambda: d_horizontal(F, 0.5, None), "x", path),
+        "d_space_x": (lambda: d_space(F, 0, 0.5, None), "x", path),
+        "stop": (lambda: stop(None, 0.5), "x", path),
+        "bump": (lambda: bump(None, 0.5, [1.0]), "x", path),
+        "SplicedPath": (lambda: SplicedPath(None, 0.5, [0.5, 1.0],
+                                            [[0.0], [1.0]]), "left", path),
+        "recover_gradient_x": (lambda: recover_gradient(F, [g], 0.5, None),
+                               "x", path),
+        "recover_gradient_fields": (lambda: recover_gradient(F, None, 0.5, x),
+                                    "fields", "1 direction fields, not None"),
+        "horizontal_from_gamma": (lambda: horizontal_from_gamma(
+            F, g, 0.25, None, 0.25), "x", path),
+        "expansion_rate": (lambda: expansion_rate(g, 0.5, None), "x", path),
+        "expansion_check": (lambda: expansion_check(0.5, None), "x", path),
+        "check_direction": (lambda: check_direction(g, 0.5, None), "x",
+                            path),
+        "ito_residual": (lambda: ito_residual(builtin("square"), None, t),
+                         "x", path),
+        "stratonovich_integral": (lambda: stratonovich_integral(g, None, t),
+                                  "x", path),
+        "midpoint_sum": (lambda: midpoint_sum(g, None, t), "x", path),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_none_entries()))
+def test_none_is_refused_by_name_before_it_is_read(entry):
+    # each read an attribute of None first (a label, horizon or dim) and
+    # raised AttributeError, or TypeError for len(None)
+    call, name, rest = _none_entries()[entry]
+    with pytest.raises(DomainError, match=f"^{name} must be "
+                                          f"{re.escape(rest)}$"):
+        call()
+
+
 @pytest.mark.parametrize("stop_time", [-0.25, 1.5, np.nan])
 def test_a_stop_time_outside_the_horizon_is_rejected(stop_time):
     with pytest.raises(DomainError, match=r"^stop_time must be a time in "
@@ -947,8 +999,6 @@ def _finite_entries():
     return {
         "SDESpec": ("horizon", DomainError, False, lambda v: SDESpec(
             spec.drift, spec.sigma, spec.rate, spec.payoff, horizon=v)),
-        "PartitionSequence": ("horizon", DomainError, False,
-                              lambda v: PartitionSequence(v)),
         "constant_path": ("horizon", DomainError, False,
                           lambda v: constant_path(1.0, horizon=v)),
         "ramp_path": ("horizon", DomainError, False,
@@ -959,6 +1009,8 @@ def _finite_entries():
                       lambda v: benchmark("gauss_square", horizon=v)),
         "probe": ("horizon", ConfigError, False, lambda v: (
             probe_non_anticipative(F, samples=2, horizon=v))),
+        "probe_boundedness": ("box_radius", ConfigError, False,
+                              lambda v: probe_boundedness(F, v, samples=2)),
         "ramp_battery": ("horizon", DomainError, False,
                          lambda v: ramp_battery(0.5, horizon=v)),
         "QuotientLadder": ("eta0", ConfigError, False,
@@ -975,8 +1027,6 @@ def _finite_entries():
                                  lambda v: constraint_direction(v)),
         "horizontal_from_gamma": ("h", DomainError, False, lambda v: (
             horizontal_from_gamma(F, eval_direction(1), 0.25, x, v))),
-        "check_hessian_symmetry": ("tol", ConfigError, True, lambda v: (
-            check_hessian_symmetry(builtin("square"), samples=2, tol=v))),
     }
 
 

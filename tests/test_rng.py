@@ -8,7 +8,7 @@ from scipy.special import ndtri
 
 import pathcalc.rng as rng_module
 from pathcalc import ConfigError, brownian_path
-from pathcalc.rng import normal_block, normals, substream, uniforms
+from pathcalc.rng import normal_block, normals, substream
 
 
 def test_substream_reproducible():
@@ -38,32 +38,29 @@ def test_distinct_seeds_distinct_draws():
     assert not np.array_equal(a, b)
 
 
-def test_uniforms_open_interval():
-    u = uniforms(99, 0, 100000)
-    assert u.min() > 0.0
-    assert u.max() < 1.0
+def _drawing(u):
+    """A Generator class that draws only the lattice uniform u."""
 
+    class Lattice(Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            if out is None:
+                return np.full(size, u)
+            out[...] = u
+            return out
 
-class _TopOfLattice(Generator):
-    """Draws only the largest 53-bit lattice uniform, 1 - 2**-53."""
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        top = 1.0 - 2.0 ** -53
-        if out is None:
-            return np.full(size, top)
-        out[...] = top
-        return out
+    return Lattice
 
 
 def test_top_lattice_point_stays_below_one(monkeypatch):
-    # plus half a spacing it is a tie that rounds to 1.0, where ndtri is inf
-    monkeypatch.setattr(rng_module, "Generator", _TopOfLattice)
-    u = uniforms(5, 0, 4)
-    assert np.all(u == 1.0 - 2.0 ** -53)
-    z = normal_block(5, 0, 2, (3,))
-    assert np.all(np.isfinite(z))
-    assert np.all(z == ndtri(1.0 - 2.0 ** -53))
-    assert np.array_equal(normals(5, 1, (3,)), z[0])
+    # the top point, 1 - 2**-53, plus half a spacing is a tie that rounds to
+    # 1.0, where ndtri is inf; the bottom point, 0.0, would give -inf
+    for u, shifted in ((1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53),
+                       (0.0, 2.0 ** -54)):
+        monkeypatch.setattr(rng_module, "Generator", _drawing(u))
+        z = normal_block(5, 0, 2, (3,))
+        assert np.all(np.isfinite(z))
+        assert np.all(z == ndtri(shifted))
+        assert np.array_equal(normals(5, 1, (3,)), z[0])
 
 
 def test_normals_shape_and_moments():
@@ -127,16 +124,14 @@ def test_block_rows_equal_fresh_philox_streams(seed, edge, back, count, n):
 @pytest.mark.parametrize("draw, name", [
     (lambda: normals(1, 0, (-3,)), "shape"),
     (lambda: normal_block(1, 0, -2, (3,)), "count"),
-    (lambda: uniforms(1, 0, -1), "n"),
-    (lambda: uniforms(1, 0, np.nan), "n"),
     (lambda: substream(1, 2 ** 128), "substream ind"),
     (lambda: normals(1, 0, 2.5), "shape"),
     (lambda: brownian_path(1, 0, n_exp=2.5), "n_exp"),
     (lambda: normals(1, 0, (2 ** 70,)), "count 1 times shape"),
     (lambda: normal_block(1, 0, 2, (2 ** 23 + 1,)), "count 2 times shape"),
-], ids=["negative_shape", "negative_count", "negative_n", "nan_n",
-        "index_past_2_128", "fractional_shape", "fractional_n_exp",
-        "draw_past_2_70", "block_past_2_24"])
+], ids=["negative_shape", "negative_count", "index_past_2_128",
+        "fractional_shape", "fractional_n_exp", "draw_past_2_70",
+        "block_past_2_24"])
 def test_bad_draw_sizes_are_config_errors_naming_them(draw, name):
     with pytest.raises(ConfigError, match=f"^{name}"):
         draw()
@@ -144,4 +139,5 @@ def test_bad_draw_sizes_are_config_errors_naming_them(draw, name):
 
 def test_whole_float_sizes_draw_as_ints():
     assert np.array_equal(normals(1, 0, 4.0), normals(1, 0, 4))
-    assert np.array_equal(uniforms(1, 0, 3.0), uniforms(1, 0, 3))
+    assert np.array_equal(normal_block(1, 0, 2.0, (3,)),
+                          normal_block(1, 0, 2, (3,)))
