@@ -10,12 +10,15 @@ into one of three verdicts rather than trusted blindly:
                   genuinely divergent limit, not of noise).
 * inconclusive  - neither pattern is clean.
 
-Every time ladder is one time_study, along the stopped path or one flow
-solve whose grid holds every ladder point.  Every vertical ladder forms its
-quotients from one bump_values read of F on the bumps at t.  Both reject a
-ladder whose smallest step no longer moves t or the held value.
+Every study starts from x_t, x stopped at t, which _study_point checks and
+builds once.  Every time ladder is one time_study, along x_t or one flow
+solve from it whose grid holds every ladder point.  Every vertical ladder
+forms its quotients from one bump_values read of F on the bumps of x_t.
+Both reject a ladder whose smallest step no longer moves t or the held
+value.
 """
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +29,7 @@ from .errors import ConfigError, DomainError, IllConditionedError, \
 from .flow import solve_flow
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, require_field
-from .paths import StoppedPath, require_path, stop, stop_exactly
+from .paths import StoppedPath, require_path, stop_exactly
 
 TAIL = 5                 # quotients entering the spread/estimate
 CONV_REL = 1e-4          # spread tolerance, relative to max(1, |median|)
@@ -47,9 +50,8 @@ class QuotientLadder:
     count: int = 20
 
     def __post_init__(self):
-        require_finite("eta0", self.eta0)
-        if not 0.0 < self.ratio < 1.0:
-            raise ConfigError("ratio must lie in (0, 1)")
+        object.__setattr__(self, "eta0", require_finite("eta0", self.eta0))
+        object.__setattr__(self, "ratio", _require_ratio(self.ratio))
         object.__setattr__(self, "count",
                            require_count("count", self.count, TAIL + 1))
         # a float, before steps() allocates count of them
@@ -58,6 +60,25 @@ class QuotientLadder:
 
     def steps(self):
         return self.eta0 * self.ratio ** np.arange(self.count)
+
+
+def _require_ratio(ratio):
+    """ratio as a float in (0, 1), or ConfigError naming it."""
+    ratio = require_finite("ratio", ratio)
+    if not ratio < 1.0:
+        raise ConfigError(f"ratio must lie in (0, 1), not {ratio}")
+    return ratio
+
+
+def require_ladder(ladder, default):
+    """ladder, or default when it is None; ConfigError unless it is a
+    QuotientLadder, whose steps and ratio a study reads."""
+    if ladder is None:
+        return default
+    if not isinstance(ladder, QuotientLadder):
+        raise ConfigError("ladder must be a QuotientLadder, not "
+                          f"{reprlib.repr(ladder)}")
+    return ladder
 
 
 # dyadic steps: bumped values x(t) + h round exactly in binary fp, which the
@@ -95,6 +116,7 @@ def judge(etas, quotients, ratio, label=""):
         raise ConfigError(f"judge needs one quotient per eta, at least "
                           f"{TAIL + 1}, not {etas.shape} etas and "
                           f"{quotients.shape} quotients")
+    ratio = _require_ratio(ratio)
     tail = quotients[-TAIL:]
     med = float(np.median(tail))
     spread = float(tail.max() - tail.min())
@@ -144,58 +166,58 @@ def ladder_flow_grid(t, etas, refine=8):
 
 
 def _study_point(F, t, x):
-    """t as a float in x's horizon, once F is a real functional and x one
-    path: a study checks its arguments before it reads one."""
+    """(t, x_t): t as a float in x's horizon and x stopped exactly at t,
+    once F is a real functional and x one path.  Every study starts from
+    this point, checked and stopped here only; x_t stopped at t again is
+    x_t itself, so a composite study passes it down."""
     require_path(x=x)
     require_shape("F", F, ())
-    return require_time("t", t, x.horizon)
+    t = require_time("t", t, x.horizon)
+    return t, stop_exactly(x, t)
 
 
-def time_study(F, t, x, gamma, ladder, label):
-    """Judge (F(t + eta) - F(t)) / eta along one extension of x from t,
-    dividing by the realized float gaps.
+def time_study(F, t, xt, gamma, ladder, label):
+    """Judge (F(t + eta) - F(t)) / eta along one extension of x_t from t,
+    dividing by the realized float gaps; xt and gamma are checked.
 
-    The extension is stop(x, t) when gamma is None, otherwise gamma's flow,
-    solved once on ladder_flow_grid so that every ladder point is a grid
-    node.  Each ladder gap is split into at least 8 pieces, and into more
-    where the largest piece would not fit the solver's contraction window
-    1/(2K) with its 1e-9 slack.
+    The extension is xt itself when gamma is None, otherwise gamma's flow
+    from xt, solved once on ladder_flow_grid so that every ladder point is
+    a grid node.  Each ladder gap is split into at least 8 pieces, and into
+    more where the largest piece would not fit the solver's contraction
+    window 1/(2K) with its 1e-9 slack.
     """
-    t = _study_point(F, t, x)
     etas = ladder.steps()
     if not (0.0 <= t < t + etas[-1]
-            and t + etas[0] <= x.horizon * (1 + 1e-12)):
+            and t + etas[0] <= xt.horizon * (1 + 1e-12)):
         raise DomainError("need 0 <= t < t + smallest step and t + eta0 <= "
                           f"horizon; t={t}")
     if gamma is None:
-        path = stop(x, t)
+        path = xt
     else:
-        K = require_field("gamma", gamma).lipschitz_K
+        K = gamma.lipschitz_K
         gap = np.diff(etas[::-1], prepend=0.0).max()
         refine = max(8.0, np.ceil(2.0 * K * gap / (1 + 1e-9)))
         if ladder.count * refine > 2 ** 24:
             raise ConfigError(f"Lipschitz constant {K:g} needs more than "
                               "2**24 flow grid steps on this ladder")
         grid = ladder_flow_grid(t, etas, int(refine))
-        grid[-1] = min(grid[-1], x.horizon)
-        path = solve_flow(x, t, gamma, until=grid[-1], grid=grid).path
+        grid[-1] = min(grid[-1], xt.horizon)
+        path = solve_flow(xt, t, gamma, until=grid[-1], grid=grid).path
     base = F.eval(t, path)
     times = np.minimum(t + etas, path.horizon)   # descending in eta
     vals = F.eval_many(times[::-1], path)[::-1]
     return judge(etas, (vals - base) / (times - t), ladder.ratio, label)
 
 
-def bump_values(F, t, x, hs, dirs):
-    """F on x bumped at t by h * dirs[s], for every step h of hs and every
+def bump_values(F, t, xt, hs, dirs):
+    """F on x_t bumped by h * dirs[s], for every step h of hs and every
     row s of dirs, as a (len(hs), len(dirs)) array.  All bumps are rows of
     one family held at t, read in one eval call."""
-    t = _study_point(F, t, x)
-    pin = stop_exactly(x, t)
     # every step's held values at once, as bump() would add them
-    held = pin.value_at_stop + hs[:, None, None] * dirs
-    if np.any((held[-1] == pin.value_at_stop) & (dirs != 0)):
+    held = xt.value_at_stop + hs[:, None, None] * dirs
+    if np.any((held[-1] == xt.value_at_stop) & (dirs != 0)):
         raise DomainError(f"smallest bump {hs[-1]:g} does not move x({t:g})")
-    bumps = StoppedPath(pin.base, pin.stop_time, held.reshape(-1, x.dim))
+    bumps = StoppedPath(xt.base, t, held.reshape(-1, xt.dim))
     return F.eval(t, bumps).reshape(len(hs), len(dirs))
 
 
@@ -204,16 +226,18 @@ def d_gamma(F, gamma, t, x, ladder=None):
     once per study.  A direction that vanishes along the extension gives
     exactly the stopped path, so the study then equals d_horizontal
     quotient by quotient."""
-    t = _study_point(F, t, x)
+    t, xt = _study_point(F, t, x)
     label = require_field("gamma", gamma).label
-    return time_study(F, t, x, gamma, ladder or QuotientLadder(),
+    ladder = require_ladder(ladder, QuotientLadder())
+    return time_study(F, t, xt, gamma, ladder,
                       f"d_gamma[{F.label}|{label}]@{t:g}")
 
 
 def d_horizontal(F, t, x, ladder=None):
     """Time derivative of F along the stopped extension of x at t."""
-    t = _study_point(F, t, x)
-    return time_study(F, t, x, None, ladder or QuotientLadder(),
+    t, xt = _study_point(F, t, x)
+    ladder = require_ladder(ladder, QuotientLadder())
+    return time_study(F, t, xt, None, ladder,
                       f"d_horizontal[{F.label}]@{t:g}")
 
 
@@ -227,10 +251,10 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     where (F(x+h) - 2 F(x) + F(x-h)) / h, which tends to F'+ - F'-,
     extrapolates beyond conv_tol, converged becomes inconclusive.
     """
-    ladder = ladder or SPACE_LADDER
+    ladder = require_ladder(ladder, SPACE_LADDER)
     if scheme not in ("central", "forward"):
         raise ConfigError(f"unknown scheme {scheme!r}")
-    t = _study_point(F, t, x)
+    t, xt = _study_point(F, t, x)
     i = require_count("axis", i, low=None)
     if not 0 <= i < x.dim:
         raise DomainError(f"axis {i} outside dimension {x.dim}")
@@ -239,10 +263,9 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     hs = ladder.steps()
     label = f"d_space[{F.label};{i};{scheme}]@{t:g}"
     if scheme == "forward":
-        v = bump_values(F, t, x, hs, e[:1])
-        return judge(hs, (v[:, 0] - F.eval(t, stop(x, t))) / hs,
-                     ladder.ratio, label)
-    v = bump_values(F, t, x, hs, e)
+        v = bump_values(F, t, xt, hs, e[:1])
+        return judge(hs, (v[:, 0] - F.eval(t, xt)) / hs, ladder.ratio, label)
+    v = bump_values(F, t, xt, hs, e)
     rep = judge(hs, (v[:, 0] - v[:, 1]) / (2.0 * hs), ladder.ratio, label)
     gap = (v[:, 0] - 2.0 * v[:, 2] + v[:, 1]) / hs
     jump = (gap[-1] - ladder.ratio * gap[-2]) / (1.0 - ladder.ratio)
@@ -273,11 +296,12 @@ class RelationReport:
 def relation_residual(F, gamma, t, x, ladder=None):
     """D_gamma F - DF - <grad F, gamma(t, x)>; all three studies must
     converge, otherwise the failing derivative is named in the error."""
-    rg = require_converged(d_gamma(F, gamma, t, x, ladder=ladder), "d_gamma")
-    rh = require_converged(d_horizontal(F, t, x, ladder=ladder),
+    t, xt = _study_point(F, t, x)
+    rg = require_converged(d_gamma(F, gamma, t, xt, ladder=ladder), "d_gamma")
+    rh = require_converged(d_horizontal(F, t, xt, ladder=ladder),
                            "d_horizontal")
-    grad, spaces = _space_gradient(F, t, x)
-    gvec = gamma.eval(t, stop(x, t))
+    grad, spaces = _space_gradient(F, t, xt)
+    gvec = gamma.eval(t, xt)
     residual = rg.estimate - rh.estimate - float(grad @ gvec)
     return RelationReport(residual, rg, rh, spaces, grad, gvec)
 
@@ -299,13 +323,12 @@ def recover_gradient(F, fields, t, x, ladder=None, cond_max=1e8):
     fields must contain exactly dim direction fields whose values at
     (t, x) form a well-conditioned matrix.
     """
-    t = _study_point(F, t, x)
+    t, xt = _study_point(F, t, x)
     require_finite("cond_max", cond_max)
     d = x.dim
     if not hasattr(fields, "__len__") or len(fields) != d:
         raise DomainError(f"fields must be {d} direction fields, not "
                           f"{fields!r}")
-    xt = stop(x, t)
     mat = np.stack([require_shape(f"fields[{i}]", f, (d,)).eval(t, xt)
                     for i, f in enumerate(fields)])
     cond = float(np.linalg.cond(mat))
@@ -313,9 +336,9 @@ def recover_gradient(F, fields, t, x, ladder=None, cond_max=1e8):
         raise IllConditionedError(
             f"direction system condition number {cond:g} exceeds "
             f"{cond_max:g}", cond=cond)
-    rh = require_converged(d_horizontal(F, t, x, ladder=ladder),
+    rh = require_converged(d_horizontal(F, t, xt, ladder=ladder),
                            "d_horizontal")
-    reports = [require_converged(d_gamma(F, f, t, x, ladder=ladder),
+    reports = [require_converged(d_gamma(F, f, t, xt, ladder=ladder),
                                  f"d_gamma[{f.label}]")
                for f in fields]
     rhs = np.array([rg.estimate - rh.estimate for rg in reports])
@@ -339,22 +362,22 @@ def horizontal_from_gamma(F, gamma, t, x, h, ladder=None):
     Quadrature nodes follow the ladder layout (geometric refinement toward
     t); each node needs its own converged d_gamma and d_space studies.
     """
-    t = _study_point(F, t, x)
+    t, xt = _study_point(F, t, x)
     h = require_finite("h", h, error=DomainError)
-    lad = ladder or QuotientLadder()
+    lad = require_ladder(ladder, QuotientLadder())
     if t + h + lad.eta0 > x.horizon * (1 + 1e-12):
         raise DomainError("need t + h + eta0 <= horizon for the node studies")
     offs = np.concatenate([[0.0], np.sort(h * lad.ratio **
                                           np.arange(NODE_COUNT - 1))])
     nodes = t + offs
     nodes[-1] = t + h
-    xt = stop(x, t)
     integrand = np.empty(len(nodes))
     for k, s in enumerate(nodes):
-        rg = require_converged(d_gamma(F, gamma, s, xt, ladder=ladder),
+        s, xs = _study_point(F, s, xt)
+        rg = require_converged(d_gamma(F, gamma, s, xs, ladder=ladder),
                                f"d_gamma@node {s:g}")
-        grad, _ = _space_gradient(F, s, xt, f"@node {s:g}")
-        gvec = gamma.eval(s, xt)
+        grad, _ = _space_gradient(F, s, xs, f"@node {s:g}")
+        gvec = gamma.eval(s, xs)
         integrand[k] = rg.estimate - float(grad @ gvec)
     value = float(np.trapezoid(integrand, nodes) / h)
     return HorizontalAverage(value, nodes, integrand)
@@ -362,13 +385,14 @@ def horizontal_from_gamma(F, gamma, t, x, h, ladder=None):
 
 def _hess_entry(F, i, j, t, x):
     """Converged HESS_LADDER estimate of the (i, j) second derivative."""
+    t, xt = _study_point(F, t, x)
     ei, ej = np.eye(x.dim)[[i, j]]
     hs = HESS_LADDER.steps()
     if i == j:      # (f(+h) - 2 f + f(-h)) / h^2
-        v = bump_values(F, t, x, hs, np.stack([ei, -ei]))
-        qs = (v[:, 0] - 2.0 * F.eval(t, stop(x, t)) + v[:, 1]) / (hs * hs)
+        v = bump_values(F, t, xt, hs, np.stack([ei, -ei]))
+        qs = (v[:, 0] - 2.0 * F.eval(t, xt) + v[:, 1]) / (hs * hs)
     else:           # the four corners (+-h, +-h)
-        v = bump_values(F, t, x, hs, np.stack(
+        v = bump_values(F, t, xt, hs, np.stack(
             [ei + ej, ei - ej, ej - ei, -ei - ej]))
         qs = (v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4.0 * hs * hs)
     label = f"d2_space[{i},{j}]"

@@ -115,14 +115,15 @@ def require_time(name, t, horizon):
 
 def require_shape(name, f, shape):
     """f, or DomainError naming the parameter unless the functional f's
-    values have shape; a None entry matches any size.  What has no shape,
-    such as None, is refused by its repr."""
+    values have shape; a None entry matches any size, and shape None any
+    shape.  What has no shape, such as None, is refused by its repr."""
     got = getattr(f, "shape", None)
-    if got is None or len(got) != len(shape) or any(
-            w is not None and n != w for n, w in zip(got, shape)):
-        want = str(tuple(shape)).replace("None", "*")
-        raise DomainError(f"{name} must be a functional of shape {want}, "
-                          f"not {reprlib.repr(f) if got is None else got}")
+    if got is None or shape is not None and (len(got) != len(shape) or any(
+            w is not None and n != w for n, w in zip(got, shape))):
+        want = "" if shape is None \
+            else " of shape " + str(tuple(shape)).replace("None", "*")
+        raise DomainError(f"{name} must be a functional{want}, not "
+                          f"{reprlib.repr(f) if got is None else got}")
     return f
 
 

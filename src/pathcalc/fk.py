@@ -69,8 +69,15 @@ class SDESpec:
                 and self.sigma.constant_value is not None)
 
 
+def _require_spec(spec):
+    if not isinstance(spec, SDESpec):
+        raise DomainError(f"spec must be an SDESpec, not {spec!r}")
+    return spec
+
+
 def _check_history(spec, t, x):
     """t as a float, checked with the history x against the SDE."""
+    _require_spec(spec)
     require_path(x=x)
     if x.dim != spec.dim:
         raise DomainError(f"history is {x.dim}-dimensional, SDE is {spec.dim}")
@@ -202,7 +209,7 @@ def fk_residual(f, spec, t, x):
 
     evaluated on the stopped history.  Zero along solutions.
     """
-    require_derivatives("f", f, spec.dim)
+    require_derivatives("f", f, _require_spec(spec).dim)
     t = _check_history(spec, t, x)
     xt = stop(x, t)
     pt = f.partial_t.eval(t, xt)
@@ -247,6 +254,7 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     demands an exactly zero mean.  A wrong candidate shows a systematic
     drift and fails.  f must be a real functional.
     """
+    _require_spec(spec)
     require_finite("k", k)
     require_shape("f", f, ())
     t_grid = require_grid("t_grid", t_grid)

@@ -9,6 +9,7 @@ first-order oracle: one pass of `euler_steps`, the recursion that fk's
 simulation runs too, kept independent so the two routes check each other.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,8 @@ def _make_grid(s, until, substep, grid):
     span = until - s
     if substep is None:
         substep = span / 1024.0
+    elif not isinstance(substep, numbers.Real):
+        substep = require_finite("substep", substep)   # text, None, a list
     # NaN fails too; inf would give one step of the whole span
     if not (0 < substep < np.inf and span / substep <= 2 ** 24):
         raise ConfigError("substep must be positive, finite and give at most "
@@ -150,6 +153,8 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
     K = gamma.lipschitz_K
     cap = 0.5 / K if K > 0 else np.inf
     if window is not None:
+        if not isinstance(window, numbers.Real):
+            window = require_finite("window", window)
         if not window > 0:
             raise ConfigError("window must be positive")
         cap = min(cap, float(window))

@@ -481,6 +481,7 @@ def probe_non_anticipative(F, dim=1, samples=200, seed=0, horizon=1.0):
     difference, is exactly zero: the pinned and the randomized path share
     all data on [0, t], so a non-anticipative F of any shape agrees bitwise.
     """
+    require_shape("F", F, None)
     worst = 0.0
     failures = []
     for k, gen, path in _samples(seed, 0, samples, dim, horizon):
@@ -499,6 +500,7 @@ def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0):
     values: reports the max of |F(s, x)| over random paths confined to
     [-box_radius, box_radius]^d, with s running over grid times up to and
     including the horizon.  A non-finite value fails the probe."""
+    require_shape("F", F, None)
     box_radius = require_finite("box_radius", box_radius)
     draws = _samples(seed, 1, samples, dim, horizon, n_lo=64, n_hi=65,
                      box=box_radius)

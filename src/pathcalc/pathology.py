@@ -23,8 +23,8 @@ from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, \
     time_study, OSCILLATING
 from .errors import DomainError, require_finite, require_time
 from .functionals import DirectionField, Functional, constant_direction, \
-    running_mean
-from .paths import ramp_path, require_path, stop
+    require_field, running_mean
+from .paths import ramp_path, require_path, stop, stop_exactly
 
 GUARD = 1e-300        # |y| below this evaluates f as 0
 PHI_TOL = 1e-10       # |surface value| below this counts as on-surface
@@ -141,9 +141,9 @@ def expansion_rate(gamma, t, x):
     if t <= 0:
         raise DomainError("expansion rate needs t > 0")
     xt = stop(x, t)
-    x0 = xt.eval(t)[0]
-    m0 = path_mean(t, xt)[0]
-    g0 = 0.0 if gamma is None else float(gamma.eval(t, xt)[0])
+    x0, m0 = xt.eval(t)[0], path_mean(t, xt)[0]
+    g0 = 0.0 if gamma is None \
+        else float(require_field("gamma", gamma).eval(t, xt)[0])
     return float(g0 - 2.0 * (x0 - m0) / t)
 
 
@@ -170,9 +170,9 @@ def expansion_check(t0, x, gamma=None):
     require_path(x=x)
     _require_1d(x)
     t0 = require_time("t0", t0, x.horizon)
-    lad = QuotientLadder()
-    alpha = expansion_rate(gamma, t0, x)
-    rep = time_study(surface_functional(), t0, x, gamma, lad,
+    xt = stop_exactly(x, t0)
+    alpha = expansion_rate(gamma, t0, xt)    # checks gamma
+    rep = time_study(surface_functional(), t0, xt, gamma, QuotientLadder(),
                      f"gap_rate@{t0:g}")
     err = np.abs(rep.quotients - alpha)
     fit = err > 1e-13
@@ -205,10 +205,10 @@ def check_direction(gamma, t0, x):
     require_path(x=x)
     F = counterexample_functional()
     t0 = require_time("t0", t0, x.horizon)
-    xt = stop(x, t0)
+    xt = stop_exactly(x, t0)
     phi0 = surface_value(t0, xt)[0]
-    alpha = expansion_rate(gamma, t0, x)
-    rep = d_gamma(F, gamma, t0, x)
+    alpha = expansion_rate(gamma, t0, xt)
+    rep = d_gamma(F, gamma, t0, xt)
     on_surface = abs(phi0) <= PHI_TOL
     if on_surface and abs(alpha) > ALPHA_TOL:
         expected, reference = OSCILLATING, np.nan

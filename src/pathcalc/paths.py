@@ -40,6 +40,7 @@ is k for a family and None for a single path.
 
 import contextlib
 import re
+import reprlib
 import sys
 
 import numpy as np
@@ -651,26 +652,33 @@ def _fmt(v):
 
 
 @contextlib.contextmanager
-def _opened(dest, mode):
-    """dest as a UTF-8 text file: a file name is opened in mode and closed
-    after use; anything else is a file object the caller owns."""
-    if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-        with open(dest, mode, newline="", encoding="utf-8") as fh:
+def _opened(name, f, mode):
+    """f as a UTF-8 text file: a file name is opened in mode and closed
+    after use, and a file object the caller owns, one that can read or
+    write as mode asks, is used as it is; anything else raises DomainError
+    naming the parameter."""
+    if isinstance(f, (str, bytes)) or hasattr(f, "__fspath__"):
+        with open(f, mode, newline="", encoding="utf-8") as fh:
             yield fh
+    elif hasattr(f, "read" if mode == "r" else "write"):
+        yield f
     else:
-        yield dest
+        raise DomainError(f"{name} must be a file name or a text file, not "
+                          f"{reprlib.repr(f)}")
 
 
-def write_csv(out, comments, tables):
+def write_csv(out, comments, tables, name="out"):
     """Write one artifact to out, a file name, a text file, or None or '-'
     for stdout: a ``# key = value`` line per (key, value) comment whose
     value is set, then each (columns, rows) table.  Values are written by
-    _fmt, floats with repr, so a rewrite is byte for byte the same."""
+    _fmt, floats with repr, so a rewrite is byte for byte the same.  Any
+    other out raises DomainError naming it as name."""
     lines = [f"# {k} = {_fmt(v)}" for k, v in comments if v is not None]
     for columns, rows in tables:
         lines.append(",".join(columns))
         lines += [",".join(_fmt(v) for v in row) for row in rows]
-    with _opened(sys.stdout if out is None or out == "-" else out, "w") as fh:
+    out = sys.stdout if out is None or out == "-" else out
+    with _opened(name, out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -690,7 +698,7 @@ def path_to_csv(path, dest):
                           "one row per knot")
     cols = ["t"] + [f"v{i + 1}" for i in range(path.dim)]
     write_csv(dest, [("interp_mode", path.interp_mode)],
-              [(cols, np.column_stack([grid, vals]))])
+              [(cols, np.column_stack([grid, vals]))], name="dest")
 
 
 def path_from_csv(src, interp_mode=None):
@@ -701,7 +709,7 @@ def path_from_csv(src, interp_mode=None):
     ``key = value``, and a file that is not UTF-8 text, raise DomainError.
     """
     try:
-        with _opened(src, "r") as fh:
+        with _opened("src", src, "r") as fh:
             text = fh.read()
     except UnicodeDecodeError as e:
         raise DomainError(f"path CSV {src}: not UTF-8 text ({e})") from None

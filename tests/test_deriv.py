@@ -1,5 +1,6 @@
 """Quotient-ladder derivatives: verdicts, exact cases, the decomposition."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -48,8 +49,8 @@ from pathcalc import (
     surface_value,
     zero_direction,
 )
-from pathcalc.deriv import HESS_LADDER, _hess_entry, ladder_flow_grid, \
-    time_study
+from pathcalc import paths
+from pathcalc.deriv import HESS_LADDER, _hess_entry, ladder_flow_grid
 from pathcalc.pathology import counterexample_functional
 
 
@@ -118,6 +119,54 @@ def test_judge_refuses_a_ladder_it_cannot_judge(etas, quotients):
     with pytest.raises(ConfigError, match=r"^judge needs one quotient per "
                                           r"eta, at least 6, not "):
         judge(etas, quotients, 0.5)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuotientLadder(ratio="a"),
+     "must be positive and finite, not 'a'"),
+    (lambda: QuotientLadder(ratio=None),
+     "must be positive and finite, not None"),
+    (lambda: judge(np.arange(1, 7.0), np.zeros(6), None),
+     "must be positive and finite, not None"),
+    (lambda: judge(np.arange(1, 7.0), np.zeros(6), 1.0),
+     "must lie in (0, 1), not 1.0"),
+    (lambda: judge(np.arange(1, 7.0), np.zeros(6), 2.0),
+     "must lie in (0, 1), not 2.0"),
+    (lambda: judge(np.arange(1, 7.0), np.zeros(6), 0.0),
+     "must be positive and finite, not 0.0"),
+    (lambda: judge(np.arange(1, 7.0), np.zeros(6), np.nan),
+     "must be positive and finite, not nan"),
+], ids=["ladder_text", "ladder_none", "judge_none", "judge_one", "judge_two",
+        "judge_zero", "judge_nan"])
+def test_a_ratio_goes_through_its_rule(make, message):
+    # the ladder's comparison and judge's Richardson step raised TypeError,
+    # and judge reported converged with estimate NaN for a ratio of 1, after
+    # a RuntimeWarning, or a finite estimate for 0, 2 and NaN alike
+    with pytest.raises(ConfigError, match=f"^ratio {re.escape(message)}$"):
+        make()
+
+
+def _ladder_readers():
+    F, g = builtin("eval"), eval_direction(1)
+    return {
+        "d_gamma": lambda x, lad: d_gamma(F, g, 0.5, x, ladder=lad),
+        "d_horizontal": lambda x, lad: d_horizontal(F, 0.5, x, ladder=lad),
+        "d_space": lambda x, lad: d_space(F, 0, 0.5, x, ladder=lad),
+        "relation_residual": lambda x, lad: relation_residual(
+            F, g, 0.5, x, ladder=lad),
+        "recover_gradient": lambda x, lad: recover_gradient(
+            F, [g], 0.5, x, ladder=lad),
+        "horizontal_from_gamma": lambda x, lad: horizontal_from_gamma(
+            F, g, 0.25, x, 0.125, ladder=lad),
+    }
+
+
+@pytest.mark.parametrize("study", sorted(_ladder_readers()))
+def test_a_ladder_must_be_a_quotient_ladder(study):
+    # each raised AttributeError for the ladder's steps or eta0
+    with pytest.raises(ConfigError, match=r"^ladder must be a QuotientLadder, "
+                                          r"not 'a'$"):
+        _ladder_readers()[study](ramp_path(1.0, 1.0, n=65), "a")
 
 
 def test_ladder_validation():
@@ -302,20 +351,16 @@ _LIPSCHITZ_READERS = {
         builtin("eval"), [g], 0.5, x), "gamma"),
     "horizontal_from_gamma": (lambda x, g: horizontal_from_gamma(
         builtin("eval"), g, 0.25, x, 0.125), "gamma"),
-    "time_study": (lambda x, g: time_study(
-        builtin("eval"), 0.5, x, g, QuotientLadder(), "F"), "gamma"),
     "probe_lipschitz": (lambda x, g: probe_lipschitz(g, samples=2), "field"),
     "check_direction": (lambda x, g: check_direction(g, 0.5, x), "gamma"),
 }
 
 
-# None is the horizontal study's gamma in time_study, and recover_gradient
-# reads its fields' shapes first
+# recover_gradient reads its fields' shapes first
 @pytest.mark.parametrize("reader, field", [
     (reader, field) for reader in sorted(_LIPSCHITZ_READERS)
     for field in ("none", "vector")
-    if (reader, field) not in {("recover_gradient", "none"),
-                               ("time_study", "none")}])
+    if (reader, field) != ("recover_gradient", "none")])
 def test_a_direction_whose_constant_is_read_must_be_a_field(reader, field):
     # a (1,) VectorFunctional raised AttributeError for lipschitz_K, and
     # None one for whichever attribute was read first
@@ -734,3 +779,85 @@ def test_time_study_equals_the_reference_gap_rate_loop_bitwise(inputs, kind):
              "gamma_star": gamma_star(t / 2)}[kind]
     got = expansion_check(t, x, gamma=gamma).report.quotients
     assert got.tobytes() == _ref_gap_rates(t, x, gamma).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_relation_residual_stops_its_path_once(dim, monkeypatch):
+    # x_t once, passed to every study, and one bump family per d_space; the
+    # studies each stopped x again, and so did the direction's value
+    built = []
+    init = paths.StoppedPath.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    gen = np.random.default_rng(dim)
+    times = np.concatenate([[0.0], np.sort(gen.uniform(0.05, 0.95, 12)),
+                            [1.0]])
+    x = GridPath(times, 0.5 + gen.normal(0.0, 0.25, (len(times), dim)))
+    F = builtin("eval") if dim == 1 else builtin("product")
+    monkeypatch.setattr(paths.StoppedPath, "__init__", counting)
+    rel = relation_residual(F, constant_direction([0.7] * dim), 0.5, x)
+    assert abs(rel.residual) <= 1e-4
+    assert len(built) <= 1 + dim
+
+
+def _same_report(got, want):
+    """Two reports equal field by field, numbers bit for bit."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, str):
+            assert a == b, f.name
+        else:
+            assert np.asarray(a, dtype=float).tobytes() \
+                == np.asarray(b, dtype=float).tobytes(), f.name
+
+
+def _first_failure(reports):
+    return next(r for r in reports if not r.converged)
+
+
+_DIRECTIONS = {"constant": lambda d: constant_direction([0.7] * d),
+               "eval": eval_direction, "running_avg": running_avg_direction}
+
+
+@settings(max_examples=25, deadline=None)
+@given(_study_inputs(), st.sampled_from(sorted(_DIRECTIONS)))
+def test_composite_studies_equal_their_studies_on_the_unstopped_path(
+        inputs, kind):
+    # relation_residual and recover_gradient stop x once and pass x_t to
+    # every study; each study called on x alone must give the same report
+    x, t = inputs
+    if t + QuotientLadder().eta0 > x.horizon:
+        t = 0.5
+    gamma = _DIRECTIONS[kind](x.dim)
+    fields = [gamma] + [constant_direction(e) for e in np.eye(x.dim)[1:]]
+    for F in _catalog(x.dim):
+        rg, rh = d_gamma(F, gamma, t, x), d_horizontal(F, t, x)
+        spaces = [d_space(F, i, t, x) for i in range(x.dim)]
+        try:
+            rel = relation_residual(F, gamma, t, x)
+        except NonDifferentiableError as exc:
+            _same_report(exc.report, _first_failure([rg, rh, *spaces]))
+        else:
+            for got, want in zip([rel.gamma_report, rel.horizontal_report,
+                                  *rel.space_reports], [rg, rh, *spaces]):
+                _same_report(got, want)
+            grad = np.array([r.estimate for r in spaces])
+            gvec = gamma.eval(t, stop(x, t))
+            assert rel.gradient.tobytes() == grad.tobytes()
+            assert rel.direction_value.tobytes() == gvec.tobytes()
+            assert rel.residual == rg.estimate - rh.estimate \
+                - float(grad @ gvec)
+        studies = [rh] + [d_gamma(F, f, t, x) for f in fields]
+        try:
+            rec = recover_gradient(F, fields, t, x)
+        except IllConditionedError:
+            continue
+        except NonDifferentiableError as exc:
+            _same_report(exc.report, _first_failure(studies))
+        else:
+            for got, want in zip([rec.horizontal_report, *rec.gamma_reports],
+                                 studies):
+                _same_report(got, want)

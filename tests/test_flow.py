@@ -212,6 +212,30 @@ def test_infinite_substep_is_rejected(solver):
         solver(constant_path(1.0), 0.0, eval_direction(1), substep=np.inf)
 
 
+@pytest.mark.parametrize("solver, option", [
+    (solve_flow, "substep"), (euler_flow, "substep"), (solve_flow, "window")])
+@pytest.mark.parametrize("bad", ["a", [0.5], np.ones(2)],
+                         ids=["text", "list", "array"])
+def test_a_step_option_that_is_no_real_is_refused_by_name(solver, option, bad):
+    # each raised TypeError, or numpy's ValueError for the array, from its
+    # range check
+    with pytest.raises(ConfigError, match=rf"^{option} must be positive and "
+                                          r"finite, not "):
+        solver(ramp_path(1.0, 1.0, n=65), 0.5, eval_direction(1),
+               **{option: bad})
+
+
+def test_a_window_keeps_its_rule_for_numbers():
+    x = ramp_path(1.0, 1.0, n=65)
+    for window in (0.0, -1.0, np.nan):
+        with pytest.raises(ConfigError, match="^window must be positive$"):
+            solve_flow(x, 0.5, eval_direction(1), window=window)
+    # an infinite window caps nothing beyond the contraction window
+    got = solve_flow(x, 0.5, eval_direction(1), window=np.inf)
+    want = solve_flow(x, 0.5, eval_direction(1))
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_grid_whose_span_times_steps_overflows_is_rejected():
     w = constant_path(1.0, horizon=1e308)
     with pytest.raises(ConfigError, match="span 1e\\+308 times 1024 steps"):

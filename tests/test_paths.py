@@ -55,7 +55,6 @@ from pathcalc import (
     stop,
     stratonovich_integral,
 )
-from pathcalc.deriv import time_study
 from pathcalc.paths import _LOCATE_SEARCH_BELOW, splice_view
 
 from conftest import GRID_FAULTS, bad_grid, grid_error
@@ -734,15 +733,31 @@ def test_what_is_no_path_is_refused_by_name(make, match):
         make()
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: path_to_csv(ramp_path(1.0), 3),
+     r"^dest must be a file name or a text file, not 3$"),
+    (lambda: expansion_rate("a", 0.5, ramp_path(1.0)),
+     r"^gamma must be a DirectionField, not 'a'$"),
+    (lambda: expansion_check(0.5, ramp_path(1.0), gamma="a"),
+     r"^gamma must be a DirectionField, not 'a'$"),
+], ids=["path_to_csv_dest", "expansion_rate_gamma", "expansion_check_gamma"])
+def test_a_file_or_a_field_of_the_wrong_kind_is_refused_by_name(make, match):
+    # each raised AttributeError: for write, or for the field's eval
+    with pytest.raises(DomainError, match=match):
+        make()
+
+
 def _none_entries():
     """entry: (call, the parameter it names, the rest of the message):
-    each passes None where a functional, a path or a list of fields
-    belongs."""
+    each passes None where a functional, a path, a list of fields, an SDE
+    or a file belongs."""
     x = ramp_path(1.0, n=65)
     F = builtin("eval")
     g = eval_direction(1)
     t = np.linspace(0.0, 1.0, 5)
     real, path = "a functional of shape (), not None", "a path, not None"
+    spec, f = benchmark("gauss_square")
+    sde = "an SDESpec, not None"
     return {
         "d_horizontal_F": (lambda: d_horizontal(None, 0.5, x), "F", real),
         "d_gamma_F": (lambda: d_gamma(None, g, 0.5, x), "F", real),
@@ -770,13 +785,25 @@ def _none_entries():
         "stratonovich_integral": (lambda: stratonovich_integral(g, None, t),
                                   "x", path),
         "midpoint_sum": (lambda: midpoint_sum(g, None, t), "x", path),
+        "probe_non_anticipative": (lambda: probe_non_anticipative(
+            None, samples=2), "F", "a functional, not None"),
+        "probe_boundedness": (lambda: probe_boundedness(None, 1.0, samples=2),
+                              "F", "a functional, not None"),
+        "martingale_check": (lambda: martingale_check(
+            None, f, [0.0, 1.0], 0.0, n_paths=2), "spec", sde),
+        "estimate_f": (lambda: estimate_f(None, 0.5, x), "spec", sde),
+        "simulate_sde": (lambda: simulate_sde(None, 0.5, x), "spec", sde),
+        "fk_residual": (lambda: fk_residual(f, None, 0.5, x), "spec", sde),
+        "path_from_csv": (lambda: path_from_csv(None), "src",
+                          "a file name or a text file, not None"),
     }
 
 
 @pytest.mark.parametrize("entry", sorted(_none_entries()))
 def test_none_is_refused_by_name_before_it_is_read(entry):
-    # each read an attribute of None first (a label, horizon or dim) and
-    # raised AttributeError, or TypeError for len(None)
+    # each read an attribute of None first (a label, horizon or dim, an
+    # SDE's dim or horizon, a file's read, or a probe's eval) and raised
+    # AttributeError, or TypeError for len(None)
     call, name, rest = _none_entries()[entry]
     with pytest.raises(DomainError, match=f"^{name} must be "
                                           f"{re.escape(rest)}$"):
@@ -956,8 +983,6 @@ def _time_entries():
         "solve_flow_until": ("until", lambda t: solve_flow(
             x, 0.0, eval_direction(1), until=t)),
         "euler_flow_s": ("s", lambda t: euler_flow(x, t, eval_direction(1))),
-        "time_study": ("t", lambda t: time_study(F, t, x, None,
-                                                 QuotientLadder(), "F")),
         "d_horizontal": ("t", lambda t: d_horizontal(F, t, x)),
         "d_gamma": ("t", lambda t: d_gamma(F, eval_direction(1), t, x)),
         "d_space": ("t", lambda t: d_space(F, 0, t, x)),
