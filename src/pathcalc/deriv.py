@@ -409,6 +409,10 @@ def numerical_derivatives(F, dim=1):
     by h^2 pushes rounding noise up fast, so the tail must stop while h^2
     is still well above machine precision.
     """
+    if not (callable(getattr(F, "eval", None))
+            and callable(getattr(F, "eval_many", None))):
+        raise DomainError(f"F must be a functional, or offer eval and "
+                          f"eval_many, not {reprlib.repr(F)}")
     if isinstance(F, FunctionalWithDerivatives) and F.grad is None:
         raise DomainError(f"{F.label} is marked as having no spatial "
                           "derivative")

@@ -1,5 +1,6 @@
-"""Shared exception types, and the checks of a count, a real, a time, a
-functional's shape, a grid and the values computed along one.
+"""Shared exception types, and the checks of a count, a real, an array of
+finite reals, a time, a functional's shape, a grid and the values computed
+along one.
 
 Validation problems raise subclasses of ValueError so plain callers can catch
 broadly; the CLI maps the categories to distinct exit codes.
@@ -101,6 +102,25 @@ def require_finite(name, value, zero=False, error=ConfigError):
         shown = reprlib.repr(value) if v is None else v
         raise error(f"{name} must be {kind} and finite, not {shown}")
     return v
+
+
+def require_reals(name, value, scalar=False, what=None):
+    """value as a float array of finite reals, or as a float when scalar
+    is set, or DomainError: naming the parameter for what numpy cannot read
+    as reals (None, text that is no number, a ragged list) and, when scalar
+    is set, for an array with an axis; naming what, the parameter unless
+    given, for an entry that is NaN or infinite."""
+    try:
+        arr = None if value is None else np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or scalar and arr.ndim:
+        kind = "a real" if scalar else "reals"
+        raise DomainError(f"{name} must be {kind}, not {reprlib.repr(value)}")
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise DomainError(f"{what or name} must be finite, not {bad[0]}")
+    return float(arr) if scalar else arr
 
 
 def require_time(name, t, horizon):

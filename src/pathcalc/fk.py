@@ -24,7 +24,7 @@ from . import rng
 from ._kernels import left_prefix
 from .errors import ConfigError, DomainError, NumericalError, \
     require_count, require_finite, require_finite_steps, require_grid, \
-    require_shape, require_time
+    require_reals, require_shape, require_time
 from .flow import euler_steps
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, constant_direction, \
@@ -159,6 +159,7 @@ class MCEstimate:
 
     def within(self, reference, k=3.0):
         require_finite("k", k)
+        reference = require_reals("reference", reference, scalar=True)
         return abs(self.value - reference) <= k * self.stderr
 
 
@@ -259,7 +260,8 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
     require_shape("f", f, ())
     t_grid = require_grid("t_grid", t_grid)
     if not hasattr(x0, "eval"):
-        x0 = constant_path(x0, horizon=spec.horizon, dim=spec.dim)
+        x0 = constant_path(require_reals("x0", x0), horizon=spec.horizon,
+                           dim=spec.dim)
     require_time("t_grid[0]", float(t_grid[0]), spec.horizon)
     _check_history(spec, float(t_grid[0]), x0)
     require_time("t_grid[-1]", float(t_grid[-1]), spec.horizon)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DomainError, require_count, \
-    require_finite, require_shape
+    require_finite, require_reals, require_shape
 from .paths import CADLAG, LINEAR, grid_view, stop
 
 
@@ -35,10 +35,12 @@ class Functional:
     A family (see ``paths``) adds a leading row axis to every read: eval
     gives (k,) + shape and eval_many (k, m) + shape.  A body passed as both
     fn and fn_many is called once on the whole family; any other is read
-    row by row.  Either way row r equals the same read on family.row(r) bit
-    for bit.  constant_value is None except on the functionals that
-    constant_functional, constant_direction and constant_matrix_field build,
-    where it is their one value; fk's exact fast routes read it.
+    row by row, over the views of ``family.row_views()``, which share the
+    family's node values for that one read.  Either way row r equals the
+    same read on family.row(r) bit for bit.  constant_value is None except
+    on the functionals that constant_functional, constant_direction and
+    constant_matrix_field build, where it is their one value; fk's exact
+    fast routes read it.
 
     Each value is read in the declared shape, after the leading axes of the
     rows and the times: a real or vector with as many entries is reshaped
@@ -77,15 +79,15 @@ class Functional:
             return out if self.shape else float(out)
         if self._fn is self._fn_many:
             return self._read(self._fn(t, x), (rows,))
-        return np.array([self.eval(t, x.row(r)) for r in range(rows)])
+        return np.array([self.eval(t, row) for row in x.row_views()])
 
     def eval_many(self, ts, x):
         """One value per time of a sorted array: (m,) + shape."""
         ts = np.asarray(ts, dtype=float)
         rows = getattr(x, "rows", None)
         if rows is not None and self._fn is not self._fn_many:
-            return np.array([self.eval_many(ts, x.row(r))
-                             for r in range(rows)])
+            return np.array([self.eval_many(ts, row)
+                             for row in x.row_views()])
         if self._fn_many is not None:
             lead = ts.shape if rows is None else (rows,) + ts.shape
             return self._read(self._fn_many(ts, x), lead)
@@ -146,11 +148,9 @@ class FunctionalWithDerivatives(Functional):
 def _constant(cls, value, label, *args):
     """cls(body, *args) whose one body gives value at each time, with
     constant_value set to value: a float for a real, the array otherwise.
-    The only writer of constant_value."""
-    value = np.asarray(value, dtype=float)
-    bad = value[~np.isfinite(value)]
-    if bad.size:
-        raise DomainError(f"a constant must be finite, not {bad[0]}")
+    The only writer of constant_value; its callers read value through
+    require_reals."""
+    value = np.asarray(value)
 
     def body(ts, x):
         return np.full(np.shape(ts) + value.shape, value)
@@ -161,7 +161,7 @@ def _constant(cls, value, label, *args):
 
 
 def constant_functional(c, label=None):
-    c = float(c)
+    c = require_reals("c", c, scalar=True, what="a constant")
     return _constant(Functional, c, label or f"const({c})")
 
 
@@ -373,7 +373,7 @@ def zero_direction(dim=1):
 
 
 def constant_direction(vec, label=None):
-    v = np.atleast_1d(np.asarray(vec, dtype=float))
+    v = np.atleast_1d(require_reals("vec", vec, what="a constant"))
     label = label or f"const({','.join(repr(float(c)) for c in v)})"
     return _constant(DirectionField, v, label, len(v), 0.0)
 
@@ -396,7 +396,7 @@ def running_avg_direction(dim=1):
 
 
 def constant_matrix_field(mat):
-    m = np.atleast_2d(np.asarray(mat, dtype=float))
+    m = np.atleast_2d(require_reals("mat", mat, what="a constant"))
     return _constant(MatrixFunctional, m, "const_matrix", m.shape)
 
 

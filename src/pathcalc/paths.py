@@ -35,7 +35,12 @@ before the splice.  A bump family, such as the rungs of a bump study, is
 the case n = 1: a StoppedPath whose held value is (k, d).  A family adds a
 leading row axis to every query: (k, d) at one time, (k, m, d) at m times,
 row r equal bit for bit to the same query on ``family.row(r)``.  ``rows``
-is k for a family and None for a single path.
+is k for a family and None for a single path.  The rows of one family read
+share the family's node values: ``family.row_views()`` builds the k row
+views at once over one node prefix and running maximum of the segment,
+taken from the nodes filled at the call, and one integral and sup of the
+path before the cut.  Prefix sums and running maxima run along time
+separately in each row, so slice r of the family's equals row r's own.
 """
 
 import contextlib
@@ -47,7 +52,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, require_count, require_finite, \
-    require_grid, require_time, require_times
+    require_grid, require_reals, require_time, require_times
 
 CADLAG = "cadlag_hold"
 LINEAR = "linear"
@@ -279,7 +284,9 @@ class _Segment:
 class _LiveSegment(_Segment):
     """Segment over the filled leading nodes of arrays that their owner
     keeps writing.  Nothing is cached: a Picard sweep rewrites values while
-    the filled count stays the same."""
+    the filled count stays the same.  The row views of one family read
+    share one node prefix and running max built from the nodes at the
+    read, and are dropped with it."""
 
     def __init__(self, times, values, mode):
         super().__init__(times, values, mode)
@@ -377,11 +384,12 @@ class SplicedPath(PathBase):
         seg_values.setflags(write=False)
         self._join(left, switch, _Segment(seg_times, seg_values, seg_mode))
 
-    def _join(self, left, switch, seg, at_switch=None):
+    def _join(self, left, switch, seg, at_switch=None, sup=None):
         self.left = left
         self.switch = switch
         self.seg = seg
         self._at_switch = at_switch
+        self._sup = sup
         self._shape = seg.values.shape[1:]
         if len(self._shape) == 2:
             self.rows = self._shape[0]
@@ -398,6 +406,28 @@ class SplicedPath(PathBase):
         return SplicedPath.__new__(SplicedPath)._join(
             self.left, self.switch, seg, self._head_integral())
 
+    def row_views(self):
+        """The k paths of a family, each equal to row(r) bit for bit, built
+        once for one read of every row: they share the segment's node
+        prefix and running max, taken from the nodes filled now, and the
+        integral and sup of left before the switch.  The node values are
+        slices [:, r] of the family's own, which run along time separately
+        in each row; build the views again after a fill or a rewrite."""
+        if self.rows is None:
+            raise DomainError("a single path has no rows")
+        seg = self.seg
+        prefix, runmax = seg.node_prefix(), seg.node_runmax()
+        prefix.setflags(write=False)
+        runmax.setflags(write=False)
+        head, sup = self._head_integral(), self._head_sup()
+        views = []
+        for r in range(self.rows):
+            row = _Segment(seg.times, seg.values[:, r], seg.mode)
+            row._prefix, row._runmax = prefix[:, r], runmax[:, r]
+            views.append(SplicedPath.__new__(SplicedPath)._join(
+                self.left, self.switch, row, head, sup))
+        return views
+
     def knots(self):
         t = self.left.knots()
         parts = [t[t < self.switch], self.seg.times]
@@ -407,13 +437,17 @@ class SplicedPath(PathBase):
 
     def _head_sup(self):
         # sup of the left path over [0, switch): it is monotone from its last
-        # knot before the switch, and max does not round, so this is exact
-        if self.switch == 0:
-            return np.full(self.dim, -np.inf)
-        knots = np.asarray(self.left.knots())
-        last = knots[knots.searchsorted(self.switch, side="left") - 1]
-        return np.maximum(self.left.running_max_prefix(last),
-                          self.left.eval_left(self.switch))
+        # knot before the switch, and max does not round, so this is exact;
+        # cached as _head_integral is, for the rows to share
+        if self._sup is None:
+            if self.switch == 0:
+                self._sup = np.full(self.dim, -np.inf)
+            else:
+                knots = np.asarray(self.left.knots())
+                last = knots[knots.searchsorted(self.switch, side="left") - 1]
+                self._sup = np.maximum(self.left.running_max_prefix(last),
+                                       self.left.eval_left(self.switch))
+        return self._sup
 
     def _eval(self, ts):
         return _piecewise(ts, self.switch, False, self.left._eval,
@@ -468,7 +502,9 @@ def splice_view(left, switch, times, values, mode):
     first n are, and the view equals the SplicedPath built from those n
     nodes, holding the last one afterwards.  Nothing read from the segment
     is cached, so values already filled may be rewritten between queries;
-    the left path must stay unchanged.
+    the left path must stay unchanged.  The rows of one family read share
+    node values that ``row_views`` builds at the read, and nothing of them
+    outlives it.
     """
     view = SplicedPath.__new__(SplicedPath)
     return view._join(left, float(switch), _LiveSegment(times, values, mode))
@@ -495,14 +531,12 @@ class StoppedPath(SplicedPath):
         if value_at_stop is None:
             value_at_stop = base.eval(stop_time)
         else:
-            value_at_stop = np.asarray(value_at_stop, dtype=float)
+            value_at_stop = require_reals("value_at_stop", value_at_stop,
+                                          what="held value")
             if value_at_stop.shape[-1:] != (base.dim,) \
                     or value_at_stop.ndim > 2:
                 raise DomainError(f"held value must be ({base.dim},) or "
                                   f"(k, {base.dim}), not {value_at_stop.shape}")
-            bad = value_at_stop[~np.isfinite(value_at_stop)]
-            if bad.size:
-                raise DomainError(f"held value must be finite, not {bad[0]}")
         self.base = base
         self.stop_time = stop_time
         self.value_at_stop = value_at_stop
@@ -516,6 +550,13 @@ class StoppedPath(SplicedPath):
         if self.rows is None:
             raise DomainError("a single path has no rows")
         return StoppedPath(self.base, self.stop_time, self.value_at_stop[r])
+
+    def row_views(self):
+        """row(r) for every r: a bump family has one node, so its rows have
+        nothing to share."""
+        if self.rows is None:
+            raise DomainError("a single path has no rows")
+        return [self.row(r) for r in range(self.rows)]
 
 
 def require_path(family=False, **paths):
@@ -557,7 +598,7 @@ def bump(x, t, h):
     and bumps on every rung; the bump then reuses the stopped value.
     """
     xt = stop_exactly(x, t)
-    h = np.asarray(h, dtype=float).reshape(-1)
+    h = require_reals("h", h, what="held value").reshape(-1)
     if h.shape != (x.dim,):
         raise DomainError(f"bump must have shape ({x.dim},)")
     return StoppedPath(xt.base, xt.stop_time, xt.value_at_stop + h)
@@ -622,7 +663,7 @@ def dist_stopped(x, t, y, s):
 def constant_path(value, horizon=1.0, dim=None, interp_mode=LINEAR):
     """Constant path on [0, horizon]."""
     horizon = require_finite("horizon", horizon, error=DomainError)
-    v = np.atleast_1d(np.asarray(value, dtype=float))
+    v = np.atleast_1d(require_reals("value", value))
     if dim is not None and v.size == 1:
         v = np.full(require_count("dim", dim, 1), v[0])
     return GridPath([0.0, horizon], np.vstack([v, v]), interp_mode)

@@ -52,7 +52,7 @@ from pathcalc import (
     surface_functional,
 )
 from pathcalc.functionals import CATALOG
-from pathcalc.paths import stop_exactly
+from pathcalc.paths import splice_view, stop_exactly
 
 QUERIES = ("eval", "eval_left", "integral_prefix", "running_max_prefix")
 
@@ -221,6 +221,96 @@ def test_family_reads_at_many_times_equal_each_row_and_time_bitwise(case):
         for j, t in enumerate(ts):
             assert got[:, j].tobytes() == F.eval(t, fam).tobytes(), \
                 (F.label, t)
+
+
+@st.composite
+def live_families(draw):
+    """What a live family is built from: the history x, the cut, the grid
+    from the cut, the (n, k, d) values that the owner writes node by node,
+    as an Euler step does, the mode, whether filled nodes are then
+    rewritten, as a Picard sweep does, and query times before, at and
+    after the cut."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 2))
+    mode = draw(st.sampled_from([LINEAR, CADLAG]))
+    k = draw(st.integers(1, 5))
+    times = np.unique(np.concatenate(
+        [[0.0], gen.uniform(0.0, 1.0, draw(st.integers(0, 8))), [1.0]]))
+    x = GridPath(times, gen.normal(size=(len(times), dim)), mode)
+    mids = (times[:-1] + times[1:]) / 2
+    cut = float(draw(st.sampled_from([*times[:-1], *mids])))
+    grid = np.unique(np.concatenate(
+        [[cut], gen.uniform(cut, 1.0, draw(st.integers(0, 6))), [1.0]]))
+    block = gen.normal(size=(len(grid), k, dim))
+    ts = np.unique(np.concatenate([times, mids, grid,
+                                   gen.uniform(0.0, 1.0, 4)]))
+    return x, cut, grid, block, mode, draw(st.booleans()), ts
+
+
+def _assert_rows_read_alike(views, fam, x, cut, grid, values, mode, ts):
+    """Each of views reads as fam.row(r) and as row r's own SplicedPath
+    over the filled nodes, bit for bit, at every time and all at once."""
+    n = len(fam.seg.times)
+    assert len(views) == fam.rows
+    for r, view in enumerate(views):
+        alone = SplicedPath(x, cut, grid[:n], values[:n, r], mode)
+        for name in QUERIES:
+            want = getattr(alone, name)(ts).tobytes()
+            assert getattr(view, name)(ts).tobytes() == want, (name, n, r)
+            assert getattr(fam.row(r), name)(ts).tobytes() == want
+            for t in ts[::4]:
+                assert getattr(view, name)(t).tobytes() \
+                    == getattr(alone, name)(t).tobytes(), (name, t, n, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(live_families())
+def test_row_views_of_a_live_family_equal_each_row_at_every_fill(case):
+    x, cut, grid, block, mode, rewrite, ts = case
+    values = np.zeros_like(block)
+    fam = splice_view(x, cut, grid, values, mode)
+    values[0] = block[0]
+    for n in range(1, len(grid) + 1):
+        fam.seg.fill(n)
+        views = fam.row_views()
+        _assert_rows_read_alike(views, fam, x, cut, grid, values, mode, ts)
+        if n < len(grid):
+            # the next node is written after the read: the views of the
+            # read still see the n filled nodes, and so does the family
+            values[n] = block[n]
+            _assert_rows_read_alike(views, fam, x, cut, grid, values, mode,
+                                    ts)
+        if rewrite:
+            values[:n] *= -0.5
+            _assert_rows_read_alike(fam.row_views(), fam, x, cut, grid,
+                                    values, mode, ts)
+
+
+def test_a_live_block_builds_one_node_prefix_per_step(monkeypatch):
+    # the benchmark workload's drift, -integral / t, reads each row's
+    # integral at every Euler step; the 25 rows of a step share one node
+    # prefix of the block, not one each (25 x 15)
+    from pathcalc import _kernels
+    from pathcalc.fk import _simulate_block
+    spec = SDESpec(VectorFunctional(lambda t, x: -x.integral_prefix(t) / t,
+                                    1, label="-running_avg"),
+                   constant_matrix_field([[1.0]]), constant_functional(0.0),
+                   builtin("eval"))
+    x = ramp_path(1.0, n=33)
+    grid = np.linspace(0.25, 1.0, 17)
+    want = _simulate_block(spec, grid, x, 1, 0, 25)
+    shapes = []
+    prefix = _kernels.trapezoid_prefix
+
+    def counted(t, v):
+        shapes.append(v.shape)
+        return prefix(t, v)
+
+    monkeypatch.setattr(_kernels, "trapezoid_prefix", counted)
+    got = _simulate_block(spec, grid, x, 1, 0, 25)
+    assert got.tobytes() == want.tobytes()
+    assert len(shapes) <= 16
+    assert all(shape[1:] == (25, 1) for shape in shapes)
 
 
 def test_constant_functional_spreads_over_the_family():

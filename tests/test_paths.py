@@ -13,6 +13,7 @@ from pathcalc import (
     LINEAR,
     ConfigError,
     DomainError,
+    MCEstimate,
     GridPath,
     DirectionField,
     PathBase,
@@ -26,6 +27,9 @@ from pathcalc import (
     bump,
     check_direction,
     concat,
+    constant_direction,
+    constant_functional,
+    constant_matrix_field,
     constant_path,
     constraint_direction,
     d_gamma,
@@ -42,6 +46,7 @@ from pathcalc import (
     ito_residual,
     martingale_check,
     midpoint_sum,
+    numerical_derivatives,
     path_from_csv,
     path_to_csv,
     probe_boundedness,
@@ -808,6 +813,60 @@ def test_none_is_refused_by_name_before_it_is_read(entry):
     with pytest.raises(DomainError, match=f"^{name} must be "
                                           f"{re.escape(rest)}$"):
         call()
+
+
+def _real_entries():
+    """entry: (call of a value, the parameter it names, the word for what
+    it must be): each read its value by np.asarray(value, dtype=float)
+    with no rule, or by float()."""
+    x = ramp_path(1.0, n=17)
+    spec, f = benchmark("gauss_square")
+    return {
+        "constant_functional": (constant_functional, "c", "a real"),
+        "constant_direction": (constant_direction, "vec", "reals"),
+        "constant_matrix_field": (constant_matrix_field, "mat", "reals"),
+        "constant_path": (constant_path, "value", "reals"),
+        "bump": (lambda v: bump(x, 0.5, v), "h", "reals"),
+        "martingale_check": (lambda v: martingale_check(
+            spec, f, [0.0, 1.0], v, n_paths=2), "x0", "reals"),
+        "within": (lambda v: MCEstimate(0.0, 1.0, 10).within(v), "reference",
+                   "a real"),
+    }
+
+
+@pytest.mark.parametrize("value", ["a", None, [[1.0], [1.0, 2.0]]],
+                         ids=["text", "none", "ragged"])
+@pytest.mark.parametrize("entry", sorted(_real_entries()))
+def test_values_that_are_no_reals_are_refused_by_name(entry, value):
+    # each raised numpy's ValueError for text and the ragged list, and
+    # NaN values, a TypeError or an AttributeError for None
+    call, name, kind = _real_entries()[entry]
+    with pytest.raises(DomainError, match=f"^{name} must be {kind}, not "
+                                          f"{re.escape(reprlib.repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("reference", [-2.5, 0, 0.0, np.float64(1.5)])
+def test_within_takes_any_finite_real_reference(reference):
+    est = MCEstimate(float(reference), 1.0, 10)
+    assert est.within(reference) is True
+    assert est.within(reference - 4.0) is False
+
+
+@pytest.mark.parametrize("reference", [np.nan, np.inf, np.array([1.0])],
+                         ids=["nan", "inf", "array"])
+def test_within_refuses_a_reference_that_is_no_finite_real(reference):
+    with pytest.raises(DomainError, match="^reference must be "):
+        MCEstimate(0.0, 1.0, 10).within(reference)
+
+
+@pytest.mark.parametrize("F", [None, "a", object()],
+                         ids=["none", "text", "object"])
+def test_numerical_derivatives_refuse_what_offers_no_eval(F):
+    # None raised AttributeError for F.eval
+    with pytest.raises(DomainError, match="^F must be a functional, or offer "
+                                          "eval and eval_many, not "):
+        numerical_derivatives(F)
 
 
 @pytest.mark.parametrize("stop_time", [-0.25, 1.5, np.nan])
