@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IllConditionedError, \
-    NonDifferentiableError, require_count, require_finite, require_shape, \
-    require_time
+from .errors import MAX_LOG2, ConfigError, DomainError, \
+    IllConditionedError, NonDifferentiableError, require_count, \
+    require_finite, require_shape, require_time
 from .flow import solve_flow
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, require_field
@@ -197,9 +197,9 @@ def time_study(F, t, xt, gamma, ladder, label):
         K = gamma.lipschitz_K
         gap = np.diff(etas[::-1], prepend=0.0).max()
         refine = max(8.0, np.ceil(2.0 * K * gap / (1 + 1e-9)))
-        if ladder.count * refine > 2 ** 24:
+        if ladder.count * refine > 2 ** MAX_LOG2:
             raise ConfigError(f"Lipschitz constant {K:g} needs more than "
-                              "2**24 flow grid steps on this ladder")
+                              f"2**{MAX_LOG2} flow grid steps on this ladder")
         grid = ladder_flow_grid(t, etas, int(refine))
         grid[-1] = min(grid[-1], xt.horizon)
         path = solve_flow(xt, t, gamma, until=grid[-1], grid=grid).path

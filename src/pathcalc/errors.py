@@ -13,6 +13,8 @@ import reprlib
 
 import numpy as np
 
+MAX_LOG2 = 24   # a draw of normals or a grid holds at most 2**MAX_LOG2
+
 
 class DomainError(ValueError):
     """A time, dimension or mode argument lies outside the valid domain."""

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, DomainError, FlowIterationError, \
-    require_count, require_finite, require_finite_steps, require_grid, \
-    require_shape, require_time
+from .errors import MAX_LOG2, ConfigError, DomainError, \
+    FlowIterationError, require_count, require_finite, require_finite_steps, \
+    require_grid, require_shape, require_time
 from .functionals import DirectionField, require_field
 from .paths import LINEAR, PathBase, SplicedPath, require_path, \
     splice_view, stop
@@ -79,9 +79,9 @@ def _make_grid(s, until, substep, grid):
     elif not isinstance(substep, numbers.Real):
         substep = require_finite("substep", substep)   # text, None, a list
     # NaN fails too; inf would give one step of the whole span
-    if not (0 < substep < np.inf and span / substep <= 2 ** 24):
+    if not (0 < substep < np.inf and span / substep <= 2 ** MAX_LOG2):
         raise ConfigError("substep must be positive, finite and give at most "
-                          f"2**24 steps, not {substep}")
+                          f"2**{MAX_LOG2} steps, not {substep}")
     n = max(1, int(np.ceil(span / substep - 1e-12)))
     if not np.isfinite(span * n):
         raise ConfigError(f"span {span:g} times {n} steps overflows; the "

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DomainError, require_count, \
-    require_finite, require_reals, require_shape
+    require_finite, require_reals, require_shape, require_times
 from .paths import CADLAG, LINEAR, grid_view, stop
 
 
@@ -35,12 +35,12 @@ class Functional:
     A family (see ``paths``) adds a leading row axis to every read: eval
     gives (k,) + shape and eval_many (k, m) + shape.  A body passed as both
     fn and fn_many is called once on the whole family; any other is read
-    row by row, over the views of ``family.row_views()``, which share the
-    family's node values for that one read.  Either way row r equals the
-    same read on family.row(r) bit for bit.  constant_value is None except
-    on the functionals that constant_functional, constant_direction and
-    constant_matrix_field build, where it is their one value; fk's exact
-    fast routes read it.
+    row by row, over the rows that ``family.row_views()`` builds, sharing
+    the family's node values for that one read.  Either way row r equals
+    the same read on family.row(r), one of them, bit for bit.
+    constant_value is None except on the functionals that
+    constant_functional, constant_direction and constant_matrix_field
+    build, where it is their one value; fk's exact fast routes read it.
 
     Each value is read in the declared shape, after the leading axes of the
     rows and the times: a real or vector with as many entries is reshaped
@@ -72,7 +72,10 @@ class Functional:
 
     def eval(self, t, x):
         """The value at t: a float, or an array of the declared shape."""
-        t = float(t)
+        try:
+            t = float(t)
+        except (TypeError, ValueError, OverflowError):
+            t = require_reals("t", t, scalar=True)   # names t if no real
         rows = getattr(x, "rows", None)
         if rows is None:
             out = self._read(self._fn(t, x))
@@ -83,7 +86,10 @@ class Functional:
 
     def eval_many(self, ts, x):
         """One value per time of a sorted array: (m,) + shape."""
-        ts = np.asarray(ts, dtype=float)
+        try:
+            ts = np.asarray(ts, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            ts = require_times("ts", ts)   # raises, naming ts
         rows = getattr(x, "rows", None)
         if rows is not None and self._fn is not self._fn_many:
             return np.array([self.eval_many(ts, row)

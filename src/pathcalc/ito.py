@@ -19,12 +19,11 @@ import numpy as np
 from . import rng
 from ._kernels import dot_increment_prefix, outer_increment_prefix, \
     quad_form_prefix
-from .errors import ConfigError, DomainError, GridMismatchError, \
+from .errors import MAX_LOG2, ConfigError, DomainError, GridMismatchError, \
     require_count, require_finite, require_grid, require_shape
 from .functionals import require_derivatives
 from .paths import GridPath, LINEAR, grid_view, require_path
 
-N_EXP_MAX = 24          # brownian_path holds at most 2**24 values
 _TINY = np.finfo(float).tiny    # the smallest normal float
 
 
@@ -199,9 +198,9 @@ def brownian_path(seed, index, n_exp=16, horizon=1.0, dim=1):
     # whole numbers, then one range check, before allocating
     n_exp = require_count("n_exp", n_exp, low=None)
     dim = require_count("dim", dim, low=None)
-    if not (0 <= n_exp <= N_EXP_MAX and 1 <= dim <= 2 ** (N_EXP_MAX - n_exp)):
+    if not (0 <= n_exp <= MAX_LOG2 and 1 <= dim <= 2 ** (MAX_LOG2 - n_exp)):
         raise ConfigError(f"need n_exp >= 0, dim >= 1 and dim * 2**n_exp <= "
-                          f"2**{N_EXP_MAX}; got n_exp={n_exp}, dim={dim}")
+                          f"2**{MAX_LOG2}; got n_exp={n_exp}, dim={dim}")
     horizon = require_finite("horizon", horizon)
     n = 2 ** n_exp
     dt = horizon / n

@@ -32,15 +32,15 @@ stays exact after every fill.
 A family is k paths that agree before a cut: a splice whose segment values
 are (n, k, d), such as a simulated block of paths that share the history
 before the splice.  A bump family, such as the rungs of a bump study, is
-the case n = 1: a StoppedPath whose held value is (k, d).  A family adds a
-leading row axis to every query: (k, d) at one time, (k, m, d) at m times,
-row r equal bit for bit to the same query on ``family.row(r)``.  ``rows``
-is k for a family and None for a single path.  The rows of one family read
-share the family's node values: ``family.row_views()`` builds the k row
-views at once over one node prefix and running maximum of the segment,
-taken from the nodes filled at the call, and one integral and sup of the
-path before the cut.  Prefix sums and running maxima run along time
-separately in each row, so slice r of the family's equals row r's own.
+the case n = 1: a StoppedPath whose held value is (k, d).  ``rows`` is k
+for a family and None for a single path.  ``family.row_views()`` builds
+the k rows, each of the family's type and mode, and ``family.row(r)`` is
+row r of them.  A family adds a leading row axis to every query: (k, d) at
+one time, (k, m, d) at m times, row r equal bit for bit to the same query
+on row r.  The rows of one read share one node prefix and running maximum
+of the segment, taken from the nodes filled at the call, and one integral
+and sup of the path before the cut.  Prefix sums and running maxima run
+along time separately in each row, so slice r of the family's is row r's.
 """
 
 import contextlib
@@ -123,7 +123,10 @@ class PathBase:
     def _query(self, primitive, ts):
         """primitive at the times ts, checked: its (d,) value for a scalar,
         (m, d) for an array, a family's rows first."""
-        arr = np.asarray(ts, dtype=float)
+        try:
+            arr = np.asarray(ts, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            arr = require_times("ts", ts)   # raises, naming ts
         if arr.ndim == 0:
             return primitive(self._check(arr.reshape(1)))[0]
         out = primitive(self._check(arr))
@@ -161,17 +164,18 @@ class _Segment:
     times (n,) increase strictly and values are (n, d), or (n, k, d) for
     the k rows of a family.  Every query takes times at or after times[0];
     after times[-1] the segment holds its last value.  The node prefix
-    integral and running maximum are built on first use and cached.
+    integral and running maximum are built on first use and cached, unless
+    given, as a family's row views are.
     """
 
-    def __init__(self, times, values, mode):
+    def __init__(self, times, values, mode, prefix=None, runmax=None):
         self.times = times
         self.values = values
         self.mode = mode
         # indexes an (m,) per-time factor to scale the values' trailing axes
         self.by_time = (slice(None),) + (None,) * (values.ndim - 1)
-        self._prefix = None
-        self._runmax = None
+        self._prefix = prefix
+        self._runmax = runmax
         # the whole grid, which a live segment fills a prefix of, and the
         # scale of its arithmetic locate: None until checked, 0.0 if none
         self._grid = times
@@ -301,6 +305,35 @@ class _LiveSegment(_Segment):
     node_runmax = _Segment._build_runmax
 
 
+def _require_mode(mode):
+    """mode, or DomainError unless it is one of the interpolation modes."""
+    if mode not in _MODES:
+        raise DomainError(f"unknown interp_mode {mode!r}")
+    return mode
+
+
+def _node_values(name, values, n, dim=None, rows=False, what=None):
+    """values by require_reals, shaped as n path nodes: (n, d), (n,) read
+    as (n, 1), or (n, k, d) for a family when rows is set; n None is one
+    node without its axis, (d,) or (k, d).  d is dim if given, else >= 1.
+    A bad entry or shape raises DomainError naming what, or else name."""
+    v = require_reals(name, values, what=what)
+    lead = () if n is None else (n,)
+    if lead and v.ndim == 1:
+        v = v[:, None]
+    axes = v.ndim - len(lead)
+    width = v.shape[-1] if v.ndim else 0
+    if v.shape[:len(lead)] != lead or not (axes == 1 or rows and axes == 2) \
+            or not width or dim not in (None, width):
+        head = f"{n}, " if lead else ""
+        d = "d" if dim is None else dim
+        want = (f"({head}{d})" if lead else f"({d},)") \
+            + (f" or ({head}k, {d})" if rows else "") \
+            + (", d >= 1" if dim is None else "")
+        raise DomainError(f"{what or name} must be {want}, not {v.shape}")
+    return v
+
+
 class GridPath(PathBase):
     """Concrete path: strictly increasing times from 0 to T and values.
 
@@ -310,18 +343,8 @@ class GridPath(PathBase):
 
     def __init__(self, times, values, interp_mode=LINEAR):
         times = require_grid("times", times, start=0.0)
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.ndim != 2 or values.shape[1] == 0:
-            raise DomainError("values must be (n, d), d >= 1")
-        if len(times) != len(values):
-            raise DomainError("times and values length mismatch")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("values must be finite")
-        if interp_mode not in _MODES:
-            raise DomainError(f"unknown interp_mode {interp_mode!r}")
-        self._setup(times.copy(), values.copy(), interp_mode)
+        values = _node_values("values", values, len(times))
+        self._setup(times.copy(), values.copy(), _require_mode(interp_mode))
 
     def _setup(self, times, values, interp_mode):
         times.setflags(write=False)
@@ -357,9 +380,6 @@ class SplicedPath(PathBase):
     def __init__(self, left, switch, seg_times, seg_values, seg_mode=LINEAR):
         require_path(left=left)
         seg_times = require_times("seg_times", seg_times)
-        seg_values = np.asarray(seg_values, dtype=float)
-        if seg_values.ndim == 1:
-            seg_values = seg_values[:, None]
         switch = require_time("switch", switch, left.horizon)
         # one node at the switch, as concat builds at the horizon, holds it
         if not (seg_times.shape == (1,) and seg_times[0] == switch):
@@ -367,24 +387,16 @@ class SplicedPath(PathBase):
         if seg_times[0] != switch:
             raise DomainError("segment must start at the switch time")
         require_time("seg_times[-1]", float(seg_times[-1]), left.horizon)
-        if seg_values.ndim not in (2, 3) \
-                or seg_values.shape[0] != len(seg_times) \
-                or seg_values.shape[-1] != left.dim:
-            raise DomainError(f"seg_values must be ({len(seg_times)}, "
-                              f"{left.dim}) or ({len(seg_times)}, k, "
-                              f"{left.dim}), not {seg_values.shape}")
-        bad = seg_values[~np.isfinite(seg_values)]
-        if bad.size:
-            raise DomainError(f"seg_values must be finite, not {bad[0]}")
-        if seg_mode not in _MODES:
-            raise DomainError(f"unknown interp_mode {seg_mode!r}")
+        seg_values = _node_values("seg_values", seg_values, len(seg_times),
+                                  left.dim, rows=True)
         seg_times = seg_times.copy()
         seg_values = seg_values.copy()
         seg_times.setflags(write=False)
         seg_values.setflags(write=False)
-        self._join(left, switch, _Segment(seg_times, seg_values, seg_mode))
+        self._join(left, switch, _Segment(seg_times, seg_values,
+                                          _require_mode(seg_mode)))
 
-    def _join(self, left, switch, seg, at_switch=None, sup=None):
+    def _join(self, left, switch, seg, mode=None, at_switch=None, sup=None):
         self.left = left
         self.switch = switch
         self.seg = seg
@@ -393,26 +405,23 @@ class SplicedPath(PathBase):
         self._shape = seg.values.shape[1:]
         if len(self._shape) == 2:
             self.rows = self._shape[0]
-        self.interp_mode = seg.mode
+        self.interp_mode = mode or seg.mode
         self.dim = left.dim
         self.horizon = left.horizon
         return self
 
     def row(self, r):
         """Path r of a family: left before the switch, segment row r after."""
-        if self.rows is None:
-            raise DomainError("a single path has no rows")
-        seg = _Segment(self.seg.times, self.seg.values[:, r], self.seg.mode)
-        return SplicedPath.__new__(SplicedPath)._join(
-            self.left, self.switch, seg, self._head_integral())
+        return self.row_views()[r]
 
     def row_views(self):
-        """The k paths of a family, each equal to row(r) bit for bit, built
-        once for one read of every row: they share the segment's node
-        prefix and running max, taken from the nodes filled now, and the
-        integral and sup of left before the switch.  The node values are
-        slices [:, r] of the family's own, which run along time separately
-        in each row; build the views again after a fill or a rewrite."""
+        """The k paths of a family, built here and nowhere else: row r is
+        left before the switch and segment row r after, of the family's type
+        and mode.  Built once for one read of every row, they share the node
+        prefix and running max of the nodes filled now, slices [:, r] of
+        the family's, which run along time separately in each row, and the
+        integral and sup of left before the switch; build them again after
+        a fill or a rewrite."""
         if self.rows is None:
             raise DomainError("a single path has no rows")
         seg = self.seg
@@ -420,13 +429,11 @@ class SplicedPath(PathBase):
         prefix.setflags(write=False)
         runmax.setflags(write=False)
         head, sup = self._head_integral(), self._head_sup()
-        views = []
-        for r in range(self.rows):
-            row = _Segment(seg.times, seg.values[:, r], seg.mode)
-            row._prefix, row._runmax = prefix[:, r], runmax[:, r]
-            views.append(SplicedPath.__new__(SplicedPath)._join(
-                self.left, self.switch, row, head, sup))
-        return views
+        return [type(self).__new__(type(self))._join(
+            self.left, self.switch, _Segment(seg.times, seg.values[:, r],
+                                             seg.mode, prefix[:, r],
+                                             runmax[:, r]),
+            self.interp_mode, head, sup) for r in range(self.rows)]
 
     def knots(self):
         t = self.left.knots()
@@ -520,10 +527,16 @@ class StoppedPath(SplicedPath):
     so is the prefix integral up to it (a bump carries no measure there).
     The base must not change under the view: the held value and the base's
     integral up to the stop time are taken from it once.  A (k, d) held
-    value makes the view a family of k paths, row r holding row r; a bump
-    family is a splice family with one segment node.  The base is one
-    path, never a family.  The view keeps the base's ``interp_mode``.
+    value makes the view a family of k paths, row r holding row r.  The
+    base is one path, never a family.  The view keeps the base's
+    ``interp_mode``.  Its attributes are its splice's: ``base``,
+    ``stop_time`` and ``value_at_stop`` read ``left``, ``switch`` and the
+    segment's one node, a read-only copy as a splice's segment values are.
     """
+
+    base = property(lambda self: self.left)
+    stop_time = property(lambda self: self.switch)
+    value_at_stop = property(lambda self: self.seg.values[0])
 
     def __init__(self, base, stop_time, value_at_stop=None):
         require_path(base=base)
@@ -531,32 +544,14 @@ class StoppedPath(SplicedPath):
         if value_at_stop is None:
             value_at_stop = base.eval(stop_time)
         else:
-            value_at_stop = require_reals("value_at_stop", value_at_stop,
-                                          what="held value")
-            if value_at_stop.shape[-1:] != (base.dim,) \
-                    or value_at_stop.ndim > 2:
-                raise DomainError(f"held value must be ({base.dim},) or "
-                                  f"(k, {base.dim}), not {value_at_stop.shape}")
-        self.base = base
-        self.stop_time = stop_time
-        self.value_at_stop = value_at_stop
+            value_at_stop = _node_values("value_at_stop", value_at_stop, None,
+                                         base.dim, rows=True,
+                                         what="held value").copy()
+        value_at_stop.setflags(write=False)
         # one node has nothing to interpolate, so the segment holds it
         self._join(base, stop_time, _Segment(np.array([stop_time]),
-                                             value_at_stop[None], CADLAG))
-        self.interp_mode = base.interp_mode
-
-    def row(self, r):
-        """Path r of a family: the base before the stop, held row r after."""
-        if self.rows is None:
-            raise DomainError("a single path has no rows")
-        return StoppedPath(self.base, self.stop_time, self.value_at_stop[r])
-
-    def row_views(self):
-        """row(r) for every r: a bump family has one node, so its rows have
-        nothing to share."""
-        if self.rows is None:
-            raise DomainError("a single path has no rows")
-        return [self.row(r) for r in range(self.rows)]
+                                             value_at_stop[None], CADLAG),
+                   base.interp_mode)
 
 
 def require_path(family=False, **paths):
@@ -675,8 +670,8 @@ def ramp_path(slope=1.0, horizon=1.0, n=1025, interp_mode=LINEAR,
     n = require_count("n", n, low=None)
     horizon = require_finite("horizon", horizon, error=DomainError)
     t = np.linspace(0.0, horizon, max(n, 0))  # GridPath: n >= 2
-    v = np.atleast_1d(np.asarray(slope, dtype=float))[None, :] * t[:, None] \
-        + np.atleast_1d(np.asarray(offset, dtype=float))[None, :]
+    v = np.atleast_1d(require_reals("slope", slope))[None, :] * t[:, None] \
+        + np.atleast_1d(require_reals("offset", offset))[None, :]
     return GridPath(t, v, interp_mode)
 
 

@@ -28,16 +28,13 @@ import math
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ConfigError, require_count
+from .errors import MAX_LOG2, ConfigError, require_count
 
 # half of the 53-bit uniform lattice spacing, and the largest double below 1
 _HALF_ULP = 2.0 ** -54
 _TOP = 1.0 - 2.0 ** -53
 _WORD = 2 ** 64
 _STREAMS = 2 ** 128
-# the most normals one block draw holds, as brownian_path's draw and the
-# flow grids' steps are capped
-_MAX_NORMALS = 2 ** 24
 
 
 def _key(seed):
@@ -82,9 +79,9 @@ def normal_block(seed, first, count, shape):
     key = _key(seed)
     first, count = _streams(first, count)
     shape = tuple(require_count("shape", s) for s in np.atleast_1d(shape))
-    if count * math.prod(shape) > _MAX_NORMALS:
+    if count * math.prod(shape) > 2 ** MAX_LOG2:
         raise ConfigError(f"count {count} times shape {shape} is more than "
-                          "2**24 normals")
+                          f"2**{MAX_LOG2} normals")
     bitgen = Philox(key=key)
     gen = Generator(bitgen)
     counter = [0, 0, 0, 0]

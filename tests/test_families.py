@@ -96,6 +96,19 @@ def families(draw):
 def test_family_queries_equal_each_row_bitwise(case):
     fam, rows, ts = case
     assert fam.rows == len(rows)
+    # row_views builds every row, of the family's type and mode, and row(r)
+    # is one of them; a held family's row r is the base stopped at the cut,
+    # holding the value that path r on its own holds
+    views = fam.row_views()
+    for r, alone in enumerate(rows):
+        for row in (views[r], fam.row(r)):
+            assert type(row) is type(fam) and row.rows is None
+            assert row.interp_mode == fam.interp_mode == alone.interp_mode
+            if isinstance(fam, StoppedPath):
+                assert row.base is alone.base
+                assert row.stop_time == alone.stop_time
+                assert row.value_at_stop.tobytes() \
+                    == alone.eval(fam.horizon).tobytes()
     for t in ts:
         for name in QUERIES:
             got = getattr(fam, name)(t)

@@ -96,11 +96,13 @@ def test_gridpath_rejects_bad_grids():
         GridPath([0.0, 1.0], [[0.0], [np.nan]])
     with pytest.raises(DomainError):
         GridPath([0.0], [[1.0]])
-    with pytest.raises(DomainError, match="length mismatch"):
+    with pytest.raises(DomainError, match=r"^values must be \(3, d\), "
+                                          r"d >= 1, not \(2, 1\)$"):
         GridPath([0.0, 0.5, 1.0], [[0.0], [1.0]])
     with pytest.raises(DomainError):
         GridPath([0.0, 1.0], [[0.0], [1.0]], interp_mode="cubic")
-    with pytest.raises(DomainError, match="d >= 1"):
+    with pytest.raises(DomainError, match=r"^values must be \(2, d\), "
+                                          r"d >= 1, not \(2, 0\)$"):
         GridPath([0.0, 1.0], np.empty((2, 0)))
     for horizon in (0.0, -1.0):
         with pytest.raises(DomainError, match="horizon must be positive"):
@@ -277,6 +279,14 @@ def test_bump_mutating_caller_array_is_safe():
     b = bump(constant_path(0.0), 0.5, h)
     h[0] = 99.0
     assert b.eval(1.0)[0] == 1.0
+    # a held value given to StoppedPath is copied and frozen too, as a
+    # splice's segment values are
+    held = np.array([[1.0], [2.0]])
+    fam = StoppedPath(constant_path(0.0), 0.5, held)
+    held[0, 0] = 99.0
+    assert fam.eval(1.0).tolist() == [[1.0], [2.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        fam.value_at_stop[0, 0] = 99.0
 
 
 def test_concat_step_jump():
@@ -831,6 +841,12 @@ def _real_entries():
             spec, f, [0.0, 1.0], v, n_paths=2), "x0", "reals"),
         "within": (lambda v: MCEstimate(0.0, 1.0, 10).within(v), "reference",
                    "a real"),
+        "GridPath": (lambda v: GridPath([0.0, 1.0], v), "values", "reals"),
+        "SplicedPath": (lambda v: SplicedPath(x, 0.5, [0.5, 1.0], v),
+                        "seg_values", "reals"),
+        "ramp_path_slope": (ramp_path, "slope", "reals"),
+        "ramp_path_offset": (lambda v: ramp_path(1.0, offset=v), "offset",
+                             "reals"),
     }
 
 
@@ -891,19 +907,27 @@ def test_integral_past_a_stop_grows_from_the_integral_at_it(mode, cut):
             assert view.integral_prefix(u).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5, "a"])
 @pytest.mark.parametrize("shape", ["float", "0d", "1", "3", "1x1", "2x2"])
 @pytest.mark.parametrize("which", ["grid", "stopped", "spliced"])
 def test_bad_times_raise_for_every_shape(bad, shape, which):
+    # a time that is no number raised numpy's or float()'s ValueError, on a
+    # path and through a functional reading one; now each names its time
     r = ramp_path(1.0, n=17)
     path = {"grid": r, "stopped": bump(r, 0.5, [0.25]),
             "spliced": concat(r, 0.5, constant_path(2.0))}[which]
     ts = {"float": bad, "0d": np.array(bad), "1": np.array([bad]),
           "3": np.array([0.25, bad, 0.75]), "1x1": np.array([[bad]]),
           "2x2": np.array([[0.0, 0.5], [bad, 1.0]])}[shape]
-    for name in QUERIES:
-        with pytest.raises(DomainError):
-            getattr(path, name)(ts)
+    F = builtin("eval")
+    reads = [getattr(path, name) for name in QUERIES]
+    reads.append(lambda u: F.eval_many(u, path))
+    if shape in ("float", "0d"):
+        reads.append(lambda u: F.eval(u, path))
+    named = "^ts? must be " if isinstance(bad, str) else None
+    for read in reads:
+        with pytest.raises(DomainError, match=named):
+            read(ts)
 
 
 # ---------------------------------------------------------------------------
