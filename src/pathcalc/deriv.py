@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import MAX_LOG2, ConfigError, DomainError, \
     IllConditionedError, NonDifferentiableError, require_count, \
-    require_finite, require_shape, require_time
+    require_finite, require_reals, require_shape, require_time
 from .flow import solve_flow
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, require_field
@@ -110,12 +110,18 @@ class DerivativeReport:
 
 def judge(etas, quotients, ratio, label=""):
     """Classify a quotient ladder; see the module docstring."""
-    etas = np.asarray(etas, dtype=float)
-    quotients = np.asarray(quotients, dtype=float)
+    etas = require_reals("etas", etas, finite=False, error=ConfigError)
+    # a NaN or infinite quotient makes the ladder inconclusive
+    quotients = require_reals("quotients", quotients, finite=False,
+                              error=ConfigError)
     if etas.ndim != 1 or quotients.shape != etas.shape or len(etas) <= TAIL:
         raise ConfigError(f"judge needs one quotient per eta, at least "
                           f"{TAIL + 1}, not {etas.shape} etas and "
                           f"{quotients.shape} quotients")
+    ok = (etas > 0.0) & (etas < np.inf)   # NaN fails both
+    if not ok.all():
+        raise ConfigError(f"etas must be positive and finite, not "
+                          f"{etas[~ok][0]}")
     ratio = _require_ratio(ratio)
     tail = quotients[-TAIL:]
     med = float(np.median(tail))

@@ -85,8 +85,11 @@ def require_count(name, value, low=0):
 
 
 def _real(value):
-    """value as a float, or None for text, None, a list, an array of one or
-    more axes and an int past the float range."""
+    """value as a float, or None for text (numeric text and bytes too),
+    None, a list, an array of one or more axes and an int past the float
+    range."""
+    if isinstance(value, (str, bytes)):
+        return None
     try:
         return None if getattr(value, "ndim", 0) else float(value)
     except (TypeError, ValueError, OverflowError):
@@ -106,22 +109,23 @@ def require_finite(name, value, zero=False, error=ConfigError):
     return v
 
 
-def require_reals(name, value, scalar=False, what=None):
-    """value as a float array of finite reals, or as a float when scalar
-    is set, or DomainError: naming the parameter for what numpy cannot read
-    as reals (None, text that is no number, a ragged list) and, when scalar
-    is set, for an array with an axis; naming what, the parameter unless
-    given, for an entry that is NaN or infinite."""
+def require_reals(name, value, scalar=False, what=None, finite=True,
+                  error=DomainError):
+    """value as a float array of reals, or as a float when scalar is set,
+    or error: naming the parameter for what numpy cannot read as reals
+    (None, text that is no number, a ragged list) and, when scalar is set,
+    for an array with an axis; naming what, the parameter unless given,
+    for an entry that is NaN or infinite, unless finite is unset."""
     try:
         arr = None if value is None else np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is None or scalar and arr.ndim:
         kind = "a real" if scalar else "reals"
-        raise DomainError(f"{name} must be {kind}, not {reprlib.repr(value)}")
-    bad = arr[~np.isfinite(arr)]
+        raise error(f"{name} must be {kind}, not {reprlib.repr(value)}")
+    bad = arr[~np.isfinite(arr)] if finite else arr[:0]
     if bad.size:
-        raise DomainError(f"{what or name} must be finite, not {bad[0]}")
+        raise error(f"{what or name} must be finite, not {bad[0]}")
     return float(arr) if scalar else arr
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import MAX_LOG2, ConfigError, DomainError, \
     FlowIterationError, require_count, require_finite, require_finite_steps, \
-    require_grid, require_shape, require_time
+    require_grid, require_shape, require_time, require_times
 from .functionals import DirectionField, require_field
 from .paths import LINEAR, PathBase, SplicedPath, require_path, \
     splice_view, stop
@@ -27,7 +27,9 @@ _DIVERGENCE_CAP = 1e12
 
 @dataclass
 class FlowSolution:
-    """Solved flow: the extended path plus solver provenance."""
+    """Solved flow: the extended path plus solver provenance.  Both solvers
+    set it up alike; a flow from s to s runs their general route on the
+    one-node grid [s], with iterations [] and w stopped at s as its path."""
 
     path: PathBase
     start: float
@@ -42,24 +44,34 @@ class FlowSolution:
 
     def residual(self, ts=None):
         """|Y(t) - Y(s) - integral of gamma along Y| at the given times
-        (solver grid by default), using the solver's own quadrature."""
+        (solver grid by default), using the solver's own quadrature: one
+        value per time of a 1-d ts, a float for one time."""
         at_grid = ts is None
-        ts = self.grid if at_grid else np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < self.start or ts.max() > self.until):
-            raise DomainError("residual times must lie in [start, until]")
+        ts = self.grid if at_grid else require_times("ts", ts)
+        if ts.ndim > 1:
+            raise DomainError(f"ts must be one time or a 1-d array of "
+                              f"times, not of shape {ts.shape}")
+        t = np.atleast_1d(ts)
+        out = ~((t >= self.start) & (t <= self.until))   # NaN is out
+        if out.any():
+            raise DomainError(f"ts must lie in [{self.start}, "
+                              f"{self.until}], not {t[out][0]}")
         g = self.direction.eval_many(self.grid, self.path)
         # the quadrature's prefix at the last grid node at or before each
         # time, plus its rule over the rest of the step
-        idx = self.grid.searchsorted(ts, side="right") - 1
-        rem = (ts - self.grid[idx])[:, None]
+        idx = self.grid.searchsorted(t, side="right") - 1
+        rem = (t - self.grid[idx])[:, None]
         if self.quadrature == "trapezoid":
-            g_ts = g if at_grid else self.direction.eval_many(ts, self.path)
+            # g is the direction at the grid; read again, it raised the
+            # peak_rss_mb of partitions, whose checks call this, 95.49 ->
+            # 97.29 MB, higher in 10 of 10 pairs (2 shared CPUs)
+            g_ts = g if at_grid else self.direction.eval_many(t, self.path)
             part = _kernels.trapezoid_prefix(self.grid, g)[idx] \
                 + rem * 0.5 * (g[idx] + g_ts)
         else:
             part = _kernels.left_prefix(self.grid, g)[idx] + rem * g[idx]
-        gap = self.path.eval(ts) - (self.values[0] + part)
-        return np.abs(gap).max(axis=1)
+        gap = np.abs(self.path.eval(t) - (self.values[0] + part)).max(axis=1)
+        return gap if ts.ndim else float(gap[0])
 
     @property
     def tol_residual(self):
@@ -92,8 +104,9 @@ def _make_grid(s, until, substep, grid):
     return grid, span / n
 
 
-def _span(w, s, gamma, until):
-    """(s, until) as floats, checked against the path w and the field."""
+def _setup(w, s, gamma, until, substep, grid):
+    """Both solvers' (s, until, grid, mesh, values): w, gamma, s and until
+    checked, the grid built, [s] when until is s, and values[0] = w(s)."""
     require_path(w=w)
     require_shape("gamma", gamma, (w.dim,))
     s = require_time("s", s, w.horizon)
@@ -101,7 +114,11 @@ def _span(w, s, gamma, until):
         else require_time("until", until, w.horizon)
     if until < s:
         raise DomainError(f"until must be at least s={s}, not {until}")
-    return s, until
+    grid, mesh = (np.array([s]), 0.0) if until == s \
+        else _make_grid(s, until, substep, grid)
+    values = np.empty((len(grid), w.dim))
+    values[0] = w.eval(s)
+    return s, until, grid, mesh, values
 
 
 def _window_runs(grid, cap):
@@ -140,16 +157,10 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
     evaluates to zero along the whole extension returns the stopped path
     itself, so the zero-field flow is exact.
     """
-    s, until = _span(w, s, require_field("gamma", gamma), until)
+    s, until, grid, mesh, values = _setup(
+        w, s, require_field("gamma", gamma), until, substep, grid)
     require_finite("picard_tol", picard_tol)
     max_iters = require_count("max_iters", max_iters, 1)
-    if s == until:
-        g0 = np.array([s])
-        v0 = w.eval(s)[None, :]
-        return FlowSolution(stop(w, s), s, until, gamma, 0.0, picard_tol,
-                            g0, v0, [])
-
-    grid, mesh = _make_grid(s, until, substep, grid)
     K = gamma.lipschitz_K
     cap = 0.5 / K if K > 0 else np.inf
     if window is not None:
@@ -160,9 +171,6 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
         cap = min(cap, float(window))
     runs = _window_runs(grid, cap)
 
-    n = len(grid)
-    values = np.empty((n, w.dim))
-    values[0] = w.eval(s)
     live = splice_view(w, s, grid, values, LINEAR)
     iterations = []
 
@@ -171,19 +179,15 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
         v0 = values[i0].copy()
         values[i0 + 1:i1 + 1] = v0
         live.seg.fill(i1 + 1)
-        done = False
         for it in range(1, max_iters + 1):
             g = gamma.eval_many(ts, live)
             new = v0 + _kernels.trapezoid_prefix(ts, g)
             delta = float(np.abs(new - values[i0:i1 + 1]).max())
             values[i0:i1 + 1] = new
-            if delta <= picard_tol:
-                iterations.append(it)
-                done = True
+            # a NaN change fails both tests: diverged, never converged
+            if delta <= picard_tol or not delta <= _DIVERGENCE_CAP:
                 break
-            if not np.isfinite(delta) or delta > _DIVERGENCE_CAP:
-                break
-        if not done:
+        if not delta <= picard_tol:
             # the live view holds the i1 + 1 nodes swept so far, which
             # the SplicedPath constructor would refuse once they overflow
             raise FlowIterationError(
@@ -192,6 +196,7 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
                 f"(last change {delta:g}); is the declared Lipschitz "
                 f"constant {K:g} honest?",
                 last_iterate=live, sup_change=delta)
+        iterations.append(it)
 
     return FlowSolution(_flow_path(w, s, grid, values), s, until, gamma,
                         mesh, picard_tol, grid, values, iterations)
@@ -204,31 +209,31 @@ def euler_flow(w, s, gamma, until=None, substep=None, grid=None):
     for constant fields.  A flow that is not finite at some grid time
     raises NumericalError.
     """
-    s, until = _span(w, s, gamma, until)
-    if s == until:
-        return FlowSolution(stop(w, s), s, until, gamma, 0.0, 0.0,
-                            np.array([s]), w.eval(s)[None, :], [])
-    grid, mesh = _make_grid(s, until, substep, grid)
-    values = np.empty((len(grid), w.dim))
-    values[0] = w.eval(s)
+    s, until, grid, mesh, values = _setup(w, s, gamma, until, substep, grid)
     euler_steps(w, grid, values, gamma)
     require_finite_steps("the Euler flow", grid, values)
+    # one pass, over no step on the one-node grid of a flow from s to s
     return FlowSolution(_flow_path(w, s, grid, values), s, until, gamma,
-                        mesh, 0.0, grid, values, [1], quadrature="left")
+                        mesh, 0.0, grid, values, [1] if len(grid) > 1 else [],
+                        quadrature="left")
 
 
 def euler_steps(x, grid, values, drift, sigma=None, dw=None):
     """Explicit left-point steps along grid from values[0], in place:
     values[j + 1] = values[j] + (dt[j] * a + sigma @ dw[:, j]), with a and
-    sigma read at grid[j] on x spliced at grid[0] with the filled values, a
-    constant by its value.  values is (n, d), or (n, k, d) for a family of
-    k with dw (k, n - 1, m); without dw no noise term is added, not even 0."""
+    sigma read through eval at grid[j] on x spliced at grid[0] with the
+    filled values, a constant sigma by its value.  values is (n, d), or
+    (n, k, d) for a family of k with dw (k, n - 1, m); without dw no noise
+    term is added, not even 0."""
     live = splice_view(x, grid[0], grid, values, LINEAR)
     dt = np.diff(grid)
-    a, sig = drift.constant_value, getattr(sigma, "constant_value", None)
+    # a constant sigma's value, the bits of its eval: read through eval,
+    # monte_carlo's 12 path_drift units read unit_ms.p90 12.70 against 12.38
+    # [12.27, 12.44] ms, higher in 10 of 10 pairs (2 shared CPUs)
+    sig = getattr(sigma, "constant_value", None)
     for j, s in enumerate(grid[:-1]):
         live.seg.fill(j + 1)
-        step = dt[j] * (drift.eval(s, live) if a is None else a)
+        step = dt[j] * drift.eval(s, live)
         if dw is not None:
             sj = sigma.eval(s, live) if sig is None else sig
             step = step + (sj @ dw[:, j, :, None])[..., 0]

@@ -527,15 +527,14 @@ def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0):
                        samples, [where] if where else [])
 
 
-def probe_lipschitz(field, samples=200, seed=0, horizon=1.0, dim=None):
+def probe_lipschitz(field, samples=200, seed=0, horizon=1.0):
     """Empirical Lipschitz ratio of a DirectionField against its declared K.
 
-    Samples stopped-path pairs sharing a grid and compares the field gap to
-    the sup gap of the stopped paths."""
+    Samples stopped-path pairs of the field's dimension sharing a grid and
+    compares the field gap to the sup gap of the stopped paths."""
     require_field("field", field)
-    d = field.dim_out if dim is None else dim
     worst = 0.0
-    for _, gen, x in _samples(seed, 2, samples, d, horizon):
+    for _, gen, x in _samples(seed, 2, samples, field.dim_out, horizon):
         values = x.values + gen.normal(scale=0.5, size=x.values.shape)
         y = grid_view(x.times, values, x.interp_mode)
         t = float(gen.uniform(horizon * 0.05, horizon))

@@ -86,6 +86,11 @@ class QVMatrixPath:
         return self.matrices[-1]
 
     def component(self, i=0, j=0):
+        """The running (i, j) entry, i and j in [0, dim)."""
+        i, j = require_count("i", i, None), require_count("j", j, None)
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise DomainError(f"component ({i}, {j}) outside dimension "
+                              f"{self.dim}")
         return self.matrices[:, i, j]
 
     def min_eigenvalue(self):

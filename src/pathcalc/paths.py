@@ -655,13 +655,19 @@ def dist_stopped(x, t, y, s):
     return abs(float(t) - float(s)) + max(gap, gap_left)
 
 
-def constant_path(value, horizon=1.0, dim=None, interp_mode=LINEAR):
-    """Constant path on [0, horizon]."""
+def constant_path(value, horizon=1.0, dim=None):
+    """Constant path on [0, horizon]; with dim given, value holds one entry
+    per coordinate or one for all dim."""
     horizon = require_finite("horizon", horizon, error=DomainError)
     v = np.atleast_1d(require_reals("value", value))
-    if dim is not None and v.size == 1:
-        v = np.full(require_count("dim", dim, 1), v[0])
-    return GridPath([0.0, horizon], np.vstack([v, v]), interp_mode)
+    if dim is not None:
+        dim = require_count("dim", dim, 1)
+        if v.size not in (1, dim):
+            raise DomainError(f"value must hold 1 or {dim} entries, not "
+                              f"{v.size}")
+        if v.size == 1:
+            v = np.full(dim, v[0])
+    return GridPath([0.0, horizon], np.vstack([v, v]))
 
 
 def ramp_path(slope=1.0, horizon=1.0, n=1025, interp_mode=LINEAR,

@@ -96,6 +96,8 @@ def test_judge_inconclusive_on_nonfinite():
     q[-1] = np.inf
     rep = judge(etas, q, lad.ratio)
     assert rep.verdict == INCONCLUSIVE
+    q[-1] = np.nan
+    assert judge(etas, q, lad.ratio).verdict == INCONCLUSIVE
 
 
 def test_judge_scale_aware_tolerance():
@@ -118,6 +120,25 @@ def test_judge_refuses_a_ladder_it_cannot_judge(etas, quotients):
     # raised numpy's ValueError, and lengths went unchecked
     with pytest.raises(ConfigError, match=r"^judge needs one quotient per "
                                           r"eta, at least 6, not "):
+        judge(etas, quotients, 0.5)
+
+
+@pytest.mark.parametrize("etas, quotients, message", [
+    (["a"] * 6, [1.0] * 6,
+     "etas must be reals, not ['a', 'a', 'a', 'a', 'a', 'a']"),
+    ([np.nan] * 6, [1.0] * 6, "etas must be positive and finite, not nan"),
+    (-(0.5 ** np.arange(6)), [1.0] * 6,
+     "etas must be positive and finite, not -1.0"),
+    ([1.0, 0.5, 0.25, 0.125, 0.0625, np.inf], [1.0] * 6,
+     "etas must be positive and finite, not inf"),
+    (0.5 ** np.arange(6), ["a"] * 6,
+     "quotients must be reals, not ['a', 'a', 'a', 'a', 'a', 'a']"),
+], ids=["text_etas", "nan_etas", "negative_etas", "infinite_eta",
+        "text_quotients"])
+def test_judge_reads_its_ladder_through_the_rules(etas, quotients, message):
+    # text raised a builtin ValueError, and NaN or negative etas were
+    # judged converged
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         judge(etas, quotients, 0.5)
 
 

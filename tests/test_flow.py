@@ -121,6 +121,8 @@ def test_residual_within_reported_tolerance():
     w = constant_path(1.0)
     sol = solve_flow(w, 0.0, eval_direction(1), until=1.0, substep=2.0 ** -8)
     assert float(sol.residual().max()) <= sol.tol_residual
+    # one time gives one float, which raised numpy's IndexError
+    assert sol.residual(0.5) == sol.residual([0.5])[0]
 
 
 def test_start_equals_until_is_stop():
@@ -185,6 +187,15 @@ def test_argument_validation():
     with pytest.raises(DomainError):
         sol = solve_flow(w, 0.0, gamma, until=0.5)
         sol.residual(np.array([0.9]))
+    # NaN passed the range check, text and a second axis reached numpy
+    for ts, message in [
+            ([np.nan], r"ts must lie in \[0\.0, 0\.5\], not nan"),
+            ([0.25, 0.9], r"ts must lie in \[0\.0, 0\.5\], not 0\.9"),
+            (["a"], r"ts must be an array of real times, not \['a'\]"),
+            ([[0.5]], r"ts must be one time or a 1-d array of times, not "
+                      r"of shape \(1, 1\)")]:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            sol.residual(ts)
 
 
 @pytest.mark.parametrize("solver", [solve_flow, euler_flow])
@@ -299,6 +310,8 @@ def test_euler_flow_start_equals_until_is_stop():
     assert sol.grid.tolist() == [0.5]
     assert sol.values.tolist() == [[0.5]]
     assert sol.iterations == []
+    # the general route's rule, as for every other Euler solution
+    assert sol.quadrature == "left"
 
 
 def test_euler_flow_residual_uses_left_rectangles():

@@ -339,6 +339,10 @@ def _fn(t, x):
      "^dim must be a whole number"),
     (lambda: constant_path(1.0, dim=1.5), ConfigError,
      "^dim must be a whole number"),
+    (lambda: constant_path([1.0, 2.0], dim=3), DomainError,
+     "^value must hold 1 or 3 entries, not 2$"),
+    (lambda: constant_path([1.0, 2.0], dim=0), ConfigError,
+     "^dim must be at least 1, not 0$"),
     (lambda: eval_functional(axis=1, dim=1), DomainError,
      "^axis 1 outside dimension 1$"),
     (lambda: running_max_functional(axis=2, dim=2), DomainError,
@@ -348,6 +352,7 @@ def _fn(t, x):
         "running_avg_direction_fractional",
         "builtin_fractional_dim", "zero_direction_zero",
         "numerical_derivatives_fractional", "constant_path_fractional",
+        "constant_path_too_few_entries", "constant_path_zero_dim",
         "catalog_axis_outside", "running_max_axis_outside"])
 def test_functional_sizes_are_errors_naming_them(call, error, match):
     # each was cut by int() or passed through: a (1,) shape for 1.5, a (0,)
@@ -538,7 +543,8 @@ def test_a_constant_must_be_finite(make, value):
 @pytest.mark.parametrize("probe", [
     lambda **kw: probe_non_anticipative(builtin("eval"), **kw),
     lambda **kw: probe_boundedness(builtin("eval"), 1.0, **kw),
-    lambda **kw: probe_lipschitz(eval_direction(1), **kw),
+    # the paths of a Lipschitz probe take the dimension of its field
+    lambda dim=1, **kw: probe_lipschitz(eval_direction(dim), **kw),
 ], ids=["non_anticipative", "boundedness", "lipschitz"])
 @pytest.mark.parametrize("kw", [
     {"samples": 0}, {"samples": -3}, {"dim": 0}, {"horizon": -1.0},

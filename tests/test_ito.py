@@ -137,6 +137,14 @@ def test_qv_running_matrices_structure():
     dx = np.diff(x.values[:: 2 ** 3], axis=0)
     assert np.allclose(qv.final(), dx.T @ dx, rtol=1e-12, atol=1e-15)
     assert np.array_equal(qv.component(0, 1), qv.matrices[:, 0, 1])
+    # -1 read the last component, and 2 raised numpy's IndexError
+    for i, j in [(-1, -1), (2, 0), (0, 2)]:
+        with pytest.raises(DomainError, match=rf"^component \({i}, {j}\) "
+                           "outside dimension 2$"):
+            qv.component(i, j)
+    with pytest.raises(ConfigError, match="^i must be a whole number, "
+                       "not 0.5$"):
+        qv.component(0.5, 0)
 
 
 def test_qv_brownian_near_horizon_value():

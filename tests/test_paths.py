@@ -1079,9 +1079,9 @@ def _time_entries():
     }
 
 
-_BAD_TIMES = {"text": "a", "none": None, "list": [0.5],
-              "array": np.array([0.5]), "nan": np.nan, "negative": -0.25,
-              "past_horizon": 1.5}
+_BAD_TIMES = {"text": "a", "numeric_text": "0.5", "bytes": b"0.5",
+              "none": None, "list": [0.5], "array": np.array([0.5]),
+              "nan": np.nan, "negative": -0.25, "past_horizon": 1.5}
 
 
 # until=None is the horizon, solve_flow's default
@@ -1138,9 +1138,9 @@ def _finite_entries():
     }
 
 
-_BAD_REALS = {"text": "a", "none": None, "list": [1.0],
-              "array": np.array([1.0]), "nan": np.nan, "inf": np.inf,
-              "negative": -1.0}
+_BAD_REALS = {"text": "a", "numeric_text": "0.5", "bytes": b"2",
+              "none": None, "list": [1.0], "array": np.array([1.0]),
+              "nan": np.nan, "inf": np.inf, "negative": -1.0}
 
 
 @pytest.mark.parametrize("entry, bad", [
