@@ -11,11 +11,13 @@ into one of three verdicts rather than trusted blindly:
 * inconclusive  - neither pattern is clean.
 
 Every study starts from x_t, x stopped at t, which _study_point checks and
-builds once.  Every time ladder is one time_study, along x_t or one flow
-solve from it whose grid holds every ladder point.  Every vertical ladder
-forms its quotients from one bump_values read of F on the bumps of x_t.
-Both reject a ladder whose smallest step no longer moves t or the held
-value.
+builds once.  Every time ladder is one time_study, along x_t or one
+flow.picard_flow solve from it whose grid holds every ladder point.  Every
+vertical ladder is one space_study, reading F once on x_t's bumps through
+bump_values.  Both reject a ladder whose smallest step no longer moves t
+or the held value.  A public study checks its arguments, then calls these
+cores, which trust theirs, as _judge trusts the ladders that judge checks;
+inside the library only the cores are called.
 """
 
 import reprlib
@@ -25,8 +27,8 @@ import numpy as np
 
 from .errors import MAX_LOG2, ConfigError, DomainError, \
     IllConditionedError, NonDifferentiableError, require_count, \
-    require_finite, require_reals, require_shape, require_time
-from .flow import solve_flow
+    require_finite, require_reals, require_shape
+from .flow import picard_flow
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, require_field
 from .paths import StoppedPath, require_path, stop_exactly
@@ -81,6 +83,7 @@ def require_ladder(ladder, default):
     return ladder
 
 
+TIME_LADDER = QuotientLadder()   # a time study's default
 # dyadic steps: bumped values x(t) + h round exactly in binary fp, which the
 # sharpest spatial-quotient identities rely on
 SPACE_LADDER = QuotientLadder(eta0=2.0 ** -7)
@@ -122,7 +125,11 @@ def judge(etas, quotients, ratio, label=""):
     if not ok.all():
         raise ConfigError(f"etas must be positive and finite, not "
                           f"{etas[~ok][0]}")
-    ratio = _require_ratio(ratio)
+    return _judge(etas, quotients, _require_ratio(ratio), label)
+
+
+def _judge(etas, quotients, ratio, label):
+    """judge on a ladder as judge checks it: the one verdict rule."""
     tail = quotients[-TAIL:]
     med = float(np.median(tail))
     spread = float(tail.max() - tail.min())
@@ -178,13 +185,14 @@ def _study_point(F, t, x):
     x_t itself, so a composite study passes it down."""
     require_path(x=x)
     require_shape("F", F, ())
-    t = require_time("t", t, x.horizon)
-    return t, stop_exactly(x, t)
+    xt = stop_exactly(x, t)     # whose rule of times checks t
+    return float(t), xt
 
 
-def time_study(F, t, xt, gamma, ladder, label):
+def time_study(F, t, xt, gamma, ladder, label=None):
     """Judge (F(t + eta) - F(t)) / eta along one extension of x_t from t,
-    dividing by the realized float gaps; xt and gamma are checked.
+    dividing by the realized float gaps; the arguments are checked, and the
+    label is by default d_gamma's, or d_horizontal's without gamma.
 
     The extension is xt itself when gamma is None, otherwise gamma's flow
     from xt, solved once on ladder_flow_grid so that every ladder point is
@@ -192,6 +200,9 @@ def time_study(F, t, xt, gamma, ladder, label):
     more where the largest piece would not fit the solver's contraction
     window 1/(2K) with its 1e-9 slack.
     """
+    if label is None:
+        label = f"d_horizontal[{F.label}]@{t:g}" if gamma is None \
+            else f"d_gamma[{F.label}|{gamma.label}]@{t:g}"
     etas = ladder.steps()
     if not (0.0 <= t < t + etas[-1]
             and t + etas[0] <= xt.horizon * (1 + 1e-12)):
@@ -208,11 +219,14 @@ def time_study(F, t, xt, gamma, ladder, label):
                               f"2**{MAX_LOG2} flow grid steps on this ladder")
         grid = ladder_flow_grid(t, etas, int(refine))
         grid[-1] = min(grid[-1], xt.horizon)
-        path = solve_flow(xt, t, gamma, until=grid[-1], grid=grid).path
+        if not grid[-1] > grid[-2]:   # clipped onto the node before it
+            raise DomainError(f"grid must be strictly increasing, not "
+                              f"{grid[-2]} then {grid[-1]}")
+        path = picard_flow(xt, t, gamma, grid)[0]
     base = F.eval(t, path)
     times = np.minimum(t + etas, path.horizon)   # descending in eta
     vals = F.eval_many(times[::-1], path)[::-1]
-    return judge(etas, (vals - base) / (times - t), ladder.ratio, label)
+    return _judge(etas, (vals - base) / (times - t), ladder.ratio, label)
 
 
 def bump_values(F, t, xt, hs, dirs):
@@ -233,18 +247,14 @@ def d_gamma(F, gamma, t, x, ladder=None):
     exactly the stopped path, so the study then equals d_horizontal
     quotient by quotient."""
     t, xt = _study_point(F, t, x)
-    label = require_field("gamma", gamma).label
-    ladder = require_ladder(ladder, QuotientLadder())
-    return time_study(F, t, xt, gamma, ladder,
-                      f"d_gamma[{F.label}|{label}]@{t:g}")
+    gamma = require_shape("gamma", require_field("gamma", gamma), (x.dim,))
+    return time_study(F, t, xt, gamma, require_ladder(ladder, TIME_LADDER))
 
 
 def d_horizontal(F, t, x, ladder=None):
     """Time derivative of F along the stopped extension of x at t."""
     t, xt = _study_point(F, t, x)
-    ladder = require_ladder(ladder, QuotientLadder())
-    return time_study(F, t, xt, None, ladder,
-                      f"d_horizontal[{F.label}]@{t:g}")
+    return time_study(F, t, xt, None, require_ladder(ladder, TIME_LADDER))
 
 
 def d_space(F, i, t, x, ladder=None, scheme="central"):
@@ -264,15 +274,20 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     i = require_count("axis", i, low=None)
     if not 0 <= i < x.dim:
         raise DomainError(f"axis {i} outside dimension {x.dim}")
-    e = np.zeros((3, x.dim))    # up, down, unbumped
+    return space_study(F, i, t, xt, ladder, scheme)
+
+
+def space_study(F, i, t, xt, ladder=SPACE_LADDER, scheme="central"):
+    """d_space at the point (t, xt) of _study_point, the rest checked."""
+    e = np.zeros((3, xt.dim))    # up, down, unbumped
     e[0, i], e[1, i] = 1.0, -1.0
     hs = ladder.steps()
     label = f"d_space[{F.label};{i};{scheme}]@{t:g}"
     if scheme == "forward":
         v = bump_values(F, t, xt, hs, e[:1])
-        return judge(hs, (v[:, 0] - F.eval(t, xt)) / hs, ladder.ratio, label)
+        return _judge(hs, (v[:, 0] - F.eval(t, xt)) / hs, ladder.ratio, label)
     v = bump_values(F, t, xt, hs, e)
-    rep = judge(hs, (v[:, 0] - v[:, 1]) / (2.0 * hs), ladder.ratio, label)
+    rep = _judge(hs, (v[:, 0] - v[:, 1]) / (2.0 * hs), ladder.ratio, label)
     gap = (v[:, 0] - 2.0 * v[:, 2] + v[:, 1]) / hs
     jump = (gap[-1] - ladder.ratio * gap[-2]) / (1.0 - ladder.ratio)
     if rep.converged and not abs(jump) <= rep.conv_tol:
@@ -280,10 +295,10 @@ def d_space(F, i, t, x, ladder=None, scheme="central"):
     return rep
 
 
-def _space_gradient(F, t, x, where=""):
-    reports = [require_converged(d_space(F, i, t, x),
+def _space_gradient(F, t, xt, where=""):
+    reports = [require_converged(space_study(F, i, t, xt),
                                  f"d_space[{i}]{where}")
-               for i in range(x.dim)]
+               for i in range(xt.dim)]
     return np.array([r.estimate for r in reports]), reports
 
 
@@ -303,9 +318,10 @@ def relation_residual(F, gamma, t, x, ladder=None):
     """D_gamma F - DF - <grad F, gamma(t, x)>; all three studies must
     converge, otherwise the failing derivative is named in the error."""
     t, xt = _study_point(F, t, x)
-    rg = require_converged(d_gamma(F, gamma, t, xt, ladder=ladder), "d_gamma")
-    rh = require_converged(d_horizontal(F, t, xt, ladder=ladder),
-                           "d_horizontal")
+    gamma = require_shape("gamma", require_field("gamma", gamma), (x.dim,))
+    ladder = require_ladder(ladder, TIME_LADDER)
+    rg = require_converged(time_study(F, t, xt, gamma, ladder), "d_gamma")
+    rh = require_converged(time_study(F, t, xt, None, ladder), "d_horizontal")
     grad, spaces = _space_gradient(F, t, xt)
     gvec = gamma.eval(t, xt)
     residual = rg.estimate - rh.estimate - float(grad @ gvec)
@@ -342,11 +358,11 @@ def recover_gradient(F, fields, t, x, ladder=None, cond_max=1e8):
         raise IllConditionedError(
             f"direction system condition number {cond:g} exceeds "
             f"{cond_max:g}", cond=cond)
-    rh = require_converged(d_horizontal(F, t, xt, ladder=ladder),
-                           "d_horizontal")
-    reports = [require_converged(d_gamma(F, f, t, xt, ladder=ladder),
-                                 f"d_gamma[{f.label}]")
-               for f in fields]
+    ladder = require_ladder(ladder, TIME_LADDER)
+    rh = require_converged(time_study(F, t, xt, None, ladder), "d_horizontal")
+    reports = [require_converged(time_study(
+        F, t, xt, require_field("gamma", f), ladder), f"d_gamma[{f.label}]")
+        for f in fields]
     rhs = np.array([rg.estimate - rh.estimate for rg in reports])
     grad = np.linalg.solve(mat, rhs)
     return GradientRecovery(grad, mat, cond, reports, rh)
@@ -370,17 +386,18 @@ def horizontal_from_gamma(F, gamma, t, x, h, ladder=None):
     """
     t, xt = _study_point(F, t, x)
     h = require_finite("h", h, error=DomainError)
-    lad = require_ladder(ladder, QuotientLadder())
-    if t + h + lad.eta0 > x.horizon * (1 + 1e-12):
+    ladder = require_ladder(ladder, TIME_LADDER)
+    if t + h + ladder.eta0 > x.horizon * (1 + 1e-12):
         raise DomainError("need t + h + eta0 <= horizon for the node studies")
-    offs = np.concatenate([[0.0], np.sort(h * lad.ratio **
+    gamma = require_shape("gamma", require_field("gamma", gamma), (x.dim,))
+    offs = np.concatenate([[0.0], np.sort(h * ladder.ratio **
                                           np.arange(NODE_COUNT - 1))])
     nodes = t + offs
     nodes[-1] = t + h
     integrand = np.empty(len(nodes))
     for k, s in enumerate(nodes):
-        s, xs = _study_point(F, s, xt)
-        rg = require_converged(d_gamma(F, gamma, s, xs, ladder=ladder),
+        s, xs = float(s), stop_exactly(xt, s)   # t + h may round past T
+        rg = require_converged(time_study(F, s, xs, gamma, ladder),
                                f"d_gamma@node {s:g}")
         grad, _ = _space_gradient(F, s, xs, f"@node {s:g}")
         gvec = gamma.eval(s, xs)
@@ -402,7 +419,7 @@ def _hess_entry(F, i, j, t, x):
             [ei + ej, ei - ej, ej - ei, -ei - ej]))
         qs = (v[:, 0] - v[:, 1] - v[:, 2] + v[:, 3]) / (4.0 * hs * hs)
     label = f"d2_space[{i},{j}]"
-    rep = judge(hs, qs, HESS_LADDER.ratio, label)
+    rep = _judge(hs, qs, HESS_LADDER.ratio, label)
     return require_converged(rep, label).estimate
 
 
@@ -433,7 +450,7 @@ def numerical_derivatives(F, dim=1):
                                  "d_horizontal").estimate
 
     def grad(t, x):
-        return _space_gradient(F, t, x)[0]
+        return _space_gradient(F, *_study_point(F, t, x))[0]
 
     def hess(t, x):
         return [[_hess_entry(F, i, j, t, x) for j in range(d)]

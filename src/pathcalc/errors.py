@@ -155,12 +155,15 @@ def require_shape(name, f, shape):
 
 def require_times(name, times, error=DomainError):
     """times as a float array of any shape, or error naming the parameter
-    when numpy cannot read them as reals: ragged, text or another object."""
+    when numpy cannot read them as reals (ragged, or another object) or
+    reads them as text: numeric text and bytes are no times either."""
     try:
-        return np.asarray(times, dtype=float)
+        if np.asarray(times).dtype.kind not in "US":
+            return np.asarray(times, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise error(f"{name} must be an array of real times, not "
-                    f"{reprlib.repr(times)}") from None
+        pass
+    raise error(f"{name} must be an array of real times, not "
+                f"{reprlib.repr(times)}")
 
 
 def require_grid(name, times, start=None, end=None, error=DomainError):

@@ -19,7 +19,7 @@ from .errors import MAX_LOG2, ConfigError, DomainError, \
     FlowIterationError, require_count, require_finite, require_finite_steps, \
     require_grid, require_shape, require_time, require_times
 from .functionals import DirectionField, require_field
-from .paths import LINEAR, PathBase, SplicedPath, require_path, \
+from .paths import LINEAR, PathBase, require_path, splice_copy, \
     splice_view, stop
 
 _DIVERGENCE_CAP = 1e12
@@ -82,18 +82,21 @@ class FlowSolution:
 
 
 def _make_grid(s, until, substep, grid):
+    """(grid, mesh), grid or substep checked, a flow from s to s too."""
     if grid is not None:
         grid = require_grid("grid", grid, start=s, end=until)
         return grid, float(np.diff(grid).max())
     span = until - s
     if substep is None:
-        substep = span / 1024.0
+        substep = span / 1024.0 if span else 1.0
     elif not isinstance(substep, numbers.Real):
         substep = require_finite("substep", substep)   # text, None, a list
     # NaN fails too; inf would give one step of the whole span
     if not (0 < substep < np.inf and span / substep <= 2 ** MAX_LOG2):
         raise ConfigError("substep must be positive, finite and give at most "
                           f"2**{MAX_LOG2} steps, not {substep}")
+    if not span:
+        return np.array([s]), 0.0
     n = max(1, int(np.ceil(span / substep - 1e-12)))
     if not np.isfinite(span * n):
         raise ConfigError(f"span {span:g} times {n} steps overflows; the "
@@ -105,8 +108,8 @@ def _make_grid(s, until, substep, grid):
 
 
 def _setup(w, s, gamma, until, substep, grid):
-    """Both solvers' (s, until, grid, mesh, values): w, gamma, s and until
-    checked, the grid built, [s] when until is s, and values[0] = w(s)."""
+    """Both solvers' (s, until, grid, mesh): w, gamma, s and until checked
+    and the grid built by _make_grid."""
     require_path(w=w)
     require_shape("gamma", gamma, (w.dim,))
     s = require_time("s", s, w.horizon)
@@ -114,11 +117,7 @@ def _setup(w, s, gamma, until, substep, grid):
         else require_time("until", until, w.horizon)
     if until < s:
         raise DomainError(f"until must be at least s={s}, not {until}")
-    grid, mesh = (np.array([s]), 0.0) if until == s \
-        else _make_grid(s, until, substep, grid)
-    values = np.empty((len(grid), w.dim))
-    values[0] = w.eval(s)
-    return s, until, grid, mesh, values
+    return (s, until) + _make_grid(s, until, substep, grid)
 
 
 def _window_runs(grid, cap):
@@ -144,7 +143,7 @@ def _flow_path(w, s, grid, values):
     # path itself, so downstream identities are exact
     if np.all(values == values[0]):
         return stop(w, s)
-    return SplicedPath(w, s, grid, values, seg_mode=LINEAR)
+    return splice_copy(w, s, grid, values, LINEAR)
 
 
 def solve_flow(w, s, gamma, until=None, substep=None, window=None,
@@ -157,20 +156,32 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
     evaluates to zero along the whole extension returns the stopped path
     itself, so the zero-field flow is exact.
     """
-    s, until, grid, mesh, values = _setup(
+    s, until, grid, mesh = _setup(
         w, s, require_field("gamma", gamma), until, substep, grid)
     require_finite("picard_tol", picard_tol)
     max_iters = require_count("max_iters", max_iters, 1)
-    K = gamma.lipschitz_K
-    cap = 0.5 / K if K > 0 else np.inf
     if window is not None:
         if not isinstance(window, numbers.Real):
             window = require_finite("window", window)
         if not window > 0:
             raise ConfigError("window must be positive")
+    path, values, iterations = picard_flow(w, s, gamma, grid, window,
+                                           picard_tol, max_iters)
+    return FlowSolution(path, s, until, gamma, mesh, picard_tol, grid, values,
+                        iterations)
+
+
+def picard_flow(w, s, gamma, grid, window=None, picard_tol=1e-10,
+                max_iters=100):
+    """solve_flow's (path, values, sweeps per window) on checked arguments:
+    w one path, gamma a (w.dim,) DirectionField, grid from s, validated."""
+    K = gamma.lipschitz_K
+    cap = 0.5 / K if K > 0 else np.inf
+    if window is not None:
         cap = min(cap, float(window))
     runs = _window_runs(grid, cap)
-
+    values = np.empty((len(grid), w.dim))
+    values[0] = w.eval(s)
     live = splice_view(w, s, grid, values, LINEAR)
     iterations = []
 
@@ -198,8 +209,7 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
                 last_iterate=live, sup_change=delta)
         iterations.append(it)
 
-    return FlowSolution(_flow_path(w, s, grid, values), s, until, gamma,
-                        mesh, picard_tol, grid, values, iterations)
+    return _flow_path(w, s, grid, values), values, iterations
 
 
 def euler_flow(w, s, gamma, until=None, substep=None, grid=None):
@@ -209,7 +219,9 @@ def euler_flow(w, s, gamma, until=None, substep=None, grid=None):
     for constant fields.  A flow that is not finite at some grid time
     raises NumericalError.
     """
-    s, until, grid, mesh, values = _setup(w, s, gamma, until, substep, grid)
+    s, until, grid, mesh = _setup(w, s, gamma, until, substep, grid)
+    values = np.empty((len(grid), w.dim))
+    values[0] = w.eval(s)
     euler_steps(w, grid, values, gamma)
     require_finite_steps("the Euler flow", grid, values)
     # one pass, over no step on the one-node grid of a flow from s to s

@@ -11,6 +11,8 @@ derivatives where they exist: a real time derivative, a (d,) gradient and a
 """
 
 import math
+import numbers
+import reprlib
 
 import numpy as np
 
@@ -72,10 +74,14 @@ class Functional:
 
     def eval(self, t, x):
         """The value at t: a float, or an array of the declared shape."""
-        try:
-            t = float(t)
+        try:   # text, numeric text too, is no time
+            if isinstance(t, (float, numbers.Real)) \
+                    or np.asarray(t).dtype.kind not in "US":
+                t = float(t)
         except (TypeError, ValueError, OverflowError):
-            t = require_reals("t", t, scalar=True)   # names t if no real
+            pass
+        if not isinstance(t, float):
+            raise DomainError(f"t must be a real, not {reprlib.repr(t)}")
         rows = getattr(x, "rows", None)
         if rows is None:
             out = self._read(self._fn(t, x))
@@ -87,9 +93,11 @@ class Functional:
     def eval_many(self, ts, x):
         """One value per time of a sorted array: (m,) + shape."""
         try:
-            ts = np.asarray(ts, dtype=float)
+            arr = np.asarray(ts, dtype=float)
         except (TypeError, ValueError, OverflowError):
-            ts = require_times("ts", ts)   # raises, naming ts
+            arr = None
+        ts = arr if arr is ts or isinstance(ts, (float, numbers.Real)) \
+            else require_times("ts", ts)   # as a path query reads ts
         rows = getattr(x, "rows", None)
         if rows is not None and self._fn is not self._fn_many:
             return np.array([self.eval_many(ts, row)

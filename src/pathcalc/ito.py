@@ -34,6 +34,11 @@ def snap_partition(times, path):
     stored node data in either interpolation mode.
     """
     require_path(path=path)
+    return _snap(times, path)
+
+
+def _snap(times, path):
+    """snap_partition on a checked path; times are checked here."""
     times = require_grid("times", times)
     if times[0] < 0.0 or times[-1] > path.horizon * (1 + 1e-12):
         raise DomainError("partition leaves [0, horizon]")
@@ -102,7 +107,8 @@ class QVMatrixPath:
 
 def quadratic_covariation(x, times):
     """QV matrix path of x along the snapped partition."""
-    tau, v = snap_partition(times, x)
+    require_path(path=x)
+    tau, v = _snap(times, x)
     dx = np.diff(v, axis=0)
     return QVMatrixPath(tau, outer_increment_prefix(dx))
 
@@ -142,7 +148,7 @@ def ito_residual(F, x, times):
     """
     require_path(x=x)
     require_derivatives("F", F, x.dim)
-    tau, v = snap_partition(times, x)
+    tau, v = _snap(times, x)
     dx = np.diff(v, axis=0)
     dtau = np.diff(tau)
     delta = F.eval(tau[-1], x) - F.eval(tau[0], x)
@@ -173,7 +179,7 @@ def stratonovich_integral(G, x, times):
     """Midpoint-form partition integral of G against dx."""
     require_path(x=x)
     require_shape("G", G, (x.dim,))
-    tau, v = snap_partition(times, x)
+    tau, v = _snap(times, x)
     dx = np.diff(v, axis=0)
     g = G.eval_many(tau, x)
     ito = float(dot_increment_prefix(g[:-1], dx)[-1])
@@ -186,7 +192,7 @@ def midpoint_sum(G, x, times):
     to roundoff and serves as its independent cross-check."""
     require_path(x=x)
     require_shape("G", G, (x.dim,))
-    tau, v = snap_partition(times, x)
+    tau, v = _snap(times, x)
     dx = np.diff(v, axis=0)
     g = G.eval_many(tau, x)
     gm = 0.5 * (g[:-1] + g[1:])

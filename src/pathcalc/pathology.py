@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deriv import QuotientLadder, d_gamma, d_horizontal, d_space, \
-    time_study, OSCILLATING
-from .errors import DomainError, require_finite, require_time
+from .deriv import OSCILLATING, TIME_LADDER, space_study, time_study
+from .errors import DomainError, require_finite, require_shape, require_time
 from .functionals import DirectionField, Functional, constant_direction, \
     require_field, running_mean
 from .paths import ramp_path, require_path, stop, stop_exactly
@@ -138,9 +137,13 @@ def expansion_rate(gamma, t, x):
     """
     require_path(x=x)
     t = require_time("t", t, x.horizon)
+    return _rate(gamma, t, stop(x, t))
+
+
+def _rate(gamma, t, xt):
+    """expansion_rate at (t, x_t) checked, once t > 0 and gamma a field."""
     if t <= 0:
         raise DomainError("expansion rate needs t > 0")
-    xt = stop(x, t)
     x0, m0 = xt.eval(t)[0], path_mean(t, xt)[0]
     g0 = 0.0 if gamma is None \
         else float(require_field("gamma", gamma).eval(t, xt)[0])
@@ -170,9 +173,15 @@ def expansion_check(t0, x, gamma=None):
     require_path(x=x)
     _require_1d(x)
     t0 = require_time("t0", t0, x.horizon)
-    xt = stop_exactly(x, t0)
-    alpha = expansion_rate(gamma, t0, xt)    # checks gamma
-    rep = time_study(surface_functional(), t0, xt, gamma, QuotientLadder(),
+    if gamma is not None:
+        require_shape("gamma", require_field("gamma", gamma), (1,))
+    return _expansion(t0, stop_exactly(x, t0), gamma)
+
+
+def _expansion(t0, xt, gamma):
+    """expansion_check at (t0, x_t) checked, gamma None or checked."""
+    alpha = _rate(gamma, t0, xt)
+    rep = time_study(surface_functional(), t0, xt, gamma, TIME_LADDER,
                      f"gap_rate@{t0:g}")
     err = np.abs(rep.quotients - alpha)
     fit = err > 1e-13
@@ -203,12 +212,16 @@ def check_direction(gamma, t0, x):
     theory: alpha = 0 differentiates (limit f'(phi0) * alpha, which is 0 on
     the surface), alpha != 0 on the surface oscillates."""
     require_path(x=x)
-    F = counterexample_functional()
     t0 = require_time("t0", t0, x.horizon)
-    xt = stop_exactly(x, t0)
-    phi0 = surface_value(t0, xt)[0]
-    alpha = expansion_rate(gamma, t0, xt)
-    rep = d_gamma(F, gamma, t0, xt)
+    gamma = require_shape("gamma", require_field("gamma", gamma), (1,))
+    return _direction_check(gamma, t0, stop_exactly(x, t0))
+
+
+def _direction_check(gamma, t0, xt):
+    """check_direction at (t0, x_t) and gamma checked."""
+    phi0 = surface_value(t0, xt)[0]     # refuses a path that is not 1-d
+    alpha = _rate(gamma, t0, xt)
+    rep = time_study(counterexample_functional(), t0, xt, gamma, TIME_LADDER)
     on_surface = abs(phi0) <= PHI_TOL
     if on_surface and abs(alpha) > ALPHA_TOL:
         expected, reference = OSCILLATING, np.nan
@@ -261,15 +274,16 @@ def ramp_battery(t0=0.5, horizon=1.0, n=1025, t_floor=None):
     ramp = ramp_path(1.0, horizon, n=n)
     shifted = ramp_path(1.0, horizon, n=n, offset=0.25)
 
-    spatial = d_space(F, 0, t0, ramp, scheme="forward")
+    ramp_t0, shifted_t0 = stop_exactly(ramp, t0), stop_exactly(shifted, t0)
+    spatial = space_study(F, 0, t0, ramp_t0, scheme="forward")
     oracle = np.sin(np.log(spatial.etas))
     spatial_max_err = float(np.abs(spatial.quotients - oracle).max())
 
-    horizontal = d_horizontal(F, t0, ramp)
-    constraint = check_direction(constraint_direction(tf), t0, ramp)
-    star_on = check_direction(gamma_star(tf), t0, ramp)
-    star_off = check_direction(gamma_star(tf), t0, shifted)
-    rogue = check_direction(constant_direction([2.0]), t0, ramp)
-    expansion = expansion_check(t0, ramp, gamma=None)
+    horizontal = time_study(F, t0, ramp_t0, None, TIME_LADDER)
+    constraint = _direction_check(constraint_direction(tf), t0, ramp_t0)
+    star_on = _direction_check(gamma_star(tf), t0, ramp_t0)
+    star_off = _direction_check(gamma_star(tf), t0, shifted_t0)
+    rogue = _direction_check(constant_direction([2.0]), t0, ramp_t0)
+    expansion = _expansion(t0, ramp_t0, None)
     return RampBattery(t0, spatial, spatial_max_err, horizontal, constraint,
                        star_on, star_off, rogue, expansion)

@@ -44,6 +44,7 @@ along time separately in each row, so slice r of the family's is row r's.
 """
 
 import contextlib
+import numbers
 import re
 import reprlib
 import sys
@@ -126,7 +127,9 @@ class PathBase:
         try:
             arr = np.asarray(ts, dtype=float)
         except (TypeError, ValueError, OverflowError):
-            arr = require_times("ts", ts)   # raises, naming ts
+            arr = None
+        if arr is not ts and not isinstance(ts, (float, numbers.Real)):
+            arr = require_times("ts", ts)   # text too is no time
         if arr.ndim == 0:
             return primitive(self._check(arr.reshape(1)))[0]
         out = primitive(self._check(arr))
@@ -389,12 +392,8 @@ class SplicedPath(PathBase):
         require_time("seg_times[-1]", float(seg_times[-1]), left.horizon)
         seg_values = _node_values("seg_values", seg_values, len(seg_times),
                                   left.dim, rows=True)
-        seg_times = seg_times.copy()
-        seg_values = seg_values.copy()
-        seg_times.setflags(write=False)
-        seg_values.setflags(write=False)
-        self._join(left, switch, _Segment(seg_times, seg_values,
-                                          _require_mode(seg_mode)))
+        self._join(left, switch, _frozen(seg_times, seg_values,
+                                         _require_mode(seg_mode)))
 
     def _join(self, left, switch, seg, mode=None, at_switch=None, sup=None):
         self.left = left
@@ -490,6 +489,14 @@ class SplicedPath(PathBase):
                           self.left._running_max_prefix, after, self._shape)
 
 
+def _frozen(times, values, mode):
+    """A segment over read-only copies of times and values."""
+    times, values = times.copy(), values.copy()
+    times.setflags(write=False)
+    values.setflags(write=False)
+    return _Segment(times, values, mode)
+
+
 def grid_view(times, values, mode):
     """GridPath over the caller's arrays, validating and copying nothing;
     the module docstring says when that is safe.
@@ -517,6 +524,13 @@ def splice_view(left, switch, times, values, mode):
     return view._join(left, float(switch), _LiveSegment(times, values, mode))
 
 
+def splice_copy(left, switch, times, values, mode):
+    """The SplicedPath over read-only copies of arrays valid by construction,
+    as the constructor builds it after its checks; this checks nothing."""
+    view = SplicedPath.__new__(SplicedPath)
+    return view._join(left, switch, _frozen(times, values, mode))
+
+
 class StoppedPath(SplicedPath):
     """View of ``base`` frozen at ``stop_time``: a splice whose segment is
     the one node (stop_time, value_at_stop), held to the horizon.
@@ -541,17 +555,28 @@ class StoppedPath(SplicedPath):
     def __init__(self, base, stop_time, value_at_stop=None):
         require_path(base=base)
         stop_time = require_time("stop_time", stop_time, base.horizon)
-        if value_at_stop is None:
-            value_at_stop = base.eval(stop_time)
-        else:
+        if value_at_stop is not None:
             value_at_stop = _node_values("value_at_stop", value_at_stop, None,
                                          base.dim, rows=True,
                                          what="held value").copy()
+        self._hold(base, stop_time, value_at_stop)
+
+    def _hold(self, base, stop_time, value_at_stop=None):
+        if base.rows is not None:   # a family is held only once
+            require_path(base=base)
+        if value_at_stop is None:
+            value_at_stop = base.eval(stop_time)
         value_at_stop.setflags(write=False)
         # one node has nothing to interpolate, so the segment holds it
-        self._join(base, stop_time, _Segment(np.array([stop_time]),
-                                             value_at_stop[None], CADLAG),
-                   base.interp_mode)
+        return self._join(base, stop_time, _Segment(
+            np.array([stop_time]), value_at_stop[None], CADLAG),
+            base.interp_mode)
+
+
+def _held(base, t, value=None):
+    """StoppedPath(base, t, value) on a checked t and value, which it holds
+    as they are; only a family base is refused, as the constructor does."""
+    return StoppedPath.__new__(StoppedPath)._hold(base, t, value)
 
 
 def require_path(family=False, **paths):
@@ -577,13 +602,9 @@ def stop(x, t):
     """
     require_path(x=x, family=True)
     t = require_time("t", t, x.horizon)
-    if t == x.horizon:
+    if t == x.horizon or isinstance(x, StoppedPath) and t >= x.stop_time:
         return x
-    if isinstance(x, StoppedPath):
-        if t >= x.stop_time:
-            return x
-        return StoppedPath(x.base, t)
-    return StoppedPath(x, t)
+    return _held(x.base if isinstance(x, StoppedPath) else x, t)
 
 
 def bump(x, t, h):
@@ -596,7 +617,8 @@ def bump(x, t, h):
     h = require_reals("h", h, what="held value").reshape(-1)
     if h.shape != (x.dim,):
         raise DomainError(f"bump must have shape ({x.dim},)")
-    return StoppedPath(xt.base, xt.stop_time, xt.value_at_stop + h)
+    return _held(xt.base, xt.stop_time, require_reals(   # an overflow
+        "held value", xt.value_at_stop + h))
 
 
 def stop_exactly(x, t):
@@ -605,7 +627,7 @@ def stop_exactly(x, t):
     xt = stop(x, t)
     if isinstance(xt, StoppedPath) and xt.stop_time == float(t):
         return xt
-    return StoppedPath(xt, t)
+    return _held(xt, float(t))
 
 
 def concat(a, s, b):

@@ -1,7 +1,9 @@
 """Quotient-ladder derivatives: verdicts, exact cases, the decomposition."""
 
+import collections
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -49,8 +51,9 @@ from pathcalc import (
     surface_value,
     zero_direction,
 )
-from pathcalc import paths
-from pathcalc.deriv import HESS_LADDER, _hess_entry, ladder_flow_grid
+from pathcalc import deriv, errors, paths
+from pathcalc.deriv import HESS_LADDER, TIME_LADDER, _hess_entry, \
+    ladder_flow_grid, time_study
 from pathcalc.pathology import counterexample_functional
 
 
@@ -805,20 +808,21 @@ def test_time_study_equals_the_reference_gap_rate_loop_bitwise(inputs, kind):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_relation_residual_stops_its_path_once(dim, monkeypatch):
     # x_t once, passed to every study, and one bump family per d_space; the
-    # studies each stopped x again, and so did the direction's value
+    # studies each stopped x again, and so did the direction's value.  Every
+    # stopped view is held by _hold, the constructor's and the stops' alike
     built = []
-    init = paths.StoppedPath.__init__
+    hold = paths.StoppedPath._hold
 
     def counting(self, *args, **kwargs):
         built.append(args)
-        init(self, *args, **kwargs)
+        return hold(self, *args, **kwargs)
 
     gen = np.random.default_rng(dim)
     times = np.concatenate([[0.0], np.sort(gen.uniform(0.05, 0.95, 12)),
                             [1.0]])
     x = GridPath(times, 0.5 + gen.normal(0.0, 0.25, (len(times), dim)))
     F = builtin("eval") if dim == 1 else builtin("product")
-    monkeypatch.setattr(paths.StoppedPath, "__init__", counting)
+    monkeypatch.setattr(paths.StoppedPath, "_hold", counting)
     rel = relation_residual(F, constant_direction([0.7] * dim), 0.5, x)
     assert abs(rel.residual) <= 1e-4
     assert len(built) <= 1 + dim
@@ -924,3 +928,65 @@ def test_a_converged_study_agrees_with_the_coded_derivative(inputs, k):
     rogue = d_gamma(counterexample_functional(), constant_direction([2.0]),
                     k / 16, ramp_path(1.0, n=1025))
     assert not kink.converged and not rogue.converged
+
+
+# ---------------------------------------------------------------------------
+# each argument checked once, where it enters the library
+
+
+def _counted_rules(monkeypatch):
+    """Counts of the calls of every errors.require_* rule, require_path,
+    require_field, require_ladder and _study_point, each wrapped in every
+    pathcalc module namespace that holds it."""
+    counts = collections.Counter()
+    names = [n for n in vars(errors) if n.startswith("require_")] \
+        + ["require_path", "require_field", "require_ladder", "_study_point"]
+    modules = [m for k, m in sys.modules.items()
+               if k.startswith("pathcalc.") and m is not None]
+    for name in names:
+        rule = next(vars(m)[name] for m in modules if name in vars(m))
+
+        def counted(*args, _name=name, _rule=rule, **kwargs):
+            counts[_name] += 1
+            return _rule(*args, **kwargs)
+
+        for m in modules:
+            if vars(m).get(name) is rule:
+                monkeypatch.setattr(m, name, counted)
+    return counts
+
+
+# rule calls of one call at the parent commit of the boundary policy, and the
+# bound pinned from its measurement: relation_residual 65 -> 12, d_gamma
+# 32 -> 9, solve_flow 13 -> 6
+@pytest.mark.parametrize("call, bound", [
+    (lambda x, F, g: relation_residual(F, g, 0.5, x), 12),
+    (lambda x, F, g: d_gamma(F, g, 0.5, x), 9),
+    (lambda x, F, g: solve_flow(x, 0.5, g), 6),
+], ids=["relation_residual", "d_gamma", "solve_flow"])
+def test_an_entry_checks_each_argument_once(call, bound, monkeypatch):
+    # the studies, the flow set-up and the stops each checked again what
+    # the entry before them had checked or built
+    args = ramp_path(1.0, n=65), builtin("square"), eval_direction(1)
+    call(*args)
+    counts = _counted_rules(monkeypatch)
+    call(*args)
+    assert sum(counts.values()) <= bound, dict(counts)
+
+
+def test_a_time_study_solves_its_flow_without_a_rule_call(monkeypatch):
+    # the study hands the solver the point it checked and the grid it built
+    xt = stop(ramp_path(1.0, n=65), 0.5)
+    counts = _counted_rules(monkeypatch)
+    solve, inside = deriv.picard_flow, []
+
+    def watched(*args, **kwargs):
+        before = sum(counts.values())
+        out = solve(*args, **kwargs)
+        inside.append(sum(counts.values()) - before)
+        return out
+
+    monkeypatch.setattr(deriv, "picard_flow", watched)
+    rep = time_study(builtin("square"), 0.5, xt, eval_direction(1),
+                     TIME_LADDER)
+    assert rep.converged and inside == [0]

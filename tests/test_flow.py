@@ -196,6 +196,23 @@ def test_argument_validation():
                       r"of shape \(1, 1\)")]:
         with pytest.raises(DomainError, match=f"^{message}$"):
             sol.residual(ts)
+    for kw, error, message in _ONE_NODE_FAULTS:
+        with pytest.raises(error, match=f"^{message}$"):
+            solve_flow(ramp_path(1.0), 0.5, gamma, until=0.5, **kw)
+
+
+# a flow from s to s reads substep and grid as a longer flow does: each
+# returned a solution of one node
+_ONE_NODE_FAULTS = [
+    (dict(substep=-1.0), ConfigError, r"substep must be positive, finite "
+     r"and give at most 2\*\*24 steps, not -1\.0"),
+    (dict(substep="abc"), ConfigError,
+     r"substep must be positive and finite, not 'abc'"),
+    (dict(substep=-1.0, grid=[0.0, "a"]), DomainError,
+     r"grid must be an array of real times, not \[0\.0, 'a'\]"),
+    (dict(grid=[0.5, 0.5]), DomainError,
+     r"grid: horizon must be positive, not 0\.0"),
+]
 
 
 @pytest.mark.parametrize("solver", [solve_flow, euler_flow])
@@ -300,6 +317,9 @@ def test_euler_flow_argument_validation():
     with pytest.raises(DomainError, match=r"^gamma must be a functional of "
                                           r"shape \(1,\), not \(2,\)$"):
         euler_flow(w, 0.0, eval_direction(2))
+    for kw, error, message in _ONE_NODE_FAULTS:
+        with pytest.raises(error, match=f"^{message}$"):
+            euler_flow(ramp_path(1.0), 0.5, eval_direction(1), until=0.5, **kw)
 
 
 def test_euler_flow_start_equals_until_is_stop():

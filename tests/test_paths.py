@@ -907,24 +907,29 @@ def test_integral_past_a_stop_grows_from_the_integral_at_it(mode, cut):
             assert view.integral_prefix(u).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5, "a"])
-@pytest.mark.parametrize("shape", ["float", "0d", "1", "3", "1x1", "2x2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5, "a",
+                                 "0.5", b"0.5"],
+                         ids=["nan", "inf", "-inf", "-0.5", "1.5", "a",
+                              "numeric_text", "bytes"])
+@pytest.mark.parametrize("shape", ["float", "0d", "1", "3", "1x1", "2x2",
+                                   "list"])
 @pytest.mark.parametrize("which", ["grid", "stopped", "spliced"])
 def test_bad_times_raise_for_every_shape(bad, shape, which):
     # a time that is no number raised numpy's or float()'s ValueError, on a
-    # path and through a functional reading one; now each names its time
+    # path and through a functional reading one; now each names its time.
+    # Numeric text and bytes were read as the number
     r = ramp_path(1.0, n=17)
     path = {"grid": r, "stopped": bump(r, 0.5, [0.25]),
             "spliced": concat(r, 0.5, constant_path(2.0))}[which]
     ts = {"float": bad, "0d": np.array(bad), "1": np.array([bad]),
           "3": np.array([0.25, bad, 0.75]), "1x1": np.array([[bad]]),
-          "2x2": np.array([[0.0, 0.5], [bad, 1.0]])}[shape]
+          "2x2": np.array([[0.0, 0.5], [bad, 1.0]]), "list": [bad]}[shape]
     F = builtin("eval")
     reads = [getattr(path, name) for name in QUERIES]
     reads.append(lambda u: F.eval_many(u, path))
     if shape in ("float", "0d"):
         reads.append(lambda u: F.eval(u, path))
-    named = "^ts? must be " if isinstance(bad, str) else None
+    named = "^ts? must be " if isinstance(bad, (str, bytes)) else None
     for read in reads:
         with pytest.raises(DomainError, match=named):
             read(ts)
