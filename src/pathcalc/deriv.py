@@ -219,7 +219,11 @@ def time_study(F, t, xt, gamma, ladder, label=None):
                               f"2**{MAX_LOG2} flow grid steps on this ladder")
         grid = ladder_flow_grid(t, etas, int(refine))
         grid[-1] = min(grid[-1], xt.horizon)
-        if not grid[-1] > grid[-2]:   # clipped onto the node before it
+        # checked where the flow meets the path, as a flow's set-up checks it
+        require_shape("gamma", gamma, (xt.dim,))
+        if grid[-1] == t:                   # t is the horizon: no step
+            grid = grid[:1]
+        elif not grid[-1] > grid[-2]:       # clipped onto the node before it
             raise DomainError(f"grid must be strictly increasing, not "
                               f"{grid[-2]} then {grid[-1]}")
         path = picard_flow(xt, t, gamma, grid)[0]
@@ -247,8 +251,8 @@ def d_gamma(F, gamma, t, x, ladder=None):
     exactly the stopped path, so the study then equals d_horizontal
     quotient by quotient."""
     t, xt = _study_point(F, t, x)
-    gamma = require_shape("gamma", require_field("gamma", gamma), (x.dim,))
-    return time_study(F, t, xt, gamma, require_ladder(ladder, TIME_LADDER))
+    return time_study(F, t, xt, require_field("gamma", gamma),
+                      require_ladder(ladder, TIME_LADDER))
 
 
 def d_horizontal(F, t, x, ladder=None):
@@ -318,7 +322,7 @@ def relation_residual(F, gamma, t, x, ladder=None):
     """D_gamma F - DF - <grad F, gamma(t, x)>; all three studies must
     converge, otherwise the failing derivative is named in the error."""
     t, xt = _study_point(F, t, x)
-    gamma = require_shape("gamma", require_field("gamma", gamma), (x.dim,))
+    gamma = require_field("gamma", gamma)
     ladder = require_ladder(ladder, TIME_LADDER)
     rg = require_converged(time_study(F, t, xt, gamma, ladder), "d_gamma")
     rh = require_converged(time_study(F, t, xt, None, ladder), "d_horizontal")
@@ -389,7 +393,7 @@ def horizontal_from_gamma(F, gamma, t, x, h, ladder=None):
     ladder = require_ladder(ladder, TIME_LADDER)
     if t + h + ladder.eta0 > x.horizon * (1 + 1e-12):
         raise DomainError("need t + h + eta0 <= horizon for the node studies")
-    gamma = require_shape("gamma", require_field("gamma", gamma), (x.dim,))
+    require_field("gamma", gamma)
     offs = np.concatenate([[0.0], np.sort(h * ladder.ratio **
                                           np.arange(NODE_COUNT - 1))])
     nodes = t + offs

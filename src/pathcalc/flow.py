@@ -19,8 +19,8 @@ from .errors import MAX_LOG2, ConfigError, DomainError, \
     FlowIterationError, require_count, require_finite, require_finite_steps, \
     require_grid, require_shape, require_time, require_times
 from .functionals import DirectionField, require_field
-from .paths import LINEAR, PathBase, require_path, splice_copy, \
-    splice_view, stop
+from .paths import LINEAR, PathBase, SplicedPath, require_path, \
+    splice_copy, splice_view, stop
 
 _DIVERGENCE_CAP = 1e12
 
@@ -82,7 +82,6 @@ class FlowSolution:
 
 
 def _make_grid(s, until, substep, grid):
-    """(grid, mesh), grid or substep checked, a flow from s to s too."""
     if grid is not None:
         grid = require_grid("grid", grid, start=s, end=until)
         return grid, float(np.diff(grid).max())
@@ -143,6 +142,9 @@ def _flow_path(w, s, grid, values):
     # path itself, so downstream identities are exact
     if np.all(values == values[0]):
         return stop(w, s)
+    # the one check kept: a span too short for its steps repeats a node
+    if not (grid[1:] > grid[:-1]).all():
+        return SplicedPath(w, s, grid, values, seg_mode=LINEAR)   # raises
     return splice_copy(w, s, grid, values, LINEAR)
 
 

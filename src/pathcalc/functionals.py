@@ -92,12 +92,8 @@ class Functional:
 
     def eval_many(self, ts, x):
         """One value per time of a sorted array: (m,) + shape."""
-        try:
-            arr = np.asarray(ts, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            arr = None
-        ts = arr if arr is ts or isinstance(ts, (float, numbers.Real)) \
-            else require_times("ts", ts)   # as a path query reads ts
+        ts = np.asarray(ts, dtype=float) if isinstance(ts, np.ndarray) \
+            and ts.dtype.kind == "f" else require_times("ts", ts)   # no text
         rows = getattr(x, "rows", None)
         if rows is not None and self._fn is not self._fn_many:
             return np.array([self.eval_many(ts, row)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deriv import OSCILLATING, TIME_LADDER, space_study, time_study
-from .errors import DomainError, require_finite, require_shape, require_time
+from .errors import DomainError, require_finite, require_time
 from .functionals import DirectionField, Functional, constant_direction, \
     require_field, running_mean
 from .paths import ramp_path, require_path, stop, stop_exactly
@@ -141,7 +141,8 @@ def expansion_rate(gamma, t, x):
 
 
 def _rate(gamma, t, xt):
-    """expansion_rate at (t, x_t) checked, once t > 0 and gamma a field."""
+    """expansion_rate at the checked point (t, x_t); it checks t > 0 and
+    gamma, None or a DirectionField, for every caller."""
     if t <= 0:
         raise DomainError("expansion rate needs t > 0")
     x0, m0 = xt.eval(t)[0], path_mean(t, xt)[0]
@@ -173,13 +174,11 @@ def expansion_check(t0, x, gamma=None):
     require_path(x=x)
     _require_1d(x)
     t0 = require_time("t0", t0, x.horizon)
-    if gamma is not None:
-        require_shape("gamma", require_field("gamma", gamma), (1,))
     return _expansion(t0, stop_exactly(x, t0), gamma)
 
 
 def _expansion(t0, xt, gamma):
-    """expansion_check at (t0, x_t) checked, gamma None or checked."""
+    """expansion_check at the checked point (t0, x_t) of a 1-d path."""
     alpha = _rate(gamma, t0, xt)
     rep = time_study(surface_functional(), t0, xt, gamma, TIME_LADDER,
                      f"gap_rate@{t0:g}")
@@ -213,15 +212,15 @@ def check_direction(gamma, t0, x):
     the surface), alpha != 0 on the surface oscillates."""
     require_path(x=x)
     t0 = require_time("t0", t0, x.horizon)
-    gamma = require_shape("gamma", require_field("gamma", gamma), (1,))
     return _direction_check(gamma, t0, stop_exactly(x, t0))
 
 
 def _direction_check(gamma, t0, xt):
-    """check_direction at (t0, x_t) and gamma checked."""
-    phi0 = surface_value(t0, xt)[0]     # refuses a path that is not 1-d
+    """check_direction at the checked point (t0, x_t)."""
+    phi0 = surface_value(t0, xt)[0]
     alpha = _rate(gamma, t0, xt)
-    rep = time_study(counterexample_functional(), t0, xt, gamma, TIME_LADDER)
+    rep = time_study(counterexample_functional(), t0, xt,
+                     require_field("gamma", gamma), TIME_LADDER)
     on_surface = abs(phi0) <= PHI_TOL
     if on_surface and abs(alpha) > ALPHA_TOL:
         expected, reference = OSCILLATING, np.nan

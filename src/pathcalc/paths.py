@@ -574,8 +574,7 @@ class StoppedPath(SplicedPath):
 
 
 def _held(base, t, value=None):
-    """StoppedPath(base, t, value) on a checked t and value, which it holds
-    as they are; only a family base is refused, as the constructor does."""
+    """StoppedPath(base, t, value) on a checked t and value, held as is."""
     return StoppedPath.__new__(StoppedPath)._hold(base, t, value)
 
 

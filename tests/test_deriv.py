@@ -956,12 +956,12 @@ def _counted_rules(monkeypatch):
     return counts
 
 
-# rule calls of one call at the parent commit of the boundary policy, and the
-# bound pinned from its measurement: relation_residual 65 -> 12, d_gamma
-# 32 -> 9, solve_flow 13 -> 6
+# rule calls of one call before each argument was checked once, and the
+# bound pinned from the measurement after: relation_residual 65 -> 11,
+# d_gamma 32 -> 8, solve_flow 13 -> 6
 @pytest.mark.parametrize("call, bound", [
-    (lambda x, F, g: relation_residual(F, g, 0.5, x), 12),
-    (lambda x, F, g: d_gamma(F, g, 0.5, x), 9),
+    (lambda x, F, g: relation_residual(F, g, 0.5, x), 11),
+    (lambda x, F, g: d_gamma(F, g, 0.5, x), 8),
     (lambda x, F, g: solve_flow(x, 0.5, g), 6),
 ], ids=["relation_residual", "d_gamma", "solve_flow"])
 def test_an_entry_checks_each_argument_once(call, bound, monkeypatch):
@@ -990,3 +990,17 @@ def test_a_time_study_solves_its_flow_without_a_rule_call(monkeypatch):
     rep = time_study(builtin("square"), 0.5, xt, eval_direction(1),
                      TIME_LADDER)
     assert rep.converged and inside == [0]
+
+
+def test_a_time_study_keeps_the_flow_checks_of_its_clipped_grid():
+    # the last ladder point may pass the horizon by its 1e-12 slack, and the
+    # grid node clipped to the horizon may then meet the node before it; a
+    # study at the horizon itself flows nowhere and reads x_t
+    x, lad = ramp_path(1.0, n=65), QuotientLadder(eta0=1e-13, count=6)
+    with pytest.raises(DomainError, match="^grid must be strictly "
+                                          "increasing, not 1.0000000000000"):
+        d_gamma(builtin("square"), eval_direction(1), 1 - 0.5e-13, x, lad)
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0 / 0 rungs
+        got = d_gamma(builtin("square"), eval_direction(1), 1.0, x, lad)
+        want = d_horizontal(builtin("square"), 1.0, x, lad)
+    assert got.quotients.tobytes() == want.quotients.tobytes()

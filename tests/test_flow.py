@@ -199,6 +199,10 @@ def test_argument_validation():
     for kw, error, message in _ONE_NODE_FAULTS:
         with pytest.raises(error, match=f"^{message}$"):
             solve_flow(ramp_path(1.0), 0.5, gamma, until=0.5, **kw)
+    # a span too short for its steps repeats a node of the grid built
+    with pytest.raises(DomainError, match="^seg_times must be strictly "
+                                          "increasing, not 0.5 then 0.5$"):
+        solve_flow(ramp_path(1.0), 0.5, gamma, until=0.5 + 1e-15)
 
 
 # a flow from s to s reads substep and grid as a longer flow does: each
