@@ -7,6 +7,9 @@ trapezoid quadrature on the solver grid (the fixed point is the implicit
 trapezoid scheme, second order).  `euler_flow` is the deliberately simple
 first-order oracle: one pass of `euler_steps`, the recursion that fk's
 simulation runs too, kept independent so the two routes check each other.
+Both check their arguments once, in `_setup`, then run a core that trusts
+them, `picard_flow` or `euler_steps`; inside the library only the cores
+are called.
 """
 
 import numbers
