@@ -219,7 +219,7 @@ def time_study(F, t, xt, gamma, ladder, label=None):
                               f"2**{MAX_LOG2} flow grid steps on this ladder")
         grid = ladder_flow_grid(t, etas, int(refine))
         grid[-1] = min(grid[-1], xt.horizon)
-        # checked where the flow meets the path, as a flow's set-up checks it
+        # the one check here: where the flow meets the path, as in _setup
         require_shape("gamma", gamma, (xt.dim,))
         if grid[-1] == t:                   # t is the horizon: no step
             grid = grid[:1]

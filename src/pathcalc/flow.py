@@ -90,7 +90,7 @@ def _make_grid(s, until, substep, grid):
         return grid, float(np.diff(grid).max())
     span = until - s
     if substep is None:
-        substep = span / 1024.0 if span else 1.0
+        substep = span / 1024.0 if span else 1.0   # s to s: any step
     elif not isinstance(substep, numbers.Real):
         substep = require_finite("substep", substep)   # text, None, a list
     # NaN fails too; inf would give one step of the whole span
@@ -145,9 +145,10 @@ def _flow_path(w, s, grid, values):
     # path itself, so downstream identities are exact
     if np.all(values == values[0]):
         return stop(w, s)
-    # the one check kept: a span too short for its steps repeats a node
+    # a span too short for its steps repeats a node, which the checking
+    # constructor refuses
     if not (grid[1:] > grid[:-1]).all():
-        return SplicedPath(w, s, grid, values, seg_mode=LINEAR)   # raises
+        return SplicedPath(w, s, grid, values, seg_mode=LINEAR)
     return splice_copy(w, s, grid, values, LINEAR)
 
 
@@ -178,8 +179,8 @@ def solve_flow(w, s, gamma, until=None, substep=None, window=None,
 
 def picard_flow(w, s, gamma, grid, window=None, picard_tol=1e-10,
                 max_iters=100):
-    """solve_flow's (path, values, sweeps per window) on checked arguments:
-    w one path, gamma a (w.dim,) DirectionField, grid from s, validated."""
+    """solve_flow's (path, values, sweeps per window), checking nothing: w
+    one path, gamma a (w.dim,) DirectionField, grid rising from s."""
     K = gamma.lipschitz_K
     cap = 0.5 / K if K > 0 else np.inf
     if window is not None:

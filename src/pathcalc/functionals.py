@@ -93,7 +93,7 @@ class Functional:
     def eval_many(self, ts, x):
         """One value per time of a sorted array: (m,) + shape."""
         ts = np.asarray(ts, dtype=float) if isinstance(ts, np.ndarray) \
-            and ts.dtype.kind == "f" else require_times("ts", ts)   # no text
+            and ts.dtype.kind == "f" else require_times("ts", ts)
         rows = getattr(x, "rows", None)
         if rows is not None and self._fn is not self._fn_many:
             return np.array([self.eval_many(ts, row)

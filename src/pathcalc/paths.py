@@ -562,7 +562,7 @@ class StoppedPath(SplicedPath):
         self._hold(base, stop_time, value_at_stop)
 
     def _hold(self, base, stop_time, value_at_stop=None):
-        if base.rows is not None:   # a family is held only once
+        if base.rows is not None:   # a family is no base: this raises
             require_path(base=base)
         if value_at_stop is None:
             value_at_stop = base.eval(stop_time)
@@ -616,8 +616,9 @@ def bump(x, t, h):
     h = require_reals("h", h, what="held value").reshape(-1)
     if h.shape != (x.dim,):
         raise DomainError(f"bump must have shape ({x.dim},)")
-    return _held(xt.base, xt.stop_time, require_reals(   # an overflow
-        "held value", xt.value_at_stop + h))
+    # the sum of finite values may overflow
+    return _held(xt.base, xt.stop_time,
+                 require_reals("held value", xt.value_at_stop + h))
 
 
 def stop_exactly(x, t):
