@@ -31,7 +31,7 @@ from .errors import MAX_LOG2, ConfigError, DomainError, \
 from .flow import picard_flow
 from .functionals import Functional, FunctionalWithDerivatives, \
     MatrixFunctional, VectorFunctional, require_field
-from .paths import StoppedPath, require_path, stop_exactly
+from .paths import require_path, stop_exactly, stop_view
 
 TAIL = 5                 # quotients entering the spread/estimate
 CONV_REL = 1e-4          # spread tolerance, relative to max(1, |median|)
@@ -237,12 +237,12 @@ def bump_values(F, t, xt, hs, dirs):
     """F on x_t bumped by h * dirs[s], for every step h of hs and every
     row s of dirs, as a (len(hs), len(dirs)) array.  All bumps are rows of
     one family held at t, read in one eval call."""
-    # every step's held values at once, as bump() would add them
+    # every step's held values at once, as bump() adds and checks them
     held = xt.value_at_stop + hs[:, None, None] * dirs
     if np.any((held[-1] == xt.value_at_stop) & (dirs != 0)):
         raise DomainError(f"smallest bump {hs[-1]:g} does not move x({t:g})")
-    bumps = StoppedPath(xt.base, t, held.reshape(-1, xt.dim))
-    return F.eval(t, bumps).reshape(len(hs), len(dirs))
+    held = require_reals("held value", held.reshape(-1, xt.dim))
+    return F.eval(t, stop_view(xt.base, t, held)).reshape(len(hs), len(dirs))
 
 
 def d_gamma(F, gamma, t, x, ladder=None):

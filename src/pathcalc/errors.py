@@ -84,14 +84,18 @@ def require_count(name, value, low=0):
     return n
 
 
+def _text(value):
+    """Whether numpy reads value as text, numeric text and bytes and a 0-d
+    text array included: no real and no time.  A ragged list raises."""
+    return np.asarray(value).dtype.kind in "US"
+
+
 def _real(value):
-    """value as a float, or None for text (numeric text and bytes too),
-    None, a list, an array of one or more axes and an int past the float
-    range."""
-    if isinstance(value, (str, bytes)):
-        return None
+    """value as a float, or None for text, None, a list, an array of one or
+    more axes and an int past the float range."""
     try:
-        return None if getattr(value, "ndim", 0) else float(value)
+        return None if getattr(value, "ndim", 0) or _text(value) \
+            else float(value)
     except (TypeError, ValueError, OverflowError):
         return None
 
@@ -113,19 +117,20 @@ def require_reals(name, value, scalar=False, what=None, finite=True,
                   error=DomainError):
     """value as a float array of reals, or as a float when scalar is set,
     or error: naming the parameter for what numpy cannot read as reals
-    (None, text that is no number, a ragged list) and, when scalar is set,
-    for an array with an axis; naming what, the parameter unless given,
-    for an entry that is NaN or infinite, unless finite is unset."""
+    (None, text, numeric text included, a ragged list) and, when scalar is
+    set, for an array with an axis; naming what, the parameter unless
+    given, for an entry that is NaN or infinite, unless finite is unset."""
     try:
-        arr = None if value is None else np.asarray(value, dtype=float)
+        arr = None if value is None or _text(value) \
+            else np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is None or scalar and arr.ndim:
         kind = "a real" if scalar else "reals"
         raise error(f"{name} must be {kind}, not {reprlib.repr(value)}")
-    bad = arr[~np.isfinite(arr)] if finite else arr[:0]
-    if bad.size:
-        raise error(f"{what or name} must be finite, not {bad[0]}")
+    if finite and not np.isfinite(arr).all():
+        raise error(f"{what or name} must be finite, not "
+                    f"{arr[~np.isfinite(arr)][0]}")
     return float(arr) if scalar else arr
 
 
@@ -158,7 +163,7 @@ def require_times(name, times, error=DomainError):
     when numpy cannot read them as reals (ragged, or another object) or
     reads them as text: numeric text and bytes are no times either."""
     try:
-        if np.asarray(times).dtype.kind not in "US":
+        if not _text(times):
             return np.asarray(times, dtype=float)
     except (TypeError, ValueError, OverflowError):
         pass

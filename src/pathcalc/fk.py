@@ -263,6 +263,7 @@ def martingale_check(spec, f, t_grid, x0, n_paths=2000, seed=0, k=3.0):
         x0 = constant_path(require_reals("x0", x0), horizon=spec.horizon,
                            dim=spec.dim)
     require_time("t_grid[0]", float(t_grid[0]), spec.horizon)
+    require_path(x0=x0)     # where _check_history would name it x
     _check_history(spec, float(t_grid[0]), x0)
     require_time("t_grid[-1]", float(t_grid[-1]), spec.horizon)
     n_paths = require_count("n_paths", n_paths, 2)

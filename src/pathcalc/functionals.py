@@ -11,8 +11,6 @@ derivatives where they exist: a real time derivative, a (d,) gradient and a
 """
 
 import math
-import numbers
-import reprlib
 
 import numpy as np
 
@@ -74,14 +72,8 @@ class Functional:
 
     def eval(self, t, x):
         """The value at t: a float, or an array of the declared shape."""
-        try:   # text, numeric text too, is no time
-            if isinstance(t, (float, numbers.Real)) \
-                    or np.asarray(t).dtype.kind not in "US":
-                t = float(t)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        if not isinstance(t, float):
-            raise DomainError(f"t must be a real, not {reprlib.repr(t)}")
+        if not isinstance(t, float):   # text, numeric text too, is no time
+            t = require_reals("t", t, scalar=True, finite=False)
         rows = getattr(x, "rows", None)
         if rows is None:
             out = self._read(self._fn(t, x))

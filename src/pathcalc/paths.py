@@ -573,7 +573,7 @@ class StoppedPath(SplicedPath):
             base.interp_mode)
 
 
-def _held(base, t, value=None):
+def stop_view(base, t, value=None):
     """StoppedPath(base, t, value) on a checked t and value, held as is."""
     return StoppedPath.__new__(StoppedPath)._hold(base, t, value)
 
@@ -603,7 +603,7 @@ def stop(x, t):
     t = require_time("t", t, x.horizon)
     if t == x.horizon or isinstance(x, StoppedPath) and t >= x.stop_time:
         return x
-    return _held(x.base if isinstance(x, StoppedPath) else x, t)
+    return stop_view(x.base if isinstance(x, StoppedPath) else x, t)
 
 
 def bump(x, t, h):
@@ -617,7 +617,7 @@ def bump(x, t, h):
     if h.shape != (x.dim,):
         raise DomainError(f"bump must have shape ({x.dim},)")
     # the sum of finite values may overflow
-    return _held(xt.base, xt.stop_time,
+    return stop_view(xt.base, xt.stop_time,
                  require_reals("held value", xt.value_at_stop + h))
 
 
@@ -627,7 +627,7 @@ def stop_exactly(x, t):
     xt = stop(x, t)
     if isinstance(xt, StoppedPath) and xt.stop_time == float(t):
         return xt
-    return _held(xt, float(t))
+    return stop_view(xt, float(t))
 
 
 def concat(a, s, b):

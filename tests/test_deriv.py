@@ -958,12 +958,14 @@ def _counted_rules(monkeypatch):
 
 # rule calls of one call before each argument was checked once, and the
 # bound pinned from the measurement after: relation_residual 65 -> 11,
-# d_gamma 32 -> 8, solve_flow 13 -> 6
+# d_gamma 32 -> 8, solve_flow 13 -> 6, and d_space 10 -> 8 once its bump
+# family is held through the trusted stop
 @pytest.mark.parametrize("call, bound", [
     (lambda x, F, g: relation_residual(F, g, 0.5, x), 11),
     (lambda x, F, g: d_gamma(F, g, 0.5, x), 8),
     (lambda x, F, g: solve_flow(x, 0.5, g), 6),
-], ids=["relation_residual", "d_gamma", "solve_flow"])
+    (lambda x, F, g: d_space(F, 0, 0.5, x), 8),
+], ids=["relation_residual", "d_gamma", "solve_flow", "d_space"])
 def test_an_entry_checks_each_argument_once(call, bound, monkeypatch):
     # the studies, the flow set-up and the stops each checked again what
     # the entry before them had checked or built

@@ -42,14 +42,17 @@ from pathcalc import (
     expansion_check,
     expansion_rate,
     fk_residual,
+    gamma_star,
     horizontal_from_gamma,
     ito_residual,
+    judge,
     martingale_check,
     midpoint_sum,
     numerical_derivatives,
     path_from_csv,
     path_to_csv,
     probe_boundedness,
+    probe_lipschitz,
     probe_non_anticipative,
     ramp_battery,
     ramp_path,
@@ -63,6 +66,7 @@ from pathcalc import (
 from pathcalc.paths import _LOCATE_SEARCH_BELOW, splice_view
 
 from conftest import GRID_FAULTS, bad_grid, grid_error
+from test_imports import entry_map
 
 # dyadic rationals keep +/- and interpolation at shared knots exact, so the
 # metric identities below can be asserted with tolerance zero
@@ -742,7 +746,11 @@ def test_a_non_finite_held_value_is_rejected(held):
      r"^y must be a path, not \[0\.0, 1\.0\]$"),
     (lambda: path_to_csv(None, io.StringIO()),
      r"^path must be a path, not None$"),
-], ids=["stopped_path", "concat", "dist_stopped", "path_to_csv"])
+    (lambda: martingale_check(*benchmark("gauss_square"), [0.0, 1.0],
+                              constant_functional(0.0), n_paths=2),
+     r"^x0 must be a path, not <Functional const\(0\.0\)>$"),
+], ids=["stopped_path", "concat", "dist_stopped", "path_to_csv",
+        "martingale_check"])
 def test_what_is_no_path_is_refused_by_name(make, match):
     with pytest.raises(DomainError, match=match):
         make()
@@ -844,18 +852,23 @@ def _real_entries():
         "GridPath": (lambda v: GridPath([0.0, 1.0], v), "values", "reals"),
         "SplicedPath": (lambda v: SplicedPath(x, 0.5, [0.5, 1.0], v),
                         "seg_values", "reals"),
+        "Functional.eval": (lambda v: builtin("eval").eval(v, x), "t",
+                            "a real"),
         "ramp_path_slope": (ramp_path, "slope", "reals"),
         "ramp_path_offset": (lambda v: ramp_path(1.0, offset=v), "offset",
                              "reals"),
     }
 
 
-@pytest.mark.parametrize("value", ["a", None, [[1.0], [1.0, 2.0]]],
-                         ids=["text", "none", "ragged"])
+@pytest.mark.parametrize("value", ["a", None, [[1.0], [1.0, 2.0]], "0.5",
+                                   b"0.5"],
+                         ids=["text", "none", "ragged", "numeric_text",
+                              "bytes"])
 @pytest.mark.parametrize("entry", sorted(_real_entries()))
 def test_values_that_are_no_reals_are_refused_by_name(entry, value):
     # each raised numpy's ValueError for text and the ragged list, and
-    # NaN values, a TypeError or an AttributeError for None
+    # NaN values, a TypeError or an AttributeError for None; numeric text
+    # and bytes were read as their number
     call, name, kind = _real_entries()[entry]
     with pytest.raises(DomainError, match=f"^{name} must be {kind}, not "
                                           f"{re.escape(reprlib.repr(value))}$"):
@@ -1071,8 +1084,14 @@ def _time_entries():
         "solve_flow_until": ("until", lambda t: solve_flow(
             x, 0.0, eval_direction(1), until=t)),
         "euler_flow_s": ("s", lambda t: euler_flow(x, t, eval_direction(1))),
+        "euler_flow_until": ("until", lambda t: euler_flow(
+            x, 0.0, eval_direction(1), until=t)),
         "d_horizontal": ("t", lambda t: d_horizontal(F, t, x)),
         "d_gamma": ("t", lambda t: d_gamma(F, eval_direction(1), t, x)),
+        "relation_residual": ("t", lambda t: relation_residual(
+            F, eval_direction(1), t, x)),
+        "recover_gradient": ("t", lambda t: recover_gradient(
+            F, [eval_direction(1)], t, x)),
         "d_space": ("t", lambda t: d_space(F, 0, t, x)),
         "horizontal_from_gamma": ("t", lambda t: horizontal_from_gamma(
             F, eval_direction(1), t, x, 0.125)),
@@ -1085,18 +1104,20 @@ def _time_entries():
 
 
 _BAD_TIMES = {"text": "a", "numeric_text": "0.5", "bytes": b"0.5",
-              "none": None, "list": [0.5], "array": np.array([0.5]),
-              "nan": np.nan, "negative": -0.25, "past_horizon": 1.5}
+              "text_array": np.array("0.5"), "none": None, "list": [0.5],
+              "array": np.array([0.5]), "nan": np.nan, "negative": -0.25,
+              "past_horizon": 1.5}
 
 
-# until=None is the horizon, solve_flow's default
+# until=None is the horizon, the flows' default
 @pytest.mark.parametrize("entry, bad", [
     (entry, bad) for entry in sorted(_time_entries())
     for bad in sorted(_BAD_TIMES)
-    if (entry, bad) != ("solve_flow_until", "none")])
+    if not (entry.endswith("_until") and bad == "none")])
 def test_every_single_time_goes_through_one_rule(entry, bad):
     # text, None and lists raised builtin ValueError or TypeError, and each
-    # entry had its own message for a time outside the horizon, or none
+    # entry had its own message for a time outside the horizon, or none; a
+    # 0-d text array was read as its number
     name, call = _time_entries()[entry]
     t = _BAD_TIMES[bad]
     with pytest.raises(DomainError, match=rf"^{name} must be a time in "
@@ -1126,35 +1147,54 @@ def _finite_entries():
                               lambda v: probe_boundedness(F, v, samples=2)),
         "ramp_battery": ("horizon", DomainError, False,
                          lambda v: ramp_battery(0.5, horizon=v)),
+        "ramp_battery_t_floor": ("t_floor", DomainError, False,
+                                 lambda v: ramp_battery(0.5, t_floor=v)),
+        "probe_boundedness_horizon": ("horizon", ConfigError, False,
+                                      lambda v: probe_boundedness(
+                                          F, 1.0, samples=2, horizon=v)),
+        "probe_lipschitz": ("horizon", ConfigError, False, lambda v: (
+            probe_lipschitz(eval_direction(1), samples=2, horizon=v))),
         "QuotientLadder": ("eta0", ConfigError, False,
                            lambda v: QuotientLadder(eta0=v)),
+        "QuotientLadder_ratio": ("ratio", ConfigError, False,
+                                 lambda v: QuotientLadder(ratio=v)),
+        "judge": ("ratio", ConfigError, False,
+                  lambda v: judge(np.arange(1, 7.0), np.zeros(6), v)),
         "DirectionField": ("lipschitz_K", DomainError, True,
                            lambda v: DirectionField(lambda t, y: [0.0], 1, v)),
         "recover_gradient": ("cond_max", ConfigError, False, lambda v: (
             recover_gradient(F, [eval_direction(1)], 0.5, x, cond_max=v))),
         "martingale_check": ("k", ConfigError, False, lambda v: (
             martingale_check(spec, f, [0.0, 1.0], 0.0, n_paths=2, k=v))),
+        "within": ("k", ConfigError, False,
+                   lambda v: MCEstimate(0.0, 1.0, 10).within(0.0, k=v)),
         "solve_flow": ("picard_tol", ConfigError, False, lambda v: (
             solve_flow(x, 0.5, eval_direction(1), picard_tol=v))),
         "constraint_direction": ("t_floor", DomainError, False,
                                  lambda v: constraint_direction(v)),
+        "gamma_star": ("t_floor", DomainError, False,
+                       lambda v: gamma_star(v)),
         "horizontal_from_gamma": ("h", DomainError, False, lambda v: (
             horizontal_from_gamma(F, eval_direction(1), 0.25, x, v))),
     }
 
 
 _BAD_REALS = {"text": "a", "numeric_text": "0.5", "bytes": b"2",
-              "none": None, "list": [1.0], "array": np.array([1.0]),
-              "nan": np.nan, "inf": np.inf, "negative": -1.0}
+              "text_array": np.array("2"), "none": None, "list": [1.0],
+              "array": np.array([1.0]), "nan": np.nan, "inf": np.inf,
+              "negative": -1.0}
 
 
+# t_floor=None is ramp_battery's default
 @pytest.mark.parametrize("entry, bad", [
     (entry, bad) for entry in sorted(_finite_entries())
-    for bad in sorted(_BAD_REALS)])
+    for bad in sorted(_BAD_REALS)
+    if (entry, bad) != ("ramp_battery_t_floor", "none")])
 def test_every_positive_real_goes_through_one_rule(entry, bad):
     # text, None and arrays raised builtin ValueError or TypeError (numpy 2.0
     # read an array of one value as that value); a horizon that no rule
-    # checked surfaced as a grid error under another name
+    # checked surfaced as a grid error under another name; a 0-d text array
+    # was read as its number
     name, error, zero, call = _finite_entries()[entry]
     v = _BAD_REALS[bad]
     shown = v if isinstance(v, float) else reprlib.repr(v)
@@ -1162,3 +1202,59 @@ def test_every_positive_real_goes_through_one_rule(entry, bad):
     with pytest.raises(error, match=rf"^{name} must be {kind} and finite, "
                        rf"not {re.escape(str(shown))}$"):
         call(v)
+
+
+# ---------------------------------------------------------------------------
+# the lists above against the entry map of tests/test_imports.py
+
+# keys of the lists that are neither the entry's name nor the name and the
+# parameter joined by '_'
+_ENTRY_OF_KEY = {"probe": "probe_non_anticipative",
+                 "within": "MCEstimate.within"}
+
+# pairs of the map that the lists leave out, each with the reason
+_UNLISTED = {
+    ("require_time", "SplicedPath", "seg_times[-1]"):
+        "require_grid reads seg_times before its last time",
+    ("require_time", "martingale_check", "t_grid[0]"):
+        "require_grid reads t_grid before its first time",
+    ("require_time", "martingale_check", "t_grid[-1]"):
+        "require_grid reads t_grid before its last time",
+    ("require_finite", "solve_flow", "substep"):
+        "a number keeps its own check and message",
+    ("require_finite", "euler_flow", "substep"):
+        "a number keeps its own check and message",
+    ("require_finite", "solve_flow", "window"):
+        "a number keeps its own check and message",
+    ("require_reals", "judge", "etas"):
+        "a ConfigError: test_judge_reads_its_ladder_through_the_rules",
+    ("require_reals", "judge", "quotients"):
+        "a ConfigError: test_judge_reads_its_ladder_through_the_rules",
+    ("_node_values", "StoppedPath", "value_at_stop"):
+        "None is its default, the base's value at the stop",
+}
+
+
+def _listed(entries, at):
+    """(entry, parameter) of each item of a list, its parameter at index
+    at of the item."""
+    pairs = set()
+    for key, item in entries.items():
+        entry = _ENTRY_OF_KEY.get(key, key.removesuffix(f"_{item[at]}"))
+        pairs.add((entry, item[at]))
+    return pairs
+
+
+@pytest.mark.parametrize("rules, listed", [
+    (("require_time",), lambda: _listed(_time_entries(), 0)),
+    (("require_finite",), lambda: _listed(_finite_entries(), 0)),
+    (("require_reals", "_node_values"), lambda: _listed(_real_entries(), 1)),
+], ids=["time", "finite", "reals"])
+def test_each_rule_list_holds_every_pair_of_the_entry_map(rules, listed):
+    mapped = {(e, p) for r, e, p in entry_map() if r in rules}
+    named = {(e, p) for r, e, p in _UNLISTED if r in rules}
+    listed = listed()
+    assert not listed - mapped, "listed pairs that the map does not give"
+    assert not named & listed, "pairs both listed and named"
+    missing = mapped - listed - named
+    assert not missing, "pairs of the map neither listed nor named"
