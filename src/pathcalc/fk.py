@@ -135,18 +135,20 @@ def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
     """Simulate the SDE from (t, x) to the horizon.
 
     The returned path equals x on [0, t] exactly.  t == horizon returns x
-    itself.  An explicit grid must run from t to the horizon.  A path that
+    itself, after n_steps, seed and index are checked as at any other t.
+    An explicit grid must run from t to the horizon.  A path that
     is not finite at some grid time raises NumericalError.
     """
     t = _check_history(spec, t, x)
-    if t == spec.horizon:
-        return x
     if grid is None:
         n_steps = require_count("n_steps", n_steps, 1)
         grid = np.linspace(t, spec.horizon, n_steps + 1)
-    else:
+    elif t < spec.horizon:   # no grid runs from the horizon to itself
         grid = require_grid("grid", grid, start=t, end=spec.horizon,
                             error=ConfigError)
+    seed, index = rng.require_seed(seed), require_count("index", index)
+    if t == spec.horizon:
+        return x
     values = _simulate_block(spec, grid, x, seed, index, 1)[0]
     return SplicedPath(x, float(grid[0]), grid, values, LINEAR)
 
@@ -167,15 +169,17 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     """Monte Carlo value of the discounted payoff started from (t, x).
 
     At t == horizon no simulation happens and the payoff is returned with
-    zero error.  One path gives a value but no error bar: its stderr is NaN,
-    so ``within`` is False.  The rate is integrated with left rectangles on
-    the simulation grid.  A value that is not finite, or a stderr of more
+    zero error, after every argument is checked as at any other t.  One
+    path gives a value but no error bar: its stderr is NaN, so ``within``
+    is False.  The rate is integrated with left rectangles on the
+    simulation grid.  A value that is not finite, or a stderr of more
     than one path that is not, raises NumericalError: an overflow is no
     estimate.
     """
     t = _check_history(spec, t, x)
     n_paths = require_count("n_paths", n_paths, 1)
     n_steps = require_count("n_steps", n_steps, 1)
+    seed = rng.require_seed(seed)
     if t == spec.horizon:
         return _finite(MCEstimate(spec.payoff.eval(t, x), 0.0, 0))
     grid = np.linspace(t, spec.horizon, n_steps + 1)

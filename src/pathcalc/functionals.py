@@ -46,7 +46,8 @@ class Functional:
     rows and the times: a real or vector with as many entries is reshaped
     to it, a matrix must match exactly, and a value that leaves out leading
     axes, such as a constant's, is spread over them.  Anything else raises
-    DomainError.
+    DomainError, and so does a body that indexes past the path it reads,
+    such as a catalog functional of another dimension.
     """
 
     shape = ()
@@ -70,17 +71,28 @@ class Functional:
         raise DomainError(f"{self.label or 'anonymous'}: expected a value "
                           f"of shape {want}, got {out.shape}")
 
+    def _misread(self, x, err):
+        """The DomainError for a body that indexed past what x holds: a
+        catalog functional read on a path of another dimension."""
+        return DomainError(f"{self.label or 'anonymous'} cannot be read on "
+                           f"a path of dimension {getattr(x, 'dim', None)}: "
+                           f"{err}")
+
     def eval(self, t, x):
         """The value at t: a float, or an array of the declared shape."""
         if not isinstance(t, float):   # text, numeric text too, is no time
             t = require_reals("t", t, scalar=True, finite=False)
         rows = getattr(x, "rows", None)
-        if rows is None:
-            out = self._read(self._fn(t, x))
-            return out if self.shape else float(out)
-        if self._fn is self._fn_many:
-            return self._read(self._fn(t, x), (rows,))
-        return np.array([self.eval(t, row) for row in x.row_views()])
+        if rows is not None and self._fn is not self._fn_many:
+            return np.array([self.eval(t, row) for row in x.row_views()])
+        try:
+            value = self._fn(t, x)
+        except IndexError as err:
+            raise self._misread(x, err) from None
+        if rows is not None:
+            return self._read(value, (rows,))
+        out = self._read(value)
+        return out if self.shape else float(out)
 
     def eval_many(self, ts, x):
         """One value per time of a sorted array: (m,) + shape."""
@@ -92,7 +104,11 @@ class Functional:
                              for row in x.row_views()])
         if self._fn_many is not None:
             lead = ts.shape if rows is None else (rows,) + ts.shape
-            return self._read(self._fn_many(ts, x), lead)
+            try:
+                value = self._fn_many(ts, x)
+            except IndexError as err:
+                raise self._misread(x, err) from None
+            return self._read(value, lead)
         vals = [self.eval(t, x) for t in ts]
         return np.array(vals, dtype=float).reshape(ts.shape + self.shape)
 
@@ -448,10 +464,10 @@ def _samples(seed, stream, samples, dim, horizon, **shape):
 
 
 def _random_path(gen, dim, horizon, mode, n_lo=6, n_hi=40, box=None):
-    n = int(gen.integers(n_lo, n_hi))
-    inner = np.sort(gen.random(n)) * horizon
-    inner = inner[(inner > 0) & (inner < horizon)]
-    times = np.unique(np.concatenate([[0.0], inner, [horizon]]))
+    inner = np.sort(gen.random(gen.integers(n_lo, n_hi))) * horizon
+    # scaling keeps the draws sorted: keep each time once, rising
+    times = np.concatenate(([0.0], inner, [horizon]))
+    times = times[np.concatenate(([True], times[1:] > times[:-1]))]
     if box is None:
         values = gen.normal(size=(len(times), dim))
     else:
@@ -470,9 +486,8 @@ def _with_pinned_future(path, t, gen):
         times = np.concatenate([times[:k], [t], times[k:]])
         values = np.concatenate([values[:k], path.eval(t)[None], values[k:]])
     pinned = grid_view(times, values, path.interp_mode)
-    future = times > t
     rand_values = values.copy()
-    rand_values[future] = gen.normal(size=(future.sum(), path.dim))
+    rand_values[k + 1:] = gen.normal(size=(len(times) - k - 1, path.dim))
     return pinned, grid_view(times, rand_values, path.interp_mode)
 
 
@@ -510,15 +525,15 @@ def probe_boundedness(F, box_radius, dim=1, samples=200, seed=0, horizon=1.0):
         raise ConfigError("box_radius must be positive, 2 * box_radius finite")
     worst = 0.0
     where = None
-    for k, _, path in draws:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k, _, path in draws:
             vals = np.abs(F.eval_many(path.times, path))
-        top = _worse(worst, vals.max())
-        if top > worst:
-            worst = float(top)
-            # numpy's argmax, like its max, takes a NaN as the largest
-            j = np.unravel_index(np.argmax(vals), vals.shape)[0]
-            where = (k, float(path.times[j]))
+            top = _worse(worst, vals.max())
+            if top > worst:
+                worst = float(top)
+                # numpy's argmax, like its max, takes a NaN as the largest
+                j = np.unravel_index(np.argmax(vals), vals.shape)[0]
+                where = (k, float(path.times[j]))
     return ProbeReport(f"boundedness[{F.label}]", np.isfinite(worst), worst,
                        samples, [where] if where else [])
 
@@ -532,12 +547,13 @@ def probe_lipschitz(field, samples=200, seed=0, horizon=1.0):
     worst = 0.0
     for _, gen, x in _samples(seed, 2, samples, field.dim_out, horizon):
         values = x.values + gen.normal(scale=0.5, size=x.values.shape)
-        y = grid_view(x.times, values, x.interp_mode)
         t = float(gen.uniform(horizon * 0.05, horizon))
-        xs, ys = stop(x, t), stop(y, t)
-        # x and y share their times, so either's knots are the union
-        grid = xs.knots()
-        gap = np.abs(xs.eval(grid) - ys.eval(grid)).max()
+        xs, ys = stop(x, t), stop(grid_view(x.times, values, x.interp_mode), t)
+        # the two share their times, so the stops' sup gap is at a node
+        # before t or in the values held from t, each stop's last node
+        k = x.times.searchsorted(t)
+        gap = max(np.abs(x.values[:k] - values[:k]).max(initial=0.0),
+                  np.abs(xs.seg.values[-1] - ys.seg.values[-1]).max())
         if gap == 0.0:
             continue
         diff = np.abs(field.eval(t, xs) - field.eval(t, ys)).max()

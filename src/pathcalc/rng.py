@@ -37,7 +37,9 @@ _WORD = 2 ** 64
 _STREAMS = 2 ** 128
 
 
-def _key(seed):
+def require_seed(seed):
+    """seed as an int, or ConfigError naming it unless a whole number in
+    [0, 2**128): the key of a stream family."""
     seed = require_count("seed", seed)
     if seed >= _STREAMS:
         raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
@@ -62,7 +64,7 @@ def _shift(u):
 def substream(seed, index):
     """Generator for substream ``index`` of the family keyed by ``seed``."""
     index, _ = _streams(index, 1)
-    return Generator(Philox(key=_key(seed), counter=index << 128))
+    return Generator(Philox(key=require_seed(seed), counter=index << 128))
 
 
 def normal_block(seed, first, count, shape):
@@ -76,7 +78,7 @@ def normal_block(seed, first, count, shape):
     ``Philox(key=seed, counter=(first + r) << 128)`` starts in.
     """
     from scipy.special import ndtri
-    key = _key(seed)
+    key = require_seed(seed)
     first, count = _streams(first, count)
     shape = tuple(require_count("shape", s) for s in np.atleast_1d(shape))
     if count * math.prod(shape) > 2 ** MAX_LOG2:

@@ -470,6 +470,28 @@ def test_bad_simulation_sizes_are_config_errors_naming_them(call, name):
         call(constant_path(0.0))
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0], ids=["inside", "horizon"])
+@pytest.mark.parametrize("call, match", [
+    (lambda t, x: estimate_f(_GAUSS, t, x, seed=-1),
+     "^seed must be at least 0, not -1$"),
+    (lambda t, x: estimate_f(_GAUSS, t, x, seed=2 ** 128),
+     r"^seed must be in \[0, 2\*\*128\)"),
+    (lambda t, x: simulate_sde(_GAUSS, t, x, seed="a"),
+     "^seed must be a whole number, not 'a'$"),
+    (lambda t, x: simulate_sde(_GAUSS, t, x, n_steps=-1, seed="a"),
+     "^n_steps must be at least 1, not -1$"),
+    (lambda t, x: simulate_sde(_GAUSS, t, x, index=-1),
+     "^index must be at least 0, not -1$"),
+], ids=["estimate_f_negative_seed", "estimate_f_seed_too_large",
+        "simulate_sde_text_seed", "simulate_sde_negative_steps_first",
+        "simulate_sde_negative_index"])
+def test_a_refusal_does_not_depend_on_the_start_time(call, match, t):
+    # at the horizon nothing is simulated, and the same arguments are
+    # refused all the same
+    with pytest.raises(ConfigError, match=match):
+        call(t, constant_path(1.0))
+
+
 def test_a_constant_body_runs_the_per_step_route():
     # the drift returns 5.0 at every (t, x) but is built directly, so it is
     # not marked constant: each step reads it, and the value is the drift's

@@ -14,6 +14,7 @@ from pathcalc import (
     GridPath,
     MatrixFunctional,
     ProbeReport,
+    SplicedPath,
     VectorFunctional,
     benchmark,
     builtin,
@@ -24,6 +25,7 @@ from pathcalc import (
     constant_path,
     constraint_direction,
     counterexample_functional,
+    d_horizontal,
     eval_direction,
     eval_functional,
     gamma_star,
@@ -39,9 +41,11 @@ from pathcalc import (
     surface_functional,
     zero_direction,
 )
+from pathcalc import rng
 from pathcalc.functionals import CATALOG, DirectionField, \
     _random_path, _with_pinned_future, product_functional, \
     require_derivatives
+from pathcalc.paths import grid_view
 
 
 @pytest.fixture
@@ -407,6 +411,24 @@ def test_a_value_with_the_declared_entries_reads_in_the_declared_shape():
     assert V.eval(0.0, None).tolist() == [1.0, 2.0]
 
 
+_FAMILY_1D = SplicedPath(ramp_path(1.0), 0.5, [0.5, 1.0], np.zeros((2, 3, 1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: builtin("product").eval(0.5, ramp_path(1.0)),
+    lambda: builtin("product").eval_many([0.5], ramp_path(1.0)),
+    lambda: builtin("product").eval(0.75, _FAMILY_1D),
+    lambda: builtin("eval", axis=1, dim=2).eval(0.5, ramp_path(1.0)),
+    lambda: d_horizontal(builtin("product"), 0.5, ramp_path(1.0)),
+    lambda: probe_non_anticipative(builtin("product"), dim=1),
+], ids=["eval", "eval_many", "family", "axis", "d_horizontal", "probe"])
+def test_a_functional_of_another_dimension_is_refused_by_name(call):
+    # the body's IndexError is refused by name, at the read
+    with pytest.raises(DomainError, match=r"^(product|eval\[1\]) cannot be "
+                       "read on a path of dimension 1: index 1 is out of"):
+        call()
+
+
 def test_a_matrix_value_must_have_its_exact_shape():
     M = MatrixFunctional(lambda t, x: np.array([1.0, 2.0]), (1, 2),
                          label="flat")
@@ -585,3 +607,159 @@ def test_probe_grids_pass_the_grid_path_checks(seed, dim, mode, horizon, box,
         assert (checked.dim, checked.horizon, checked.interp_mode) \
             == (g.dim, g.horizon, g.interp_mode)
         assert not (g.times.flags.writeable or g.values.flags.writeable)
+
+
+# ---------------------------------------------------------------------------
+# the probes against a reference: their draws and bodies written the direct
+# way (np.unique over the drawn times, the Lipschitz gap read at the stops'
+# knots), kept here to hold the probes to the same bits
+
+
+def _reference_random_path(gen, dim, horizon, mode, n_lo=6, n_hi=40,
+                           box=None):
+    n = int(gen.integers(n_lo, n_hi))
+    inner = np.sort(gen.random(n)) * horizon
+    inner = inner[(inner > 0) & (inner < horizon)]
+    times = np.unique(np.concatenate([[0.0], inner, [horizon]]))
+    if box is None:
+        values = gen.normal(size=(len(times), dim))
+    else:
+        values = gen.uniform(-box, box, size=(len(times), dim))
+    return grid_view(times, values, mode)
+
+
+def _reference_samples(seed, stream, samples, dim, horizon, **shape):
+    gen = rng.substream(seed, stream)
+    modes = (LINEAR if gen.random() < 0.5 else CADLAG for _ in range(samples))
+    return ((k, gen, _reference_random_path(gen, dim, horizon, mode, **shape))
+            for k, mode in enumerate(modes))
+
+
+def _reference_worse(worst, value):
+    if value <= worst:
+        return worst
+    return np.inf if np.isnan(value) else value
+
+
+def _reference_with_pinned_future(path, t, gen):
+    times, values = path.times, path.values
+    k = int(times.searchsorted(t))
+    if times[k] != t:
+        times = np.concatenate([times[:k], [t], times[k:]])
+        values = np.concatenate([values[:k], path.eval(t)[None], values[k:]])
+    pinned = grid_view(times, values, path.interp_mode)
+    future = times > t
+    rand_values = values.copy()
+    rand_values[future] = gen.normal(size=(future.sum(), path.dim))
+    return pinned, grid_view(times, rand_values, path.interp_mode)
+
+
+def _reference_non_anticipative(F, dim, samples, seed, horizon):
+    worst = 0.0
+    failures = []
+    for k, gen, path in _reference_samples(seed, 0, samples, dim, horizon):
+        t = float(gen.uniform(0.0, horizon * 0.999))
+        pinned, randomized = _reference_with_pinned_future(path, t, gen)
+        d = float(np.abs(F.eval(t, pinned) - F.eval(t, randomized)).max())
+        worst = _reference_worse(worst, d)
+        if d != 0 and len(failures) < 10:
+            failures.append((k, t, d))
+    return ProbeReport(f"non_anticipative[{F.label}]", worst == 0.0, worst,
+                       samples, failures)
+
+
+def _reference_boundedness(F, box_radius, dim, samples, seed, horizon):
+    draws = _reference_samples(seed, 1, samples, dim, horizon, n_lo=64,
+                               n_hi=65, box=box_radius)
+    worst = 0.0
+    where = None
+    for k, _, path in draws:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = np.abs(F.eval_many(path.times, path))
+        top = _reference_worse(worst, vals.max())
+        if top > worst:
+            worst = float(top)
+            j = np.unravel_index(np.argmax(vals), vals.shape)[0]
+            where = (k, float(path.times[j]))
+    return ProbeReport(f"boundedness[{F.label}]", np.isfinite(worst), worst,
+                       samples, [where] if where else [])
+
+
+def _reference_lipschitz(field, samples, seed, horizon):
+    worst = 0.0
+    for _, gen, x in _reference_samples(seed, 2, samples, field.dim_out,
+                                        horizon):
+        values = x.values + gen.normal(scale=0.5, size=x.values.shape)
+        y = grid_view(x.times, values, x.interp_mode)
+        t = float(gen.uniform(horizon * 0.05, horizon))
+        xs, ys = stop(x, t), stop(y, t)
+        grid = xs.knots()
+        gap = np.abs(xs.eval(grid) - ys.eval(grid)).max()
+        if gap == 0.0:
+            continue
+        diff = np.abs(field.eval(t, xs) - field.eval(t, ys)).max()
+        worst = _reference_worse(worst, diff / gap)
+    ok = worst <= field.lipschitz_K * (1 + 1e-9)
+    return ProbeReport(f"lipschitz[{field.label}]", ok, worst, samples)
+
+
+def _bits(rep):
+    """A report as comparable data, every float by its hex."""
+    def exact(v):
+        return float(v).hex() if isinstance(v, float) else v
+    return (rep.label, rep.passed, exact(rep.metric), rep.samples,
+            [tuple(exact(v) for v in f) for f in rep.failures])
+
+
+def _catalog_functionals(dim):
+    out = [builtin(name, dim=dim) for name in sorted(CATALOG)]
+    if dim == 2:
+        out.append(builtin("product"))
+    # fails the non-anticipative probe, with failure records to compare
+    out.append(Functional(lambda t, x: x.eval(x.horizon)[0], label="peek"))
+    return out
+
+
+def _direction_fields(dim):
+    # the last understates its constant and fails the probe
+    return [zero_direction(dim), constant_direction([0.7, -1.5][:dim]),
+            eval_direction(dim), running_avg_direction(dim),
+            DirectionField(lambda t, x: 3.0 * x.eval(t), dim, 1.0,
+                           label="triple")]
+
+
+# 1e-320 is subnormal: the drawn times collide, and each path keeps a
+# time once
+_PROBE_HORIZONS = [1.0, 1e-320]
+
+
+@pytest.mark.parametrize("horizon", _PROBE_HORIZONS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_probes_give_the_bits_of_the_reference(dim, horizon):
+    for seed in range(10):
+        for F in _catalog_functionals(dim):
+            kw = dict(dim=dim, samples=20, seed=seed, horizon=horizon)
+            assert _bits(probe_non_anticipative(F, **kw)) \
+                == _bits(_reference_non_anticipative(F, **kw))
+            assert _bits(probe_boundedness(F, 1.5, **kw)) \
+                == _bits(_reference_boundedness(F, 1.5, **kw))
+        for field in _direction_fields(dim):
+            kw = dict(samples=20, seed=seed, horizon=horizon)
+            assert _bits(probe_lipschitz(field, **kw)) \
+                == _bits(_reference_lipschitz(field, **kw))
+
+
+@pytest.mark.parametrize("horizon", _PROBE_HORIZONS)
+def test_a_drawn_path_drops_repeated_times_as_unique_does(horizon):
+    collided = 0
+    for seed in range(200):
+        draws = [np.random.default_rng(seed) for _ in range(2)]
+        mode = LINEAR if seed % 2 else CADLAG
+        path = _random_path(draws[0], 1, horizon, mode)
+        ref = _reference_random_path(draws[1], 1, horizon, mode)
+        assert path.times.tobytes() == ref.times.tobytes()
+        assert path.values.tobytes() == ref.values.tobytes()
+        assert draws[0].random() == draws[1].random()
+        n = int(np.random.default_rng(seed).integers(6, 40))
+        collided += len(path.times) < n + 2
+    assert collided > 0 if horizon < 1e-300 else collided == 0

@@ -385,6 +385,15 @@ def test_brownian_path_size_is_checked_before_drawing(n_exp, dim,
         brownian_path(0, 0, n_exp=n_exp, dim=dim)
 
 
+@pytest.mark.parametrize("index, match", [
+    (-1, "^index must be at least 0, not -1$"),
+    (0.5, "^index must be a whole number, not 0.5$"),
+], ids=["negative", "fractional"])
+def test_brownian_path_refuses_a_bad_index_by_its_name(index, match):
+    with pytest.raises(ConfigError, match=match):
+        brownian_path(0, index, n_exp=4)
+
+
 @pytest.mark.parametrize("horizon", [1.0, 0.3, 1e-300, 1e308, 1e-310])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_brownian_path_is_the_checked_construction_bit_for_bit(horizon, dim):

@@ -54,6 +54,7 @@ from pathcalc import (
     probe_boundedness,
     probe_lipschitz,
     probe_non_anticipative,
+    quadratic_covariation,
     ramp_battery,
     ramp_path,
     recover_gradient,
@@ -749,8 +750,10 @@ def test_a_non_finite_held_value_is_rejected(held):
     (lambda: martingale_check(*benchmark("gauss_square"), [0.0, 1.0],
                               constant_functional(0.0), n_paths=2),
      r"^x0 must be a path, not <Functional const\(0\.0\)>$"),
+    (lambda: quadratic_covariation(None, [0.0, 1.0]),
+     r"^x must be a path, not None$"),
 ], ids=["stopped_path", "concat", "dist_stopped", "path_to_csv",
-        "martingale_check"])
+        "martingale_check", "quadratic_covariation"])
 def test_what_is_no_path_is_refused_by_name(make, match):
     with pytest.raises(DomainError, match=match):
         make()
