@@ -20,8 +20,10 @@ cores, which trust theirs, as _judge trusts the ladders that judge checks;
 inside the library only the cores are called.
 """
 
+import math
 import reprlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +63,14 @@ class QuotientLadder:
             raise ConfigError("count too large: the last step underflows")
 
     def steps(self):
-        return self.eta0 * self.ratio ** np.arange(self.count)
+        """The steps: one read-only array, shared as every report's etas."""
+        return self._steps
+
+    @cached_property
+    def _steps(self):
+        steps = self.eta0 * self.ratio ** np.arange(self.count)
+        steps.flags.writeable = False
+        return steps
 
 
 def _require_ratio(ratio):
@@ -129,22 +138,28 @@ def judge(etas, quotients, ratio, label=""):
 
 
 def _judge(etas, quotients, ratio, label):
-    """judge on a ladder as judge checks it: the one verdict rule."""
-    tail = quotients[-TAIL:]
-    med = float(np.median(tail))
-    spread = float(tail.max() - tail.min())
+    """judge on a ladder as judge checks it: the one verdict rule, on floats
+    in numpy's order, with its choices: a NaN in the tail is its median and
+    spread, and a tail of zeros of both signs spreads 0.0."""
+    q = quotients.tolist()
+    tail = q[-TAIL:]
+    finite = all(map(math.isfinite, q))
+    nans = [] if finite else [v for v in tail if v != v]
+    med, spread = (nans[0],) * 2 if nans \
+        else (sorted(tail)[TAIL // 2], max(tail) - min(tail))
     scale = max(1.0, abs(med))
     conv_tol = CONV_REL * scale
     osc_floor = OSC_REL * scale
-    diffs = np.diff(quotients)
-    alternations = int(np.sum(diffs[:-1] * diffs[1:] < 0))
-    if not np.all(np.isfinite(quotients)):
+    diffs = [b - a for a, b in zip(q, q[1:])]
+    alternations = sum(a * b < 0 for a, b in zip(diffs, diffs[1:]))
+    if not finite:
         verdict, estimate = INCONCLUSIVE, np.nan
     elif spread <= conv_tol:
-        verdict = CONVERGED
-        # first-order Richardson: removes the O(eta) term of the quotients
-        rich = (quotients[1:] - ratio * quotients[:-1]) / (1.0 - ratio)
-        estimate = float(np.mean(rich[-TAIL:]))
+        verdict, estimate = CONVERGED, 0.0
+        # first-order Richardson, the tail summed from 0.0 as np.mean sums
+        for a, b in zip(q[-TAIL - 1:-1], tail):
+            estimate += (b - ratio * a) / (1.0 - ratio)
+        estimate /= TAIL
     elif spread >= osc_floor and alternations >= MIN_ALTERNATIONS:
         verdict, estimate = OSCILLATING, np.nan
     else:

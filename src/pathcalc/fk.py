@@ -146,7 +146,8 @@ def simulate_sde(spec, t, x, n_steps=64, seed=0, index=0, grid=None):
     elif t < spec.horizon:   # no grid runs from the horizon to itself
         grid = require_grid("grid", grid, start=t, end=spec.horizon,
                             error=ConfigError)
-    seed, index = rng.require_seed(seed), require_count("index", index)
+    seed = rng.require_stream("seed", seed)
+    index = rng.require_stream("index", index)
     if t == spec.horizon:
         return x
     values = _simulate_block(spec, grid, x, seed, index, 1)[0]
@@ -179,7 +180,7 @@ def estimate_f(spec, t, x, n_paths=2000, n_steps=64, seed=0):
     t = _check_history(spec, t, x)
     n_paths = require_count("n_paths", n_paths, 1)
     n_steps = require_count("n_steps", n_steps, 1)
-    seed = rng.require_seed(seed)
+    seed = rng.require_stream("seed", seed)
     if t == spec.horizon:
         return _finite(MCEstimate(spec.payoff.eval(t, x), 0.0, 0))
     grid = np.linspace(t, spec.horizon, n_steps + 1)

@@ -221,7 +221,8 @@ def brownian_path(seed, index, n_exp=16, horizon=1.0, dim=1):
     if not (dt >= _TINY or np.all(np.diff(t) > 0)):
         raise ConfigError(f"horizon={horizon!r} with n_exp={n_exp} gives "
                           f"no strictly rising grid of 2**n_exp steps")
-    seed, index = rng.require_seed(seed), require_count("index", index)
+    seed = rng.require_stream("seed", seed)
+    index = rng.require_stream("index", index)
     # the values are finite for every finite horizon, so the grid is valid
     # by construction and needs no check or copy
     v = np.zeros((n + 1, dim))

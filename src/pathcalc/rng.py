@@ -37,13 +37,14 @@ _WORD = 2 ** 64
 _STREAMS = 2 ** 128
 
 
-def require_seed(seed):
-    """seed as an int, or ConfigError naming it unless a whole number in
-    [0, 2**128): the key of a stream family."""
-    seed = require_count("seed", seed)
-    if seed >= _STREAMS:
-        raise ConfigError(f"seed must be in [0, 2**128), got {seed}")
-    return seed
+def require_stream(name, value):
+    """value as an int, or ConfigError naming it unless a whole number in
+    [0, 2**128): a seed, the key of a stream family, or the index of one
+    substream."""
+    value = require_count(name, value)
+    if value >= _STREAMS:
+        raise ConfigError(f"{name} must be in [0, 2**128), got {value}")
+    return value
 
 
 def _streams(first, count):
@@ -64,7 +65,8 @@ def _shift(u):
 def substream(seed, index):
     """Generator for substream ``index`` of the family keyed by ``seed``."""
     index, _ = _streams(index, 1)
-    return Generator(Philox(key=require_seed(seed), counter=index << 128))
+    return Generator(Philox(key=require_stream("seed", seed),
+                             counter=index << 128))
 
 
 def normal_block(seed, first, count, shape):
@@ -78,7 +80,7 @@ def normal_block(seed, first, count, shape):
     ``Philox(key=seed, counter=(first + r) << 128)`` starts in.
     """
     from scipy.special import ndtri
-    key = require_seed(seed)
+    key = require_stream("seed", seed)
     first, count = _streams(first, count)
     shape = tuple(require_count("shape", s) for s in np.atleast_1d(shape))
     if count * math.prod(shape) > 2 ** MAX_LOG2:

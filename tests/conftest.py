@@ -1,12 +1,15 @@
 """Shared fixtures: a reusable Brownian corpus so the slow tests build it
-once, and the bad time grids that every grid entry must refuse."""
+once, the bad time grids that every grid entry must refuse, and a counter
+of the entry rules' calls."""
 
+import collections
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from pathcalc import brownian_path
+from pathcalc import brownian_path, errors
 
 MASTER_SEED = 42
 N_EXP = 16
@@ -66,3 +69,26 @@ def bad_grid(fault, a, b):
 def grid_error(fault, name):
     """The match= pattern of bad_grid(fault, ...) fed as parameter name."""
     return f"^{re.escape(name)}[ :].*({GRID_FAULTS[fault]})"
+
+
+def counted_rules(monkeypatch):
+    """Counts of the calls of every errors.require_* rule, require_path,
+    require_field, require_ladder, rng.require_stream and _study_point,
+    each wrapped in every pathcalc module namespace that holds it."""
+    counts = collections.Counter()
+    names = [n for n in vars(errors) if n.startswith("require_")] \
+        + ["require_path", "require_field", "require_ladder", "require_stream",
+           "_study_point"]
+    modules = [m for k, m in sys.modules.items()
+               if k.startswith("pathcalc.") and m is not None]
+    for name in names:
+        rule = next(vars(m)[name] for m in modules if name in vars(m))
+
+        def counted(*args, _name=name, _rule=rule, **kwargs):
+            counts[_name] += 1
+            return _rule(*args, **kwargs)
+
+        for m in modules:
+            if vars(m).get(name) is rule:
+                monkeypatch.setattr(m, name, counted)
+    return counts

@@ -1,9 +1,9 @@
 """Quotient-ladder derivatives: verdicts, exact cases, the decomposition."""
 
-import collections
 import dataclasses
+import math
 import re
-import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -51,10 +51,12 @@ from pathcalc import (
     surface_value,
     zero_direction,
 )
-from pathcalc import deriv, errors, paths
+from pathcalc import deriv, paths
 from pathcalc.deriv import HESS_LADDER, TIME_LADDER, _hess_entry, \
     ladder_flow_grid, time_study
 from pathcalc.pathology import counterexample_functional
+
+from conftest import counted_rules
 
 
 def _steps(ladder=None):
@@ -110,6 +112,105 @@ def test_judge_scale_aware_tolerance():
     wobble = 5e-3 * np.cos(np.arange(lad.count))
     assert judge(etas, 1000.0 + wobble, lad.ratio).verdict == CONVERGED
     assert judge(etas, wobble, lad.ratio).verdict != CONVERGED
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan],
+                         ids=["inf", "neg_inf", "nan"])
+def test_judge_calls_a_non_finite_ladder_inconclusive_without_a_warning(
+        value):
+    # an infinite tail raised numpy's invalid-value warning in the spread,
+    # and two neighbouring infinities raised it in the differences
+    etas = QuotientLadder().steps()
+    n = len(etas)
+    cells = [[k] for k in range(n)] + [[k, k + 1] for k in range(n - 1)] \
+        + [list(range(n - deriv.TAIL, n))]
+    for where in cells:
+        q = 1.0 / etas
+        q[where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = judge(etas, q, 0.5)
+        assert rep.verdict == INCONCLUSIVE and math.isnan(rep.estimate), \
+            where
+
+
+def _numpy_judge(quotients, ratio):
+    """The verdict rule on numpy arrays, as deriv._judge computed it before
+    its float core: (verdict, estimate, spread, conv_tol, osc_floor,
+    alternations)."""
+    with np.errstate(all="ignore"):
+        tail = quotients[-deriv.TAIL:]
+        med = float(np.median(tail))
+        spread = float(tail.max() - tail.min())
+        scale = max(1.0, abs(med))
+        conv_tol = deriv.CONV_REL * scale
+        osc_floor = deriv.OSC_REL * scale
+        diffs = np.diff(quotients)
+        alternations = int(np.sum(diffs[:-1] * diffs[1:] < 0))
+        if not np.all(np.isfinite(quotients)):
+            verdict, estimate = INCONCLUSIVE, np.nan
+        elif spread <= conv_tol:
+            verdict = CONVERGED
+            rich = (quotients[1:] - ratio * quotients[:-1]) / (1.0 - ratio)
+            estimate = float(np.mean(rich[-deriv.TAIL:]))
+        elif spread >= osc_floor \
+                and alternations >= deriv.MIN_ALTERNATIONS:
+            verdict, estimate = OSCILLATING, np.nan
+        else:
+            verdict, estimate = INCONCLUSIVE, np.nan
+    return verdict, estimate, spread, conv_tol, osc_floor, alternations
+
+
+# values where Python's builtins and numpy may choose differently
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.0, -1.0]
+
+
+@st.composite
+def _quotient_ladders(draw):
+    """(quotients, ratio): 6 to 20 quotients near one level, so that many
+    ladders converge, or each either near it or from a pool of at most
+    three values (ties, edge values, any float); the ratio in (0, 1)."""
+    n = draw(st.integers(deriv.TAIL + 1, 20))
+    level = draw(st.floats(-1e3, 1e3))
+    noise = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 1.0]))
+    entry = st.floats(-1.0, 1.0).map(lambda u: level + noise * u)
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.sampled_from(_EDGES) | st.floats(),
+                             min_size=1, max_size=3))
+        entry = st.sampled_from(pool) | entry
+    q = draw(st.lists(entry, min_size=n, max_size=n))
+    ratio = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return np.array(q), ratio
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quotient_ladders())
+# a tail of zeros whose first is 0.0 and last -0.0: the last of the sorted
+# tail minus its first is -0.0, where numpy spreads 0.0
+@example((np.array([1.0, 0.0, 0.0, -0.0, 0.0, -0.0]), 0.5))
+@example((np.array([0.0, 0.0, -0.0, 0.0, -0.0, -0.0]), 0.5))
+# NaN at the first, middle and last place of the tail, and before it
+@example((np.array([2.0, 1.0, np.nan, 1.0, 1.0, 1.0]), 0.5))
+@example((np.array([2.0, 1.0, 1.0, 1.0, np.nan, 1.0]), 0.5))
+@example((np.array([2.0, 1.0, 1.0, 1.0, 1.0, np.nan]), 0.5))
+@example((np.array([np.nan, 3.0, 1.0, 2.0, 1.0, 3.0]), 0.5))
+# a tail of infinities, neighbouring infinities of either sign, subnormals
+@example((np.array([1.0] + [np.inf] * 5), 0.5))
+@example((np.array([1.0, 2.0, -np.inf, np.inf, 2.0, 1.0]), 0.5))
+@example((np.array([5e-324, -5e-324, 5e-324, 0.0, 1e-310, -0.0]), 0.25))
+def test_the_float_verdict_equals_numpy_field_by_field(ladder):
+    # deriv._judge reads Python floats; every field of its report must be
+    # the numpy rule's, the floats to the bit, and it warns of nothing
+    q, ratio = ladder
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = judge(1.0 / np.arange(1.0, len(q) + 1), q, ratio, label="L")
+    want = _numpy_judge(q, ratio)
+    assert (rep.label, rep.verdict, rep.alternations) == ("L", *want[::5])
+    assert type(rep.alternations) is int
+    got = (rep.estimate, rep.spread_tail, rep.conv_tol, rep.osc_floor)
+    assert [float(v).hex() for v in got] \
+        == [float(v).hex() for v in want[1:5]]
 
 
 @pytest.mark.parametrize("etas, quotients", [
@@ -210,6 +311,25 @@ def test_ladder_validation():
     with pytest.raises(ConfigError, match="underflows"):
         QuotientLadder(eta0=2.0 ** -7, count=1069)
     assert QuotientLadder(eta0=2.0 ** -7, count=1068).steps()[-1] > 0
+
+
+def test_a_ladder_shares_one_read_only_array_of_steps():
+    # the frozen ladder builds its steps once; every report of it holds
+    # that array as its etas, and no one can write into it
+    lad, x, F = QuotientLadder(), ramp_path(1.0, n=65), builtin("square")
+    steps = lad.steps()
+    assert lad.steps() is steps
+    assert steps.tobytes() \
+        == (lad.eta0 * lad.ratio ** np.arange(lad.count)).tobytes()
+    before = d_gamma(F, eval_direction(1), 0.5, x, lad)
+    assert before.etas is steps
+    for etas in (steps, before.etas):
+        with pytest.raises(ValueError):
+            etas[0] = 1.0
+        with pytest.raises(ValueError):
+            etas *= 2.0
+    _same_report(d_gamma(F, eval_direction(1), 0.5, x, lad), before)
+    assert d_space(F, 0, 0.5, x).etas is SPACE_LADDER.steps()
 
 
 def test_require_converged_raises_with_name():
@@ -934,28 +1054,6 @@ def test_a_converged_study_agrees_with_the_coded_derivative(inputs, k):
 # each argument checked once, where it enters the library
 
 
-def _counted_rules(monkeypatch):
-    """Counts of the calls of every errors.require_* rule, require_path,
-    require_field, require_ladder and _study_point, each wrapped in every
-    pathcalc module namespace that holds it."""
-    counts = collections.Counter()
-    names = [n for n in vars(errors) if n.startswith("require_")] \
-        + ["require_path", "require_field", "require_ladder", "_study_point"]
-    modules = [m for k, m in sys.modules.items()
-               if k.startswith("pathcalc.") and m is not None]
-    for name in names:
-        rule = next(vars(m)[name] for m in modules if name in vars(m))
-
-        def counted(*args, _name=name, _rule=rule, **kwargs):
-            counts[_name] += 1
-            return _rule(*args, **kwargs)
-
-        for m in modules:
-            if vars(m).get(name) is rule:
-                monkeypatch.setattr(m, name, counted)
-    return counts
-
-
 # rule calls of one call before each argument was checked once, and the
 # bound pinned from the measurement after: relation_residual 65 -> 11,
 # d_gamma 32 -> 8, solve_flow 13 -> 6, and d_space 10 -> 8 once its bump
@@ -971,7 +1069,7 @@ def test_an_entry_checks_each_argument_once(call, bound, monkeypatch):
     # the entry before them had checked or built
     args = ramp_path(1.0, n=65), builtin("square"), eval_direction(1)
     call(*args)
-    counts = _counted_rules(monkeypatch)
+    counts = counted_rules(monkeypatch)
     call(*args)
     assert sum(counts.values()) <= bound, dict(counts)
 
@@ -979,7 +1077,7 @@ def test_an_entry_checks_each_argument_once(call, bound, monkeypatch):
 def test_a_time_study_solves_its_flow_without_a_rule_call(monkeypatch):
     # the study hands the solver the point it checked and the grid it built
     xt = stop(ramp_path(1.0, n=65), 0.5)
-    counts = _counted_rules(monkeypatch)
+    counts = counted_rules(monkeypatch)
     solve, inside = deriv.picard_flow, []
 
     def watched(*args, **kwargs):

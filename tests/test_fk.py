@@ -482,9 +482,11 @@ def test_bad_simulation_sizes_are_config_errors_naming_them(call, name):
      "^n_steps must be at least 1, not -1$"),
     (lambda t, x: simulate_sde(_GAUSS, t, x, index=-1),
      "^index must be at least 0, not -1$"),
+    (lambda t, x: simulate_sde(_GAUSS, t, x, index=2 ** 128),
+     r"^index must be in \[0, 2\*\*128\)"),
 ], ids=["estimate_f_negative_seed", "estimate_f_seed_too_large",
         "simulate_sde_text_seed", "simulate_sde_negative_steps_first",
-        "simulate_sde_negative_index"])
+        "simulate_sde_negative_index", "simulate_sde_index_too_large"])
 def test_a_refusal_does_not_depend_on_the_start_time(call, match, t):
     # at the horizon nothing is simulated, and the same arguments are
     # refused all the same

@@ -118,6 +118,7 @@ RULES = {
     "functionals": ("require_field", "require_derivatives"),
     "deriv": ("_require_ratio", "require_ladder"),
     "fk": ("_require_spec",),
+    "rng": ("require_stream",),
     "pathology": ("_require_1d",),
 }
 

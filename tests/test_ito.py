@@ -32,7 +32,7 @@ from pathcalc import (
 from pathcalc import concat, rng
 from pathcalc.rng import substream
 
-from conftest import GRID_FAULTS, bad_grid, grid_error
+from conftest import GRID_FAULTS, bad_grid, counted_rules, grid_error
 
 
 def _square_integrand():
@@ -224,6 +224,28 @@ def test_ito_residual_requires_full_derivatives():
                      dyadic_subsample(x, 3, n_exp=6))
 
 
+# rule calls of one partition sum, pinned at their count when first
+# measured: the path, the functional's shapes (four for a derivative set),
+# the partition as a grid and its times; the same at every dyadic level
+@pytest.mark.parametrize("call, bound", [
+    (lambda F, G, x, times: ito_residual(F, x, times), 7),
+    (lambda F, G, x, times: stratonovich_integral(G, x, times), 4),
+    (lambda F, G, x, times: quadratic_covariation(x, times), 3),
+], ids=["ito_residual", "stratonovich_integral", "quadratic_covariation"])
+def test_a_partition_sum_checks_as_often_at_every_level(call, bound,
+                                                        monkeypatch):
+    x = brownian_path(3, 0, n_exp=8)
+    F, G = builtin("square"), _square_integrand()
+    levels = [dyadic_subsample(x, level) for level in range(9)]
+    counts = counted_rules(monkeypatch)
+    per_level = []
+    for times in levels:
+        before = sum(counts.values())
+        call(F, G, x, times)
+        per_level.append(sum(counts.values()) - before)
+    assert len(set(per_level)) == 1 and per_level[0] <= bound, dict(counts)
+
+
 # ---------------------------------------------------------------------------
 # Stratonovich sums
 
@@ -388,7 +410,9 @@ def test_brownian_path_size_is_checked_before_drawing(n_exp, dim,
 @pytest.mark.parametrize("index, match", [
     (-1, "^index must be at least 0, not -1$"),
     (0.5, "^index must be a whole number, not 0.5$"),
-], ids=["negative", "fractional"])
+    # refused by the substream draw, in a message that named no parameter
+    (2 ** 128, rf"^index must be in \[0, 2\*\*128\), got {2 ** 128}$"),
+], ids=["negative", "fractional", "past_the_last_substream"])
 def test_brownian_path_refuses_a_bad_index_by_its_name(index, match):
     with pytest.raises(ConfigError, match=match):
         brownian_path(0, index, n_exp=4)
